@@ -7,6 +7,13 @@ Anything the theorems do not cover is reported as out_of_scope with the
 Lefschetz group as an upper bound.  Missing optional data (trace lists,
 discriminant flags, subfield inventories, the Galois flag) degrades the
 status to conditional instead of guessing.
+
+``classify`` validates the profile once (inside ``realizable``), computes
+the Lefschetz group once, and hands it to every branch.  The branches
+build their outcomes from a few shared pieces: ``_single`` (one proven
+candidate), ``_upper`` (a possible upper bound), ``_subfield_bounds``
+(the bounds from balanced subfields) and ``_with_wedge`` (the Lefschetz
+group plus the special-unitary wedge alternative, when it exists).
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ from .core import (
     FAM_SU_B,
     FAM_SU_LE,
     FAM_SU_POW2,
-    FAM_U_B,
     EndomorphismDescriptor,
     GroupExpr,
     HodgeProfile,
@@ -29,9 +35,11 @@ from .core import (
     REP_EXTERIOR,
     REP_PRODUCT,
     REP_SPIN,
+    _require_int,
 )
-from .lefschetz import group_rank, lefschetz_group
+from .lefschetz import _lefschetz_group, group_rank
 from .numth import central_binomial_solve
+from .numth import is_prime as _is_prime
 from .realizability import realizable
 
 DETERMINED = "determined"
@@ -85,14 +93,20 @@ class SubfieldDescriptor:
 
     @classmethod
     def from_json(cls, data: dict) -> "SubfieldDescriptor":
+        if not isinstance(data, dict):
+            raise ValueError("a subfield entry must be a JSON object")
         extra = set(data) - {"deg_E", "balanced", "galois_L"}
         if extra:
             raise ValueError(f"unknown subfield fields: {sorted(extra)}")
-        return cls(
-            deg_E=int(data["deg_E"]),
-            balanced=bool(data["balanced"]),
-            galois_L=data.get("galois_L"),
-        )
+        for key in ("deg_E", "balanced"):
+            if key not in data:
+                raise ValueError(f"subfield is missing required field {key!r}")
+        balanced, galois = data["balanced"], data.get("galois_L")
+        if not isinstance(balanced, bool):
+            raise ValueError(f"balanced must be a boolean, got {balanced!r}")
+        if "galois_L" in data and not isinstance(galois, bool):
+            raise ValueError(f"galois_L must be a boolean, got {galois!r}")
+        return cls(_require_int(data["deg_E"], "deg_E"), balanced, galois)
 
 
 @dataclass(frozen=True)
@@ -123,14 +137,6 @@ class ClassificationOutcome:
             "candidates": [c.to_json() for c in self.candidates],
             "notes": list(self.notes),
         }
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    return all(n % d for d in range(3, int(n ** 0.5) + 1, 2))
 
 
 def rank_threshold(n: int) -> int:
@@ -288,36 +294,55 @@ def _su_bound_group(profile: HodgeProfile, sub: SubfieldDescriptor) -> GroupExpr
 # Outcome builders
 # ---------------------------------------------------------------------------
 
+_WEDGE_K_MAX = 20
 
-def _single(profile, rule, notes=()):
+
+def _single(group: GroupExpr, rule: str, notes=()) -> ClassificationOutcome:
     return ClassificationOutcome(
-        DETERMINED,
-        (Candidate(lefschetz_group(profile)),),
-        rule,
-        tuple(notes),
+        DETERMINED, (Candidate(group),), rule, tuple(notes)
     )
 
 
-def _wedge_alternative(profile, double_dim, k_max=20):
-    """The restricted special-unitary wedge group when the side condition
-    2l = C(2^k, 2^(k-1)) has a solution; None plus a note otherwise."""
-    k = central_binomial_solve(double_dim, k_max)
-    if k is None:
-        return None, (
-            f"wedge alternative dropped: {double_dim} = C(2^k, 2^(k-1)) "
-            f"has no solution with 3 <= k <= {k_max}"
+def _upper(group: GroupExpr, condition: str = "upper bound") -> Candidate:
+    return Candidate(group, condition=condition, occurs=OCCURS_POSSIBLE)
+
+
+def _subfield_bounds(profile: HodgeProfile, subfields) -> list[Candidate]:
+    """The special-unitary upper bound from each balanced subfield."""
+    return [
+        _upper(
+            _guard(profile, _su_bound_group(profile, sub), "balanced subfield"),
+            f"upper bound from the balanced degree-{sub.deg_E} subfield",
         )
-    group = GroupExpr(
-        FAM_SU_POW2,
-        param=k,
-        base_degree=profile.endo.deg_F,
-        rep=REP_EXTERIOR,
-        rep_param=1 << (k - 1),
-    )
-    return (
-        Candidate(group, condition=f"{double_dim} = C(2^{k}, 2^{k - 1})"),
-        None,
-    )
+        for sub in _balanced_any(profile, subfields)
+    ]
+
+
+def _with_wedge(
+    profile: HodgeProfile, lef: GroupExpr, rule: str, double_dim: int, notes=()
+) -> ClassificationOutcome:
+    """The Lefschetz group plus the restricted special-unitary wedge group
+    when the side condition 2l = C(2^k, 2^(k-1)) has a solution; without
+    one the alternative is dropped and a note says so."""
+    cands = [Candidate(lef)]
+    notes = tuple(notes)
+    k = central_binomial_solve(double_dim, _WEDGE_K_MAX)
+    if k is None:
+        notes += (
+            f"wedge alternative dropped: {double_dim} = C(2^k, 2^(k-1)) "
+            f"has no solution with 3 <= k <= {_WEDGE_K_MAX}",
+        )
+    else:
+        group = GroupExpr(
+            FAM_SU_POW2,
+            param=k,
+            base_degree=profile.endo.deg_F,
+            rep=REP_EXTERIOR,
+            rep_param=1 << (k - 1),
+        )
+        cond = f"{double_dim} = C(2^{k}, 2^{k - 1})"
+        cands.append(Candidate(group, condition=cond))
+    return ClassificationOutcome(DETERMINED, tuple(cands), rule, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +350,12 @@ def _wedge_alternative(profile, double_dim, k_max=20):
 # ---------------------------------------------------------------------------
 
 
-def _classify_n4(profile: HodgeProfile, subfields) -> ClassificationOutcome:
+def _classify_n4(profile: HodgeProfile, lef: GroupExpr, subfields):
     endo = profile.endo
     t = endo.albert_type
-    odd = profile.parity == ODD
     if t == "I" and endo.deg_L == 1:
-        lef = lefschetz_group(profile)
         notes = []
-        if odd:
+        if profile.parity == ODD:
             extra = GroupExpr(FAM_SL2_SO4, rep=REP_PRODUCT)
             if exclude_sl2_product([("SL", 2), ("SO", 4)]):
                 raise AssertionError("SL(2) x SO(4) must survive exclusion")
@@ -347,41 +370,28 @@ def _classify_n4(profile: HodgeProfile, subfields) -> ClassificationOutcome:
             RULE_N4,
             tuple(notes),
         )
-    if t in ("I", "II", "III"):
-        return _single(profile, RULE_N4)
-    # Type IV at n=4
+    if t != "IV" or endo.deg_L == 4:
+        return _single(lef, RULE_N4)
     if endo.deg_L == 2:
+        su = GroupExpr(FAM_SU_B, param=4)
         if endo.cm_traces is None:
             return ClassificationOutcome(
                 CONDITIONAL,
                 (
-                    Candidate(
-                        GroupExpr(FAM_U_B, param=4),
-                        condition="extreme multiplicities {1,3}",
-                    ),
-                    Candidate(
-                        GroupExpr(FAM_SU_B, param=4),
-                        condition="extreme multiplicities {2,2}",
-                    ),
+                    Candidate(lef, condition="extreme multiplicities {1,3}"),
+                    Candidate(su, condition="extreme multiplicities {2,2}"),
                 ),
                 RULE_N4,
                 ("trace data absent; both alternatives listed",),
             )
-        a, b = profile.endo.cm_traces[0]
-        if {a, b} == {2, 2}:
-            return ClassificationOutcome(
-                DETERMINED,
-                (Candidate(GroupExpr(FAM_SU_B, param=4)),),
-                RULE_N4,
-            )
-        return _single(profile, RULE_N4)
-    if endo.deg_L == 4:
-        return _single(profile, RULE_N4)
+        return _single(su if endo.cm_traces[0] == (2, 2) else lef, RULE_N4)
     # deg_L = 8: the torus, cut down by a balanced quadratic subfield
-    return _classify_iv_torus(profile, subfields, RULE_N4, equality_known=True)
+    return _classify_iv_torus(
+        profile, lef, subfields, RULE_N4, equality_known=True
+    )
 
 
-def _classify_2p(profile: HodgeProfile, subfields) -> ClassificationOutcome:
+def _classify_2p(profile: HodgeProfile, lef: GroupExpr, subfields):
     endo = profile.endo
     p = profile.n // 2
     if endo.albert_type in ("I", "II", "III"):
@@ -389,26 +399,16 @@ def _classify_2p(profile: HodgeProfile, subfields) -> ClassificationOutcome:
             "restricted special-unitary alternatives are impossible at "
             "n=2p (the halved central binomial is odd and composite)"
         )
-        return _single(profile, RULE_2P, notes=(note,))
+        return _single(lef, RULE_2P, notes=(note,))
     # Type IV; realizability forces q=1, so L is a CM field.
     quad = _balanced_quadratic(profile, subfields)
     four_p = 4 * p
+    su = GroupExpr(FAM_SU_B, param=profile.m, base_degree=endo.deg_F)
+    torus = GroupExpr(FAM_SU_LE, param=2 * p)
     if subfields is None:
-        cands = [
-            Candidate(
-                lefschetz_group(profile),
-                condition="no balanced imaginary quadratic subfield known",
-                occurs=OCCURS_POSSIBLE,
-            )
-        ]
+        cands = [_upper(lef, "no balanced imaginary quadratic subfield known")]
         if endo.deg_L != four_p:
-            alt = GroupExpr(
-                FAM_SU_B, param=profile.m, base_degree=endo.deg_F
-            )
-            cond = "balanced imaginary quadratic subfield exists"
-            if _bound_ok(profile, alt):
-                cands.append(Candidate(alt, condition=cond))
-            else:
+            if not _bound_ok(profile, su):
                 return ClassificationOutcome(
                     CONDITIONAL,
                     tuple(cands),
@@ -418,16 +418,14 @@ def _classify_2p(profile: HodgeProfile, subfields) -> ClassificationOutcome:
                         "rank would violate the commutative rank bound",
                     ),
                 )
+            cond = "balanced imaginary quadratic subfield exists"
+            cands.append(Candidate(su, condition=cond))
         else:
-            cands.append(
-                Candidate(
-                    GroupExpr(FAM_SU_LE, param=2 * p),
-                    condition=(
-                        "balanced imaginary quadratic subfield exists and "
-                        "L/Q is Galois"
-                    ),
-                )
+            cond = (
+                "balanced imaginary quadratic subfield exists and "
+                "L/Q is Galois"
             )
+            cands.append(Candidate(torus, condition=cond))
         return ClassificationOutcome(
             CONDITIONAL,
             tuple(cands),
@@ -437,13 +435,7 @@ def _classify_2p(profile: HodgeProfile, subfields) -> ClassificationOutcome:
     if quad is None:
         return ClassificationOutcome(
             OUT_OF_SCOPE,
-            (
-                Candidate(
-                    lefschetz_group(profile),
-                    condition="upper bound",
-                    occurs=OCCURS_POSSIBLE,
-                ),
-            ),
+            (_upper(lef),),
             RULE_2P,
             (
                 "no balanced imaginary quadratic subfield: the n=2p result "
@@ -451,41 +443,24 @@ def _classify_2p(profile: HodgeProfile, subfields) -> ClassificationOutcome:
             ),
         )
     if endo.deg_L != four_p:
-        group = _guard(
-            profile,
-            GroupExpr(FAM_SU_B, param=profile.m, base_degree=endo.deg_F),
-            "balanced quadratic subfield at n=2p",
-        )
-        return ClassificationOutcome(
-            DETERMINED, (Candidate(group),), RULE_2P
-        )
+        claim = "balanced quadratic subfield at n=2p"
+        return _single(_guard(profile, su, claim), RULE_2P)
     # deg_L = 4p: the answer is the relative-norm-one torus, given Galois.
-    torus = GroupExpr(FAM_SU_LE, param=2 * p)
     if quad.galois_L is True:
-        return ClassificationOutcome(DETERMINED, (Candidate(torus),), RULE_2P)
+        return _single(torus, RULE_2P)
     if quad.galois_L is None:
         return ClassificationOutcome(
             CONDITIONAL,
             (
                 Candidate(torus, condition="L/Q is a Galois extension"),
-                Candidate(
-                    lefschetz_group(profile),
-                    condition="upper bound otherwise",
-                    occurs=OCCURS_POSSIBLE,
-                ),
+                _upper(lef, "upper bound otherwise"),
             ),
             RULE_2P,
             ("Galois flag not supplied",),
         )
     return ClassificationOutcome(
         OUT_OF_SCOPE,
-        (
-            Candidate(
-                torus,
-                condition="upper bound (norm-one containment)",
-                occurs=OCCURS_POSSIBLE,
-            ),
-        ),
+        (_upper(torus, "upper bound (norm-one containment)"),),
         RULE_2P,
         ("L/Q not Galois: the n=2p result gives no determination",),
     )
@@ -496,23 +471,16 @@ def _classify_2p(profile: HodgeProfile, subfields) -> ClassificationOutcome:
 # ---------------------------------------------------------------------------
 
 
-def _classify_type_i(profile: HodgeProfile) -> ClassificationOutcome:
+def _classify_type_i(profile: HodgeProfile, lef: GroupExpr):
     endo = profile.endo
     l = profile.n // endo.deg_L
     odd = profile.parity == ODD
     if l % 2 == 1:
         if odd:
-            return _single(profile, RULE_I_ODD_L)
-        cands = [Candidate(lefschetz_group(profile))]
-        alt, note = _wedge_alternative(profile, 2 * l)
-        notes = () if note is None else (note,)
-        if alt is not None:
-            cands.append(alt)
-        return ClassificationOutcome(
-            DETERMINED, tuple(cands), RULE_I_ODD_L, notes
-        )
+            return _single(lef, RULE_I_ODD_L)
+        return _with_wedge(profile, lef, RULE_I_ODD_L, 2 * l)
     if l == 2:
-        return _single(profile, RULE_I_L2)
+        return _single(lef, RULE_I_L2)
     if endo.deg_L == 1 and l % 4 == 2:
         n = profile.n
         notes = []
@@ -529,56 +497,35 @@ def _classify_type_i(profile: HodgeProfile) -> ClassificationOutcome:
                 notes.append(
                     f"product alternative SL(2) x SL(2^{k}) excluded"
                 )
-            return _single(profile, RULE_I_TWICE_ODD, notes=notes)
+            return _single(lef, RULE_I_TWICE_ODD, notes=notes)
         if not exclude_sl2_product([("SL", 2), ("SO", n)]):
             raise AssertionError("SU(2) x SO(n) must be excluded here")
         notes.append(f"product alternative SU(2) x SO({n}) excluded")
-        cands = [Candidate(lefschetz_group(profile))]
-        alt, note = _wedge_alternative(profile, 2 * n)
-        if note is not None:
-            notes.append(note)
-        if alt is not None:
-            cands.append(alt)
-        return ClassificationOutcome(
-            DETERMINED, tuple(cands), RULE_I_TWICE_ODD, tuple(notes)
-        )
-    return _fallback(profile)
+        return _with_wedge(profile, lef, RULE_I_TWICE_ODD, 2 * n, notes)
+    return _fallback(profile, lef)
 
 
-def _classify_quaternion(profile: HodgeProfile) -> ClassificationOutcome:
+def _classify_quaternion(profile: HodgeProfile, lef: GroupExpr):
     endo = profile.endo
     m = profile.m
+    if m == 2:
+        return _single(lef, RULE_QUAT_M2)
+    if m % 2 == 1:
+        rule = RULE_QUAT_M_ODD
+    elif endo.deg_F == 1 and m % 4 == 2:
+        rule = RULE_QUAT_4ODD
+    else:
+        return _fallback(profile, lef)
     odd = profile.parity == ODD
     sp_side = odd if endo.albert_type == "II" else not odd
-    if m % 2 == 1:
-        if sp_side:
-            return _single(profile, RULE_QUAT_M_ODD)
-        cands = [Candidate(lefschetz_group(profile))]
-        alt, note = _wedge_alternative(profile, 2 * m)
-        notes = () if note is None else (note,)
-        if alt is not None:
-            cands.append(alt)
-        return ClassificationOutcome(
-            DETERMINED, tuple(cands), RULE_QUAT_M_ODD, notes
-        )
-    if m == 2:
-        return _single(profile, RULE_QUAT_M2)
-    if endo.deg_F == 1 and m % 4 == 2:
-        if sp_side:
-            return _single(profile, RULE_QUAT_4ODD)
-        cands = [Candidate(lefschetz_group(profile))]
-        alt, note = _wedge_alternative(profile, 2 * m)
-        notes = () if note is None else (note,)
-        if alt is not None:
-            cands.append(alt)
-        return ClassificationOutcome(
-            DETERMINED, tuple(cands), RULE_QUAT_4ODD, notes
-        )
-    return _fallback(profile)
+    if sp_side:
+        return _single(lef, rule)
+    return _with_wedge(profile, lef, rule, 2 * m)
 
 
 def _classify_iv_torus(
     profile: HodgeProfile,
+    lef: GroupExpr,
     subfields,
     rule: str,
     equality_known: bool,
@@ -589,7 +536,6 @@ def _classify_iv_torus(
     relative-norm-one subtorus; whether that containment is an equality
     is known only for the special half-dimensions (equality_known).
     """
-    lef = lefschetz_group(profile)
     su_le = GroupExpr(FAM_SU_LE, param=profile.endo.deg_F)
     if subfields is None:
         occurs = OCCURS_PROVEN if equality_known else OCCURS_POSSIBLE
@@ -610,101 +556,69 @@ def _classify_iv_torus(
             rule,
             ("subfield inventory not supplied",),
         )
-    quad = _balanced_quadratic(profile, subfields)
-    if quad is not None:
+    if _balanced_quadratic(profile, subfields) is not None:
         torus = _guard(
             profile, su_le, "balanced quadratic subfield on the torus case"
         )
         if equality_known:
-            return ClassificationOutcome(DETERMINED, (Candidate(torus),), rule)
+            return _single(torus, rule)
         return ClassificationOutcome(
             OUT_OF_SCOPE,
-            (
-                Candidate(lef, condition="upper bound", occurs=OCCURS_POSSIBLE),
-                Candidate(
-                    torus,
-                    condition="upper bound (norm-one containment)",
-                    occurs=OCCURS_POSSIBLE,
-                ),
-            ),
+            (_upper(lef), _upper(torus, "upper bound (norm-one containment)")),
             RULE_UPPER,
             ("containment known, equality not proved at this n",),
         )
-    balanced = _balanced_any(profile, subfields)
-    if equality_known and not balanced:
-        return ClassificationOutcome(DETERMINED, (Candidate(lef),), rule)
-    cands = [Candidate(lef, condition="upper bound", occurs=OCCURS_POSSIBLE)]
-    for sub in balanced:
-        cands.append(
-            Candidate(
-                _guard(profile, _su_bound_group(profile, sub), "balanced subfield"),
-                condition=(
-                    f"upper bound from the balanced degree-{sub.deg_E} subfield"
-                ),
-                occurs=OCCURS_POSSIBLE,
-            )
-        )
+    bounds = _subfield_bounds(profile, subfields)
+    if equality_known and not bounds:
+        return _single(lef, rule)
     return ClassificationOutcome(
         OUT_OF_SCOPE,
-        tuple(cands),
+        (_upper(lef), *bounds),
         RULE_UPPER,
         ("no determination for the torus case at this n",),
     )
 
 
-def _classify_type_iv(profile: HodgeProfile, subfields) -> ClassificationOutcome:
+def _classify_type_iv(profile: HodgeProfile, lef: GroupExpr, subfields):
     endo = profile.endo
     if endo.q != 1:
-        return _fallback(profile, note="no determination for q=2 at this n")
+        return _fallback(
+            profile, lef, note="no determination for q=2 at this n"
+        )
     m = profile.m
     traces = endo.cm_traces
     if endo.deg_L == 2:
+        su = GroupExpr(FAM_SU_B, param=m)
         if traces is None:
             return ClassificationOutcome(
                 CONDITIONAL,
                 (
-                    Candidate(
-                        lefschetz_group(profile),
-                        condition="coprime extreme multiplicities",
-                    ),
-                    Candidate(
-                        GroupExpr(FAM_SU_B, param=m),
-                        condition="balanced extreme multiplicities (upper bound)",
-                        occurs=OCCURS_POSSIBLE,
-                    ),
+                    Candidate(lef, condition="coprime extreme multiplicities"),
+                    _upper(su, "balanced extreme multiplicities (upper bound)"),
                 ),
                 RULE_IV_QUAD,
                 ("trace data absent",),
             )
         a, b = traces[0]
         if math.gcd(a, b) == 1:
-            return _single(profile, RULE_IV_QUAD)
+            return _single(lef, RULE_IV_QUAD)
         if a == b:
             return ClassificationOutcome(
                 OUT_OF_SCOPE,
-                (
-                    Candidate(
-                        lefschetz_group(profile),
-                        condition="upper bound",
-                        occurs=OCCURS_POSSIBLE,
-                    ),
-                    Candidate(
-                        GroupExpr(FAM_SU_B, param=m),
-                        condition="upper bound (balanced multiplicities)",
-                        occurs=OCCURS_POSSIBLE,
-                    ),
-                ),
+                (_upper(lef), _upper(su, "upper bound (balanced multiplicities)")),
                 RULE_UPPER,
                 ("balanced but m is not twice a prime: no determination",),
             )
         return _fallback(
             profile,
+            lef,
             note="multiplicities neither coprime nor balanced: no determination",
         )
     if m == 1:
         return _classify_iv_torus(
-            profile, subfields, RULE_IV_TORUS, equality_known=False
+            profile, lef, subfields, RULE_IV_TORUS, equality_known=False
         )
+    su = GroupExpr(FAM_SU_B, param=m, base_degree=endo.deg_F)
     balanced_full = (
         traces is not None
         and all(a == b for a, b in traces)
@@ -712,23 +626,11 @@ def _classify_type_iv(profile: HodgeProfile, subfields) -> ClassificationOutcome
         and _is_prime(m // 2)
     )
     if balanced_full:
-        group = _guard(
-            profile,
-            GroupExpr(FAM_SU_B, param=m, base_degree=endo.deg_F),
-            "balanced full-CM action with prime half-multiplicity",
-        )
-        return ClassificationOutcome(
-            DETERMINED, (Candidate(group),), RULE_IV_FULL_CM
-        )
+        claim = "balanced full-CM action with prime half-multiplicity"
+        return _single(_guard(profile, su, claim), RULE_IV_FULL_CM)
     if m == 2 and _balanced_any(profile, subfields):
-        group = _guard(
-            profile,
-            GroupExpr(FAM_SU_B, param=2, base_degree=endo.deg_F),
-            "balanced subfield with multiplicity 2",
-        )
-        return ClassificationOutcome(
-            DETERMINED, (Candidate(group),), RULE_IV_M2
-        )
+        claim = "balanced subfield with multiplicity 2"
+        return _single(_guard(profile, su, claim), RULE_IV_M2)
     if traces is not None and subfields:
         coprime = all(math.gcd(a, b) == 1 for a, b in traces)
         index2 = [
@@ -737,46 +639,25 @@ def _classify_type_iv(profile: HodgeProfile, subfields) -> ClassificationOutcome
             if s.deg_E * 2 == endo.deg_L
         ]
         if coprime and index2:
-            group = _guard(
-                profile,
-                GroupExpr(FAM_SU_B, param=m, base_degree=endo.deg_F),
-                "balanced index-2 subfield with coprime multiplicities",
-            )
-            return ClassificationOutcome(
-                DETERMINED, (Candidate(group),), RULE_IV_INDEX2
-            )
+            claim = "balanced index-2 subfield with coprime multiplicities"
+            return _single(_guard(profile, su, claim), RULE_IV_INDEX2)
     note = None
     if subfields is None and (m == 2 or m % 2 == 0):
         note = "subfield inventory not supplied; only the upper bound is reported"
-    return _fallback(profile, note=note, subfields=subfields)
+    return _fallback(profile, lef, note=note, subfields=subfields)
 
 
 def _fallback(
     profile: HodgeProfile,
+    lef: GroupExpr,
     note: Optional[str] = None,
     subfields: Optional[Sequence[SubfieldDescriptor]] = None,
 ) -> ClassificationOutcome:
-    cands = [
-        Candidate(
-            lefschetz_group(profile),
-            condition="upper bound",
-            occurs=OCCURS_POSSIBLE,
-        )
-    ]
-    for sub in _balanced_any(profile, subfields):
-        cands.append(
-            Candidate(
-                _guard(profile, _su_bound_group(profile, sub), "balanced subfield"),
-                condition=(
-                    f"upper bound from the balanced degree-{sub.deg_E} subfield"
-                ),
-                occurs=OCCURS_POSSIBLE,
-            )
-        )
+    cands = (_upper(lef), *_subfield_bounds(profile, subfields))
     notes = ("outside the classified cases",)
     if note:
         notes += (note,)
-    return ClassificationOutcome(OUT_OF_SCOPE, tuple(cands), RULE_UPPER, notes)
+    return ClassificationOutcome(OUT_OF_SCOPE, cands, RULE_UPPER, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -799,21 +680,22 @@ def classify(
         raise NotRealizableError(verdict.reason)
     for sub in subfields or ():
         _check_subfield(profile, sub)
+    lef = _lefschetz_group(profile)
     n = profile.n
     if n == 1:
-        out = _single(profile, RULE_N1)
+        out = _single(lef, RULE_N1)
     elif _is_prime(n):
-        out = _single(profile, RULE_PRIME)
+        out = _single(lef, RULE_PRIME)
     elif n == 4:
-        out = _classify_n4(profile, subfields)
+        out = _classify_n4(profile, lef, subfields)
     elif n % 2 == 0 and _is_prime(n // 2) and (n // 2) % 2 == 1:
-        out = _classify_2p(profile, subfields)
+        out = _classify_2p(profile, lef, subfields)
     elif profile.endo.albert_type == "I":
-        out = _classify_type_i(profile)
+        out = _classify_type_i(profile, lef)
     elif profile.endo.albert_type in ("II", "III"):
-        out = _classify_quaternion(profile)
+        out = _classify_quaternion(profile, lef)
     else:
-        out = _classify_type_iv(profile, subfields)
+        out = _classify_type_iv(profile, lef, subfields)
     if verdict.realizable is None and out.status == DETERMINED:
         out = ClassificationOutcome(
             CONDITIONAL,
@@ -828,12 +710,30 @@ def classify(
 # The n=4 grid
 # ---------------------------------------------------------------------------
 
+_IV8_TRACES = ((1, 0), (0, 1), (1, 0), (0, 1))
 
-def _first_group(profile, subfields=None) -> GroupExpr:
-    out = classify(profile, subfields)
-    if len(out.candidates) != 1:
-        raise AssertionError("expected a single candidate")
-    return out.candidates[0].group
+# One spec per row: Albert type, deg_L, deg_F, q, the weights with an
+# entry, further endo data, the subfield inventory, the candidate shown
+# (None: the outcome must have exactly one), and whether the row is the
+# Lefschetz group.
+_TABLE3_ROWS = (
+    ("I", 1, 1, 1, (1, 2), {}, None, 0, True),
+    ("I", 1, 1, 1, (1, 2), {}, None, 1, False),
+    ("I", 2, 2, 1, (1, 2), {}, None, None, True),
+    ("I", 4, 4, 1, (1,), {}, None, None, True),
+    ("II", 4, 1, 2, (1, 2), {"disc_one": False}, None, None, True),
+    ("II", 8, 2, 2, (1,), {}, None, None, True),
+    ("III", 4, 1, 2, (1, 2), {"disc_one": False}, None, None, True),
+    ("III", 8, 2, 2, (2,), {}, None, None, True),
+    ("IV", 2, 1, 1, (1, 2), {"cm_traces": ((1, 3),)}, None, None, True),
+    ("IV", 2, 1, 1, (1, 2), {"cm_traces": ((2, 2),)}, None, None, False),
+    ("IV", 4, 2, 1, (1, 2), {"cm_traces": ((2, 0), (1, 1))}, None, None, True),
+    ("IV", 8, 4, 1, (1, 2), {"cm_traces": _IV8_TRACES}, (), None, True),
+    (
+        "IV", 8, 4, 1, (1, 2), {"cm_traces": _IV8_TRACES},
+        (SubfieldDescriptor(deg_E=2, balanced=True),), None, False,
+    ),
+)
 
 
 def table3() -> list[dict]:
@@ -844,103 +744,22 @@ def table3() -> list[dict]:
     even-weight spin group) share one row, as do the parity-independent
     type IV alternatives.
     """
-
-    def prof(t, dL, dF, q, w, traces=None, disc=None):
-        return HodgeProfile(
-            weight=w,
-            n=4,
-            endo=EndomorphismDescriptor(
-                albert_type=t,
-                deg_L=dL,
-                deg_F=dF,
-                q=q,
-                cm_traces=traces,
-                disc_one=disc,
-            ),
-        )
-
-    def row(t, dL, odd, even, lef):
-        return {
-            "albert_type": t,
-            "deg_L": dL,
-            "odd": None if odd is None else odd.to_json(),
-            "even": None if even is None else even.to_json(),
-            "equals_lefschetz": lef,
-        }
-
     rows = []
-    i1_odd = classify(prof("I", 1, 1, 1, 1))
-    i1_even = classify(prof("I", 1, 1, 1, 2))
-    rows.append(
-        row("I", 1, i1_odd.candidates[0].group, i1_even.candidates[0].group, True)
-    )
-    rows.append(
-        row("I", 1, i1_odd.candidates[1].group, i1_even.candidates[1].group, False)
-    )
-    rows.append(
-        row(
-            "I",
-            2,
-            _first_group(prof("I", 2, 2, 1, 1)),
-            _first_group(prof("I", 2, 2, 1, 2)),
-            True,
+    for t, dL, dF, q, weights, extra, subs, pick, lef in _TABLE3_ROWS:
+        endo = EndomorphismDescriptor(t, dL, dF, q, **extra)
+        groups = {}
+        for w in weights:
+            out = classify(HodgeProfile(weight=w, n=4, endo=endo), subs)
+            if pick is None and len(out.candidates) != 1:
+                raise AssertionError("expected a single candidate")
+            groups[w] = out.candidates[pick or 0].group.to_json()
+        rows.append(
+            {
+                "albert_type": t,
+                "deg_L": dL,
+                "odd": groups.get(1),
+                "even": groups.get(2),
+                "equals_lefschetz": lef,
+            }
         )
-    )
-    rows.append(row("I", 4, _first_group(prof("I", 4, 4, 1, 1)), None, True))
-    rows.append(
-        row(
-            "II",
-            4,
-            _first_group(prof("II", 4, 1, 2, 1, disc=False)),
-            _first_group(prof("II", 4, 1, 2, 2, disc=False)),
-            True,
-        )
-    )
-    rows.append(row("II", 8, _first_group(prof("II", 8, 2, 2, 1)), None, True))
-    rows.append(
-        row(
-            "III",
-            4,
-            _first_group(prof("III", 4, 1, 2, 1, disc=False)),
-            _first_group(prof("III", 4, 1, 2, 2, disc=False)),
-            True,
-        )
-    )
-    rows.append(row("III", 8, None, _first_group(prof("III", 8, 2, 2, 2)), True))
-    u_odd = _first_group(prof("IV", 2, 1, 1, 1, traces=((1, 3),)))
-    u_even = _first_group(prof("IV", 2, 1, 1, 2, traces=((1, 3),)))
-    rows.append(row("IV", 2, u_odd, u_even, True))
-    su_odd = _first_group(prof("IV", 2, 1, 1, 1, traces=((2, 2),)))
-    su_even = _first_group(prof("IV", 2, 1, 1, 2, traces=((2, 2),)))
-    rows.append(row("IV", 2, su_odd, su_even, False))
-    iv4 = ((2, 0), (1, 1))
-    rows.append(
-        row(
-            "IV",
-            4,
-            _first_group(prof("IV", 4, 2, 1, 1, traces=iv4)),
-            _first_group(prof("IV", 4, 2, 1, 2, traces=iv4)),
-            True,
-        )
-    )
-    iv8 = ((1, 0), (0, 1), (1, 0), (0, 1))
-    rows.append(
-        row(
-            "IV",
-            8,
-            _first_group(prof("IV", 8, 4, 1, 1, traces=iv8), subfields=[]),
-            _first_group(prof("IV", 8, 4, 1, 2, traces=iv8), subfields=[]),
-            True,
-        )
-    )
-    balanced = [SubfieldDescriptor(deg_E=2, balanced=True)]
-    rows.append(
-        row(
-            "IV",
-            8,
-            _first_group(prof("IV", 8, 4, 1, 1, traces=iv8), subfields=balanced),
-            _first_group(prof("IV", 8, 4, 1, 2, traces=iv8), subfields=balanced),
-            False,
-        )
-    )
     return rows

@@ -14,7 +14,6 @@ from typing import Optional
 
 from . import classifier, cmtools, consequences, numth, rootsys
 from .classifier import (
-    InconsistentSubfieldError,
     NotRealizableError,
     SubfieldDescriptor,
     classify,
@@ -25,6 +24,7 @@ from .core import (
     GroupExpr,
     HodgeProfile,
     InvalidProfileError,
+    _require_int,
     profile_from_json,
     validate_profile,
 )
@@ -86,7 +86,7 @@ def _load_subfields(path: Optional[str]):
         raise CliError("subfields file must hold a JSON list")
     try:
         return [SubfieldDescriptor.from_json(item) for item in data]
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         raise CliError(f"bad subfield entry: {exc}")
 
 
@@ -164,7 +164,8 @@ def _cmd_classify(args) -> int:
     except NotRealizableError as exc:
         _emit({"error": "not_realizable", "detail": str(exc)}, args.pretty)
         return EXIT_NEGATIVE
-    except (InvalidProfileError, InconsistentSubfieldError) as exc:
+    except ValueError as exc:
+        # inconsistent subfields, or an n beyond the exact primality bound
         raise CliError(str(exc))
     _emit(outcome.to_json(), args.pretty)
     return EXIT_OK
@@ -306,6 +307,8 @@ def _cmd_cm(args) -> int:
 
 def _cmd_numth(args) -> int:
     k_max = args.k_max
+    if k_max < 3:
+        raise CliError(f"--k-max must be at least 3, got {k_max}")
     depolignac = all(
         numth.factorial_two_adic(1 << (k - 1)) == (1 << (k - 1)) - 1
         for k in range(3, k_max + 1)
@@ -340,14 +343,15 @@ def _cmd_abelian(args) -> int:
     if extra:
         raise CliError(f"unknown abelian fields: {sorted(extra)}")
     try:
+        dim = _require_int(data["dim"], "dim")
         endo_profile = profile_from_json(
-            {"weight": 1, "n": int(data["dim"]) , "endo": data["endo"]}
+            {"weight": 1, "n": dim, "endo": data["endo"]}
         )
         subs = [
             SubfieldDescriptor.from_json(s) for s in data.get("subfields", [])
         ]
         ap = AbelianProfile(
-            dim=int(data["dim"]), endo=endo_profile.endo, subfields=tuple(subs)
+            dim=dim, endo=endo_profile.endo, subfields=tuple(subs)
         )
     except (KeyError, ValueError, InvalidProfileError) as exc:
         raise CliError(str(exc))

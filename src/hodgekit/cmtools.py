@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .intlinalg import integer_rank
+from .numth import is_prime
 
 Perm = tuple[int, ...]
 
@@ -362,19 +363,6 @@ def is_primitive(model: GaloisModel, theta: CMType) -> bool:
     return True
 
 
-def rank_lower_bound(n: int) -> dict:
-    """The exact statement of the rank bound for commutative algebras.
-
-    Returns 2n together with the least integer r such that 2^r >= 2n;
-    integer ranks are compared against that threshold.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    two_n = 2 * n
-    threshold = (two_n - 1).bit_length()
-    return {"two_n": two_n, "ceil_log2": threshold}
-
-
 @dataclass(frozen=True)
 class ScanEntry:
     theta: tuple[int, ...]
@@ -426,12 +414,6 @@ class ScanReport:
         }
 
 
-def _is_odd_prime(g: int) -> bool:
-    if g < 3 or g % 2 == 0:
-        return False
-    return all(g % d for d in range(3, int(g ** 0.5) + 1, 2))
-
-
 def tankeev_scan(model: GaloisModel) -> ScanReport:
     """Rank/primitivity table over all CM types of the model.
 
@@ -439,7 +421,7 @@ def tankeev_scan(model: GaloisModel) -> ScanReport:
     an odd prime p; otherwise the bound columns are reported as None.
     """
     g = model.g
-    applicable = _is_odd_prime(g)
+    applicable = g != 2 and is_prime(g)
     bound = 2 * g - 1 if applicable else None
     entries = []
     for theta in enumerate_cm_types(model):

@@ -14,17 +14,12 @@ from typing import Optional
 
 from .classifier import SubfieldDescriptor, _check_subfield
 from .core import EndomorphismDescriptor, HodgeProfile, InvalidProfileError
+from .numth import is_prime
 from .realizability import realizable
 
 PROVEN = "proven"
 OPEN = "open"
 UNKNOWN = "unknown"
-
-
-def _is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    return all(p % d for d in range(3, int(p ** 0.5) + 1, 2))
 
 
 @dataclass(frozen=True)
@@ -37,7 +32,7 @@ class AbelianProfile:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "subfields", tuple(self.subfields))
-        if self.dim % 2 != 0 or not _is_odd_prime(self.dim // 2):
+        if self.dim % 2 != 0 or self.p == 2 or not is_prime(self.p):
             raise InvalidProfileError(
                 f"dimension must be 2p with p an odd prime, got {self.dim}"
             )

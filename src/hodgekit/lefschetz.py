@@ -38,7 +38,13 @@ from .core import (
 
 
 def lefschetz_group(profile: HodgeProfile) -> GroupExpr:
+    """The Lefschetz group; raises InvalidProfileError on an invalid profile."""
     require_valid(profile)
+    return _lefschetz_group(profile)
+
+
+def _lefschetz_group(profile: HodgeProfile) -> GroupExpr:
+    """The Lefschetz group of a profile the caller has already validated."""
     t = profile.endo.albert_type
     odd = profile.parity == ODD
     g = profile.endo.deg_F

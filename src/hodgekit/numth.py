@@ -3,6 +3,13 @@
 Everything here is exact: 2-adic valuations by the floor-sum formula,
 central binomial residues by carry counting (with the direct big-integer
 product available as an independent path), prime counts by sieve.
+
+``is_prime`` is the one primality test of the package: deterministic
+Miller-Rabin on the 13 prime bases 2, 3, ..., 41.  No composite below
+3,317,044,064,679,887,385,961,981 is a strong pseudoprime to all of them
+(Sorenson & Webster, "Strong pseudoprimes to twelve prime bases",
+Math. Comp. 86 (2017)), so the test is exact below that bound and raises
+ValueError at or above it instead of guessing.
 """
 
 from __future__ import annotations
@@ -82,9 +89,37 @@ def primes_up_to(n: int) -> list[int]:
     return [i for i in range(2, n + 1) if sieve[i]]
 
 
-def prime_pi(n: int) -> int:
-    """The prime-counting function pi(n)."""
-    return len(primes_up_to(n))
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(n: int) -> bool:
+    """Primality by deterministic Miller-Rabin; exact for n < MR_EXACT_BOUND."""
+    if n < 2:
+        return False
+    if n >= MR_EXACT_BOUND:
+        raise ValueError(
+            f"primality is decided exactly only below {MR_EXACT_BOUND}, got {n}"
+        )
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:  # no prime factor <= 41, so no factor at all
+        return True
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def prime_count_gap(k: int) -> int:
@@ -110,7 +145,9 @@ def prime_valuation_central_binomial(p: int, k: int) -> int:
     return total
 
 
-def no_prime_double_is_central_binomial(k_max: int) -> tuple[bool, dict[int, list[int]]]:
+def no_prime_double_is_central_binomial(
+    k_max: int,
+) -> tuple[bool, dict[int, list[int]]]:
     """Check that C(2^k, 2^(k-1)) / 2 is composite for 3 <= k <= k_max.
 
     Every prime in the dyadic interval (2^(k-1), 2^k) divides the

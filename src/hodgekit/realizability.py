@@ -6,12 +6,17 @@ weight.  A profile is realizable exactly when it is structurally valid
 and matches none of the catalog entries for its parity.  Entries that
 consult data the profile omits (the discriminant flag or the CM trace
 list) yield a conditional match instead of a verdict.
+
+The catalog is one table, ``_CATALOG``, from which ``ODD_CASES`` and
+``EVEN_CASES`` are built once at import; the three Type IV entries that
+both parities share (cases 3-5) appear in it once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, Optional
 
 from .core import (
     EVEN,
@@ -24,9 +29,13 @@ from .core import (
 
 @dataclass(frozen=True)
 class ExceptionalCase:
+    """One catalog entry; match returns True (the profile matches), False
+    (it does not), or the name of the missing datum that would decide."""
+
     parity: str
     index: int
     description: str
+    match: Callable[[HodgeProfile], object] = field(compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -36,37 +45,84 @@ class ExceptionalCase:
         }
 
 
-ODD_CASES = (
-    ExceptionalCase(ODD, 1, "Type III and m=1"),
-    ExceptionalCase(ODD, 2, "Type III, m=2, disc(B,-)=1 in F*/(F*)^2"),
-    ExceptionalCase(
-        ODD, 3, "Type IV and sum of n_sigma*n_sigma_bar = 0, unless m=q=1"
+def _type_m(albert_type: str, m: int, p: HodgeProfile):
+    return p.endo.albert_type == albert_type and p.m == m
+
+
+def _type_m_disc(albert_type: str, m: int, p: HodgeProfile):
+    if not _type_m(albert_type, m, p):
+        return False
+    if p.endo.disc_one is None:
+        return "disc_one"
+    return p.endo.disc_one
+
+
+def _iv_zero_products(p: HodgeProfile):
+    if p.endo.albert_type != "IV":
+        return False
+    if p.m == 1 and p.endo.q == 1:
+        return False
+    if p.endo.cm_traces is None:
+        return "cm_traces"
+    return sum(a * b for a, b in p.endo.cm_traces) == 0
+
+
+def _iv_all_ones(m: int, q: int, p: HodgeProfile):
+    if p.endo.albert_type != "IV" or p.m != m or p.endo.q != q:
+        return False
+    if p.endo.cm_traces is None:
+        return "cm_traces"
+    return all(a == 1 and b == 1 for a, b in p.endo.cm_traces)
+
+
+# (parities, description, predicate), in catalog order within each parity.
+_CATALOG = (
+    ((ODD,), "Type III and m=1", partial(_type_m, "III", 1)),
+    (
+        (ODD,),
+        "Type III, m=2, disc(B,-)=1 in F*/(F*)^2",
+        partial(_type_m_disc, "III", 2),
     ),
-    ExceptionalCase(
-        ODD, 4, "Type IV, m=2, q=1, and n_sigma=n_sigma_bar=1 for all i"
+    ((EVEN,), "Type II and m=1", partial(_type_m, "II", 1)),
+    (
+        (EVEN,),
+        "Type II, m=2, disc(B,-)=1 in F*/(F*)^2",
+        partial(_type_m_disc, "II", 2),
     ),
-    ExceptionalCase(
-        ODD, 5, "Type IV, m=1, q=2, and n_sigma=n_sigma_bar=1 for all i"
+    (
+        (ODD, EVEN),
+        "Type IV and sum of n_sigma*n_sigma_bar = 0, unless m=q=1",
+        _iv_zero_products,
+    ),
+    (
+        (ODD, EVEN),
+        "Type IV, m=2, q=1, and n_sigma=n_sigma_bar=1 for all i",
+        partial(_iv_all_ones, 2, 1),
+    ),
+    (
+        (ODD, EVEN),
+        "Type IV, m=1, q=2, and n_sigma=n_sigma_bar=1 for all i",
+        partial(_iv_all_ones, 1, 2),
+    ),
+    ((EVEN,), "Type I and m=2", partial(_type_m, "I", 2)),
+    (
+        (EVEN,),
+        "Type I, m=4, and (V,<,>) has discriminant 1 in F*/(F*)^2",
+        partial(_type_m_disc, "I", 4),
     ),
 )
 
-EVEN_CASES = (
-    ExceptionalCase(EVEN, 1, "Type II and m=1"),
-    ExceptionalCase(EVEN, 2, "Type II, m=2, disc(B,-)=1 in F*/(F*)^2"),
-    ExceptionalCase(
-        EVEN, 3, "Type IV and sum of n_sigma*n_sigma_bar = 0, unless m=q=1"
-    ),
-    ExceptionalCase(
-        EVEN, 4, "Type IV, m=2, q=1, and n_sigma=n_sigma_bar=1 for all i"
-    ),
-    ExceptionalCase(
-        EVEN, 5, "Type IV, m=1, q=2, and n_sigma=n_sigma_bar=1 for all i"
-    ),
-    ExceptionalCase(EVEN, 6, "Type I and m=2"),
-    ExceptionalCase(
-        EVEN, 7, "Type I, m=4, and (V,<,>) has discriminant 1 in F*/(F*)^2"
-    ),
-)
+
+def _cases(parity: str) -> tuple[ExceptionalCase, ...]:
+    entries = [(d, pred) for ps, d, pred in _CATALOG if parity in ps]
+    return tuple(
+        ExceptionalCase(parity, i, d, pred)
+        for i, (d, pred) in enumerate(entries, 1)
+    )
+
+
+ODD_CASES = _cases(ODD)
+EVEN_CASES = _cases(EVEN)
 
 
 @dataclass(frozen=True)
@@ -85,70 +141,15 @@ class ExceptionalMatch:
         return out
 
 
-# Each predicate returns True (matches), False (does not match), or a
-# string naming the missing datum when the profile cannot decide.
-
-
-def _match_iii_m1(p: HodgeProfile):
-    return p.endo.albert_type == "III" and p.m == 1
-
-
-def _match_quat_m2_disc(p: HodgeProfile, albert_type: str):
-    if p.endo.albert_type != albert_type or p.m != 2:
-        return False
-    if p.endo.disc_one is None:
-        return "disc_one"
-    return p.endo.disc_one
-
-
-def _match_iv_zero_products(p: HodgeProfile):
-    if p.endo.albert_type != "IV":
-        return False
-    if p.m == 1 and p.endo.q == 1:
-        return False
-    if p.endo.cm_traces is None:
-        return "cm_traces"
-    return sum(a * b for a, b in p.endo.cm_traces) == 0
-
-
-def _match_iv_all_ones(p: HodgeProfile, m: int, q: int):
-    if p.endo.albert_type != "IV" or p.m != m or p.endo.q != q:
-        return False
-    if p.endo.cm_traces is None:
-        return "cm_traces"
-    return all(a == 1 and b == 1 for a, b in p.endo.cm_traces)
-
-
-def _match_i_m2(p: HodgeProfile):
-    return p.endo.albert_type == "I" and p.m == 2
-
-
-def _match_i_m4_disc(p: HodgeProfile):
-    if p.endo.albert_type != "I" or p.m != 4:
-        return False
-    if p.endo.disc_one is None:
-        return "disc_one"
-    return p.endo.disc_one
-
-
-def _catalog(parity: str):
-    if parity == ODD:
-        return [
-            (ODD_CASES[0], _match_iii_m1),
-            (ODD_CASES[1], lambda p: _match_quat_m2_disc(p, "III")),
-            (ODD_CASES[2], _match_iv_zero_products),
-            (ODD_CASES[3], lambda p: _match_iv_all_ones(p, 2, 1)),
-            (ODD_CASES[4], lambda p: _match_iv_all_ones(p, 1, 2)),
-        ]
-    return [
-        (EVEN_CASES[0], lambda p: p.endo.albert_type == "II" and p.m == 1),
-        (EVEN_CASES[1], lambda p: _match_quat_m2_disc(p, "II")),
-        (EVEN_CASES[2], _match_iv_zero_products),
-        (EVEN_CASES[3], lambda p: _match_iv_all_ones(p, 2, 1)),
-        (EVEN_CASES[4], lambda p: _match_iv_all_ones(p, 1, 2)),
-        (EVEN_CASES[5], _match_i_m2),
-        (EVEN_CASES[6], _match_i_m4_disc),
-    ]
+def _match(profile: HodgeProfile) -> Optional[ExceptionalMatch]:
+    pending: Optional[ExceptionalMatch] = None
+    for case in ODD_CASES if profile.parity == ODD else EVEN_CASES:
+        verdict = case.match(profile)
+        if verdict is True:
+            return ExceptionalMatch(case)
+        if isinstance(verdict, str) and pending is None:
+            pending = ExceptionalMatch(case, conditional=True, missing=verdict)
+    return pending
 
 
 def is_exceptional(profile: HodgeProfile) -> Optional[ExceptionalMatch]:
@@ -160,14 +161,7 @@ def is_exceptional(profile: HodgeProfile) -> Optional[ExceptionalMatch]:
     """
     if validate_profile(profile):
         raise InvalidProfileError("is_exceptional requires a valid profile")
-    pending: Optional[ExceptionalMatch] = None
-    for case, pred in _catalog(profile.parity):
-        verdict = pred(profile)
-        if verdict is True:
-            return ExceptionalMatch(case)
-        if isinstance(verdict, str) and pending is None:
-            pending = ExceptionalMatch(case, conditional=True, missing=verdict)
-    return pending
+    return _match(profile)
 
 
 @dataclass(frozen=True)
@@ -210,7 +204,7 @@ def realizable(profile: HodgeProfile) -> RealizabilityVerdict:
     violations = validate_profile(profile)
     if violations:
         return RealizabilityVerdict(False, violations=tuple(violations))
-    match = is_exceptional(profile)
+    match = _match(profile)
     if match is None:
         return RealizabilityVerdict(True)
     if match.conditional:

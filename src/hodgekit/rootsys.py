@@ -307,10 +307,6 @@ def autoduality(rs: RootSystem, weight: Weight) -> str:
     return ORTHOGONAL if total % 2 == 0 else SYMPLECTIC
 
 
-def duality_sign(duality: str) -> int:
-    return {ORTHOGONAL: 1, SYMPLECTIC: -1, NON_SELF_DUAL: 0}[duality]
-
-
 def weight_root_coordinates(rs: RootSystem, weight: Weight) -> list[Fraction]:
     """Coordinates c with lambda = sum c_i alpha_i, solved exactly."""
     l = rs.rank

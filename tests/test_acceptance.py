@@ -6,6 +6,7 @@ runtime budget stated up front; budgets are asserted, not advisory.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import pathlib
@@ -336,3 +337,19 @@ def test_ac11_consequences_grid():
                 proven_seen += 1
                 assert ap.endo.albert_type in ("I", "II")
         assert proven_seen >= 2
+
+
+def test_golden_generator_rewrites_every_golden_byte_for_byte(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "make_goldens", GOLDEN / "make_goldens.py"
+    )
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    monkeypatch.setattr(generator, "HERE", tmp_path)
+    for name in dir(generator):
+        if name.startswith("make_"):
+            getattr(generator, name)()
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == sorted(path.name for path in GOLDEN.glob("*.json"))
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name

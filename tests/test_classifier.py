@@ -1,3 +1,6 @@
+import sys
+import time
+
 import pytest
 
 from hodgekit.classifier import (
@@ -398,3 +401,54 @@ def test_classify_deterministic():
     p = prof("IV", 8, 4, 1, w=1, n=4, traces=((1, 0), (0, 1), (1, 0), (0, 1)))
     subs = [SubfieldDescriptor(2, True)]
     assert classify(p, subs) == classify(p, subs)
+
+
+def test_rank_threshold():
+    # ceil(log2(2n)), the least r with 2^r >= 2n
+    assert rank_threshold(1) == 1
+    assert rank_threshold(4) == 3
+    assert rank_threshold(6) == 4
+    assert rank_threshold(8) == 4
+    for n in range(1, 300):
+        r = rank_threshold(n)
+        assert 2 ** r >= 2 * n > 2 ** (r - 1)
+
+
+def test_classify_large_prime_is_fast():
+    start = time.perf_counter()
+    out = classify(prof("I", 1, 1, 1, w=1, n=(1 << 61) - 1))
+    assert time.perf_counter() - start < 1.0
+    assert out.applied_rule == "n=prime"
+
+
+def test_classify_validates_the_profile_once(monkeypatch):
+    import hodgekit.core
+
+    original = hodgekit.core.validate_profile
+    calls = []
+
+    def counting(profile):
+        calls.append(profile)
+        return original(profile)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hodgekit"):
+            if getattr(module, "validate_profile", None) is original:
+                monkeypatch.setattr(module, "validate_profile", counting)
+    branches = [
+        (prof("I", 1, 1, 1, w=1, n=1), "n=1"),
+        (prof("I", 1, 1, 1, w=1, n=5), "n=prime"),
+        (prof("I", 1, 1, 1, w=1, n=4), "n=4"),
+        (prof("I", 1, 1, 1, w=1, n=6), "n=2p"),
+        (prof("I", 1, 1, 1, w=2, n=9), "typeI:odd-multiplicity"),
+        (prof("II", 4, 1, 2, w=1, n=8), "upper-bound-only"),
+        (prof("III", 4, 1, 2, w=1, n=18), "typeII/III:m-odd"),
+        (
+            prof("IV", 2, 1, 1, w=1, n=8, traces=((3, 5),)),
+            "typeIV:imaginary-quadratic",
+        ),
+    ]
+    for profile, rule in branches:
+        calls.clear()
+        assert classify(profile).applied_rule == rule
+        assert len(calls) == 1, rule

@@ -213,3 +213,63 @@ def test_determinism():
     a = run_cli(["classify", "--table3"])
     b = run_cli(["classify", "--table3"])
     assert a.stdout == b.stdout
+
+
+def run_bad_input(args, capsys):
+    """Run in process; the command must exit 2 with nothing on stdout."""
+    code = run(args)
+    captured = capsys.readouterr()
+    assert code == 2, captured.err
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    return captured.err
+
+
+@pytest.mark.parametrize(
+    "entry, complaint",
+    [
+        ({"deg_E": 2, "balanced": "false"}, "balanced must be a boolean"),
+        ({"deg_E": 2, "balanced": True, "galois_L": "no"}, "galois_L"),
+        ({"deg_E": 2.0, "balanced": True}, "deg_E must be an integer"),
+        ({"deg_E": True, "balanced": True}, "deg_E must be an integer"),
+        ({"balanced": True}, "missing required field 'deg_E'"),
+        ("deg_E", "JSON object"),
+    ],
+)
+def test_classify_rejects_badly_typed_subfields(tmp_path, capsys, entry, complaint):
+    profile = {
+        "weight": 1,
+        "n": 6,
+        "endo": {"type": "IV", "deg_L": 2, "deg_F": 1, "q": 1, "cm_traces": [[3, 3]]},
+    }
+    ppath = tmp_path / "p.json"
+    ppath.write_text(json.dumps(profile))
+    spath = tmp_path / "subs.json"
+    spath.write_text(json.dumps([entry]))
+    args = ["classify", "--profile", str(ppath), "--subfields", str(spath)]
+    assert complaint in run_bad_input(args, capsys)
+
+
+@pytest.mark.parametrize("dim", ["6", 6.0, True])
+def test_abelian_rejects_a_non_integer_dim(tmp_path, capsys, dim):
+    path = tmp_path / "a.json"
+    path.write_text(
+        json.dumps({"dim": dim, "endo": {"type": "I", "deg_L": 1, "deg_F": 1, "q": 1}})
+    )
+    err = run_bad_input(["abelian", "status", "--profile", str(path)], capsys)
+    assert "dim must be an integer" in err
+
+
+def test_numth_kmax_below_three_is_bad_input(capsys):
+    assert "--k-max" in run_bad_input(["numth", "verify", "--k-max", "2"], capsys)
+
+
+def test_n_beyond_the_primality_bound_is_bad_input(tmp_path, capsys):
+    cap = 3_317_044_064_679_887_385_961_981
+    endo = {"type": "I", "deg_L": 1, "deg_F": 1, "q": 1}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"weight": 1, "n": cap, "endo": endo}))
+    assert str(cap) in run_bad_input(["classify", "--profile", str(path)], capsys)
+    path.write_text(json.dumps({"dim": 2 * cap, "endo": endo}))
+    err = run_bad_input(["abelian", "status", "--profile", str(path)], capsys)
+    assert str(cap) in err

@@ -18,7 +18,6 @@ from hodgekit.cmtools import (
     kubota_rank,
     parse_cycles,
     quotient_model,
-    rank_lower_bound,
     tankeev_scan,
 )
 
@@ -166,14 +165,6 @@ def test_reduced_rank_calibration():
         for t in enumerate_cm_types(model6)
         if is_primitive(model6, t)
     )
-
-
-def test_rank_lower_bound():
-    assert rank_lower_bound(1) == {"two_n": 2, "ceil_log2": 1}
-    assert rank_lower_bound(4) == {"two_n": 8, "ceil_log2": 3}
-    assert rank_lower_bound(6) == {"two_n": 12, "ceil_log2": 4}
-    with pytest.raises(ValueError):
-        rank_lower_bound(0)
 
 
 def test_model_validation():

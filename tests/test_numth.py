@@ -9,9 +9,10 @@ from hodgekit.numth import (
     central_binomial_solve,
     central_binomial_two_adic,
     factorial_two_adic,
+    is_prime,
+    MR_EXACT_BOUND,
     no_prime_double_is_central_binomial,
     prime_count_gap,
-    prime_pi,
     primes_up_to,
 )
 
@@ -67,9 +68,9 @@ def test_central_binomial_solve_large_kmax_is_cheap():
 
 def test_primes_and_pi():
     assert primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]
-    assert prime_pi(1) == 0
-    assert prime_pi(2) == 1
-    assert prime_pi(100) == 25
+    assert len(primes_up_to(1)) == 0
+    assert len(primes_up_to(2)) == 1
+    assert len(primes_up_to(100)) == 25
 
 
 def test_prime_count_gap_examples():
@@ -82,7 +83,7 @@ def test_prime_count_gap_examples():
 
 def test_prime_count_gap_telescopes():
     total = sum(prime_count_gap(k) for k in range(1, 13))
-    assert total == prime_pi(1 << 12)
+    assert total == len(primes_up_to(1 << 12))
 
 
 def test_no_prime_double_small_cases():
@@ -104,3 +105,31 @@ def test_no_prime_double_scan():
         value = math.comb(1 << k, 1 << (k - 1))
         for p in primes:
             assert value % p == 0
+
+
+def test_is_prime_matches_the_sieve():
+    primes = set(primes_up_to(200_000))
+    assert all(is_prime(n) == (n in primes) for n in range(-2, 200_001))
+
+
+def test_is_prime_on_pseudoprimes_and_mersenne_primes():
+    # a Carmichael number, then strong pseudoprimes to the bases 2..7,
+    # 2..31 and 2..37 (the last one caught only by the base 41)
+    for n in (
+        561,
+        3_215_031_751,
+        3_825_123_056_546_413_051,
+        318_665_857_834_031_151_167_461,
+    ):
+        assert not is_prime(n), n
+    assert is_prime((1 << 31) - 1)
+    assert is_prime((1 << 61) - 1)
+
+
+def test_is_prime_refuses_at_the_exact_bound():
+    # the bound is itself composite and a strong pseudoprime to 2..41
+    assert MR_EXACT_BOUND == 1287836182261 * 2575672364521
+    with pytest.raises(ValueError, match=str(MR_EXACT_BOUND)):
+        is_prime(MR_EXACT_BOUND)
+    with pytest.raises(ValueError, match=str(MR_EXACT_BOUND)):
+        is_prime(1 << 100)
