@@ -285,7 +285,10 @@ def _parse_theta(text: str, model: cmtools.GaloisModel) -> cmtools.CMType:
 def _cmd_cm(args) -> int:
     model = _build_model(args)
     if args.cm_cmd == "scan":
-        report = cmtools.tankeev_scan(model)
+        try:
+            report = cmtools.tankeev_scan(model)
+        except cmtools.InvalidModelError as exc:
+            raise CliError(str(exc))
         _emit(report.to_json(), args.pretty)
         return EXIT_OK
     theta = _parse_theta(args.theta, model)

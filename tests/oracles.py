@@ -2,12 +2,16 @@
 
 These deliberately avoid the package's integer elimination so that rank
 checks are dual-route: the package uses fraction-free Bareiss, the tests
-use plain Gaussian elimination over Fraction.
+use plain Gaussian elimination over Fraction.  Block systems likewise:
+the package finds them by union-find, the oracle from the subgroup
+lattice.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from hodgekit.cmtools import generate_group, identity_perm
 
 
 def fraction_rank(rows) -> int:
@@ -106,3 +110,53 @@ def unitary_algebra_dim(k: int) -> int:
     anti = matrix_relation_dim(k, lambda X: mat_add(transpose(X), X))
     sym = matrix_relation_dim(k, lambda X: mat_sub(transpose(X), X))
     return anti + sym
+
+
+def all_subgroups(model):
+    """Every subgroup of the model's group, by closing under one more
+    element at a time from the trivial group."""
+    ident = identity_perm(model.size)
+    elements = sorted(model.elements)
+    found = {frozenset([ident])}
+    frontier = [frozenset([ident])]
+    while frontier:
+        sub = frontier.pop()
+        for x in elements:
+            if x in sub:
+                continue
+            bigger = generate_group(tuple(sub) + (x,), model.size)
+            if bigger not in found:
+                found.add(bigger)
+                frontier.append(bigger)
+    return sorted(found, key=len)
+
+
+def subgroup_block_systems(model):
+    """Set of all proper nontrivial block systems, each a tuple of blocks
+    sorted by least element.
+
+    Systems correspond to subgroups between the stabilizer of a point
+    and the full group; the block of the base point is its orbit under
+    the intermediate subgroup.
+    """
+    base = 0
+    stab = {p for p in model.elements if p[base] == base}
+    systems = set()
+    for sub in all_subgroups(model):
+        if not stab <= sub:
+            continue
+        block = frozenset(p[base] for p in sub)
+        if len(block) in (1, model.size):
+            continue
+        blocks = {frozenset(p[x] for x in block) for p in model.elements}
+        if sum(len(b) for b in blocks) != model.size:
+            raise AssertionError("block translates failed to partition")
+        systems.add(tuple(sorted(blocks, key=min)))
+    return systems
+
+
+def is_union_of_blocks(systems, theta) -> bool:
+    """True when the set theta is a union of blocks of some system."""
+    return any(
+        all(b <= theta or not b & theta for b in blocks) for blocks in systems
+    )

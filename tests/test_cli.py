@@ -9,12 +9,13 @@ from hodgekit.cli import run
 PROFILE_N3 = {"weight": 1, "n": 3, "endo": {"type": "I", "deg_L": 1, "deg_F": 1, "q": 1}}
 
 
-def run_cli(args, stdin=None):
+def run_cli(args, stdin=None, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "hodgekit.cli", *args],
         input=stdin,
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
     return proc
 
@@ -173,6 +174,13 @@ def test_cm_explicit_perms():
     )
     data = json.loads(proc.stdout)
     assert (data["raw"], data["reduced"]) == (2, 1)
+
+
+def test_cm_scan_over_the_cap_is_bad_input():
+    proc = run_cli(["cm", "--group", "cyclic:64", "scan"], timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "SCAN_MAX_G" in proc.stderr
 
 
 def test_cm_iota_override():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from hodgekit.cmtools import (
+    SCAN_MAX_G,
     CMType,
     GaloisModel,
     InvalidModelError,
@@ -21,7 +22,7 @@ from hodgekit.cmtools import (
     tankeev_scan,
 )
 
-from oracles import fraction_rank
+from oracles import fraction_rank, is_union_of_blocks, subgroup_block_systems
 
 
 def translate_matrix(model, theta, reduced=False):
@@ -122,6 +123,97 @@ def test_block_systems_of_z6():
     systems = block_systems(model)
     sizes = sorted(len(s[0]) for s in systems)
     assert sizes == [2, 3]
+
+
+def test_block_systems_canonical_order():
+    # within a size, systems are ordered by their sorted blocks
+    systems = block_systems(abelian_model([2, 2, 2]))
+    keys = [(len(s[0]), [sorted(b) for b in s]) for s in systems]
+    assert keys == sorted(keys)
+    assert [len(s[0]) for s in systems] == [2] * 7 + [4] * 7
+    for s in systems:
+        assert list(s) == sorted(s, key=min)
+
+
+def _perms_model(size, gens, iota):
+    return GaloisModel(
+        generators=tuple(parse_cycles(g, size) for g in gens),
+        conj=parse_cycles(iota, size),
+        size=size,
+    )
+
+
+def _oracle_models():
+    models = {f"cyclic:{n}": cyclic_model(n) for n in range(2, 17, 2)}
+    models.update({f"dihedral:{n}": dihedral_model(n) for n in (2, 4, 6)})
+    for dims in ([2, 2], [2, 4], [2, 6], [3, 4], [2, 8], [4, 4], [2, 2, 2],
+                 [2, 2, 4], [2, 2, 2, 2]):
+        models["abelian:" + ",".join(map(str, dims))] = abelian_model(dims)
+    # the order-2 element of the first factor as conjugation, not the default
+    base = abelian_model([2, 4])
+    models["abelian:2,4 iota=gen0"] = GaloisModel(
+        generators=base.generators, conj=base.generators[0], size=base.size
+    )
+    # non-regular actions: a group on k points, doubled, conjugation swaps copies
+    swap4 = "(0 4)(1 5)(2 6)(3 7)"
+    models["S3xZ2"] = _perms_model(
+        6, ["(0 1 2)(3 4 5)", "(0 1)(3 4)"], "(0 3)(1 4)(2 5)"
+    )
+    models["D4xZ2"] = _perms_model(8, ["(0 1 2 3)(4 5 6 7)", "(1 3)(5 7)"], swap4)
+    models["A4xZ2"] = _perms_model(8, ["(0 1 2)(4 5 6)", "(1 2 3)(5 6 7)"], swap4)
+    models["S4xZ2"] = _perms_model(8, ["(0 1 2 3)(4 5 6 7)", "(0 1)(4 5)"], swap4)
+    return models
+
+
+ORACLE_MODELS = _oracle_models()
+
+
+def _per_type_scan(model, systems):
+    """tankeev_scan's JSON rebuilt type by type: kubota_rank plus the
+    subgroup-lattice primitivity, no orbit sharing."""
+    g = model.g
+    p = g if g > 2 and all(g % d for d in range(2, g)) else None
+    bound = 2 * g - 1 if p else None
+    entries = []
+    for theta in enumerate_cm_types(model):
+        raw, reduced = kubota_rank(model, theta)
+        entries.append(
+            {
+                "theta": theta.to_json(),
+                "raw": raw,
+                "reduced": reduced,
+                "primitive": not is_union_of_blocks(systems, theta.theta),
+                "raw_meets_bound": raw >= bound if p else None,
+                "reduced_meets_bound": reduced >= bound if p else None,
+            }
+        )
+    primitive = sum(e["primitive"] for e in entries)
+    return {
+        "degree": model.size,
+        "p": p,
+        "bound": bound,
+        "total": len(entries),
+        "primitive": primitive,
+        "non_primitive": len(entries) - primitive,
+        "entries": entries,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+def test_union_find_blocks_match_subgroup_oracle(name):
+    model = ORACLE_MODELS[name]
+    systems = subgroup_block_systems(model)
+    assert set(block_systems(model)) == systems
+    for theta in enumerate_cm_types(model):
+        assert is_primitive(model, theta) == (
+            not is_union_of_blocks(systems, theta.theta)
+        )
+    assert tankeev_scan(model).to_json() == _per_type_scan(model, systems)
+
+
+def test_scan_is_capped_before_enumerating():
+    with pytest.raises(InvalidModelError, match=f"SCAN_MAX_G = {SCAN_MAX_G}"):
+        tankeev_scan(cyclic_model(2 * SCAN_MAX_G + 2))
 
 
 def test_z2_has_no_proper_blocks():
