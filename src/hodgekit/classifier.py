@@ -490,7 +490,7 @@ def _classify_type_i(profile: HodgeProfile, lef: GroupExpr):
             if not exclude_sl2_product([("SL", 2), ("SO", n)]):
                 raise AssertionError("SL(2) x SO(n) must be excluded here")
             notes.append(f"product alternative SL(2) x SO({n}) excluded")
-            k = central_binomial_solve(n) if n >= 70 else None
+            k = central_binomial_solve(n)
             if k is not None:
                 if not exclude_sl2_product([("SL", 2), ("SL", 1 << k)]):
                     raise AssertionError("SL(2) x SL(2^k) must be excluded")

@@ -190,6 +190,11 @@ def _parse_coords(text: str, rank: int) -> rootsys.Weight:
 
 def _cmd_weights(args) -> int:
     if args.weights_cmd == "verify-table2":
+        if args.max_rank > rootsys.MAX_RANK:
+            raise CliError(
+                f"--max-rank {args.max_rank} is over the cap "
+                f"MAX_RANK = {rootsys.MAX_RANK} for root systems"
+            )
         systems: list[rootsys.RootSystem] = []
         for kind in ("A", "B", "C", "D"):
             lo = {"A": 1, "B": 2, "C": 2, "D": 3}[kind]

@@ -1,11 +1,17 @@
 """Root systems, minuscule weights, and the admissible-factor filter.
 
-Everything is computed in exact arithmetic from the Cartan matrix:
-positive roots by reflection closure, representation dimensions by the
-Weyl formula over Fractions, self-duality by dominantizing -lambda, and
-the orthogonal/symplectic sign of a self-dual representation by the
-parity of the pairing with the sum of positive coroots.  Nothing in the
-minuscule table is hardcoded; the table is what the tests check against.
+A root system is built in exact integer arithmetic from its Cartan
+matrix: positive roots by reflection closure, each carrying the squared
+length of the simple root it descends from, and the integer coroot
+pairings once per root.  On top of that come representation dimensions
+by the Weyl formula, self-duality by dominantizing -lambda, and the
+orthogonal/symplectic sign of a self-dual representation by the parity
+of the pairing with the sum of positive coroots.
+
+The minuscule table itself is given in closed form
+(``minuscule_table_expected``, after the plates of Bourbaki, *Lie Groups
+and Lie Algebras*, ch. VI-VIII), and ``admissible_factors`` reads it.
+``verify_minuscule_table`` checks it against the Weyl-formula scan.
 
 Conventions: cartan[i][j] = <alpha_i, alpha_j^vee>, simple roots indexed
 from 0 internally, fundamental weights 1-based in the public API to
@@ -17,12 +23,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Optional
+from functools import cached_property, lru_cache
 
 ORTHOGONAL = "orthogonal"
 SYMPLECTIC = "symplectic"
 NON_SELF_DUAL = "non_self_dual"
+
+# Largest rank a RootSystem is built for.  Root generation grows like l^4:
+# the slowest single-system query, `weights length D 112`, takes about 46 s
+# on a 2-vCPU Xeon VM (73 MB peak), and B128 about 70 s.
+MAX_RANK = 112
 
 _COUNT = {
     "A": lambda l: l * (l + 1) // 2,
@@ -97,17 +107,28 @@ class RootSystem:
             raise ValueError(f"unknown kind {kind!r}")
         if rank < _MIN_RANK[kind] or (kind == "E" and rank not in (6, 7)):
             raise ValueError(f"rank {rank} out of range for kind {kind}")
+        _check_rank_cap(rank)
         self.kind = kind
         self.rank = rank
         self.cartan, self.norms = _cartan_and_norms(kind, rank)
-        self._coroot_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self.positive_roots = self._generate_positive_roots()
+        lengths = self._generate_positive_roots()
+        self.positive_roots = tuple(sorted(lengths, key=lambda r: (sum(r), r)))
         expected = _COUNT[kind](rank)
         if len(self.positive_roots) != expected:
             raise AssertionError(
                 f"{kind}{rank}: got {len(self.positive_roots)} positive "
                 f"roots, expected {expected}"
             )
+        # beta = sum c_j alpha_j has <w, beta^vee> = sum w_j v_j with
+        # v_j = c_j |alpha_j|^2 / |beta|^2, an integer for every root.
+        self._coroots: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for beta in self.positive_roots:
+            scaled = [c * d for c, d in zip(beta, self.norms)]
+            if any(x % lengths[beta] for x in scaled):  # pragma: no cover
+                raise AssertionError("coroot pairing must be integral")
+            vec = tuple(x // lengths[beta] for x in scaled)
+            self._coroots[beta] = vec
+            self._coroots[tuple(-c for c in beta)] = tuple(-v for v in vec)
 
     @property
     def name(self) -> str:
@@ -125,21 +146,29 @@ class RootSystem:
         out[i] -= pairing
         return tuple(out)
 
-    def _generate_positive_roots(self) -> tuple[tuple[int, ...], ...]:
+    def _generate_positive_roots(self) -> dict[tuple[int, ...], int]:
+        """Each positive root with its squared length.
+
+        s_i permutes the positive roots other than alpha_i, and every
+        positive root descends to a simple one through positive roots, so
+        the closure of the simple roots under the s_i, kept positive, is
+        exactly the positive roots.  Reflections preserve length, so a
+        root has the length of the simple root it descends from.
+        """
         l = self.rank
-        simple = [tuple(int(i == j) for j in range(l)) for i in range(l)]
-        seen = set(simple)
-        frontier = list(simple)
+        lengths = {
+            tuple(int(i == j) for j in range(l)): self.norms[i] for i in range(l)
+        }
+        frontier = list(lengths)
         while frontier:
             beta = frontier.pop()
             for i in range(l):
                 img = self._reflect_root(beta, i)
-                if img not in seen:
-                    seen.add(img)
+                # img differs from beta only at i; negative only for alpha_i
+                if img[i] >= 0 and img not in lengths:
+                    lengths[img] = lengths[beta]
                     frontier.append(img)
-        positive = [r for r in seen if all(c >= 0 for c in r)]
-        positive.sort(key=lambda r: (sum(r), r))
-        return tuple(positive)
+        return lengths
 
     def all_roots(self) -> list[tuple[int, ...]]:
         negatives = [tuple(-c for c in r) for r in self.positive_roots]
@@ -147,43 +176,9 @@ class RootSystem:
 
     # -- pairings ------------------------------------------------------
 
-    def _inner_weight_root(self, mu: Iterable[int], beta: tuple[int, ...]) -> Fraction:
-        # (mu, beta) with mu in fundamental and beta in simple-root coords
-        return sum(
-            (Fraction(b * m * d, 2) for b, m, d in zip(beta, mu, self.norms)),
-            Fraction(0),
-        )
-
-    def _root_norm(self, beta: tuple[int, ...]) -> Fraction:
-        total = Fraction(0)
-        for i, bi in enumerate(beta):
-            if not bi:
-                continue
-            for j, bj in enumerate(beta):
-                if bj:
-                    total += Fraction(bi * bj * self.cartan[i][j] * self.norms[j], 2)
-        return total
-
-    def _coroot_vector(self, beta: tuple[int, ...]) -> tuple[int, ...]:
-        """Integer vector v with <w, beta^vee> = sum w_j v_j for weights w."""
-        cached = self._coroot_cache.get(beta)
-        if cached is not None:
-            return cached
-        norm = self._root_norm(beta)
-        vec = []
-        for c, d in zip(beta, self.norms):
-            entry = Fraction(c * d) / norm
-            if entry.denominator != 1:  # pragma: no cover - coroots are integral
-                raise AssertionError("coroot pairing must be integral")
-            vec.append(int(entry))
-        out = tuple(vec)
-        self._coroot_cache[beta] = out
-        return out
-
     def pair_coroot(self, weight: Weight, beta: tuple[int, ...]):
-        """<weight, beta^vee> = 2(weight, beta)/(beta, beta)."""
-        vec = self._coroot_vector(beta)
-        return sum(w * v for w, v in zip(weight.coords, vec))
+        """<weight, beta^vee> = 2(weight, beta)/(beta, beta) for a root beta."""
+        return sum(w * v for w, v in zip(weight.coords, self._coroots[beta]))
 
     # -- Weyl group action on weights -----------------------------------
 
@@ -201,13 +196,9 @@ class RootSystem:
             current = self.reflect_weight(current, i)
         raise AssertionError("dominantization failed to terminate")
 
-    @property
+    @cached_property
     def opposition(self) -> tuple[int, ...]:
         """Permutation iota with -w0(omega_i) = omega_iota(i), 0-based."""
-        return self._opposition()
-
-    @lru_cache(maxsize=None)
-    def _opposition(self) -> tuple[int, ...]:
         perm = []
         for i in range(self.rank):
             mu = tuple(-int(i == j) for j in range(self.rank))
@@ -218,14 +209,11 @@ class RootSystem:
             perm.append(hits[0])
         return tuple(perm)
 
-    def __hash__(self) -> int:  # needed for the lru_cache on methods
-        return hash((self.kind, self.rank))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RootSystem)
-            and self.kind == other.kind
-            and self.rank == other.rank
+def _check_rank_cap(rank: int) -> None:
+    if rank > MAX_RANK:
+        raise ValueError(
+            f"rank {rank} is over the cap MAX_RANK = {MAX_RANK} for root systems"
         )
 
 
@@ -277,7 +265,7 @@ def rep_dimension(rs: RootSystem, weight: Weight) -> int:
     num = 1
     den = 1
     for beta in rs.positive_roots:
-        vec = rs._coroot_vector(beta)
+        vec = rs._coroots[beta]
         num *= sum(w * v for w, v in zip(shifted, vec))
         den *= sum(vec)
     if num % den:
@@ -338,42 +326,51 @@ def weight_length(rs: RootSystem, weight: Weight) -> Fraction:
     return min(coords[i] + coords[opp[i]] for i in range(rs.rank))
 
 
+@lru_cache(maxsize=None)
+def _minuscule_rows(kind: str, l: int) -> tuple[tuple[int, int, str], ...]:
+    """(index, dimension, duality) of each minuscule weight of kind_l,
+    in closed form; cached because every admissible_factors call reads
+    the rows of every system up to its max_rank."""
+
+    def sign_mod4(plus: tuple[int, ...]) -> str:
+        return ORTHOGONAL if l % 4 in plus else SYMPLECTIC
+
+    if kind == "A":
+        rows = []
+        for j in range(1, l + 1):
+            duality = NON_SELF_DUAL
+            if l == 2 * j - 1:
+                duality = ORTHOGONAL if j % 2 == 0 else SYMPLECTIC
+            rows.append((j, math.comb(l + 1, j), duality))
+        return tuple(rows)
+    if kind == "B":
+        return ((l, 2 ** l, sign_mod4((0, 3))),)
+    if kind == "C":
+        return ((1, 2 * l, SYMPLECTIC),)
+    if kind == "D":
+        half = NON_SELF_DUAL if l % 2 else sign_mod4((0,))
+        return (
+            (1, 2 * l, ORTHOGONAL),
+            (l - 1, 2 ** (l - 1), half),
+            (l, 2 ** (l - 1), half),
+        )
+    if l == 6:
+        return ((1, 27, NON_SELF_DUAL), (6, 27, NON_SELF_DUAL))
+    return ((7, 56, SYMPLECTIC),)
+
+
 def minuscule_table_expected(rs: RootSystem) -> list[dict]:
     """Closed-form minuscule data for one kind: index, dimension, duality.
 
     These are the classical formulas (binomials for A, 2^l for the spin
     representations, 2l for the standard ones, with the mod-4 sign
-    patterns); the scan functions above are checked against them.
+    patterns).  ``admissible_factors`` answers from them, and
+    ``verify_minuscule_table`` checks the scan functions above against them.
     """
-    l = rs.rank
-    rows: list[dict] = []
-
-    def sign_mod4(plus: tuple[int, ...]) -> str:
-        return ORTHOGONAL if l % 4 in plus else SYMPLECTIC
-
-    if rs.kind == "A":
-        for j in range(1, l + 1):
-            duality = NON_SELF_DUAL
-            if l == 2 * j - 1:
-                duality = ORTHOGONAL if j % 2 == 0 else SYMPLECTIC
-            rows.append(
-                {"index": j, "dim": math.comb(l + 1, j), "duality": duality}
-            )
-    elif rs.kind == "B":
-        rows.append({"index": l, "dim": 2 ** l, "duality": sign_mod4((0, 3))})
-    elif rs.kind == "C":
-        rows.append({"index": 1, "dim": 2 * l, "duality": SYMPLECTIC})
-    elif rs.kind == "D":
-        rows.append({"index": 1, "dim": 2 * l, "duality": ORTHOGONAL})
-        half = NON_SELF_DUAL if l % 2 else sign_mod4((0,))
-        rows.append({"index": l - 1, "dim": 2 ** (l - 1), "duality": half})
-        rows.append({"index": l, "dim": 2 ** (l - 1), "duality": half})
-    elif rs.rank == 6:
-        rows.append({"index": 1, "dim": 27, "duality": NON_SELF_DUAL})
-        rows.append({"index": 6, "dim": 27, "duality": NON_SELF_DUAL})
-    else:
-        rows.append({"index": 7, "dim": 56, "duality": SYMPLECTIC})
-    return rows
+    return [
+        {"index": index, "dim": dim, "duality": duality}
+        for index, dim, duality in _minuscule_rows(rs.kind, rs.rank)
+    ]
 
 
 def verify_minuscule_table(rs: RootSystem) -> dict:
@@ -426,32 +423,20 @@ def verify_minuscule_table(rs: RootSystem) -> dict:
 _CLASSICAL = ("A", "B", "C", "D")
 
 
-@lru_cache(maxsize=None)
-def _minuscule_data(kind: str, rank: int) -> tuple:
-    """(coords, dimension, duality) for each minuscule weight, cached."""
-    rs = root_system(kind, rank)
-    return tuple(
-        (w.coords, rep_dimension(rs, w), autoduality(rs, w))
-        for w in minuscule_weights(rs)
+def _kept_in_twice_odd_dim(kind: str, l: int, index: int, duality: str) -> bool:
+    """Whether a self-dual factor of dimension 2 mod 4 can occur: the
+    standard representation of C_l (symplectic) or D_l (orthogonal) with
+    l odd, or the middle exterior power of A_{2^k-1}, k >= 3 (orthogonal)."""
+    standard = "C" if duality == SYMPLECTIC else "D"
+    if kind == standard and l % 2 == 1 and index == 1:
+        return True
+    return (
+        duality == ORTHOGONAL
+        and kind == "A"
+        and l >= 7
+        and ((l + 1) & l) == 0
+        and 2 * index == l + 1
     )
-
-
-def _classical_systems(max_rank: int):
-    for kind in _CLASSICAL:
-        for l in range(_MIN_RANK[kind], max_rank + 1):
-            yield root_system(kind, l)
-
-
-def _is_middle_power_of_two(rs: RootSystem, weight: Weight) -> Optional[int]:
-    """k when (rs, weight) is A_{2^k-1} with the middle fundamental weight."""
-    if rs.kind != "A":
-        return None
-    size = rs.rank + 1
-    k = size.bit_length() - 1
-    if size != 1 << k:
-        return None
-    middle = fundamental_weight(rs, size // 2)
-    return k if weight == middle else None
 
 
 def admissible_factors(
@@ -459,46 +444,33 @@ def admissible_factors(
 ) -> list[tuple[RootSystem, Weight]]:
     """Classical minuscule pairs of the given dimension and autoduality.
 
-    On top of the raw scan this enforces the constraints satisfied by a
-    nontrivial simple factor of an irreducible summand: self-dual forces
-    even dimension; a symplectic factor of dimension 2 mod 4 must be the
-    standard representation of C_l with l odd; an orthogonal factor of
-    dimension 2 mod 4 must be the standard representation of D_l with l
-    odd or the middle exterior power for A_{2^k-1} with k >= 3.
+    The pairs are read from the closed-form minuscule table of every
+    classical system of rank at most max_rank (at most MAX_RANK); a root
+    system is built only for a hit.  On top of the table this enforces
+    the constraints satisfied by a nontrivial simple factor of an
+    irreducible summand: self-dual forces even dimension; a symplectic
+    factor of dimension 2 mod 4 must be the standard representation of
+    C_l with l odd; an orthogonal factor of dimension 2 mod 4 must be the
+    standard representation of D_l with l odd or the middle exterior
+    power for A_{2^k-1} with k >= 3.  Hits are sorted by kind, rank and
+    weight.
     """
     if dim < 1:
         raise ValueError("dim must be positive")
+    _check_rank_cap(max_rank)
+    self_dual = duality in (ORTHOGONAL, SYMPLECTIC)
+    if self_dual and dim % 2 == 1:
+        return []
     hits: list[tuple[RootSystem, Weight]] = []
-    for rs in _classical_systems(max_rank):
-        for coords, rep_dim, rep_duality in _minuscule_data(rs.kind, rs.rank):
-            if rep_dim != dim or rep_duality != duality:
-                continue
-            hits.append((rs, Weight(coords)))
-    if duality in (ORTHOGONAL, SYMPLECTIC):
-        if dim % 2 == 1:
-            return []
-        if dim % 4 == 2:
-            if duality == SYMPLECTIC:
-                hits = [
-                    (rs, w)
-                    for rs, w in hits
-                    if rs.kind == "C"
-                    and rs.rank % 2 == 1
-                    and w == fundamental_weight(rs, 1)
-                ]
-            else:
-                kept = []
-                for rs, w in hits:
-                    if (
-                        rs.kind == "D"
-                        and rs.rank % 2 == 1
-                        and w == fundamental_weight(rs, 1)
-                    ):
-                        kept.append((rs, w))
+    for kind in _CLASSICAL:
+        for l in range(_MIN_RANK[kind], max_rank + 1):
+            for index, rep_dim, rep_duality in _minuscule_rows(kind, l):
+                if rep_dim != dim or rep_duality != duality:
+                    continue
+                if self_dual and dim % 4 == 2:
+                    if not _kept_in_twice_odd_dim(kind, l, index, duality):
                         continue
-                    k = _is_middle_power_of_two(rs, w)
-                    if k is not None and k >= 3:
-                        kept.append((rs, w))
-                hits = kept
+                rs = root_system(kind, l)
+                hits.append((rs, fundamental_weight(rs, index)))
     hits.sort(key=lambda p: (p[0].kind, p[0].rank, p[1].coords))
     return hits

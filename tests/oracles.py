@@ -4,13 +4,16 @@ These deliberately avoid the package's integer elimination so that rank
 checks are dual-route: the package uses fraction-free Bareiss, the tests
 use plain Gaussian elimination over Fraction.  Block systems likewise:
 the package finds them by union-find, the oracle from the subgroup
-lattice.
+lattice.  The minuscule table likewise: the package reads closed forms,
+the oracle scans the fundamental weights with the Weyl formula.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
+from hodgekit import rootsys
 from hodgekit.cmtools import generate_group, identity_perm
 
 
@@ -159,4 +162,51 @@ def is_union_of_blocks(systems, theta) -> bool:
     """True when the set theta is a union of blocks of some system."""
     return any(
         all(b <= theta or not b & theta for b in blocks) for blocks in systems
+    )
+
+
+@lru_cache(maxsize=None)
+def minuscule_scan(kind: str, rank: int):
+    """(index, dimension, duality) of each minuscule weight, found by the
+    definitional test on every fundamental weight and evaluated by the
+    Weyl formula and the coroot-sum parity."""
+    rs = rootsys.root_system(kind, rank)
+    return tuple(
+        (w.coords.index(1) + 1, rootsys.rep_dimension(rs, w), rootsys.autoduality(rs, w))
+        for w in rootsys.minuscule_weights(rs)
+    )
+
+
+def scan_admissible_factors(dim: int, duality: str, max_rank: int):
+    """(kind, rank, coords) of every classical minuscule pair of the given
+    dimension and duality found by ``minuscule_scan``, cut by the
+    summand constraints: self-dual forces even dimension, and in
+    dimension 2 mod 4 only the standard C_l (symplectic) or D_l
+    (orthogonal) with l odd, or the middle wedge of A_{2^k-1} with
+    k >= 3 (orthogonal), survive."""
+    hits = []
+    for kind, lo in (("A", 1), ("B", 2), ("C", 1), ("D", 3)):
+        for l in range(lo, max_rank + 1):
+            for index, rep_dim, rep_duality in minuscule_scan(kind, l):
+                if (rep_dim, rep_duality) == (dim, duality):
+                    hits.append((kind, l, index))
+    if duality != rootsys.NON_SELF_DUAL and dim % 2 == 1:
+        hits = []
+    if duality != rootsys.NON_SELF_DUAL and dim % 4 == 2:
+        standard = "C" if duality == rootsys.SYMPLECTIC else "D"
+        hits = [
+            (kind, l, index)
+            for kind, l, index in hits
+            if (kind == standard and l % 2 == 1 and index == 1)
+            or (
+                duality == rootsys.ORTHOGONAL
+                and kind == "A"
+                and l >= 7
+                and ((l + 1) & l) == 0
+                and index == (l + 1) // 2
+            )
+        ]
+    return sorted(
+        (kind, l, tuple(int(i == index - 1) for i in range(l)))
+        for kind, l, index in hits
     )

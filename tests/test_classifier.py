@@ -1,3 +1,4 @@
+import math
 import sys
 import time
 
@@ -18,6 +19,8 @@ from hodgekit.classifier import (
 )
 from hodgekit.core import EndomorphismDescriptor, GroupExpr, HodgeProfile
 from hodgekit.lefschetz import group_dim, group_rank, lefschetz_group
+from hodgekit.numth import central_binomial_solve
+from hodgekit.rootsys import ORTHOGONAL, admissible_factors, fundamental_weight
 
 
 def prof(t, deg_L, deg_F, q, w, n, traces=None, disc=None):
@@ -169,6 +172,21 @@ def test_type_i_odd_multiplicity_without_wedge():
     out = classify(prof("I", 3, 3, 1, w=2, n=27))
     assert labels(out) == ["R_{F/Q}SO(_FV)"]
     assert any("wedge alternative dropped" in note for note in out.notes)
+
+
+def test_wedge_solutions_are_the_admissible_middle_wedges():
+    # The wedge alternative 2l = C(2^k, 2^(k-1)) is exactly the A_{2^k-1}
+    # middle-weight factor admissible_factors keeps in dimension 2 mod 4
+    # (rank 31 = 2^5 - 1, hence k <= 5).
+    dims = list(range(2, 4001, 4)) + [math.comb(2 ** k, 2 ** (k - 1)) for k in (3, 4, 5)]
+    for d in dims:
+        wedges = []
+        for rs, w in admissible_factors(d, ORTHOGONAL, max_rank=31):
+            if rs.kind == "A":
+                assert w == fundamental_weight(rs, (rs.rank + 1) // 2), (d, rs.name)
+                wedges.append((rs.rank + 1).bit_length() - 1)
+        assert len(wedges) <= 1, d
+        assert central_binomial_solve(d, 5) == (wedges[0] if wedges else None), d
 
 
 def test_type_i_multiplicity_two():

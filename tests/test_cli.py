@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from hodgekit.cli import run
+from hodgekit.rootsys import MAX_RANK
 
 PROFILE_N3 = {"weight": 1, "n": 3, "endo": {"type": "I", "deg_L": 1, "deg_F": 1, "q": 1}}
 
@@ -181,6 +182,22 @@ def test_cm_scan_over_the_cap_is_bad_input():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "SCAN_MAX_G" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["weights", "dim", "A", "1000000000", "1"],
+        ["weights", "autodual", "D", str(MAX_RANK + 1), "1"],
+        ["weights", "length", "B", str(MAX_RANK + 1), "1"],
+        ["weights", "verify-table2", "--max-rank", str(MAX_RANK + 1)],
+    ],
+)
+def test_weights_over_the_rank_cap_is_bad_input(args):
+    proc = run_cli(args, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "MAX_RANK" in proc.stderr
 
 
 def test_cm_iota_override():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hodgekit.numth import central_binomial_mod4
 from hodgekit.rootsys import (
+    MAX_RANK,
     NON_SELF_DUAL,
     ORTHOGONAL,
     SYMPLECTIC,
@@ -16,12 +17,16 @@ from hodgekit.rootsys import (
     dual_weight,
     fundamental_weight,
     is_minuscule,
+    minuscule_table_expected,
     minuscule_weights,
     rep_dimension,
+    root_system,
     verify_minuscule_table,
     weight_length,
     weight_root_coordinates,
 )
+
+from oracles import minuscule_scan, scan_admissible_factors
 
 CLASSICAL_RANGE = [("A", range(1, 11)), ("B", range(2, 11)), ("C", range(2, 11)), ("D", range(3, 11))]
 
@@ -196,6 +201,36 @@ def test_admissible_factors_every_hit_is_minuscule():
         for rs, w in admissible_factors(dim, duality, max_rank=8):
             assert is_minuscule(rs, w)
             assert rep_dimension(rs, w) == dim
+
+
+def test_closed_form_table_matches_the_weyl_scan():
+    # every classical system up to rank 16 plus E6 and E7
+    lows = (("A", 1), ("B", 2), ("C", 1), ("D", 3))
+    systems = [(kind, l) for kind, lo in lows for l in range(lo, 17)]
+    for kind, l in systems + [("E", 6), ("E", 7)]:
+        rows = minuscule_table_expected(root_system(kind, l))
+        got = tuple(sorted((r["index"], r["dim"], r["duality"]) for r in rows))
+        assert got == tuple(sorted(minuscule_scan(kind, l))), (kind, l)
+
+
+def test_admissible_factors_match_the_scan_oracle():
+    for dim in range(1, 200):
+        for duality in (ORTHOGONAL, SYMPLECTIC, NON_SELF_DUAL):
+            got = [
+                (rs.kind, rs.rank, w.coords)
+                for rs, w in admissible_factors(dim, duality, max_rank=16)
+            ]
+            assert got == scan_admissible_factors(dim, duality, 16), (dim, duality)
+
+
+def test_rank_cap_refuses_before_building():
+    # a rank this large would never finish generating roots
+    with pytest.raises(ValueError, match=f"MAX_RANK = {MAX_RANK}"):
+        RootSystem("A", 10 ** 9)
+    with pytest.raises(ValueError, match=f"MAX_RANK = {MAX_RANK}"):
+        RootSystem("D", MAX_RANK + 1)
+    with pytest.raises(ValueError, match=f"MAX_RANK = {MAX_RANK}"):
+        admissible_factors(6, ORTHOGONAL, max_rank=MAX_RANK + 1)
 
 
 def test_binomial_fact_agrees_with_numth():
