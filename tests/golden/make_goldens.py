@@ -10,12 +10,16 @@ wrong content.  Run from the repository root:
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import pathlib
 import sys
+import tempfile
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[2] / "src"))
 
+from hodgekit import cli
 from hodgekit.classifier import SubfieldDescriptor, classify, table3
 from hodgekit.core import (
     EndomorphismDescriptor,
@@ -324,9 +328,133 @@ def make_consequences():
     write("consequences_grid.json", {"rows": rows})
 
 
+# --- The CLI: argv, stdin, exit code and stdout of every subcommand -------
+
+
+def _pj(t, dL, dF, q, w=1, n=4, **extra):
+    endo = {"type": t, "deg_L": dL, "deg_F": dF, "q": q, **extra}
+    return json.dumps({"weight": w, "n": n, "endo": endo})
+
+
+N3 = _pj("I", 1, 1, 1, n=3)
+IV6 = _pj("IV", 2, 1, 1, n=6, cm_traces=[[3, 3]])
+MR_BOUND = 3_317_044_064_679_887_385_961_981
+ABELIAN = {"dim": 6, "endo": {"type": "II", "deg_L": 4, "deg_F": 1, "q": 2}}
+BALANCED = [{"deg_E": 2, "balanced": True}]
+
+# (argv, stdin, {file name: JSON content}, hand-derived exit code); "@name"
+# in argv stands for the path of that file.
+CLI_CASES = [
+    (["validate"], N3, {}, 0),
+    (["validate", "--pretty"], N3, {}, 0),
+    (["validate"], _pj("I", 4, 4, 1, n=3), {}, 3),
+    (["validate"], "{oops", {}, 2),
+    (["validate"], "[1]", {}, 2),
+    (["validate", "--profile", "@p.json"], "", {"p.json": {"n": 3}}, 2),
+    (["realizable"], N3, {}, 0),
+    (["realizable"], _pj("I", 2, 2, 1, w=2, n=2), {}, 3),
+    (["realizable"], _pj("I", 4, 4, 1, n=3), {}, 4),
+    (["lefschetz"], N3, {}, 0),
+    (["lefschetz", "--pretty"], _pj("IV", 4, 2, 1, cm_traces=[[2, 0], [1, 1]]), {}, 0),
+    (["lefschetz"], _pj("I", 4, 4, 1, n=3), {}, 2),
+    (["classify"], N3, {}, 0),
+    (["classify", "--pretty"], _pj("I", 1, 1, 1, w=2), {}, 0),
+    (["classify", "--subfields", "@s.json"], IV6, {"s.json": BALANCED}, 0),
+    (["classify"], _pj("III", 4, 1, 2, n=2), {}, 3),
+    (["classify", "--pretty"], _pj("I", 2, 2, 1, w=2, n=2), {}, 3),
+    (["classify", "--table3"], "", {}, 0),
+    (["classify", "--table3", "--pretty"], "", {}, 0),
+    (["classify", "--subfields", "@s.json"], IV6, {"s.json": {"deg_E": 2}}, 2),
+    (["classify", "--subfields", "@s.json"], IV6, {"s.json": [{"deg_E": 2}]}, 2),
+    (["classify", "--subfields", "@s.json"], IV6, {"s.json": [{"deg_E": 4, "balanced": True}]}, 2),
+    (["classify", "--subfields", "missing.json"], IV6, {}, 2),
+    (["classify"], _pj("I", 1, 1, 1, n=MR_BOUND), {}, 2),
+    (["weights", "dim", "A", "3", "0,1,0"], "", {}, 0),
+    (["weights", "dim", "E", "7", "0,0,0,0,0,0,1", "--pretty"], "", {}, 0),
+    (["weights", "autodual", "C", "3", "1,0,0"], "", {}, 0),
+    (["weights", "length", "D", "4", "0,0,0,1"], "", {}, 0),
+    (["weights", "dim", "Z", "3", "0,1,0"], "", {}, 2),
+    (["weights", "dim", "A", "3", "0,1"], "", {}, 2),
+    (["weights", "autodual", "A", "3", "0,x,0"], "", {}, 2),
+    (["weights", "length", "B", "1000", "1"], "", {}, 2),
+    (["weights", "verify-table2", "--max-rank", "4"], "", {}, 0),
+    (["weights", "verify-table2", "--max-rank", "4", "--pretty"], "", {}, 0),
+    (["weights", "verify-table2", "--max-rank", "1000"], "", {}, 2),
+    (["cm", "--group", "cyclic:6", "rank", "--theta", "0,1,2", "--invariants"], "", {}, 0),
+    (["cm", "--group", "cyclic:6", "primitive", "--theta", "0,2,4"], "", {}, 3),
+    (["cm", "--group", "cyclic:8", "primitive", "--theta", "0,1,2,7", "--pretty"], "", {}, 0),
+    (["cm", "--group", "cyclic:6", "scan"], "", {}, 0),
+    (["cm", "--group", "abelian:2,4", "scan"], "", {}, 0),
+    (["cm", "--group", "cyclic:6", "--iota", "(0 3)(1 4)(2 5)", "scan"], "", {}, 0),
+    (["cm", "--group", "perms:6:(0 1 2 3 4 5)", "--iota", "(0 3)(1 4)(2 5)", "rank", "--theta", "0,2,4"], "", {}, 0),
+    (["cm", "--group", "perms:6:(0 1 2 3 4 5)", "rank", "--theta", "0,2,4"], "", {}, 2),
+    (["cm", "--group", "cyclic:5", "scan"], "", {}, 2),
+    (["cm", "--group", "torus:6", "scan"], "", {}, 2),
+    (["cm", "--group", "cyclic:6", "--iota", "(0 1)", "scan"], "", {}, 2),
+    (["cm", "--group", "cyclic:6", "rank", "--theta", "0,1"], "", {}, 2),
+    (["cm", "--group", "cyclic:6", "rank", "--theta", "0,a"], "", {}, 2),
+    (["cm", "--group", "cyclic:64", "scan"], "", {}, 2),
+    (["cm", "--group", "cyclic:6", "rank"], "", {}, 2),
+    (["numth", "verify", "--k-max", "6"], "", {}, 0),
+    (["numth", "verify", "--k-max", "4", "--pretty"], "", {}, 0),
+    (["numth", "verify", "--k-max", "2"], "", {}, 2),
+    (["abelian", "status"], json.dumps(ABELIAN), {}, 0),
+    (
+        ["abelian", "status", "--pretty"],
+        json.dumps({"dim": 6, "endo": json.loads(IV6)["endo"], "subfields": BALANCED}),
+        {},
+        0,
+    ),
+    (["abelian", "status"], "[]", {}, 2),
+    (["abelian", "status"], json.dumps({**ABELIAN, "extra": 1}), {}, 2),
+    (["abelian", "status"], json.dumps({**ABELIAN, "dim": "6"}), {}, 2),
+    (["abelian", "status"], json.dumps({**ABELIAN, "dim": 8}), {}, 2),
+    (["abelian"], "", {}, 2),
+]
+
+# The two outputs that are text, not JSON.
+CLI_TEXT = [
+    ["classify", "--table3", "--pretty"],
+    ["weights", "verify-table2", "--max-rank", "4", "--pretty"],
+]
+
+
+def replay_cli(argv, stdin, files):
+    """Exit code and stdout of cli.run on the argv, in process."""
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, content in files.items():
+            (pathlib.Path(tmp) / name).write_text(json.dumps(content))
+        args = [str(pathlib.Path(tmp) / a[1:]) if a[:1] == "@" else a for a in argv]
+        saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.run(args)
+        finally:
+            sys.stdin = saved
+    return code, out.getvalue()
+
+
+def make_cli():
+    cases = []
+    for argv, stdin, files, expected in CLI_CASES:
+        code, stdout = replay_cli(argv, stdin, files)
+        assert code == expected, (argv, code)
+        if code == 2:
+            assert stdout == "", argv
+        elif argv not in CLI_TEXT:
+            json.loads(stdout)
+        cases.append(
+            {"argv": argv, "stdin": stdin, "files": files, "exit": code, "stdout": stdout}
+        )
+    assert sum(case["argv"] in CLI_TEXT for case in cases) == len(CLI_TEXT)
+    write("cli.json", {"cases": cases})
+
+
 if __name__ == "__main__":
     make_table1()
     make_table3()
     make_totaro()
     make_2p_grid()
     make_consequences()
+    make_cli()

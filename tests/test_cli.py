@@ -1,4 +1,6 @@
+import io
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -7,6 +9,9 @@ import pytest
 from hodgekit.cli import run
 from hodgekit.rootsys import MAX_RANK
 
+GOLDEN_CLI = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "cli.json").read_text()
+)["cases"]
 PROFILE_N3 = {"weight": 1, "n": 3, "endo": {"type": "I", "deg_L": 1, "deg_F": 1, "q": 1}}
 
 
@@ -238,6 +243,16 @@ def test_determinism():
     a = run_cli(["classify", "--table3"])
     b = run_cli(["classify", "--table3"])
     assert a.stdout == b.stdout
+
+
+@pytest.mark.parametrize("case", GOLDEN_CLI)
+def test_cli_golden_replays_in_process(case, tmp_path, monkeypatch, capsys):
+    for name, content in case["files"].items():
+        (tmp_path / name).write_text(json.dumps(content))
+    argv = [str(tmp_path / a[1:]) if a[:1] == "@" else a for a in case["argv"]]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(case["stdin"]))
+    assert run(argv) == case["exit"], case["argv"]
+    assert capsys.readouterr().out == case["stdout"], case["argv"]
 
 
 def run_bad_input(args, capsys):
