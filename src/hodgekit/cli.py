@@ -3,6 +3,19 @@
 Exit codes: 0 success, 2 bad input, 3 negative verdict (not realizable,
 a verification failed, classification refused), 4 invariant violation
 (and, for the realizable subcommand, an invalid profile).
+
+Each subcommand ``_cmd_*`` takes the parsed arguments and returns
+``(payload, exit_code)``; it neither prints nor maps errors (save that
+``classify`` answers a ``NotRealizableError`` with its exit-3 JSON).
+``run`` is the one place that does both.  It prints the payload as compact JSON,
+with ``indent=2`` under ``--pretty``, or as it is when the payload is a
+``str`` (the ``--pretty`` text of ``classify --table3`` and of
+``weights verify-table2``).  Errors are mapped in one order: a
+``BrokenPipeError`` ends with exit 0, an ``AssertionError`` (a broken
+internal invariant) with exit 4, and a ``ValueError`` (bad input; the
+package's ``InvalidProfileError``, ``InvalidModelError`` and
+``InconsistentSubfieldError`` all derive from it) with
+``error: <message>`` on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -12,22 +25,11 @@ import json
 import sys
 from typing import Optional
 
-from . import classifier, cmtools, consequences, numth, rootsys
-from .classifier import (
-    NotRealizableError,
-    SubfieldDescriptor,
-    classify,
-    table3,
-)
+from . import cmtools, numth, rootsys
+from .classifier import NotRealizableError, SubfieldDescriptor, classify, table3
 from .consequences import AbelianProfile, hodge_status, murty_equal
-from .core import (
-    GroupExpr,
-    HodgeProfile,
-    InvalidProfileError,
-    _require_int,
-    profile_from_json,
-    validate_profile,
-)
+from .core import _require_int, profile_from_json, validate_profile
+from .intlinalg import smith_normal_form
 from .lefschetz import group_dim, group_rank, lefschetz_group
 from .realizability import realizable
 
@@ -35,12 +37,6 @@ EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_NEGATIVE = 3
 EXIT_INVARIANT = 4
-
-
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_BAD_INPUT):
-        super().__init__(message)
-        self.code = code
 
 
 def _read_json(path: Optional[str]):
@@ -52,42 +48,22 @@ def _read_json(path: Optional[str]):
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
         except OSError as exc:
-            raise CliError(f"cannot read {path}: {exc}")
+            raise ValueError(f"cannot read {path}: {exc}") from None
         where = path
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise CliError(
+        raise ValueError(
             f"malformed JSON in {where} at line {exc.lineno} column "
             f"{exc.colno} (char {exc.pos}): {exc.msg}"
-        )
+        ) from None
 
 
-def _emit(payload, pretty: bool) -> None:
-    if pretty:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(json.dumps(payload, separators=(",", ":")))
-
-
-def _load_profile(path: Optional[str]) -> HodgeProfile:
-    data = _read_json(path)
-    try:
-        return profile_from_json(data)
-    except ValueError as exc:
-        raise CliError(f"bad profile: {exc}")
-
-
-def _load_subfields(path: Optional[str]):
-    if path is None:
-        return None
-    data = _read_json(path)
+def _subfields(data) -> list[SubfieldDescriptor]:
+    """The subfield list of ``classify --subfields`` and ``abelian status``."""
     if not isinstance(data, list):
-        raise CliError("subfields file must hold a JSON list")
-    try:
-        return [SubfieldDescriptor.from_json(item) for item in data]
-    except ValueError as exc:
-        raise CliError(f"bad subfield entry: {exc}")
+        raise ValueError("subfields must be a JSON list")
+    return [SubfieldDescriptor.from_json(item) for item in data]
 
 
 # ---------------------------------------------------------------------------
@@ -95,43 +71,29 @@ def _load_subfields(path: Optional[str]):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_validate(args) -> int:
-    profile = _load_profile(args.profile)
-    violations = validate_profile(profile)
-    _emit(
-        {
-            "valid": not violations,
-            "violations": [v.to_json() for v in violations],
-        },
-        args.pretty,
-    )
-    return EXIT_OK if not violations else EXIT_NEGATIVE
+def _cmd_validate(args):
+    violations = validate_profile(profile_from_json(_read_json(args.profile)))
+    payload = {
+        "valid": not violations,
+        "violations": [v.to_json() for v in violations],
+    }
+    return payload, EXIT_NEGATIVE if violations else EXIT_OK
 
 
-def _cmd_realizable(args) -> int:
-    profile = _load_profile(args.profile)
-    verdict = realizable(profile)
-    _emit(verdict.to_json(), args.pretty)
-    if verdict.violations:
-        return EXIT_INVARIANT
-    return EXIT_OK if verdict.realizable is True else EXIT_NEGATIVE
+def _cmd_realizable(args):
+    verdict = realizable(profile_from_json(_read_json(args.profile)))
+    code = EXIT_OK if verdict.realizable is True else EXIT_NEGATIVE
+    return verdict.to_json(), EXIT_INVARIANT if verdict.violations else code
 
 
-def _cmd_lefschetz(args) -> int:
-    profile = _load_profile(args.profile)
-    try:
-        group = lefschetz_group(profile)
-    except InvalidProfileError as exc:
-        raise CliError(f"invalid profile: {exc}")
-    _emit(
-        {
-            "group": group.to_json(),
-            "dim": group_dim(group),
-            "rank": group_rank(group),
-        },
-        args.pretty,
-    )
-    return EXIT_OK
+def _cmd_lefschetz(args):
+    group = lefschetz_group(profile_from_json(_read_json(args.profile)))
+    payload = {
+        "group": group.to_json(),
+        "dim": group_dim(group),
+        "rank": group_rank(group),
+    }
+    return payload, EXIT_OK
 
 
 def _render_table3_markdown(rows) -> str:
@@ -149,174 +111,105 @@ def _render_table3_markdown(rows) -> str:
     return "\n".join(lines)
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     if args.table3:
         rows = table3()
-        if args.pretty:
-            print(_render_table3_markdown(rows))
-        else:
-            _emit({"rows": rows}, False)
-        return EXIT_OK
-    profile = _load_profile(args.profile)
-    subfields = _load_subfields(args.subfields)
+        payload = _render_table3_markdown(rows) if args.pretty else {"rows": rows}
+        return payload, EXIT_OK
+    profile = profile_from_json(_read_json(args.profile))
+    subfields = None
+    if args.subfields is not None:
+        subfields = _subfields(_read_json(args.subfields))
     try:
-        outcome = classify(profile, subfields)
+        return classify(profile, subfields).to_json(), EXIT_OK
     except NotRealizableError as exc:
-        _emit({"error": "not_realizable", "detail": str(exc)}, args.pretty)
-        return EXIT_NEGATIVE
-    except ValueError as exc:
-        # inconsistent subfields, or an n beyond the exact primality bound
-        raise CliError(str(exc))
-    _emit(outcome.to_json(), args.pretty)
-    return EXIT_OK
-
-
-def _parse_kind_rank(kind: str, rank: int) -> rootsys.RootSystem:
-    try:
-        return rootsys.RootSystem(kind.upper(), rank)
-    except ValueError as exc:
-        raise CliError(str(exc))
+        return {"error": "not_realizable", "detail": str(exc)}, EXIT_NEGATIVE
 
 
 def _parse_coords(text: str, rank: int) -> rootsys.Weight:
     try:
         coords = tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise CliError(f"bad weight coordinates {text!r}")
+        raise ValueError(f"bad weight coordinates {text!r}") from None
     if len(coords) != rank:
-        raise CliError(f"expected {rank} coordinates, got {len(coords)}")
+        raise ValueError(f"expected {rank} coordinates, got {len(coords)}")
     return rootsys.Weight(coords)
 
 
-def _cmd_weights(args) -> int:
+def _cmd_weights(args):
     if args.weights_cmd == "verify-table2":
-        if args.max_rank > rootsys.MAX_RANK:
-            raise CliError(
-                f"--max-rank {args.max_rank} is over the cap "
-                f"MAX_RANK = {rootsys.MAX_RANK} for root systems"
-            )
-        systems: list[rootsys.RootSystem] = []
-        for kind in ("A", "B", "C", "D"):
-            lo = {"A": 1, "B": 2, "C": 2, "D": 3}[kind]
-            for rank in range(lo, args.max_rank + 1):
-                systems.append(rootsys.RootSystem(kind, rank))
-        systems.append(rootsys.RootSystem("E", 6))
-        systems.append(rootsys.RootSystem("E", 7))
+        rootsys._check_rank_cap(args.max_rank)
+        systems = [
+            rootsys.RootSystem(kind, rank)
+            for kind, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+            for rank in range(lo, args.max_rank + 1)
+        ]
+        systems += [rootsys.RootSystem("E", 6), rootsys.RootSystem("E", 7)]
         reports = [rootsys.verify_minuscule_table(rs) for rs in systems]
         ok = all(r["ok"] for r in reports)
-        if args.pretty:
-            for r in reports:
-                print(f"{'PASS' if r['ok'] else 'FAIL'} {r['system']}")
-        else:
-            _emit({"ok": ok, "rows": reports}, False)
-        return EXIT_OK if ok else EXIT_NEGATIVE
-    rs = _parse_kind_rank(args.kind, args.rank)
+        lines = [f"{'PASS' if r['ok'] else 'FAIL'} {r['system']}" for r in reports]
+        payload = "\n".join(lines) if args.pretty else {"ok": ok, "rows": reports}
+        return payload, EXIT_OK if ok else EXIT_NEGATIVE
+    rs = rootsys.RootSystem(args.kind.upper(), args.rank)
     weight = _parse_coords(args.coords, rs.rank)
     if args.weights_cmd == "dim":
-        try:
-            value = rootsys.rep_dimension(rs, weight)
-        except ValueError as exc:
-            raise CliError(str(exc))
-        _emit({"system": rs.name, "dim": value}, args.pretty)
-        return EXIT_OK
-    if args.weights_cmd == "autodual":
-        try:
-            value = rootsys.autoduality(rs, weight)
-        except ValueError as exc:
-            raise CliError(str(exc))
-        _emit({"system": rs.name, "autoduality": value}, args.pretty)
-        return EXIT_OK
-    try:
+        key, value = "dim", rootsys.rep_dimension(rs, weight)
+    elif args.weights_cmd == "autodual":
+        key, value = "autoduality", rootsys.autoduality(rs, weight)
+    else:
         length = rootsys.weight_length(rs, weight)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    _emit(
-        {
-            "system": rs.name,
-            "length": {"num": length.numerator, "den": length.denominator},
-        },
-        args.pretty,
-    )
-    return EXIT_OK
+        key, value = "length", {"num": length.numerator, "den": length.denominator}
+    return {"system": rs.name, key: value}, EXIT_OK
 
 
 def _build_model(args) -> cmtools.GaloisModel:
-    spec = args.group
-    try:
-        if spec.startswith("cyclic:"):
-            size = int(spec.split(":", 1)[1])
-            model = cmtools.cyclic_model(size)
-        elif spec.startswith("dihedral:"):
-            model = cmtools.dihedral_model(int(spec.split(":", 1)[1]))
-        elif spec.startswith("abelian:"):
-            dims = [int(x) for x in spec.split(":", 1)[1].split(",")]
-            model = cmtools.abelian_model(dims)
-        elif spec.startswith("perms:"):
-            _, size_text, gens_text = spec.split(":", 2)
-            size = int(size_text)
-            gens = tuple(
-                cmtools.parse_cycles(g, size)
-                for g in gens_text.split(";")
-                if g.strip()
-            )
-            if args.iota in (None, "auto"):
-                raise CliError("explicit --iota required with perms: groups")
-            conj = cmtools.parse_cycles(args.iota, size)
-            return cmtools.GaloisModel(generators=gens, conj=conj, size=size)
+    family, _, rest = args.group.partition(":")
+    if family == "perms":
+        _, size_text, gens_text = args.group.split(":", 2)
+        size = int(size_text)
+        gens = tuple(
+            cmtools.parse_cycles(g, size) for g in gens_text.split(";") if g.strip()
+        )
+        if args.iota == "auto":
+            raise ValueError("explicit --iota required with perms: groups")
+    else:
+        if family == "cyclic":
+            model = cmtools.cyclic_model(int(rest))
+        elif family == "dihedral":
+            model = cmtools.dihedral_model(int(rest))
+        elif family == "abelian":
+            model = cmtools.abelian_model([int(x) for x in rest.split(",")])
         else:
-            raise CliError(f"unknown group spec {spec!r}")
-    except (ValueError, cmtools.InvalidModelError) as exc:
-        raise CliError(str(exc))
-    if args.iota not in (None, "auto"):
-        try:
-            conj = cmtools.parse_cycles(args.iota, model.size)
-            model = cmtools.GaloisModel(
-                generators=model.generators, conj=conj, size=model.size
-            )
-        except (ValueError, cmtools.InvalidModelError) as exc:
-            raise CliError(str(exc))
-    return model
+            raise ValueError(f"unknown group spec {args.group!r}")
+        if args.iota == "auto":
+            return model
+        gens, size = model.generators, model.size
+    conj = cmtools.parse_cycles(args.iota, size)
+    return cmtools.GaloisModel(generators=gens, conj=conj, size=size)
 
 
-def _parse_theta(text: str, model: cmtools.GaloisModel) -> cmtools.CMType:
-    try:
-        theta = cmtools.CMType(frozenset(int(x) for x in text.split(",")))
-        cmtools.check_cm_type(model, theta)
-    except (ValueError, cmtools.InvalidModelError) as exc:
-        raise CliError(str(exc))
-    return theta
-
-
-def _cmd_cm(args) -> int:
+def _cmd_cm(args):
     model = _build_model(args)
     if args.cm_cmd == "scan":
-        try:
-            report = cmtools.tankeev_scan(model)
-        except cmtools.InvalidModelError as exc:
-            raise CliError(str(exc))
-        _emit(report.to_json(), args.pretty)
-        return EXIT_OK
-    theta = _parse_theta(args.theta, model)
-    if args.cm_cmd == "rank":
-        raw, reduced = cmtools.kubota_rank(model, theta)
-        payload = {"theta": theta.to_json(), "raw": raw, "reduced": reduced}
-        if args.invariants:
-            from .intlinalg import smith_normal_form
-
-            payload["invariant_factors"] = smith_normal_form(
-                cmtools.translate_lattice(model, theta)
-            )
-        _emit(payload, args.pretty)
-        return EXIT_OK
-    primitive = cmtools.is_primitive(model, theta)
-    _emit({"theta": theta.to_json(), "primitive": primitive}, args.pretty)
-    return EXIT_OK if primitive else EXIT_NEGATIVE
+        return cmtools.tankeev_scan(model).to_json(), EXIT_OK
+    theta = cmtools.CMType(frozenset(int(x) for x in args.theta.split(",")))
+    if args.cm_cmd == "primitive":
+        primitive = cmtools.is_primitive(model, theta)
+        payload = {"theta": theta.to_json(), "primitive": primitive}
+        return payload, EXIT_OK if primitive else EXIT_NEGATIVE
+    raw, reduced = cmtools.kubota_rank(model, theta)
+    payload = {"theta": theta.to_json(), "raw": raw, "reduced": reduced}
+    if args.invariants:
+        lattice = cmtools.translate_lattice(model, theta)
+        payload["invariant_factors"] = smith_normal_form(lattice)
+    return payload, EXIT_OK
 
 
-def _cmd_numth(args) -> int:
+def _cmd_numth(args):
     k_max = args.k_max
     if k_max < 3:
-        raise CliError(f"--k-max must be at least 3, got {k_max}")
+        raise ValueError(f"--k-max must be at least 3, got {k_max}")
+    numth._check_verify_cap(k_max)
     depolignac = all(
         numth.factorial_two_adic(1 << (k - 1)) == (1 << (k - 1)) - 1
         for k in range(3, k_max + 1)
@@ -329,51 +222,35 @@ def _cmd_numth(args) -> int:
     gaps = {k: numth.prime_count_gap(k) for k in range(3, k_max + 1)}
     gaps_ok = all(v >= 2 for v in gaps.values())
     ok = depolignac and binom_mod4 and composite_ok and gaps_ok
-    _emit(
-        {
-            "ok": ok,
-            "factorial_two_adic": depolignac,
-            "central_binomial_mod4": binom_mod4,
-            "halved_central_binomials_composite": composite_ok,
-            "composite_witnesses": {str(k): v for k, v in witnesses.items()},
-            "prime_count_gaps": {str(k): v for k, v in gaps.items()},
-        },
-        args.pretty,
-    )
-    return EXIT_OK if ok else EXIT_NEGATIVE
+    payload = {
+        "ok": ok,
+        "factorial_two_adic": depolignac,
+        "central_binomial_mod4": binom_mod4,
+        "halved_central_binomials_composite": composite_ok,
+        "composite_witnesses": {str(k): v for k, v in witnesses.items()},
+        "prime_count_gaps": {str(k): v for k, v in gaps.items()},
+    }
+    return payload, EXIT_OK if ok else EXIT_NEGATIVE
 
 
-def _cmd_abelian(args) -> int:
+def _cmd_abelian(args):
     data = _read_json(args.profile)
     if not isinstance(data, dict):
-        raise CliError("abelian profile must be a JSON object")
+        raise ValueError("abelian profile must be a JSON object")
     extra = set(data) - {"dim", "endo", "subfields"}
     if extra:
-        raise CliError(f"unknown abelian fields: {sorted(extra)}")
-    try:
-        dim = _require_int(data["dim"], "dim")
-        endo_profile = profile_from_json(
-            {"weight": 1, "n": dim, "endo": data["endo"]}
-        )
-        subs = [
-            SubfieldDescriptor.from_json(s) for s in data.get("subfields", [])
-        ]
-        ap = AbelianProfile(
-            dim=dim, endo=endo_profile.endo, subfields=tuple(subs)
-        )
-    except (KeyError, ValueError, InvalidProfileError) as exc:
-        raise CliError(str(exc))
+        raise ValueError(f"unknown abelian fields: {sorted(extra)}")
+    dim = _require_int(data.get("dim"), "dim")
+    endo = profile_from_json({"weight": 1, "n": dim, "endo": data.get("endo")}).endo
+    subs = _subfields(data.get("subfields", []))
+    ap = AbelianProfile(dim=dim, endo=endo, subfields=tuple(subs))
     equal, rationale = murty_equal(ap)
-    status = hodge_status(ap)
-    _emit(
-        {
-            "murty_equal": equal,
-            "murty_rationale": rationale,
-            "status": status.to_json(),
-        },
-        args.pretty,
-    )
-    return EXIT_OK
+    payload = {
+        "murty_equal": equal,
+        "murty_rationale": rationale,
+        "status": hodge_status(ap).to_json(),
+    }
+    return payload, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -495,15 +372,20 @@ def run(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_BAD_INPUT
     try:
-        return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        payload, code = args.func(args)
+        if not isinstance(payload, str):
+            style = {"indent": 2} if args.pretty else {"separators": (",", ":")}
+            payload = json.dumps(payload, **style)
+        print(payload)
     except BrokenPipeError:
         return EXIT_OK
     except AssertionError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    return code
 
 
 def main() -> None:

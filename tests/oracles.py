@@ -2,7 +2,9 @@
 
 These deliberately avoid the package's integer elimination so that rank
 checks are dual-route: the package uses fraction-free Bareiss, the tests
-use plain Gaussian elimination over Fraction.  Block systems likewise:
+use plain Gaussian elimination over Fraction (and, for Kubota ranks, eliminate
+both the raw and the reduced matrix where the package derives one rank
+from the other).  Block systems likewise:
 the package finds them by union-find, the oracle from the subgroup
 lattice.  The minuscule table likewise: the package reads closed forms,
 the oracle scans the fundamental weights with the Weyl formula.
@@ -156,6 +158,24 @@ def subgroup_block_systems(model):
             raise AssertionError("block translates failed to partition")
         systems.add(tuple(sorted(blocks, key=min)))
     return systems
+
+
+def kubota_ranks(model, theta) -> tuple[int, int]:
+    """(raw, reduced) Kubota ranks by two Fraction eliminations: of the
+    0/1 indicator rows of the group translates of theta, and of the rows
+    2t - 1 (translate minus its conjugate)."""
+    translates = frozenset(
+        frozenset(p[x] for x in theta.theta) for p in model.elements
+    )
+    return _translate_ranks(model.size, translates)
+
+
+@lru_cache(maxsize=None)
+def _translate_ranks(size: int, translates: frozenset) -> tuple[int, int]:
+    # the types of one Galois orbit share their translates, hence the cache
+    raw = [[int(i in t) for i in range(size)] for t in translates]
+    reduced = [[2 * v - 1 for v in row] for row in raw]
+    return fraction_rank(raw), fraction_rank(reduced)
 
 
 def is_union_of_blocks(systems, theta) -> bool:

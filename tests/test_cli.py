@@ -1,3 +1,5 @@
+import contextlib
+import copy
 import io
 import json
 import pathlib
@@ -5,8 +7,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hodgekit.cli import run
+from hodgekit.cmtools import MAX_DEGREE, SCAN_MAX_G
+from hodgekit.numth import MR_EXACT_BOUND, VERIFY_MAX_K
 from hodgekit.rootsys import MAX_RANK
 
 GOLDEN_CLI = json.loads(
@@ -205,6 +210,26 @@ def test_weights_over_the_rank_cap_is_bad_input(args):
     assert "MAX_RANK" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args, cap",
+    [
+        (["numth", "verify", "--k-max", str(VERIFY_MAX_K + 1)], "VERIFY_MAX_K"),
+        (["cm", "--group", f"cyclic:{2 * MAX_DEGREE}", "rank", "--theta", "0"], "MAX_DEGREE"),
+        (["cm", "--group", f"dihedral:{MAX_DEGREE}", "primitive", "--theta", "0"], "MAX_DEGREE"),
+        (["cm", "--group", f"abelian:{MAX_DEGREE},2", "scan"], "MAX_DEGREE"),
+        (
+            ["cm", "--group", f"perms:{MAX_DEGREE + 2}:(0 1)", "--iota", "(0 1)", "scan"],
+            "MAX_DEGREE",
+        ),
+    ],
+)
+def test_numth_and_cm_over_their_caps_are_bad_input(args, cap):
+    proc = run_cli(args, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert cap in proc.stderr
+
+
 def test_cm_iota_override():
     # explicit iota equals the default for the cyclic model
     a = run_cli(["cm", "--group", "cyclic:6", "--iota", "(0 3)(1 4)(2 5)", "scan"])
@@ -313,3 +338,205 @@ def test_n_beyond_the_primality_bound_is_bad_input(tmp_path, capsys):
     path.write_text(json.dumps({"dim": 2 * cap, "endo": endo}))
     err = run_bad_input(["abelian", "status", "--profile", str(path)], capsys)
     assert str(cap) in err
+
+
+ABELIAN_II = {"dim": 6, "endo": {"type": "II", "deg_L": 4, "deg_F": 1, "q": 2}}
+
+
+@pytest.mark.parametrize(
+    "data, complaint",
+    [
+        ({**ABELIAN_II, "subfields": 5}, "subfields must be a JSON list"),
+        ({**ABELIAN_II, "subfields": "ab"}, "subfields must be a JSON list"),
+        ({**ABELIAN_II, "subfields": None}, "subfields must be a JSON list"),
+        ({"endo": ABELIAN_II["endo"]}, "dim must be an integer"),
+        ({"dim": 6}, "endo must be a JSON object"),
+    ],
+)
+def test_abelian_rejects_a_bad_subfield_list_or_a_missing_field(data, complaint, capsys):
+    sys_stdin = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(data))
+    try:
+        assert complaint in run_bad_input(["abelian", "status"], capsys)
+    finally:
+        sys.stdin = sys_stdin
+
+
+# --- Exit-code fuzz: every input ends in exit 0/2/3/4, stdout empty on 2 ---
+
+
+def _sizes(cap):
+    """A size that is small or just above the cap.  Nothing further above:
+    should a cap be lost, these inputs stay affordable in time and memory."""
+    return st.integers(-2, 16) | st.sampled_from([cap + 1, cap + 2])
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+IV6_ENDO = {"type": "IV", "deg_L": 2, "deg_F": 1, "q": 1, "cm_traces": [[3, 3]]}
+BALANCED = [{"deg_E": 2, "balanced": True}]
+ENDO_FIELDS = ["type", "deg_L", "deg_F", "q", "cm_traces", "disc_one", "extra"]
+# (valid inputs, the field paths a mutation may drop or replace)
+PROFILES = (
+    [
+        PROFILE_N3,
+        {"weight": 2, "n": 4, "endo": {"type": "I", "deg_L": 1, "deg_F": 1, "q": 1}},
+        {"weight": 1, "n": 6, "endo": IV6_ENDO},
+        {"weight": 1, "n": 2, "endo": {"type": "III", "deg_L": 4, "deg_F": 1, "q": 2}},
+    ],
+    [("weight",), ("n",), ("endo",), ("extra",)] + [("endo", k) for k in ENDO_FIELDS],
+)
+SUBFIELD_LISTS = (
+    [BALANCED, [{"deg_E": 2, "balanced": False, "galois_L": True}]],
+    [(), (0,), (1,)] + [(0, k) for k in ("deg_E", "balanced", "galois_L", "extra")],
+)
+ABELIANS = (
+    [ABELIAN_II, {"dim": 6, "endo": IV6_ENDO, "subfields": BALANCED}],
+    [("dim",), ("endo",), ("subfields",), ("extra",), ("endo", "deg_L")]
+    + [("subfields", 0), ("subfields", 0, "deg_E")],
+)
+
+
+@st.composite
+def _near_valid(draw, spec):
+    """A valid input with up to three of its fields dropped, added or
+    replaced by an arbitrary JSON value or a size."""
+    bases, paths = spec
+    data = copy.deepcopy(draw(st.sampled_from(bases)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(paths))
+        value = draw(st.none() | JSON_VALUES | _sizes(MR_EXACT_BOUND))
+        if not path:
+            data = value
+            continue
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key] if _holds(parent, key) else None
+        if isinstance(parent, dict) and value is None:
+            parent.pop(path[-1], None)
+        elif isinstance(parent, dict) or _holds(parent, path[-1]):
+            parent[path[-1]] = value
+    return data
+
+
+def _holds(container, key) -> bool:
+    if isinstance(container, dict):
+        return key in container
+    return isinstance(container, list) and isinstance(key, int) and key < len(container)
+
+
+def _inputs(spec):
+    return (
+        _near_valid(spec).map(json.dumps)
+        | JSON_VALUES.map(json.dumps)
+        | st.text(max_size=12)
+    )
+
+
+_small = st.integers(-2, 16).map(str)
+_group = (
+    st.tuples(st.sampled_from(["cyclic", "dihedral"]), _sizes(MAX_DEGREE)).map(
+        lambda t: f"{t[0]}:{t[1]}"
+    )
+    | st.lists(st.integers(-1, 4), min_size=1, max_size=3).map(
+        lambda dims: "abelian:" + ",".join(map(str, dims))
+    )
+    | st.just(f"abelian:{MAX_DEGREE},2")
+    | st.tuples(_sizes(MAX_DEGREE), st.text("(0123456789 );", max_size=16)).map(
+        lambda t: f"perms:{t[0]}:{t[1]}"
+    )
+    | st.text(max_size=8)
+)
+_cycles = st.sampled_from(["(0 1)", "(0 3)(1 4)(2 5)", "(0 4)(1 5)(2 6)(3 7)", "id", "(0"])
+
+
+@st.composite
+def _cm_argv(draw):
+    g = draw(st.integers(1, 8))
+    group = draw(st.sampled_from([f"cyclic:{2 * g}", f"dihedral:{g}"]) | _group)
+    iota = draw(st.none() | _cycles)
+    cmd = draw(st.sampled_from([["scan"], ["rank"], ["rank", "--invariants"], ["primitive"]]))
+    theta = draw(
+        st.lists(st.integers(-1, 2 * g + 1), min_size=g, max_size=g, unique=True)
+        | st.lists(st.integers(-1, 17), max_size=9)
+    )
+    argv = ["cm", "--group", group] + ["--iota", iota] * (iota is not None) + cmd
+    return argv + ["--theta", ",".join(map(str, theta))] * (cmd != ["scan"])
+
+
+ARGVS = st.one_of(
+    st.tuples(
+        st.just("weights"),
+        st.sampled_from(["dim", "autodual", "length"]),
+        st.sampled_from(["A", "b", "C", "D", "E", "Z"]),
+        _sizes(MAX_RANK).map(str),
+        st.lists(st.integers(-1, 2), max_size=17).map(lambda xs: ",".join(map(str, xs))),
+    ).map(list),
+    st.one_of(st.integers(-1, 4), st.integers(MAX_RANK + 1, MAX_RANK + 3)).map(
+        lambda r: ["weights", "verify-table2", "--max-rank", str(r)]
+    ),
+    _cm_argv(),
+    # one step over the cap only: each step doubles the sieve's time and memory
+    (st.integers(-2, 16) | st.just(VERIFY_MAX_K + 1)).map(
+        lambda k: ["numth", "verify", "--k-max", str(k)]
+    ),
+    st.lists(
+        st.sampled_from(
+            ["validate", "classify", "weights", "cm", "numth", "abelian", "status",
+             "--pretty", "--table3", "--group", "--k-max", "verify", "scan", "-"]
+        )
+        | _small
+        | st.text(max_size=6),
+        max_size=5,
+    ),
+)
+
+
+def _run_quietly(argv, stdin=""):
+    out, saved = io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = run(argv)
+    finally:
+        sys.stdin = saved
+    assert code in (0, 2, 3, 4), (argv, stdin, code)
+    if code == 2:
+        assert out.getvalue() == "", (argv, stdin)
+
+
+FUZZ = settings(
+    max_examples=150,
+    deadline=3000,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+
+
+@FUZZ
+@given(
+    command=st.sampled_from(["validate", "realizable", "lefschetz", "classify"]),
+    pretty=st.booleans(),
+    profile=_inputs(PROFILES),
+)
+def test_fuzz_profile_commands(command, pretty, profile):
+    _run_quietly([command] + ["--pretty"] * pretty, profile)
+
+
+@FUZZ
+@given(profile=_inputs(PROFILES), subfields=_inputs(SUBFIELD_LISTS), abelian=_inputs(ABELIANS))
+def test_fuzz_subfield_and_abelian_input(tmp_path, profile, subfields, abelian):
+    path = tmp_path / "subfields.json"
+    path.write_text(subfields)
+    _run_quietly(["classify", "--subfields", str(path)], profile)
+    _run_quietly(["abelian", "status"], abelian)
+
+
+@FUZZ
+@given(argv=ARGVS, pretty=st.booleans())
+def test_fuzz_argv(argv, pretty):
+    _run_quietly(argv + ["--pretty"] * pretty)

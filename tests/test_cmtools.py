@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from hodgekit import cmtools
 from hodgekit.cmtools import (
+    MAX_DEGREE,
     SCAN_MAX_G,
     CMType,
     GaloisModel,
@@ -22,24 +24,7 @@ from hodgekit.cmtools import (
     tankeev_scan,
 )
 
-from oracles import fraction_rank, is_union_of_blocks, subgroup_block_systems
-
-
-def translate_matrix(model, theta, reduced=False):
-    rows = []
-    for perm in model.elements:
-        image = {perm[x] for x in theta.theta}
-        indicator = [1 if i in image else 0 for i in range(model.size)]
-        if reduced:
-            indicator = [2 * v - 1 for v in indicator]
-        rows.append(indicator)
-    return rows
-
-
-def oracle_ranks(model, theta):
-    raw = fraction_rank(translate_matrix(model, theta))
-    red = fraction_rank(translate_matrix(model, theta, reduced=True))
-    return raw, red
+from oracles import is_union_of_blocks, kubota_ranks, subgroup_block_systems
 
 
 def test_z2_model():
@@ -70,7 +55,7 @@ def test_klein_model_types():
 def test_rank_matches_rational_oracle():
     for model in [cyclic_model(2), cyclic_model(6), abelian_model([2, 2]), cyclic_model(8)]:
         for theta in enumerate_cm_types(model):
-            assert kubota_rank(model, theta) == oracle_ranks(model, theta)
+            assert kubota_rank(model, theta) == kubota_ranks(model, theta)
 
 
 def test_conjugate_type_has_same_ranks():
@@ -211,6 +196,13 @@ def test_union_find_blocks_match_subgroup_oracle(name):
     assert tankeev_scan(model).to_json() == _per_type_scan(model, systems)
 
 
+@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+def test_kubota_rank_matches_two_fraction_eliminations(name):
+    model = ORACLE_MODELS[name]
+    for theta in enumerate_cm_types(model):
+        assert kubota_rank(model, theta) == kubota_ranks(model, theta), theta
+
+
 def test_scan_is_capped_before_enumerating():
     with pytest.raises(InvalidModelError, match=f"SCAN_MAX_G = {SCAN_MAX_G}"):
         tankeev_scan(cyclic_model(2 * SCAN_MAX_G + 2))
@@ -281,6 +273,34 @@ def test_cm_type_validation():
         check_cm_type(model, CMType(frozenset({0, 1})))
     with pytest.raises(InvalidModelError):
         check_cm_type(model, CMType(frozenset({0, 3, 1})))
+    with pytest.raises(InvalidModelError, match="0..5"):
+        check_cm_type(model, CMType(frozenset({0, 1, 8})))
+
+
+def test_models_refuse_a_degree_over_the_cap():
+    over = MAX_DEGREE + 2
+    for build in (
+        lambda: cyclic_model(over),
+        lambda: dihedral_model(MAX_DEGREE),
+        lambda: abelian_model([MAX_DEGREE, 2]),
+        lambda: parse_cycles("(0 1)", over),
+        lambda: GaloisModel(generators=(), conj=(1, 0), size=over),
+    ):
+        with pytest.raises(InvalidModelError, match=f"MAX_DEGREE = {MAX_DEGREE}"):
+            build()
+    assert cyclic_model(MAX_DEGREE).order == MAX_DEGREE
+
+
+def test_non_central_conjugation_is_refused_before_the_closure(monkeypatch):
+    def closure(*args):
+        raise AssertionError("the group closure ran")
+
+    monkeypatch.setattr(cmtools, "generate_group", closure)
+    # the generators give the symmetric group on 10 points, 3,628,800 elements
+    gens = (parse_cycles("(0 1 2 3 4 5 6 7 8 9)", 10), parse_cycles("(0 1)", 10))
+    conj = parse_cycles("(0 5)(1 6)(2 7)(3 8)(4 9)", 10)
+    with pytest.raises(InvalidModelError, match="central"):
+        GaloisModel(generators=gens, conj=conj, size=10)
 
 
 def test_dihedral_model_shape():

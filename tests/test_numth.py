@@ -14,6 +14,7 @@ from hodgekit.numth import (
     no_prime_double_is_central_binomial,
     prime_count_gap,
     primes_up_to,
+    VERIFY_MAX_K,
 )
 
 
@@ -133,3 +134,11 @@ def test_is_prime_refuses_at_the_exact_bound():
         is_prime(MR_EXACT_BOUND)
     with pytest.raises(ValueError, match=str(MR_EXACT_BOUND)):
         is_prime(1 << 100)
+
+
+def test_dyadic_checks_refuse_k_over_the_cap():
+    # one step over: each step in k doubles the sieve's time and memory
+    with pytest.raises(ValueError, match=f"VERIFY_MAX_K = {VERIFY_MAX_K}"):
+        prime_count_gap(VERIFY_MAX_K + 1)
+    with pytest.raises(ValueError, match=f"VERIFY_MAX_K = {VERIFY_MAX_K}"):
+        no_prime_double_is_central_binomial(VERIFY_MAX_K + 1)
