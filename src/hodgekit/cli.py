@@ -5,12 +5,12 @@ a verification failed, classification refused), 4 invariant violation
 (and, for the realizable subcommand, an invalid profile).
 
 Each subcommand ``_cmd_*`` takes the parsed arguments and returns
-``(payload, exit_code)``; it neither prints nor maps errors (save that
-``classify`` answers a ``NotRealizableError`` with its exit-3 JSON).
-``run`` is the one place that does both.  It prints the payload as compact JSON,
-with ``indent=2`` under ``--pretty``, or as it is when the payload is a
-``str`` (the ``--pretty`` text of ``classify --table3`` and of
-``weights verify-table2``).  Errors are mapped in one order: a
+``(payload, exit_code)``; it neither prints nor maps errors, save that
+``classify`` answers a ``NotRealizableError`` with its exit-3 JSON.
+``run`` is the one place that does both.  It prints the payload as
+compact JSON, with ``indent=2`` under ``--pretty``, or as it is when the
+payload is a ``str`` (the ``--pretty`` text of ``classify --table3`` and
+of ``weights verify-table2``).  It maps errors in this order: a
 ``BrokenPipeError`` ends with exit 0, an ``AssertionError`` (a broken
 internal invariant) with exit 4, and a ``ValueError`` (bad input; the
 package's ``InvalidProfileError``, ``InvalidModelError`` and
