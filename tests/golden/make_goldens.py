@@ -28,6 +28,7 @@ from hodgekit.core import (
 )
 from hodgekit.consequences import AbelianProfile, hodge_status, murty_equal
 from hodgekit.lefschetz import lefschetz_group
+from hodgekit.numth import MR_EXACT_BOUND
 from hodgekit.realizability import realizable
 
 HERE = pathlib.Path(__file__).resolve().parent
@@ -338,7 +339,6 @@ def _pj(t, dL, dF, q, w=1, n=4, **extra):
 
 N3 = _pj("I", 1, 1, 1, n=3)
 IV6 = _pj("IV", 2, 1, 1, n=6, cm_traces=[[3, 3]])
-MR_BOUND = 3_317_044_064_679_887_385_961_981
 ABELIAN = {"dim": 6, "endo": {"type": "II", "deg_L": 4, "deg_F": 1, "q": 2}}
 BALANCED = [{"deg_E": 2, "balanced": True}]
 
@@ -368,7 +368,7 @@ CLI_CASES = [
     (["classify", "--subfields", "@s.json"], IV6, {"s.json": [{"deg_E": 2}]}, 2),
     (["classify", "--subfields", "@s.json"], IV6, {"s.json": [{"deg_E": 4, "balanced": True}]}, 2),
     (["classify", "--subfields", "missing.json"], IV6, {}, 2),
-    (["classify"], _pj("I", 1, 1, 1, n=MR_BOUND), {}, 2),
+    (["classify"], _pj("I", 1, 1, 1, n=MR_EXACT_BOUND), {}, 2),
     (["weights", "dim", "A", "3", "0,1,0"], "", {}, 0),
     (["weights", "dim", "E", "7", "0,0,0,0,0,0,1", "--pretty"], "", {}, 0),
     (["weights", "autodual", "C", "3", "1,0,0"], "", {}, 0),
