@@ -14,6 +14,7 @@ import contextlib
 import io
 import json
 import pathlib
+import random
 import sys
 import tempfile
 
@@ -342,6 +343,35 @@ IV6 = _pj("IV", 2, 1, 1, n=6, cm_traces=[[3, 3]])
 ABELIAN = {"dim": 6, "endo": {"type": "II", "deg_L": 4, "deg_F": 1, "q": 2}}
 BALANCED = [{"deg_E": 2, "balanced": True}]
 
+
+def _bits(count, seed):
+    rng = random.Random(seed)
+    return [rng.getrandbits(1) for _ in range(count)]
+
+
+def _theta(points):
+    return ",".join(map(str, sorted(points)))
+
+
+# CM types on models too large for `cm scan`, written out from the pair
+# structure of each model.  A seeded random type is primitive; the induced
+# types are unions of blocks of a proper system.
+# cyclic:N pairs i with i + N/2.
+CYCLIC128 = _theta(i + 64 * b for i, b in enumerate(_bits(64, 128)))
+CYCLIC256 = _theta(i + 128 * b for i, b in enumerate(_bits(128, 256)))
+# abelian:2,...,2 pairs x with x ^ 1 (the last coordinate is the low bit);
+# the induced type ignores bit 6, so it is a union of cosets of the first
+# factor.
+ABELIAN2_7 = _theta(2 * i + b for i, b in enumerate(_bits(64, 7)))
+ABELIAN2_7_INDUCED = _theta(2 * i + b for i, b in enumerate(_bits(32, 77) * 2))
+# dihedral:32 has point a + 32 b for r^a s^b and pairs it with its product
+# by r^16; the induced type is a union of the cosets {r^a, r^a s}.
+DIHEDRAL32 = _theta(k % 16 + 16 * bit + 32 * (k // 16) for k, bit in enumerate(_bits(32, 32)))
+DIHEDRAL32_INDUCED = _theta(
+    a + 16 * bit + 32 * b for a, bit in enumerate(_bits(16, 33)) for b in (0, 1)
+)
+
+
 # (argv, stdin, {file name: JSON content}, hand-derived exit code); "@name"
 # in argv stands for the path of that file.
 CLI_CASES = [
@@ -395,6 +425,18 @@ CLI_CASES = [
     (["cm", "--group", "cyclic:6", "rank", "--theta", "0,a"], "", {}, 2),
     (["cm", "--group", "cyclic:64", "scan"], "", {}, 2),
     (["cm", "--group", "cyclic:6", "rank"], "", {}, 2),
+    (["cm", "--group", "cyclic:128", "rank", "--theta", CYCLIC128], "", {}, 0),
+    (["cm", "--group", "cyclic:128", "primitive", "--theta", CYCLIC128], "", {}, 0),
+    (["cm", "--group", "cyclic:256", "rank", "--theta", CYCLIC256], "", {}, 0),
+    (["cm", "--group", "cyclic:256", "primitive", "--theta", CYCLIC256], "", {}, 0),
+    (["cm", "--group", "abelian:2,2,2,2,2,2,2", "rank", "--theta", ABELIAN2_7], "", {}, 0),
+    (["cm", "--group", "abelian:2,2,2,2,2,2,2", "primitive", "--theta", ABELIAN2_7], "", {}, 0),
+    (["cm", "--group", "abelian:2,2,2,2,2,2,2", "rank", "--theta", ABELIAN2_7_INDUCED], "", {}, 0),
+    (["cm", "--group", "abelian:2,2,2,2,2,2,2", "primitive", "--theta", ABELIAN2_7_INDUCED], "", {}, 3),
+    (["cm", "--group", "dihedral:32", "rank", "--theta", DIHEDRAL32], "", {}, 0),
+    (["cm", "--group", "dihedral:32", "primitive", "--theta", DIHEDRAL32], "", {}, 0),
+    (["cm", "--group", "dihedral:32", "rank", "--theta", DIHEDRAL32_INDUCED], "", {}, 0),
+    (["cm", "--group", "dihedral:32", "primitive", "--theta", DIHEDRAL32_INDUCED], "", {}, 3),
     (["numth", "verify", "--k-max", "6"], "", {}, 0),
     (["numth", "verify", "--k-max", "4", "--pretty"], "", {}, 0),
     (["numth", "verify", "--k-max", "2"], "", {}, 2),
