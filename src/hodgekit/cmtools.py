@@ -2,26 +2,43 @@
 
 A model is a transitive permutation group on the 2g embeddings of a CM
 field, together with the central free involution playing the role of
-complex conjugation.  CM types are half-systems; their Kubota ranks are
-exact integer lattice ranks of the translate span, computed both on the
-nose (raw) and antisymmetrized by conjugation (reduced).  Primitivity is
-decided against the minimal block systems, which union-find finds
-directly (Atkinson 1975); a scan computes ranks and primitivity once per
-Galois orbit of CM types, since both are invariant under the group.
+complex conjugation.  CM types are half-systems.
+
+* Kubota ranks are the ranks of the span of a type's group translates,
+  raw and reduced by conjugation (reduced = raw - 1).  On a regular
+  abelian model they are counted by characters: the span is the ideal
+  Q[G]·1_theta, whose dimension is the number of characters that do not
+  vanish on theta, and an odd character vanishes exactly when a
+  cyclotomic polynomial divides an integer polynomial (Kubota, Trans.
+  AMS 118 (1965); Ribet, Mém. SMF 2 (1980)).  Every other model, and
+  `cm rank --invariants`, eliminates the translate matrix by Bareiss.
+* Primitivity asks whether theta is a union of blocks of a proper block
+  system.  Union-find finds the finest system joining two points
+  (Atkinson, Math. Comp. 29 (1975)), and a run from the least point of
+  theta stops as soon as it joins a point of theta to one outside.
+
+A scan computes ranks and primitivity once per Galois orbit of CM types,
+since both are invariant under the group.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import lru_cache
+from itertools import product
+from typing import Iterator, Optional, Sequence
 
 from .intlinalg import integer_rank
 from .numth import is_prime
 
 Perm = tuple[int, ...]
 
-# tankeev_scan enumerates 2^g CM types and its time about doubles per step
-# in g; cyclic:36 (g = 18) scans in about 55 s on a 2-vCPU Xeon VM.
+# tankeev_scan enumerates 2^g CM types and its time and memory about
+# double per step in g.  `cm scan` at g = 18 on a 2-vCPU Xeon VM: cyclic:36
+# 7.3 s, abelian:6,6 8.6 s, dihedral:18 (Bareiss ranks) 26.8 s, each about
+# 235 MB peak RSS.  At g = 19 the Bareiss model Z2 x D19 on 38 points takes
+# 74 s and 452 MB.
 SCAN_MAX_G = 18
 
 # Largest embedding set a model is built on.  The slowest query is
@@ -30,6 +47,18 @@ SCAN_MAX_G = 18
 # 2-vCPU Xeon VM, and 111 s for cyclic:300.
 MAX_DEGREE = 256
 
+# Largest group a model is built with: GaloisModel holds every element,
+# and generate_group refuses as soon as the closure passes the cap.  Memory
+# sets it: an element of degree 256 costs about 2.9 KB, and refusing S8 x Z32
+# on 256 points at this cap takes 4.5 s and 374 MB on a 2-vCPU Xeon VM (the
+# closure's time alone would allow about 2^20).  Z2 wr S6 (order 46,080)
+# builds; Z2 wr S7 (645,120) is refused.
+MAX_GROUP_ORDER = 1 << 17
+
+
+class InvalidModelError(ValueError):
+    pass
+
 
 def identity_perm(size: int) -> Perm:
     return tuple(range(size))
@@ -37,7 +66,7 @@ def identity_perm(size: int) -> Perm:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """(p o q)(i) = p(q(i))."""
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple(map(p.__getitem__, q))
 
 
 def inverse(p: Perm) -> Perm:
@@ -48,7 +77,8 @@ def inverse(p: Perm) -> Perm:
 
 
 def generate_group(generators: Sequence[Perm], size: int) -> frozenset[Perm]:
-    """Closure of the generators under composition (finite by design)."""
+    """Closure of the generators under composition, refused as soon as it
+    holds more than MAX_GROUP_ORDER elements."""
     ident = identity_perm(size)
     seen = {ident}
     frontier = [ident]
@@ -59,6 +89,11 @@ def generate_group(generators: Sequence[Perm], size: int) -> frozenset[Perm]:
             nxt = compose(g, p)
             if nxt not in seen:
                 seen.add(nxt)
+                if len(seen) > MAX_GROUP_ORDER:
+                    raise InvalidModelError(
+                        f"group order is over the cap MAX_GROUP_ORDER = {MAX_GROUP_ORDER}"
+                        " for CM models"
+                    )
                 frontier.append(nxt)
     return frozenset(seen)
 
@@ -88,10 +123,6 @@ def parse_cycles(text: str, size: int) -> Perm:
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             out[a] = b
     return tuple(out)
-
-
-class InvalidModelError(ValueError):
-    pass
 
 
 def _check_degree(size: int) -> None:
@@ -171,9 +202,10 @@ def cyclic_model(size: int, shift: Optional[int] = None) -> GaloisModel:
 
 
 def abelian_model(factors: Sequence[int]) -> GaloisModel:
-    """Regular action of a product of cyclic groups; conjugation must be
-    picked afterwards via with_conj when the default (the element of
-    order 2 in the last even factor) is not wanted."""
+    """Regular action of a product of cyclic groups.  The conjugation is
+    the element of order 2 in the last even factor; for another one,
+    pass these generators and the wanted conj to GaloisModel (on the
+    command line, give it with --iota)."""
     dims = [int(d) for d in factors]
     if any(d < 2 for d in dims):
         raise InvalidModelError("cyclic factors must be >= 2")
@@ -267,17 +299,22 @@ def check_cm_type(model: GaloisModel, theta: CMType) -> None:
         raise InvalidModelError("CM type and conjugate must cover everything")
 
 
+def _half_systems(model: GaloisModel) -> Iterator[tuple[int, ...]]:
+    """The sorted half-systems, one at a time, in lexicographic order.
+
+    This is a depth-first search over the points that tries "include x"
+    before "exclude x": the product over the conjugate pairs (i, j),
+    i < j, in order of i, with i before j.  Two types first differ at
+    the smaller point of their first differing pair, and the one holding
+    it sorts first.
+    """
+    for choice in product(*model.conjugate_pairs()):
+        yield tuple(sorted(choice))
+
+
 def enumerate_cm_types(model: GaloisModel) -> list[CMType]:
     """All 2^g half-systems, in canonical order."""
-    pairs = model.conjugate_pairs()
-    types: list[CMType] = []
-    for mask in range(1 << len(pairs)):
-        chosen = frozenset(
-            pair[(mask >> i) & 1] for i, pair in enumerate(pairs)
-        )
-        types.append(CMType(chosen))
-    types.sort(key=lambda t: t.sorted())
-    return types
+    return [CMType(frozenset(t)) for t in _half_systems(model)]
 
 
 def _translate(perm: Perm, theta: frozenset[int]) -> frozenset[int]:
@@ -289,15 +326,123 @@ def _orbit(model: GaloisModel, theta: frozenset[int]) -> list[tuple[int, ...]]:
     return sorted({tuple(sorted(p[x] for x in theta)) for p in model.elements})
 
 
+def _translate_rows(model: GaloisModel, theta: frozenset[int]) -> list[list[int]]:
+    return [
+        [1 if i in t else 0 for i in range(model.size)]
+        for t in map(set, _orbit(model, theta))
+    ]
+
+
 def translate_lattice(model: GaloisModel, theta: CMType) -> list[list[int]]:
     """Indicator rows of the distinct group translates of the type."""
     check_cm_type(model, theta)
-    translates = map(set, _orbit(model, theta.theta))
-    return [[1 if i in t else 0 for i in range(model.size)] for t in translates]
+    return _translate_rows(model, theta.theta)
+
+
+def _poly_divmod(poly: Sequence[int], divisor: Sequence[int]):
+    """Quotient and remainder of an integer polynomial by a monic one,
+    both given constant term first."""
+    deg = len(divisor) - 1
+    terms = [(i, c) for i, c in enumerate(divisor[:deg]) if c]
+    rem = list(poly)
+    quotient = [0] * max(len(rem) - deg, 0)
+    for top in range(len(rem) - 1, deg - 1, -1):
+        c = quotient[top - deg] = rem[top]
+        if c:
+            for i, ci in terms:
+                rem[top - deg + i] -= c * ci
+    return quotient, rem[:deg]
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(d: int) -> tuple[int, ...]:
+    """Phi_d, constant term first: x^d - 1 over Phi_e for each e | d, e < d."""
+    poly = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            poly = _poly_divmod(poly, _cyclotomic(e))[0]
+    return tuple(poly)
+
+
+def _odd_characters(model: GaloisModel):
+    """Kubota's data for a regular abelian model, None for any other.
+
+    The model qualifies when G acts regularly, the generators commute,
+    and the product of their orders is the degree with every point
+    reached from 0 by the generators alone.  Then prod Z/ord(g_i) is G,
+    and e is the point prod g_i^e_i (0).  The character k sends e to
+    zeta_N^(sum k_i e_i N/ord(g_i)), N the exponent of G.  The result
+    has one entry per Galois orbit {k^j : j prime to d} of odd
+    characters (value -1 on conj), d their order: the orbit size, d,
+    Phi_d, and the exponent of zeta_d at each point.
+    """
+    gens, size = model.generators, model.size
+    if model.order != size or any(
+        compose(g, h) != compose(h, g) for i, g in enumerate(gens) for h in gens[:i]
+    ):
+        return None
+    orders = []
+    for g in gens:
+        n, x = 1, g[0]
+        while x != 0:
+            n, x = n + 1, g[x]
+        orders.append(n)
+    if math.prod(orders) != size:
+        return None
+    # BFS tree from 0 over the generators: each point's parent and step
+    parent, step, reached = [-1] * size, [0] * size, [0]
+    parent[0] = 0
+    for x in reached:
+        for i, g in enumerate(gens):
+            if parent[g[x]] < 0:
+                parent[g[x]], step[g[x]] = x, i
+                reached.append(g[x])
+    if len(reached) != size:
+        return None
+    conj = [0] * len(gens)
+    y = model.conj[0]
+    while y:
+        conj[step[y]] += 1
+        y = parent[y]
+    exponent = math.lcm(*orders)
+    seen: set[tuple[int, ...]] = set()
+    found = []
+    for k in product(*map(range, orders)):
+        if k in seen:
+            continue
+        steps = [ki * (exponent // n) for ki, n in zip(k, orders)]
+        unit = math.gcd(exponent, *steps)
+        d = exponent // unit
+        orbit = {
+            tuple(j * ki % n for ki, n in zip(k, orders))
+            for j in range(1, d + 1)
+            if math.gcd(j, d) == 1
+        }
+        seen |= orbit
+        if 2 * sum(s * e for s, e in zip(steps, conj)) % (2 * exponent) != exponent:
+            continue
+        exps = [0] * size
+        for y in reached[1:]:
+            exps[y] = (exps[parent[y]] + steps[step[y]] // unit) % d
+        found.append((len(orbit), d, _cyclotomic(d), exps))
+    return found
+
+
+def _raw_rank(model: GaloisModel, theta: frozenset[int], characters) -> int:
+    if characters is None:
+        return integer_rank(_translate_rows(model, theta))
+    raw = 1
+    for count, d, phi, exps in characters:
+        coeffs = [0] * d
+        for a in theta:
+            coeffs[exps[a]] += 1
+        if any(_poly_divmod(coeffs, phi)[1]):
+            raw += count
+    return raw
 
 
 def kubota_rank(model: GaloisModel, theta: CMType) -> tuple[int, int]:
-    """(raw, reduced) integer ranks of the translate span of the type.
+    """(raw, reduced) ranks of the translate span of the type.
 
     raw spans the indicator vectors of all group translates of theta in
     the free module on the embeddings; reduced spans the differences
@@ -306,10 +451,24 @@ def kubota_rank(model: GaloisModel, theta: CMType) -> tuple[int, int]:
     every translate t its complement 1 - t is a translate and raw
     contains the all-ones vector: raw = span(1, 2t - 1).  The rows 2t - 1
     are odd under conj and the all-ones vector is even, so raw is always
-    reduced + 1, and one fraction-free elimination of the 0/1 rows
-    gives both.
+    reduced + 1.
+
+    On a regular abelian model (see _odd_characters) the points are G
+    and the span is the ideal Q[G]·1_theta.  Over C it is the sum of the
+    character lines chi with chi(theta) = sum_{a in theta} chi(a) != 0.
+    The trivial character gives g; an even chi != 1 gives 0, since
+    theta and conj(theta) split G and chi(conj(theta)) = chi(theta).  So
+    raw = 1 + #{odd chi : chi(theta) != 0}.  chi(theta) is P(zeta_d)
+    for the integer polynomial P = sum x^(exponent of a), d the order of
+    chi; it vanishes exactly when Phi_d divides P, for the whole Galois
+    orbit of chi at once.  This is Kubota's rank formula (Kubota, Trans.
+    AMS 118 (1965); Ribet, Mém. SMF 2 (1980)).  Every other model
+    (dihedral, non-regular or non-abelian, or with conj outside the
+    generators' group) takes one fraction-free Bareiss elimination of
+    the 0/1 translate rows.
     """
-    raw = integer_rank(translate_lattice(model, theta))
+    check_cm_type(model, theta)
+    raw = _raw_rank(model, theta.theta, _odd_characters(model))
     return raw, raw - 1
 
 
@@ -318,12 +477,19 @@ def kubota_rank(model: GaloisModel, theta: CMType) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _block_labels(model: GaloisModel, points) -> list[int]:
-    """Finest invariant partition with 0 and the given points in one
+def _block_labels(
+    model: GaloisModel, base: int, points, boundary: Optional[frozenset[int]] = None
+) -> Optional[list[int]]:
+    """Finest invariant partition with base and the given points in one
     block, as a union-find root per point (Atkinson's algorithm: once the
     classes of a and b merge, those of g(a) and g(b) must merge for every
     generator g; the merged pairs generate the relation, so checking
-    their images is enough for invariance)."""
+    their images is enough for invariance).
+
+    With a boundary set, return None as soon as a pair to be joined has
+    one point inside it and one outside: the partition then does not
+    have the boundary as a union of blocks.
+    """
     parent = list(range(model.size))
 
     def find(a: int) -> int:
@@ -333,9 +499,11 @@ def _block_labels(model: GaloisModel, points) -> list[int]:
         return a
 
     gens = model.generators + (model.conj,)
-    pending = [(0, y) for y in points]
+    pending = [(base, y) for y in points]
     while pending:
         a, b = pending.pop()
+        if boundary is not None and (a in boundary) != (b in boundary):
+            return None
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[rb] = ra
@@ -347,16 +515,15 @@ def _base_block(labels: list[int]) -> frozenset[int]:
     return frozenset(x for x, lab in enumerate(labels) if lab == labels[0])
 
 
-def _minimal_systems(model: GaloisModel) -> dict[frozenset[int], list[int]]:
-    """Base block -> labels of each proper system that is the finest one
-    joining 0 to some other point."""
-    found: dict[frozenset[int], list[int]] = {}
+def _minimal_systems(model: GaloisModel) -> list[frozenset[int]]:
+    """Base blocks of the proper systems that are the finest ones joining
+    0 to some other point."""
+    found: dict[frozenset[int], None] = {}
     for x in range(1, model.size):
-        labels = _block_labels(model, (x,))
-        block = _base_block(labels)
+        block = _base_block(_block_labels(model, 0, (x,)))
         if len(block) < model.size:
-            found.setdefault(block, labels)
-    return found
+            found[block] = None
+    return list(found)
 
 
 def block_systems(model: GaloisModel) -> list[tuple[frozenset[int], ...]]:
@@ -379,7 +546,7 @@ def block_systems(model: GaloisModel) -> list[tuple[frozenset[int], ...]]:
         for other in minimal:
             if other <= block:
                 continue
-            joined = _base_block(_block_labels(model, block | other))
+            joined = _base_block(_block_labels(model, 0, block | other))
             if len(joined) < model.size and joined not in found:
                 found.add(joined)
                 frontier.append(joined)
@@ -407,11 +574,13 @@ def quotient_model(
     return GaloisModel(generators=gens, conj=conj, size=len(blocks)), lookup
 
 
-def _is_union_of_blocks(systems: dict, theta: frozenset[int]) -> bool:
-    """True when theta is a union of blocks of one of the systems."""
+def _is_induced(model: GaloisModel, theta: frozenset[int]) -> bool:
+    """True when theta is a union of blocks of a proper nontrivial system:
+    some union-find run from (min theta, x), x in theta, finishes without
+    joining a point of theta to one outside."""
+    a = min(theta)
     return any(
-        len({labels[x] for x in theta}) * len(block) == len(theta)
-        for block, labels in systems.items()
+        _block_labels(model, a, (x,), theta) is not None for x in theta if x != a
     )
 
 
@@ -421,14 +590,18 @@ def is_primitive(model: GaloisModel, theta: CMType) -> bool:
     Induced means: some proper nontrivial block system has theta equal
     to a union of blocks (conjugation then automatically acts freely on
     the blocks, so the quotient is again a CM model and the image of
-    theta is a CM type on it).  Only the minimal systems of
-    block_systems (finest with 0 and x in one block, by union-find) are
-    tested.  That is exact: a nontrivial system is refined by the
-    minimal system of any two points of one of its blocks, and a union
-    of its blocks is then a union of the finer blocks too.
+    theta is a CM type on it).  Let a be the least point of theta.  For
+    each other x in theta, union-find builds the finest system S(a, x)
+    joining a and x, and stops at the first pair it would join that has
+    one point in theta and one outside.  A run that finishes has every
+    block inside theta or outside it, so theta is induced.  Conversely,
+    if theta is a union of blocks of a nontrivial system, the block of a
+    holds some x != a, which lies in theta; S(a, x) refines that system,
+    so its run never joins across theta and finishes.  The test is the
+    same on every model; no Bareiss or block-system list is needed.
     """
     check_cm_type(model, theta)
-    return not _is_union_of_blocks(_minimal_systems(model), theta.theta)
+    return not _is_induced(model, theta.theta)
 
 
 @dataclass(frozen=True)
@@ -482,6 +655,10 @@ class ScanReport:
         }
 
 
+def _mask(points) -> int:
+    return sum(map((1).__lshift__, points))
+
+
 def tankeev_scan(model: GaloisModel) -> ScanReport:
     """Rank/primitivity table over all CM types of the model.
 
@@ -489,8 +666,10 @@ def tankeev_scan(model: GaloisModel) -> ScanReport:
     an odd prime p; otherwise the bound columns are reported as None.
     Ranks and primitivity are computed for one type per G-orbit and
     copied to its translates: both are invariant under the group, and
-    the translates of a type are its orbit.  Models with g above
-    SCAN_MAX_G are refused before anything is enumerated.
+    the translates of a type are its orbit.  The types are generated one
+    at a time in canonical order, and only the translates not yet
+    reached are held, as bitmasks.  Models with g above SCAN_MAX_G are
+    refused before anything is enumerated.
     """
     g = model.g
     if g > SCAN_MAX_G:
@@ -499,16 +678,20 @@ def tankeev_scan(model: GaloisModel) -> ScanReport:
         )
     applicable = g != 2 and is_prime(g)
     bound = 2 * g - 1 if applicable else None
-    minimal = _minimal_systems(model)
-    known: dict[tuple[int, ...], tuple[int, int, bool]] = {}
+    characters = _odd_characters(model)
+    known: dict[int, tuple[int, int, bool]] = {}
     entries = []
-    for theta in enumerate_cm_types(model):
-        key = theta.sorted()
-        if key not in known:
-            ranks = kubota_rank(model, theta)
-            prim = not _is_union_of_blocks(minimal, theta.theta)
-            known.update((t, (*ranks, prim)) for t in _orbit(model, theta.theta))
-        raw, reduced, prim = known.pop(key)
+    for key in _half_systems(model):
+        mask = _mask(key)
+        found = known.pop(mask, None)
+        if found is None:
+            theta = frozenset(key)
+            raw = _raw_rank(model, theta, characters)
+            found = (raw, raw - 1, not _is_induced(model, theta))
+            translates = {_mask(map(p.__getitem__, key)) for p in model.elements}
+            translates.discard(mask)
+            known.update(dict.fromkeys(translates, found))
+        raw, reduced, prim = found
         entries.append(
             ScanEntry(
                 theta=key,

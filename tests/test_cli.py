@@ -9,6 +9,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from hodgekit import cmtools
 from hodgekit.cli import run
 from hodgekit.cmtools import MAX_DEGREE, SCAN_MAX_G
 from hodgekit.numth import MR_EXACT_BOUND, VERIFY_MAX_K
@@ -228,6 +229,14 @@ def test_numth_and_cm_over_their_caps_are_bad_input(args, cap):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert cap in proc.stderr
+
+
+def test_cm_group_order_over_the_cap_is_bad_input(monkeypatch, capsys):
+    monkeypatch.setattr(cmtools, "MAX_GROUP_ORDER", 1000, raising=True)
+    # Z2 wr S5 on two copies of 5 points, order 3840
+    group = "perms:10:(0 1 2 3 4)(5 6 7 8 9);(0 1)(5 6);(0 5)"
+    args = ["cm", "--group", group, "--iota", "(0 5)(1 6)(2 7)(3 8)(4 9)", "scan"]
+    assert "MAX_GROUP_ORDER = 1000" in run_bad_input(args, capsys)
 
 
 def test_cm_iota_override():
@@ -451,11 +460,34 @@ _group = (
 _cycles = st.sampled_from(["(0 1)", "(0 3)(1 4)(2 5)", "(0 4)(1 5)(2 6)(3 7)", "id", "(0"])
 
 
+
+
+@st.composite
+def _wreath_group(draw):
+    """A perms: group on two copies of k points whose generators commute
+    with swapping the copies, so it lies in Z2 wr S_k.  k stops at 7,
+    where Z2 wr S_7 (order 645,120) is over MAX_GROUP_ORDER."""
+    k = draw(st.integers(1, 7))
+
+    def doubled(cycle):
+        return "".join(f"({' '.join(str(x + c) for x in cycle)})" for c in (0, k))
+
+    pool = [doubled(range(k)), doubled([0, 1]), doubled([0, 1, 2]), f"(0 {k})"]
+    gens = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
+    iota = "".join(f"({i} {i + k})" for i in range(k))
+    return f"perms:{2 * k}:{';'.join(gens)}", iota
+
+
 @st.composite
 def _cm_argv(draw):
     g = draw(st.integers(1, 8))
-    group = draw(st.sampled_from([f"cyclic:{2 * g}", f"dihedral:{g}"]) | _group)
-    iota = draw(st.none() | _cycles)
+    group, iota = draw(
+        st.tuples(
+            st.sampled_from([f"cyclic:{2 * g}", f"dihedral:{g}"]) | _group,
+            st.none() | _cycles,
+        )
+        | _wreath_group()
+    )
     cmd = draw(st.sampled_from([["scan"], ["rank"], ["rank", "--invariants"], ["primitive"]]))
     theta = draw(
         st.lists(st.integers(-1, 2 * g + 1), min_size=g, max_size=g, unique=True)

@@ -22,7 +22,9 @@ from hodgekit.cmtools import (
     parse_cycles,
     quotient_model,
     tankeev_scan,
+    translate_lattice,
 )
+from hodgekit.intlinalg import integer_rank
 
 from oracles import is_union_of_blocks, kubota_ranks, subgroup_block_systems
 
@@ -147,6 +149,15 @@ def _oracle_models():
     models["D4xZ2"] = _perms_model(8, ["(0 1 2 3)(4 5 6 7)", "(1 3)(5 7)"], swap4)
     models["A4xZ2"] = _perms_model(8, ["(0 1 2)(4 5 6)", "(1 2 3)(5 6 7)"], swap4)
     models["S4xZ2"] = _perms_model(8, ["(0 1 2 3)(4 5 6 7)", "(0 1)(4 5)"], swap4)
+    # regular abelian actions that the character route must turn down:
+    # Z6 x Z2 with conjugation outside the generators' group, and Z8 with
+    # a redundant generator
+    models["Z6xZ2 iota outside"] = _perms_model(
+        12, ["(0 1 2 3 4 5)(6 7 8 9 10 11)"], "(0 6)(1 7)(2 8)(3 9)(4 10)(5 11)"
+    )
+    models["Z8 redundant"] = _perms_model(
+        8, ["(0 1 2 3 4 5 6 7)", "(0 2 4 6)(1 3 5 7)"], swap4
+    )
     return models
 
 
@@ -201,6 +212,33 @@ def test_kubota_rank_matches_two_fraction_eliminations(name):
     model = ORACLE_MODELS[name]
     for theta in enumerate_cm_types(model):
         assert kubota_rank(model, theta) == kubota_ranks(model, theta), theta
+
+
+def test_kubota_rank_by_characters_on_regular_abelian_models(monkeypatch):
+    rng = random.Random(6)
+    cases = []
+    for model in (cyclic_model(64), abelian_model([2] * 6), abelian_model([8, 8])):
+        pairs = model.conjugate_pairs()
+        for theta in (
+            CMType(frozenset(i for i, _ in pairs)),
+            CMType(frozenset(p[rng.getrandbits(1)] for p in pairs)),
+        ):
+            raw = integer_rank(translate_lattice(model, theta))
+            cases.append((model, theta, (raw, raw - 1)))
+
+    def bareiss(rows):
+        raise AssertionError("integer_rank ran")
+
+    monkeypatch.setattr(cmtools, "integer_rank", bareiss)
+    for model, theta, want in cases:
+        assert kubota_rank(model, theta) == want
+    for model in (
+        dihedral_model(4),
+        ORACLE_MODELS["S4xZ2"],
+        ORACLE_MODELS["Z6xZ2 iota outside"],
+    ):
+        with pytest.raises(AssertionError, match="integer_rank ran"):
+            kubota_rank(model, enumerate_cm_types(model)[0])
 
 
 def test_scan_is_capped_before_enumerating():
@@ -289,6 +327,17 @@ def test_models_refuse_a_degree_over_the_cap():
         with pytest.raises(InvalidModelError, match=f"MAX_DEGREE = {MAX_DEGREE}"):
             build()
     assert cyclic_model(MAX_DEGREE).order == MAX_DEGREE
+
+
+def test_group_order_over_the_cap_is_refused(monkeypatch):
+    # Z2 wr S5 on two copies of 5 points: order 2^5 * 5! = 3840
+    gens = ["(0 1 2 3 4)(5 6 7 8 9)", "(0 1)(5 6)", "(0 5)"]
+    iota = "(0 5)(1 6)(2 7)(3 8)(4 9)"
+    monkeypatch.setattr(cmtools, "MAX_GROUP_ORDER", 3839, raising=True)
+    with pytest.raises(InvalidModelError, match="MAX_GROUP_ORDER = 3839"):
+        _perms_model(10, gens, iota)
+    monkeypatch.setattr(cmtools, "MAX_GROUP_ORDER", 3840, raising=True)
+    assert _perms_model(10, gens, iota).order == 3840
 
 
 def test_non_central_conjugation_is_refused_before_the_closure(monkeypatch):
