@@ -594,7 +594,8 @@ def is_primitive(model: GaloisModel, theta: CMType) -> bool:
     each other x in theta, union-find builds the finest system S(a, x)
     joining a and x, and stops at the first pair it would join that has
     one point in theta and one outside.  A run that finishes has every
-    block inside theta or outside it, so theta is induced.  Conversely,
+    block inside theta or outside it (so it is proper, and nontrivial
+    since a and x share a block), and theta is induced.  Conversely,
     if theta is a union of blocks of a nontrivial system, the block of a
     holds some x != a, which lies in theta; S(a, x) refines that system,
     so its run never joins across theta and finishes.  The test is the
