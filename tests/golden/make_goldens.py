@@ -403,12 +403,20 @@ CLI_CASES = [
     (["weights", "dim", "E", "7", "0,0,0,0,0,0,1", "--pretty"], "", {}, 0),
     (["weights", "autodual", "C", "3", "1,0,0"], "", {}, 0),
     (["weights", "length", "D", "4", "0,0,0,1"], "", {}, 0),
+    (["weights", "length", "A", "5", "1,0,2,0,1"], "", {}, 0),
+    (["weights", "length", "A", "5", "0,0,0,0,0"], "", {}, 0),
+    (["weights", "length", "C", "4", "2,1,0,1"], "", {}, 0),
+    (["weights", "length", "D", "6", "1,0,0,1,2,0"], "", {}, 0),
+    (["weights", "length", "E", "6", "1,0,1,0,0,2"], "", {}, 0),
+    (["weights", "length", "E", "7", "0,1,0,0,2,0,1"], "", {}, 0),
+    (["weights", "length", "A", "3", "1,-1,0"], "", {}, 2),
     (["weights", "dim", "Z", "3", "0,1,0"], "", {}, 2),
     (["weights", "dim", "A", "3", "0,1"], "", {}, 2),
     (["weights", "autodual", "A", "3", "0,x,0"], "", {}, 2),
     (["weights", "length", "B", "1000", "1"], "", {}, 2),
     (["weights", "verify-table2", "--max-rank", "4"], "", {}, 0),
     (["weights", "verify-table2", "--max-rank", "4", "--pretty"], "", {}, 0),
+    (["weights", "verify-table2", "--max-rank", "10"], "", {}, 0),
     (["weights", "verify-table2", "--max-rank", "1000"], "", {}, 2),
     (["cm", "--group", "cyclic:6", "rank", "--theta", "0,1,2", "--invariants"], "", {}, 0),
     (["cm", "--group", "cyclic:6", "primitive", "--theta", "0,2,4"], "", {}, 3),
