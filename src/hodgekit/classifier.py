@@ -175,8 +175,6 @@ def _guard(profile: HodgeProfile, expr: GroupExpr, claim: str) -> GroupExpr:
 # Product-pattern exclusion
 # ---------------------------------------------------------------------------
 
-_A1_SIZES = {"SL": 2, "SU": 2, "Sp": 2}
-
 
 def _simple_components(factor: tuple[str, int]) -> list[str]:
     """Simple Lie-algebra components of one classical factor, flagging A1."""

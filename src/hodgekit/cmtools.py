@@ -189,15 +189,14 @@ class GaloisModel:
         return pairs
 
 
-def cyclic_model(size: int, shift: Optional[int] = None) -> GaloisModel:
-    """Regular action of Z/size with conjugation a given shift (size/2
-    by default, the unique central free involution of the cycle)."""
+def cyclic_model(size: int) -> GaloisModel:
+    """Regular action of Z/size with conjugation the shift by size/2, the
+    unique central free involution of the cycle."""
     _check_degree(size)
     if size % 2 != 0:
         raise InvalidModelError("cyclic CM model needs even size")
     rot = tuple((i + 1) % size for i in range(size))
-    s = size // 2 if shift is None else shift
-    conj = tuple((i + s) % size for i in range(size))
+    conj = tuple((i + size // 2) % size for i in range(size))
     return GaloisModel(generators=(rot,), conj=conj, size=size)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .classifier import SubfieldDescriptor, _check_subfield
+from .classifier import SubfieldDescriptor, _balanced_quadratic, su_constraint
 from .core import EndomorphismDescriptor, HodgeProfile, InvalidProfileError
 from .numth import is_prime
 from .realizability import realizable
@@ -43,7 +43,7 @@ class AbelianProfile:
                 f"endomorphism data not realizable at weight 1: {verdict.reason}"
             )
         for sub in self.subfields:
-            _check_subfield(profile, sub)
+            su_constraint(profile, sub)
 
     @property
     def p(self) -> int:
@@ -53,10 +53,7 @@ class AbelianProfile:
         return HodgeProfile(weight=1, n=self.dim, endo=self.endo)
 
     def balanced_quadratic(self) -> Optional[SubfieldDescriptor]:
-        for sub in self.subfields:
-            if sub.deg_E == 2 and sub.balanced:
-                return sub
-        return None
+        return _balanced_quadratic(self.hodge_profile(), self.subfields)
 
 
 def _case(ap: AbelianProfile) -> tuple[Optional[int], str]:

@@ -8,6 +8,13 @@ by the Weyl formula, self-duality by dominantizing -lambda, and the
 orthogonal/symplectic sign of a self-dual representation by the parity
 of the pairing with the sum of positive coroots.
 
+The length of a dominant weight needs no linear solve either.  Write
+lambda = sum c_alpha alpha; the alpha-coordinate of lambda - w0(lambda)
+is c_alpha + c_alpha', alpha' = -w0(alpha).  Dominantizing -lambda to
+-w0(lambda) adds -mu_i alpha_i at each reflection s_i with mu_i < 0, so
+those steps sum to lambda - w0(lambda) in integer root coordinates, and
+every length is an integer.
+
 The minuscule table itself is given in closed form
 (``minuscule_table_expected``, after the plates of Bourbaki, *Lie Groups
 and Lie Algebras*, ch. VI-VIII), and ``admissible_factors`` reads it.
@@ -23,15 +30,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 ORTHOGONAL = "orthogonal"
 SYMPLECTIC = "symplectic"
 NON_SELF_DUAL = "non_self_dual"
 
-# Largest rank a RootSystem is built for.  Root generation grows like l^4:
-# the slowest single-system query, `weights length D 112`, takes about 46 s
-# on a 2-vCPU Xeon VM (73 MB peak), and B128 about 70 s.
+# Largest rank a RootSystem is built for.  Root generation grows like l^4
+# and sets the cost of a single-system query: `weights dim`, `autodual` or
+# `length` on D112 takes 25-27 s on a 2-vCPU Xeon VM (63 MB peak), and
+# building B128 about 70 s.
 MAX_RANK = 112
 
 _COUNT = {
@@ -170,10 +178,6 @@ class RootSystem:
                     frontier.append(img)
         return lengths
 
-    def all_roots(self) -> list[tuple[int, ...]]:
-        negatives = [tuple(-c for c in r) for r in self.positive_roots]
-        return list(self.positive_roots) + negatives
-
     # -- pairings ------------------------------------------------------
 
     def pair_coroot(self, weight: Weight, beta: tuple[int, ...]):
@@ -186,28 +190,21 @@ class RootSystem:
         c = mu[i]
         return tuple(m - c * self.cartan[i][j] for j, m in enumerate(mu))
 
-    def dominant_representative(self, mu: tuple[int, ...]) -> tuple[int, ...]:
-        """The dominant weight in the Weyl orbit of mu."""
+    def dominant_representative(
+        self, mu: tuple[int, ...]
+    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The dominant weight in the Weyl orbit of mu, and its excess over
+        mu in simple-root coordinates (each s_i with mu_i < 0 adds
+        -mu_i alpha_i, so the excess is a nonnegative integer vector)."""
         current = tuple(mu)
+        shift = [0] * self.rank
         for _ in range(10 ** 6):
             i = next((j for j, c in enumerate(current) if c < 0), None)
             if i is None:
-                return current
+                return current, tuple(shift)
+            shift[i] -= current[i]
             current = self.reflect_weight(current, i)
         raise AssertionError("dominantization failed to terminate")
-
-    @cached_property
-    def opposition(self) -> tuple[int, ...]:
-        """Permutation iota with -w0(omega_i) = omega_iota(i), 0-based."""
-        perm = []
-        for i in range(self.rank):
-            mu = tuple(-int(i == j) for j in range(self.rank))
-            image = self.dominant_representative(mu)
-            hits = [j for j, c in enumerate(image) if c == 1]
-            if sum(image) != 1 or len(hits) != 1:
-                raise AssertionError("opposition involution is not a diagram map")
-            perm.append(hits[0])
-        return tuple(perm)
 
 
 def _check_rank_cap(rank: int) -> None:
@@ -235,13 +232,14 @@ def is_dominant(weight: Weight) -> bool:
 
 
 def is_minuscule(rs: RootSystem, weight: Weight) -> bool:
-    """Definitional test: <lambda, alpha^vee> in {-1,0,1} for all roots."""
+    """Definitional test: <lambda, alpha^vee> in {-1,0,1} for all roots.
+
+    A dominant weight pairs with every positive coroot to >= 0 and with
+    its negative to <= 0, so checking <= 1 on the positive roots suffices.
+    """
     if not is_dominant(weight) or weight.is_zero:
         return False
-    for beta in rs.all_roots():
-        if rs.pair_coroot(weight, beta) not in (-1, 0, 1):
-            return False
-    return True
+    return all(rs.pair_coroot(weight, beta) <= 1 for beta in rs.positive_roots)
 
 
 def minuscule_weights(rs: RootSystem) -> list[Weight]:
@@ -276,7 +274,7 @@ def rep_dimension(rs: RootSystem, weight: Weight) -> int:
 def dual_weight(rs: RootSystem, weight: Weight) -> Weight:
     """The highest weight -w0(lambda) of the dual representation."""
     negated = tuple(-c for c in weight.coords)
-    return Weight(rs.dominant_representative(negated))
+    return Weight(rs.dominant_representative(negated)[0])
 
 
 def autoduality(rs: RootSystem, weight: Weight) -> str:
@@ -295,35 +293,19 @@ def autoduality(rs: RootSystem, weight: Weight) -> str:
     return ORTHOGONAL if total % 2 == 0 else SYMPLECTIC
 
 
-def weight_root_coordinates(rs: RootSystem, weight: Weight) -> list[Fraction]:
-    """Coordinates c with lambda = sum c_i alpha_i, solved exactly."""
-    l = rs.rank
-    # Solve c * M = lambda for the row vector c (M = Cartan matrix).
-    aug = [
-        [Fraction(rs.cartan[i][j]) for i in range(l)] + [Fraction(weight.coords[j])]
-        for j in range(l)
-    ]
-    for col in range(l):
-        pivot = next(r for r in range(col, l) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(l):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][l] for i in range(l)]
-
-
 def weight_length(rs: RootSystem, weight: Weight) -> Fraction:
-    """min over simple roots of c_alpha + c_alpha', alpha' = -w0(alpha)."""
+    """min over simple roots of c_alpha + c_alpha', alpha' = -w0(alpha).
+
+    With lambda = sum c_alpha alpha, c_alpha + c_alpha' is the
+    alpha-coordinate of lambda - w0(lambda), which dominantizing -lambda
+    to -w0(lambda) accumulates in integers; that vector lies in the root
+    lattice, so the length is an integer (returned as a Fraction with
+    denominator 1).
+    """
     if not is_dominant(weight):
         raise ValueError("weight_length needs a dominant weight")
-    if weight.is_zero:
-        return Fraction(0)
-    coords = weight_root_coordinates(rs, weight)
-    opp = rs.opposition
-    return min(coords[i] + coords[opp[i]] for i in range(rs.rank))
+    _, shift = rs.dominant_representative(tuple(-c for c in weight.coords))
+    return Fraction(min(shift))
 
 
 @lru_cache(maxsize=None)
@@ -376,30 +358,23 @@ def minuscule_table_expected(rs: RootSystem) -> list[dict]:
 def verify_minuscule_table(rs: RootSystem) -> dict:
     """Check the computed minuscule data of rs against the closed forms.
 
-    Includes the definitional test on every returned weight and, for the
-    classical kinds, the statement that minuscule weights have length 1.
+    The weights are those the definitional test picks out of the
+    fundamental weights (``minuscule_weights``); for the classical kinds
+    it also checks that minuscule weights have length 1.
     """
     expected = {row["index"]: row for row in minuscule_table_expected(rs)}
-    computed = minuscule_weights(rs)
-    got_indices = sorted(
-        next(i + 1 for i, c in enumerate(w.coords) if c == 1) for w in computed
-    )
-    ok = got_indices == sorted(expected)
+    computed = [(w.coords.index(1) + 1, w) for w in minuscule_weights(rs)]
+    ok = sorted(idx for idx, _ in computed) == sorted(expected)
     details = []
-    for w in computed:
-        idx = next(i + 1 for i, c in enumerate(w.coords) if c == 1)
+    for idx, w in computed:
         row = expected.get(idx)
         dim = rep_dimension(rs, w)
         dual = autoduality(rs, w)
-        definitional = is_minuscule(rs, w)
-        length_ok = (
-            weight_length(rs, w) == 1 if rs.kind in _CLASSICAL else True
-        )
+        length_ok = weight_length(rs, w) == 1 if rs.kind in _CLASSICAL else True
         row_ok = (
             row is not None
             and dim == row["dim"]
             and dual == row["duality"]
-            and definitional
             and length_ok
         )
         ok = ok and row_ok
@@ -408,7 +383,8 @@ def verify_minuscule_table(rs: RootSystem) -> dict:
                 "index": idx,
                 "dim": dim,
                 "duality": dual,
-                "definitional": definitional,
+                # minuscule_weights kept only weights passing is_minuscule
+                "definitional": True,
                 "length_one": length_ok,
                 "ok": row_ok,
             }

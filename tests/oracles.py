@@ -7,7 +7,9 @@ both the raw and the reduced matrix where the package derives one rank
 from the other).  Block systems likewise:
 the package finds them by union-find, the oracle from the subgroup
 lattice.  The minuscule table likewise: the package reads closed forms,
-the oracle scans the fundamental weights with the Weyl formula.
+the oracle scans the fundamental weights with the Weyl formula.  Weight
+lengths likewise: the package sums the steps of a dominantization, the
+oracle solves the Cartan system over Fraction.
 """
 
 from __future__ import annotations
@@ -183,6 +185,48 @@ def is_union_of_blocks(systems, theta) -> bool:
     return any(
         all(b <= theta or not b & theta for b in blocks) for blocks in systems
     )
+
+
+def weight_root_coordinates(rs, weight) -> list[Fraction]:
+    """Coordinates c with lambda = sum c_i alpha_i, by Gauss-Jordan over
+    Fraction on c * M = lambda (M = Cartan matrix)."""
+    l = rs.rank
+    aug = [
+        [Fraction(rs.cartan[i][j]) for i in range(l)] + [Fraction(weight.coords[j])]
+        for j in range(l)
+    ]
+    for col in range(l):
+        pivot = next(r for r in range(col, l) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = Fraction(1) / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(l):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return [aug[i][l] for i in range(l)]
+
+
+def opposition(kind: str, rank: int) -> tuple[int, ...]:
+    """The involution iota with -w0(alpha_i) = alpha_iota(i), 0-based, from
+    the Dynkin diagram (Bourbaki, plates I-VI): the flip of A_l, the swap
+    of the fork of D_l for odd l, the flip of E6, and the identity
+    otherwise."""
+    perm = list(range(rank))
+    if kind == "A":
+        perm.reverse()
+    elif kind == "D" and rank % 2 == 1:
+        perm[-2], perm[-1] = perm[-1], perm[-2]
+    elif (kind, rank) == ("E", 6):
+        perm = [5, 1, 4, 3, 2, 0]
+    return tuple(perm)
+
+
+def oracle_weight_length(rs, weight) -> Fraction:
+    """min over i of c_i + c_iota(i) from the rational coordinates."""
+    coords = weight_root_coordinates(rs, weight)
+    iota = opposition(rs.kind, rs.rank)
+    return min(coords[i] + coords[iota[i]] for i in range(rs.rank))
 
 
 @lru_cache(maxsize=None)

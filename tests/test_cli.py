@@ -369,6 +369,19 @@ def test_abelian_rejects_a_bad_subfield_list_or_a_missing_field(
     assert complaint in run_bad_input(["abelian", "status"], capsys)
 
 
+def test_abelian_status_rejects_a_balanced_flag_the_traces_contradict(
+    capsys, monkeypatch
+):
+    data = {
+        "dim": 6,
+        "endo": {"type": "IV", "deg_L": 2, "deg_F": 1, "q": 1, "cm_traces": [[4, 2]]},
+        "subfields": [{"deg_E": 2, "balanced": True}],
+    }
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(data)))
+    err = run_bad_input(["abelian", "status"], capsys)
+    assert "balanced flag contradicts the trace data" in err
+
+
 # --- Exit-code fuzz: every input ends in exit 0/2/3/4, stdout empty on 2 ---
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,10 +24,15 @@ from hodgekit.rootsys import (
     root_system,
     verify_minuscule_table,
     weight_length,
-    weight_root_coordinates,
 )
 
-from oracles import minuscule_scan, scan_admissible_factors
+from oracles import (
+    minuscule_scan,
+    opposition,
+    oracle_weight_length,
+    scan_admissible_factors,
+    weight_root_coordinates,
+)
 
 CLASSICAL_RANGE = [("A", range(1, 11)), ("B", range(2, 11)), ("C", range(2, 11)), ("D", range(3, 11))]
 
@@ -82,10 +88,15 @@ def test_minuscule_sets_match_table():
 
 
 def test_definitional_pairings_on_returned_weights():
+    # is_minuscule reads only the positive roots; pair with all of them here
     for rs in all_systems(max_rank=6):
-        for w in minuscule_weights(rs):
-            values = {rs.pair_coroot(w, beta) for beta in rs.all_roots()}
-            assert values <= {-1, 0, 1}
+        roots = list(rs.positive_roots)
+        roots += [tuple(-c for c in beta) for beta in rs.positive_roots]
+        returned = minuscule_weights(rs)
+        for i in range(1, rs.rank + 1):
+            w = fundamental_weight(rs, i)
+            values = {rs.pair_coroot(w, beta) for beta in roots}
+            assert (values <= {-1, 0, 1}) == (w in returned), (rs.name, i)
 
 
 def test_dimensions_match_closed_forms():
@@ -174,6 +185,33 @@ def test_root_coordinates_are_exact():
     a3 = RootSystem("A", 3)
     coords = weight_root_coordinates(a3, fundamental_weight(a3, 2))
     assert coords == [Fraction(1, 2), Fraction(1), Fraction(1, 2)]
+
+
+def test_weight_length_matches_the_rational_solve():
+    # every system of rank <= 8: fundamental, seeded random dominant and zero
+    rng = random.Random(20151111)
+    lows = (("A", 1), ("B", 2), ("C", 1), ("D", 3))
+    systems = [RootSystem(kind, l) for kind, lo in lows for l in range(lo, 9)]
+    for rs in systems + [RootSystem("E", 6), RootSystem("E", 7)]:
+        l = rs.rank
+        weights = [fundamental_weight(rs, i) for i in range(1, l + 1)]
+        weights += [
+            Weight(tuple(rng.randint(0, 4) for _ in range(l))) for _ in range(10)
+        ]
+        weights.append(Weight((0,) * l))
+        for w in weights:
+            got = weight_length(rs, w)
+            assert got.denominator == 1, (rs.name, w)
+            assert got == oracle_weight_length(rs, w), (rs.name, w)
+
+
+def test_opposition_oracle_matches_the_dual_weights():
+    for rs in all_systems():
+        iota = opposition(rs.kind, rs.rank)
+        for i in range(1, rs.rank + 1):
+            assert dual_weight(rs, fundamental_weight(rs, i)) == fundamental_weight(
+                rs, iota[i - 1] + 1
+            ), (rs.name, i)
 
 
 def test_verify_minuscule_table_passes():
