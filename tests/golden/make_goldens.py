@@ -353,6 +353,11 @@ def _theta(points):
     return ",".join(map(str, sorted(points)))
 
 
+def _coords(rank, entries):
+    """Comma-separated fundamental-weight coordinates, 1-based entries."""
+    return ",".join(str(entries.get(i, 0)) for i in range(1, rank + 1))
+
+
 # CM types on models too large for `cm scan`, written out from the pair
 # structure of each model.  A seeded random type is primitive; the induced
 # types are unions of blocks of a proper system.
@@ -417,6 +422,17 @@ CLI_CASES = [
     (["weights", "verify-table2", "--max-rank", "4"], "", {}, 0),
     (["weights", "verify-table2", "--max-rank", "4", "--pretty"], "", {}, 0),
     (["weights", "verify-table2", "--max-rank", "10"], "", {}, 0),
+    (["weights", "verify-table2", "--max-rank", "14"], "", {}, 0),
+    (["weights", "dim", "B", "20", _coords(20, {1: 1, 20: 1})], "", {}, 0),
+    (["weights", "dim", "C", "20", _coords(20, {2: 1, 19: 2})], "", {}, 0),
+    (["weights", "dim", "D", "24", _coords(24, {3: 1, 23: 1, 24: 2})], "", {}, 0),
+    (["weights", "length", "B", "20", _coords(20, {2: 1, 7: 3, 20: 1})], "", {}, 0),
+    (["weights", "length", "C", "20", _coords(20, {1: 2, 13: 1, 20: 1})], "", {}, 0),
+    (["weights", "length", "D", "24", _coords(24, {5: 1, 23: 2})], "", {}, 0),
+    (["weights", "autodual", "B", "20", _coords(20, {20: 1})], "", {}, 0),
+    (["weights", "autodual", "C", "20", _coords(20, {1: 1})], "", {}, 0),
+    (["weights", "autodual", "D", "24", _coords(24, {23: 1})], "", {}, 0),
+    (["weights", "autodual", "B", "20", _coords(20, {1: 1, 20: 1})], "", {}, 2),
     (["weights", "verify-table2", "--max-rank", "1000"], "", {}, 2),
     (["cm", "--group", "cyclic:6", "rank", "--theta", "0,1,2", "--invariants"], "", {}, 0),
     (["cm", "--group", "cyclic:6", "primitive", "--theta", "0,2,4"], "", {}, 3),
@@ -446,6 +462,7 @@ CLI_CASES = [
     (["cm", "--group", "dihedral:32", "rank", "--theta", DIHEDRAL32_INDUCED], "", {}, 0),
     (["cm", "--group", "dihedral:32", "primitive", "--theta", DIHEDRAL32_INDUCED], "", {}, 3),
     (["numth", "verify", "--k-max", "6"], "", {}, 0),
+    (["numth", "verify", "--k-max", "14"], "", {}, 0),
     (["numth", "verify", "--k-max", "4", "--pretty"], "", {}, 0),
     (["numth", "verify", "--k-max", "2"], "", {}, 2),
     (["abelian", "status"], json.dumps(ABELIAN), {}, 0),
