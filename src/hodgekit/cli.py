@@ -139,13 +139,14 @@ def _parse_coords(text: str, rank: int) -> rootsys.Weight:
 def _cmd_weights(args):
     if args.weights_cmd == "verify-table2":
         rootsys._check_rank_cap(args.max_rank)
-        systems = [
-            rootsys.RootSystem(kind, rank)
+        specs = [
+            (kind, rank)
             for kind, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
             for rank in range(lo, args.max_rank + 1)
         ]
-        systems += [rootsys.RootSystem("E", 6), rootsys.RootSystem("E", 7)]
-        reports = [rootsys.verify_minuscule_table(rs) for rs in systems]
+        specs += [("E", 6), ("E", 7)]
+        # one system alive at a time: its roots are garbage once verified
+        reports = [rootsys.verify_minuscule_table(rootsys.RootSystem(*s)) for s in specs]
         ok = all(r["ok"] for r in reports)
         lines = [f"{'PASS' if r['ok'] else 'FAIL'} {r['system']}" for r in reports]
         payload = "\n".join(lines) if args.pretty else {"ok": ok, "rows": reports}

@@ -226,6 +226,11 @@ class RootSystem:
         return tuple(zip(*map(self._coroots.__getitem__, self.positive_roots)))
 
     @cached_property
+    def _coroot_heights(self) -> tuple[int, ...]:
+        """<rho, beta^vee>, the height of beta^vee, for the positive roots."""
+        return tuple(map(sum, map(self._coroots.__getitem__, self.positive_roots)))
+
+    @cached_property
     def _two_rho_vee(self) -> tuple[int, ...]:
         """2 rho^vee, the sum of the positive coroots."""
         return tuple(map(sum, self._coroot_columns))
@@ -252,21 +257,25 @@ class RootSystem:
         and permutes the rest, so the number of steps is the size of that
         set, at most the number of positive roots; more is an error.
         """
-        current = tuple(mu)
+        current = list(mu)
         shift = [0] * self.rank
         todo = [i for i, c in enumerate(current) if c < 0]
         budget = len(self.positive_roots)
         while todo:
             i = todo.pop()
-            if current[i] >= 0:
+            c = current[i]
+            if c >= 0:
                 continue
             if not budget:
                 raise AssertionError("dominantization took too many steps")
             budget -= 1
-            shift[i] -= current[i]
-            current = self.reflect_weight(current, i)
-            todo.extend(j for j, _ in self._links[i] if current[j] < 0)
-        return current, tuple(shift)
+            shift[i] -= c
+            current[i] = -c
+            for j, a in self._links[i]:
+                current[j] -= c * a
+                if current[j] < 0:
+                    todo.append(j)
+        return tuple(current), tuple(shift)
 
 
 def _check_rank_cap(rank: int) -> None:
@@ -322,7 +331,7 @@ def rep_dimension(rs: RootSystem, weight: Weight) -> int:
     if not is_dominant(weight):
         raise ValueError("rep_dimension needs a dominant weight")
     # <lambda + rho, beta^vee> = <lambda, beta^vee> + height of beta^vee
-    heights = [sum(rs._coroots[beta]) for beta in rs.positive_roots]
+    heights = rs._coroot_heights
     num = math.prod(map(add, heights, rs._pairings(weight)))
     den = math.prod(heights)
     if num % den:

@@ -92,19 +92,16 @@ def test_weyl_kernels_match_the_dense_oracles():
 
 def test_dominantization_steps_count_the_negative_coroots():
     # each step s_i with mu_i < 0 removes alpha_i from the positive roots
-    # pairing negatively with mu, so the step count is exactly their number
-    # and a budget of one step fewer is refused
+    # pairing negatively with mu and permutes the rest, so the number of
+    # steps is exactly their number: the budget (one step per positive
+    # root) cut down to that number suffices, and one step fewer is refused
     rng = random.Random(20151119)
     for kind, l in [("A", 7), ("B", 6), ("C", 6), ("D", 7), ("E", 6), ("E", 7)]:
         for _ in range(8):
             rs = RootSystem(kind, l)
             mu = tuple(rng.randint(-3, 3) for _ in range(l))
             negative = sum(rs.pair_coroot(Weight(mu), b) < 0 for b in rs.positive_roots)
-            steps = []
-            reflect = rs.reflect_weight
-            rs.reflect_weight = lambda m, i: steps.append(i) or reflect(m, i)
             expected = rs.dominant_representative(mu)
-            assert len(steps) == negative, (rs.name, mu)
             rs.positive_roots = rs.positive_roots[:negative]
             assert rs.dominant_representative(mu) == expected
             if negative:
