@@ -146,7 +146,9 @@ def _cmd_weights(args):
         ]
         specs += [("E", 6), ("E", 7)]
         # one system alive at a time: its roots are garbage once verified
-        reports = [rootsys.verify_minuscule_table(rootsys.RootSystem(*s)) for s in specs]
+        reports = [
+            rootsys.verify_minuscule_table(rootsys.RootSystem(*spec)) for spec in specs
+        ]
         ok = all(r["ok"] for r in reports)
         lines = [f"{'PASS' if r['ok'] else 'FAIL'} {r['system']}" for r in reports]
         payload = "\n".join(lines) if args.pretty else {"ok": ok, "rows": reports}

@@ -5,7 +5,7 @@ central binomial residues by carry counting (with the direct big-integer
 product available as an independent path), prime counts by sieve.  One
 byte sieve (``_sieve``) serves the prime list, the prime-count gaps, which
 count its flags in C without building a list, and the composite check,
-which sieves once for every k.
+which sieves once to 2^k_max for all k.
 
 ``is_prime`` is the one primality test of the package: deterministic
 Miller-Rabin on the 13 prime bases 2, 3, ..., 41.  No composite below
