@@ -1,53 +1,48 @@
 """Exact classification toolkit for Hodge groups of simple polarizable
 rational Hodge structures of extreme bidegree (half-dimension n on each
-side), organized around the endomorphism-algebra profile."""
+side), organized around the endomorphism-algebra profile.
 
-from .core import (
-    EndomorphismDescriptor,
-    GroupExpr,
-    HodgeProfile,
-    Violation,
-    profile_from_json,
-    profile_to_json,
-    validate_profile,
-)
-from .realizability import ExceptionalCase, is_exceptional, realizable
-from .lefschetz import group_dim, group_rank, lefschetz_group
-from .classifier import (
-    Candidate,
-    ClassificationOutcome,
-    SubfieldDescriptor,
-    classify,
-    exclude_sl2_product,
-    su_constraint,
-    table3,
-)
-from .consequences import AbelianProfile, hodge_status, murty_equal
+Importing the package imports none of its modules: each public name
+resolves on first use, importing the submodule that defines it."""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbelianProfile",
-    "Candidate",
-    "ClassificationOutcome",
-    "EndomorphismDescriptor",
-    "ExceptionalCase",
-    "GroupExpr",
-    "HodgeProfile",
-    "SubfieldDescriptor",
-    "Violation",
-    "classify",
-    "exclude_sl2_product",
-    "group_dim",
-    "group_rank",
-    "hodge_status",
-    "is_exceptional",
-    "lefschetz_group",
-    "murty_equal",
-    "profile_from_json",
-    "profile_to_json",
-    "realizable",
-    "su_constraint",
-    "table3",
-    "validate_profile",
-]
+_HOMES = {
+    "core": (
+        "EndomorphismDescriptor",
+        "GroupExpr",
+        "HodgeProfile",
+        "Violation",
+        "profile_from_json",
+        "profile_to_json",
+        "validate_profile",
+    ),
+    "realizability": ("ExceptionalCase", "is_exceptional", "realizable"),
+    "lefschetz": ("group_dim", "group_rank", "lefschetz_group"),
+    "classifier": (
+        "Candidate",
+        "ClassificationOutcome",
+        "SubfieldDescriptor",
+        "classify",
+        "exclude_sl2_product",
+        "su_constraint",
+        "table3",
+    ),
+    "consequences": ("AbelianProfile", "hodge_status", "murty_equal"),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME_OF)
+
+
+def __getattr__(name):
+    module = _HOME_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | _HOME_OF.keys())

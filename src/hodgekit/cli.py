@@ -16,6 +16,11 @@ internal invariant) with exit 4, and a ``ValueError`` (bad input; the
 package's ``InvalidProfileError``, ``InvalidModelError`` and
 ``InconsistentSubfieldError`` all derive from it) with
 ``error: <message>`` on stderr and exit 2.
+
+Each subcommand imports the engine it calls when it runs, so a one-shot
+process loads only its own subcommand's modules: ``numth verify`` never
+loads the classifier, and ``classify`` never loads ``rootsys`` or
+``cmtools``.
 """
 
 from __future__ import annotations
@@ -23,15 +28,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import cmtools, numth, rootsys
-from .classifier import NotRealizableError, SubfieldDescriptor, classify, table3
-from .consequences import AbelianProfile, hodge_status, murty_equal
-from .core import _require_int, profile_from_json, validate_profile
-from .intlinalg import smith_normal_form
-from .lefschetz import group_dim, group_rank, lefschetz_group
-from .realizability import realizable
+if TYPE_CHECKING:
+    from . import cmtools, rootsys
+    from .classifier import SubfieldDescriptor
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -61,6 +62,8 @@ def _read_json(path: Optional[str]):
 
 def _subfields(data) -> list[SubfieldDescriptor]:
     """The subfield list of ``classify --subfields`` and ``abelian status``."""
+    from .classifier import SubfieldDescriptor
+
     if not isinstance(data, list):
         raise ValueError("subfields must be a JSON list")
     return [SubfieldDescriptor.from_json(item) for item in data]
@@ -72,6 +75,8 @@ def _subfields(data) -> list[SubfieldDescriptor]:
 
 
 def _cmd_validate(args):
+    from .core import profile_from_json, validate_profile
+
     violations = validate_profile(profile_from_json(_read_json(args.profile)))
     payload = {
         "valid": not violations,
@@ -81,12 +86,18 @@ def _cmd_validate(args):
 
 
 def _cmd_realizable(args):
+    from .core import profile_from_json
+    from .realizability import realizable
+
     verdict = realizable(profile_from_json(_read_json(args.profile)))
     code = EXIT_OK if verdict.realizable is True else EXIT_NEGATIVE
     return verdict.to_json(), EXIT_INVARIANT if verdict.violations else code
 
 
 def _cmd_lefschetz(args):
+    from .core import profile_from_json
+    from .lefschetz import group_dim, group_rank, lefschetz_group
+
     group = lefschetz_group(profile_from_json(_read_json(args.profile)))
     payload = {
         "group": group.to_json(),
@@ -112,6 +123,9 @@ def _render_table3_markdown(rows) -> str:
 
 
 def _cmd_classify(args):
+    from .classifier import NotRealizableError, classify, table3
+    from .core import profile_from_json
+
     if args.table3:
         rows = table3()
         payload = _render_table3_markdown(rows) if args.pretty else {"rows": rows}
@@ -127,6 +141,8 @@ def _cmd_classify(args):
 
 
 def _parse_coords(text: str, rank: int) -> rootsys.Weight:
+    from . import rootsys
+
     try:
         coords = tuple(int(x) for x in text.split(","))
     except ValueError:
@@ -137,7 +153,11 @@ def _parse_coords(text: str, rank: int) -> rootsys.Weight:
 
 
 def _cmd_weights(args):
+    from . import rootsys
+
     if args.weights_cmd == "verify-table2":
+        if args.max_rank < 1:
+            raise ValueError(f"--max-rank must be at least 1, got {args.max_rank}")
         rootsys._check_rank_cap(args.max_rank)
         specs = [
             (kind, rank)
@@ -166,6 +186,8 @@ def _cmd_weights(args):
 
 
 def _build_model(args) -> cmtools.GaloisModel:
+    from . import cmtools
+
     family, _, rest = args.group.partition(":")
     if family == "perms":
         _, size_text, gens_text = args.group.split(":", 2)
@@ -192,6 +214,9 @@ def _build_model(args) -> cmtools.GaloisModel:
 
 
 def _cmd_cm(args):
+    from . import cmtools
+    from .intlinalg import smith_normal_form
+
     model = _build_model(args)
     if args.cm_cmd == "scan":
         return cmtools.tankeev_scan(model).to_json(), EXIT_OK
@@ -209,6 +234,8 @@ def _cmd_cm(args):
 
 
 def _cmd_numth(args):
+    from . import numth
+
     k_max = args.k_max
     if k_max < 3:
         raise ValueError(f"--k-max must be at least 3, got {k_max}")
@@ -237,6 +264,9 @@ def _cmd_numth(args):
 
 
 def _cmd_abelian(args):
+    from .consequences import AbelianProfile, hodge_status, murty_equal
+    from .core import _require_int, profile_from_json
+
     data = _read_json(args.profile)
     if not isinstance(data, dict):
         raise ValueError("abelian profile must be a JSON object")

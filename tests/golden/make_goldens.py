@@ -434,6 +434,8 @@ CLI_CASES = [
     (["weights", "autodual", "D", "24", _coords(24, {23: 1})], "", {}, 0),
     (["weights", "autodual", "B", "20", _coords(20, {1: 1, 20: 1})], "", {}, 2),
     (["weights", "verify-table2", "--max-rank", "1000"], "", {}, 2),
+    (["weights", "verify-table2", "--max-rank", "0"], "", {}, 2),
+    (["weights", "verify-table2", "--max-rank", "-1"], "", {}, 2),
     (["cm", "--group", "cyclic:6", "rank", "--theta", "0,1,2", "--invariants"], "", {}, 0),
     (["cm", "--group", "cyclic:6", "primitive", "--theta", "0,2,4"], "", {}, 3),
     (["cm", "--group", "cyclic:8", "primitive", "--theta", "0,1,2,7", "--pretty"], "", {}, 0),

@@ -451,7 +451,7 @@ def test_classify_validates_the_profile_once(monkeypatch):
 
     for name, module in list(sys.modules.items()):
         if name.startswith("hodgekit"):
-            if getattr(module, "validate_profile", None) is original:
+            if vars(module).get("validate_profile") is original:
                 monkeypatch.setattr(module, "validate_profile", counting)
     branches = [
         (prof("I", 1, 1, 1, w=1, n=1), "n=1"),

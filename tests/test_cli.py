@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import copy
 import io
@@ -336,6 +337,80 @@ def test_abelian_rejects_a_non_integer_dim(tmp_path, capsys, dim):
 
 def test_numth_kmax_below_three_is_bad_input(capsys):
     assert "--k-max" in run_bad_input(["numth", "verify", "--k-max", "2"], capsys)
+
+
+@pytest.mark.parametrize("max_rank", ["0", "-1", "-5"])
+def test_verify_table2_max_rank_below_one_is_bad_input(capsys, max_rank):
+    err = run_bad_input(["weights", "verify-table2", "--max-rank", max_rank], capsys)
+    assert err == f"error: --max-rank must be at least 1, got {max_rank}\n"
+
+
+# --- Import footprint: a one-shot process loads only its subcommand's engine ---
+
+# Runs the CLI as ``python -m hodgekit.cli`` does (or, with no arguments,
+# only ``import hodgekit``), then reports on stderr its exit code, the
+# ``hodgekit`` modules loaded and whether ``dataclasses`` and ``fractions`` are.
+FOOTPRINT = """
+import sys
+code = 0
+if len(sys.argv) > 1:
+    import runpy
+    try:
+        runpy.run_module("hodgekit.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+else:
+    import hodgekit
+loaded = (
+    code,
+    sorted(m for m in sys.modules if m.split(".")[0] == "hodgekit"),
+    "dataclasses" in sys.modules,
+    "fractions" in sys.modules,
+)
+sys.stderr.write("\\n" + repr(loaded))
+"""
+
+
+def footprint(args, stdin=None):
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT, *args],
+        input=stdin,
+        capture_output=True,
+        text=True,
+    )
+    code, modules, dataclasses, fractions = ast.literal_eval(proc.stderr.splitlines()[-1])
+    assert code == 0, proc.stderr
+    return {m.removeprefix("hodgekit.") for m in modules}, dataclasses, fractions
+
+
+def test_import_hodgekit_loads_no_submodule():
+    assert footprint([]) == ({"hodgekit"}, False, False)
+
+
+def test_numth_verify_loads_numth_alone():
+    modules, dataclasses, _ = footprint(["numth", "verify", "--k-max", "6"])
+    assert "numth" in modules
+    assert modules <= {"hodgekit", "cli", "numth"}
+    assert not dataclasses
+
+
+def test_weights_loads_no_classifier_or_cm_engine():
+    modules, _, _ = footprint(["weights", "dim", "A", "3", "0,1,0"])
+    assert "rootsys" in modules
+    assert not modules & {"classifier", "core", "cmtools"}
+
+
+def test_cm_rank_loads_no_classifier_or_root_systems():
+    modules, _, _ = footprint(["cm", "--group", "cyclic:6", "rank", "--theta", "0,1,2"])
+    assert "cmtools" in modules
+    assert not modules & {"classifier", "core", "rootsys"}
+
+
+def test_classify_loads_no_verification_engine():
+    modules, _, fractions = footprint(["classify"], stdin=json.dumps(PROFILE_N3))
+    assert "classifier" in modules
+    assert not modules & {"rootsys", "cmtools", "intlinalg"}
+    assert not fractions
 
 
 def test_n_beyond_the_primality_bound_is_bad_input(tmp_path, capsys):
