@@ -2,8 +2,9 @@
 rational Hodge structures of extreme bidegree (half-dimension n on each
 side), organized around the endomorphism-algebra profile.
 
-Importing the package imports none of its modules: each public name
-resolves on first use, importing the submodule that defines it."""
+Importing the package imports none of its modules: each public name and
+each submodule (``hodgekit.core``) resolves on first use by importing the
+submodule that defines it, which Python then binds on the package."""
 
 import importlib
 
@@ -33,11 +34,14 @@ _HOMES = {
     "consequences": ("AbelianProfile", "hodge_status", "murty_equal"),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+_SUBMODULES = (*_HOMES, "cli", "cmtools", "intlinalg", "numth", "rootsys")
 
 __all__ = sorted(_HOME_OF)
 
 
 def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
     module = _HOME_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -45,4 +49,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted(set(globals()) | _HOME_OF.keys())
+    return sorted(set(globals()) | _HOME_OF.keys() | set(_SUBMODULES))

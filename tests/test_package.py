@@ -1,4 +1,7 @@
 import importlib
+import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -67,3 +70,33 @@ def test_unknown_name_is_an_attribute_error():
 
 def test_dir_lists_every_public_name():
     assert set(ALL) <= set(dir(hodgekit))
+
+
+SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(hodgekit.__path__))
+
+
+def test_submodules_are_every_module_file():
+    assert SUBMODULES == [
+        "classifier",
+        "cli",
+        "cmtools",
+        "consequences",
+        "core",
+        "intlinalg",
+        "lefschetz",
+        "numth",
+        "realizability",
+        "rootsys",
+    ]
+
+
+def test_each_submodule_resolves_after_a_bare_import():
+    # In a fresh interpreter, so no earlier import has bound the submodules.
+    child = (
+        "import sys, hodgekit\n"
+        f"for name in {SUBMODULES!r}:\n"
+        "    assert getattr(hodgekit, name) is sys.modules['hodgekit.' + name], name\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert set(SUBMODULES) <= set(dir(hodgekit))
