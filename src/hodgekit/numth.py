@@ -3,9 +3,10 @@
 Everything here is exact: 2-adic valuations by the floor-sum formula,
 central binomial residues by carry counting (with the direct big-integer
 product available as an independent path), prime counts by sieve.  One
-byte sieve (``_sieve``) serves the prime list, the prime-count gaps, which
-count its flags in C without building a list, and the composite check,
-which sieves once to 2^k_max for all k.
+byte sieve (``_sieve``) serves the prime-count gaps, which count its
+flags in C without building a list, and the composite check, which
+sieves once to 2^k_max and walks the odd flags of one dyadic interval at
+a time, so no list of all primes is built.
 
 ``is_prime`` is the one primality test of the package: deterministic
 Miller-Rabin on the 13 prime bases 2, 3, ..., 41.  No composite below
@@ -17,16 +18,16 @@ ValueError at or above it instead of guessing.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from typing import Optional
 
 # The dyadic checks sieve up to 2^k_max (the prime-count gaps once per k),
 # so time and memory double per step in k: `numth verify --k-max 24` takes
-# about 2.2 s and 102 MB on a 2-vCPU Xeon VM, and k = 27 about 20 s and
-# 573 MB, most of it the list of 7.6 million primes and their witness
-# lists.
+# about 1.8-2.0 s and 96 MB on a 2-vCPU Xeon VM, and k = 27 about 17 s and
+# 567 MB.  No list of all primes is built any more; the memory is the
+# witness lists the answer prints (7.6 million primes at k = 27, as Python
+# ints) and their JSON text, so it is the output that sets the cap.
 VERIFY_MAX_K = 27
 
 
@@ -97,13 +98,6 @@ def _sieve(n: int) -> bytearray:
         if flags[p]:
             flags[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
     return flags
-
-
-def primes_up_to(n: int) -> list[int]:
-    """All primes <= n by a byte sieve."""
-    if n < 2:
-        return []
-    return list(itertools.compress(range(n + 1), _sieve(n)))
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -181,14 +175,13 @@ def no_prime_double_is_central_binomial(
     if k_max < 3:
         raise ValueError("k_max must be at least 3")
     _check_verify_cap(k_max)
-    primes = primes_up_to(1 << k_max)
+    flags = _sieve(1 << k_max)
     witnesses: dict[int, list[int]] = {}
     ok = True
     for k in range(3, k_max + 1):
+        # the primes of (2^(k-1), 2^k) are odd: walk the odd flags only
         lo, hi = 1 << (k - 1), 1 << k
-        gap_primes = primes[
-            bisect.bisect_right(primes, lo) : bisect.bisect_right(primes, hi)
-        ]
+        gap_primes = itertools.compress(range(lo + 1, hi, 2), flags[lo + 1 : hi : 2])
         dividing = [
             p for p in gap_primes if prime_valuation_central_binomial(p, k) >= 1
         ]

@@ -1,9 +1,10 @@
 """Root systems, minuscule weights, and the admissible-factor filter.
 
 A root system is built in exact integer arithmetic from its Cartan
-matrix: positive roots by an upward-only reflection closure, each root
-carrying the squared length of the simple root it descends from and its
-coroot, s_i(beta)^vee = s_i(beta^vee).  A Dynkin node has at most three
+matrix.  Its positive roots are generated on first read, by an
+upward-only reflection closure, each root carrying the squared length of
+the simple root it descends from and its coroot,
+s_i(beta)^vee = s_i(beta^vee).  A Dynkin node has at most three
 neighbours, so every Weyl-group kernel is sparse: <beta, alpha_i^vee> is
 read off the root's weight coordinates, and s_i changes a weight only at
 i and its neighbours.  On top of that come representation dimensions by
@@ -21,8 +22,10 @@ every length is an integer.
 
 The minuscule table itself is given in closed form
 (``minuscule_table_expected``, after the plates of Bourbaki, *Lie Groups
-and Lie Algebras*, ch. VI-VIII), and ``admissible_factors`` reads it.
-``verify_minuscule_table`` checks it against the Weyl-formula scan.
+and Lie Algebras*, ch. VI-VIII).  ``admissible_factors`` inverts it: from
+the dimension alone it finds the few systems whose closed forms reach it,
+so it scans no ranks and builds a system only for a hit.
+``verify_minuscule_table`` checks the table against the Weyl-formula scan.
 
 Conventions: cartan[i][j] = <alpha_i, alpha_j^vee>, simple roots indexed
 from 0 internally, fundamental weights 1-based in the public API to
@@ -31,6 +34,7 @@ match the usual labelling of Dynkin diagrams (Bourbaki numbering).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,6 +45,7 @@ from operator import add, mul, neg
 ORTHOGONAL = "orthogonal"
 SYMPLECTIC = "symplectic"
 NON_SELF_DUAL = "non_self_dual"
+_DUALITIES = (ORTHOGONAL, SYMPLECTIC, NON_SELF_DUAL)
 
 # Largest rank a RootSystem is built for.  Root generation grows like l^3
 # and sets the cost of a single-system query: `weights dim`, `autodual` or
@@ -120,7 +125,12 @@ class Weight:
 
 
 class RootSystem:
-    """An irreducible root system of classical type or E6/E7."""
+    """An irreducible root system of classical type or E6/E7.
+
+    Construction checks the kind and the rank and sets up the Cartan
+    matrix; the roots and coroots are generated on first read, and their
+    number is then checked against |Phi^+|.
+    """
 
     def __init__(self, kind: str, rank: int):
         if kind not in _MIN_RANK:
@@ -137,14 +147,6 @@ class RootSystem:
             tuple((j, a) for j, a in enumerate(row) if a and j != i)
             for i, row in enumerate(self.cartan)
         )
-        self._coroots = self._generate_positive_roots()
-        self.positive_roots = tuple(sorted(self._coroots, key=lambda r: (sum(r), r)))
-        expected = _COUNT[kind](rank)
-        if len(self.positive_roots) != expected:
-            raise AssertionError(
-                f"{kind}{rank}: got {len(self.positive_roots)} positive "
-                f"roots, expected {expected}"
-            )
 
     @property
     def name(self) -> str:
@@ -155,7 +157,13 @@ class RootSystem:
 
     # -- roots ---------------------------------------------------------
 
-    def _generate_positive_roots(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+    @cached_property
+    def positive_roots(self) -> tuple[tuple[int, ...], ...]:
+        """The positive roots in simple-root coordinates, by height."""
+        return tuple(sorted(self._coroots, key=lambda r: (sum(r), r)))
+
+    @cached_property
+    def _coroots(self) -> dict[tuple[int, ...], tuple[int, ...]]:
         """Each positive root beta with its coroot beta^vee, both in simple
         (co)root coordinates, so that <w, beta^vee> = sum_j w_j v_j.
 
@@ -174,7 +182,8 @@ class RootSystem:
         simple root it descends from, and s_i(beta)^vee = s_i(beta^vee)
         = beta^vee - <alpha_i, beta^vee> alpha_i^vee, where
         <alpha_i, beta^vee> = <beta, alpha_i^vee> |alpha_i|^2 / |beta|^2
-        must be an integer.
+        must be an integer.  Every read of the roots passes through here,
+        so the count check below runs on every system whose roots are used.
         """
         l = self.rank
         coroots = {}
@@ -200,6 +209,11 @@ class RootSystem:
                 img_vee[i] -= q
                 coroots[img] = img_vee = tuple(img_vee)
                 frontier.append((img, img_vee, size, self.reflect_weight(pairings, i)))
+        expected = _COUNT[self.kind](l)
+        if len(coroots) != expected:
+            raise AssertionError(
+                f"{self.name}: got {len(coroots)} positive roots, expected {expected}"
+            )
         return coroots
 
     # -- pairings ------------------------------------------------------
@@ -379,8 +393,8 @@ def weight_length(rs: RootSystem, weight: Weight) -> Fraction:
 @lru_cache(maxsize=None)
 def _minuscule_rows(kind: str, l: int) -> tuple[tuple[int, int, str], ...]:
     """(index, dimension, duality) of each minuscule weight of kind_l,
-    in closed form; cached because every admissible_factors call reads
-    the rows of every system up to its max_rank."""
+    in closed form; cached because the warm admissible_factors queries
+    read the same few systems again."""
 
     def sign_mod4(plus: tuple[int, ...]) -> str:
         return ORTHOGONAL if l % 4 in plus else SYMPLECTIC
@@ -483,38 +497,65 @@ def _kept_in_twice_odd_dim(kind: str, l: int, index: int, duality: str) -> bool:
     )
 
 
+def _rows_of_dimension(dim: int, duality: str, max_rank: int):
+    """(kind, rank, index) of each classical minuscule weight of the given
+    dimension and duality with rank at most max_rank, by inverting the
+    closed forms: C_l and D_l standard at l = d/2, B_l spin and D_{l+1}
+    half-spin at d = 2^l, A_{d-1} standard, and A_l on the j-th wedge for
+    each j >= 2 with C(2j, j) <= d, where C(l + 1, j) grows with l, so a
+    binary search over [2j - 1, max_rank] finds the one l it can be."""
+    systems = {("A", dim - 1)}
+    if dim % 2 == 0:
+        systems |= {("C", dim // 2), ("D", dim // 2)}
+    if dim & (dim - 1) == 0:
+        l = dim.bit_length() - 1
+        systems |= {("B", l), ("D", l + 1)}
+    for j in range(2, (max_rank + 3) // 2):
+        if math.comb(2 * j, j) > dim:
+            break
+        ranks = range(2 * j - 1, max_rank + 1)
+        at = bisect.bisect_left(ranks, dim, key=lambda l: math.comb(l + 1, j))
+        if at < len(ranks) and math.comb(ranks[at] + 1, j) == dim:
+            systems.add(("A", ranks[at]))
+    for kind, l in systems:
+        if _MIN_RANK[kind] <= l <= max_rank:
+            for index, rep_dim, rep_duality in _minuscule_rows(kind, l):
+                if rep_dim == dim and rep_duality == duality:
+                    yield kind, l, index
+
+
 def admissible_factors(
     dim: int, duality: str, max_rank: int = 16
 ) -> list[tuple[RootSystem, Weight]]:
     """Classical minuscule pairs of the given dimension and autoduality.
 
-    The pairs are read from the closed-form minuscule table of every
-    classical system of rank at most max_rank (at most MAX_RANK); a root
-    system is built only for a hit.  On top of the table this enforces
-    the constraints satisfied by a nontrivial simple factor of an
-    irreducible summand: self-dual forces even dimension; a symplectic
-    factor of dimension 2 mod 4 must be the standard representation of
-    C_l with l odd; an orthogonal factor of dimension 2 mod 4 must be the
-    standard representation of D_l with l odd or the middle exterior
-    power for A_{2^k-1} with k >= 3.  Hits are sorted by kind, rank and
-    weight.
+    The pairs come from inverting the closed-form minuscule table at dim
+    (``_rows_of_dimension``), cut at rank max_rank (at most MAX_RANK); a
+    root system is built only for a hit, and its roots only when read.
+    On top of the table this enforces the constraints satisfied by a
+    nontrivial simple factor of an irreducible summand: self-dual forces
+    even dimension; a symplectic factor of dimension 2 mod 4 must be the
+    standard representation of C_l with l odd; an orthogonal factor of
+    dimension 2 mod 4 must be the standard representation of D_l with l
+    odd or the middle exterior power for A_{2^k-1} with k >= 3.  Hits are
+    sorted by kind, rank and weight.
     """
     if dim < 1:
         raise ValueError("dim must be positive")
+    if duality not in _DUALITIES:
+        raise ValueError(
+            f"duality must be one of {', '.join(_DUALITIES)}, got {duality!r}"
+        )
     _check_rank_cap(max_rank)
-    self_dual = duality in (ORTHOGONAL, SYMPLECTIC)
+    self_dual = duality != NON_SELF_DUAL
     if self_dual and dim % 2 == 1:
         return []
     hits: list[tuple[RootSystem, Weight]] = []
-    for kind in _CLASSICAL:
-        for l in range(_MIN_RANK[kind], max_rank + 1):
-            for index, rep_dim, rep_duality in _minuscule_rows(kind, l):
-                if rep_dim != dim or rep_duality != duality:
-                    continue
-                if self_dual and dim % 4 == 2:
-                    if not _kept_in_twice_odd_dim(kind, l, index, duality):
-                        continue
-                rs = root_system(kind, l)
-                hits.append((rs, fundamental_weight(rs, index)))
+    for kind, l, index in _rows_of_dimension(dim, duality, max_rank):
+        if self_dual and dim % 4 == 2:
+            if not _kept_in_twice_odd_dim(kind, l, index, duality):
+                continue
+        rs = root_system(kind, l)
+        hits.append((rs, fundamental_weight(rs, index)))
     hits.sort(key=lambda p: (p[0].kind, p[0].rank, p[1].coords))
     return hits

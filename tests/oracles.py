@@ -6,7 +6,7 @@ use plain Gaussian elimination over Fraction (and, for Kubota ranks, eliminate
 both the raw and the reduced matrix where the package derives one rank
 from the other).  Block systems likewise:
 the package finds them by union-find, the oracle from the subgroup
-lattice.  The minuscule table likewise: the package reads closed forms,
+lattice.  The minuscule table likewise: the package inverts closed forms,
 the oracle scans the fundamental weights with the Weyl formula.  Weight
 lengths likewise: the package sums the steps of a dominantization, the
 oracle solves the Cartan system over Fraction.  The Weyl-group kernels
@@ -19,10 +19,11 @@ the first negative coordinate by dense reflections.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from hodgekit import rootsys
+from hodgekit import numth, rootsys
 from hodgekit.cmtools import generate_group, identity_perm
 
 
@@ -249,36 +250,40 @@ def minuscule_scan(kind: str, rank: int):
 def scan_admissible_factors(dim: int, duality: str, max_rank: int):
     """(kind, rank, coords) of every classical minuscule pair of the given
     dimension and duality found by ``minuscule_scan``, cut by the
-    summand constraints: self-dual forces even dimension, and in
+    summand constraints (see ``scan_admissible_table``)."""
+    return list(scan_admissible_table(max_rank).get((dim, duality), ()))
+
+
+@lru_cache(maxsize=None)
+def scan_admissible_table(max_rank: int):
+    """(dim, duality) -> sorted (kind, rank, coords) hits, from one
+    ``minuscule_scan`` of every classical system up to max_rank, cut by
+    the summand constraints: self-dual forces even dimension, and in
     dimension 2 mod 4 only the standard C_l (symplectic) or D_l
     (orthogonal) with l odd, or the middle wedge of A_{2^k-1} with
     k >= 3 (orthogonal), survive."""
-    hits = []
+    table = {}
     for kind, lo in (("A", 1), ("B", 2), ("C", 1), ("D", 3)):
         for l in range(lo, max_rank + 1):
-            for index, rep_dim, rep_duality in minuscule_scan(kind, l):
-                if (rep_dim, rep_duality) == (dim, duality):
-                    hits.append((kind, l, index))
-    if duality != rootsys.NON_SELF_DUAL and dim % 2 == 1:
-        hits = []
-    if duality != rootsys.NON_SELF_DUAL and dim % 4 == 2:
-        standard = "C" if duality == rootsys.SYMPLECTIC else "D"
-        hits = [
-            (kind, l, index)
-            for kind, l, index in hits
-            if (kind == standard and l % 2 == 1 and index == 1)
-            or (
-                duality == rootsys.ORTHOGONAL
-                and kind == "A"
-                and l >= 7
-                and ((l + 1) & l) == 0
-                and index == (l + 1) // 2
-            )
-        ]
-    return sorted(
-        (kind, l, tuple(int(i == index - 1) for i in range(l)))
-        for kind, l, index in hits
-    )
+            for index, dim, duality in minuscule_scan(kind, l):
+                if duality != rootsys.NON_SELF_DUAL and dim % 2 == 1:
+                    continue
+                if duality != rootsys.NON_SELF_DUAL and dim % 4 == 2:
+                    standard = "C" if duality == rootsys.SYMPLECTIC else "D"
+                    if not (
+                        (kind == standard and l % 2 == 1 and index == 1)
+                        or (
+                            duality == rootsys.ORTHOGONAL
+                            and kind == "A"
+                            and l >= 7
+                            and ((l + 1) & l) == 0
+                            and index == (l + 1) // 2
+                        )
+                    ):
+                        continue
+                coords = tuple(int(i == index - 1) for i in range(l))
+                table.setdefault((dim, duality), []).append((kind, l, coords))
+    return {key: tuple(sorted(hits)) for key, hits in table.items()}
 
 
 def dense_positive_roots(rs) -> dict[tuple[int, ...], int]:
@@ -343,3 +348,10 @@ def dense_dominant_representative(rs, mu):
         c = current[i]
         shift[i] -= c
         current = tuple(m - c * rs.cartan[i][j] for j, m in enumerate(current))
+
+
+def primes_up_to(n: int) -> list[int]:
+    """All primes <= n, listed from the package's byte sieve."""
+    if n < 2:
+        return []
+    return list(itertools.compress(range(n + 1), numth._sieve(n)))

@@ -29,12 +29,11 @@ from hodgekit.numth import (
     central_binomial_mod4_direct,
     no_prime_double_is_central_binomial,
     prime_count_gap,
-    primes_up_to,
 )
 from hodgekit.realizability import realizable
 from hodgekit.rootsys import RootSystem, verify_minuscule_table
 
-from oracles import fraction_rank
+from oracles import fraction_rank, primes_up_to
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 

@@ -13,9 +13,10 @@ from hodgekit.numth import (
     MR_EXACT_BOUND,
     no_prime_double_is_central_binomial,
     prime_count_gap,
-    primes_up_to,
     VERIFY_MAX_K,
 )
+
+from oracles import primes_up_to
 
 
 def test_factorial_two_adic_examples():
@@ -121,6 +122,17 @@ def test_no_prime_double_scan():
         value = math.comb(1 << k, 1 << (k - 1))
         for p in primes:
             assert value % p == 0
+
+
+def test_witnesses_are_every_prime_of_each_dyadic_interval():
+    # Miller-Rabin is a route independent of the sieve: a walk that
+    # skipped or overran an interval edge would change some list
+    ok, witnesses = no_prime_double_is_central_binomial(16)
+    assert ok
+    assert sorted(witnesses) == list(range(3, 17))
+    for k, primes in witnesses.items():
+        lo, hi = 1 << (k - 1), 1 << k
+        assert primes == [p for p in range(lo + 1, hi) if is_prime(p)], k
 
 
 def test_is_prime_matches_the_sieve():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hodgekit import rootsys
 from hodgekit.numth import central_binomial_mod4
 from hodgekit.rootsys import (
     MAX_RANK,
@@ -310,6 +311,45 @@ def test_admissible_factors_match_the_scan_oracle():
                 for rs, w in admissible_factors(dim, duality, max_rank=16)
             ]
             assert got == scan_admissible_factors(dim, duality, 16), (dim, duality)
+
+
+def test_admissible_factors_match_the_scan_oracle_to_20000():
+    # every d <= 20,000 at the rank the classifier asks for, and at ranks
+    # that cut the binary search and the small kinds short; the oracle
+    # scans each system once, so the comparison costs one call per query
+    for max_rank in (1, 2, 7, 16, 31):
+        for dim in range(1, 20_001):
+            for duality in (ORTHOGONAL, SYMPLECTIC, NON_SELF_DUAL):
+                got = [
+                    (rs.kind, rs.rank, w.coords)
+                    for rs, w in admissible_factors(dim, duality, max_rank)
+                ]
+                assert got == scan_admissible_factors(dim, duality, max_rank), (
+                    dim,
+                    duality,
+                    max_rank,
+                )
+
+
+def test_admissible_factors_refuse_an_unknown_duality():
+    for duality in ("bogus", "Orthogonal", ""):
+        with pytest.raises(ValueError, match="orthogonal, symplectic, non_self_dual"):
+            admissible_factors(6, duality)
+
+
+def test_admissible_factors_generate_no_roots():
+    root_system.cache_clear()
+    hits = admissible_factors(70, ORTHOGONAL, max_rank=16)
+    assert [(rs.name, w.coords.index(1) + 1) for rs, w in hits] == [("A7", 4)]
+    for rs, _ in hits:
+        assert "_coroots" not in vars(rs) and "positive_roots" not in vars(rs), rs.name
+
+
+def test_root_count_is_checked_on_first_read(monkeypatch):
+    monkeypatch.setitem(rootsys._COUNT, "B", lambda l: l * l + 1)
+    rs = RootSystem("B", 4)
+    with pytest.raises(AssertionError, match="got 16 positive roots, expected 17"):
+        rs.positive_roots
 
 
 def test_rank_cap_refuses_before_building():
