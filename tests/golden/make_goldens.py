@@ -404,6 +404,16 @@ CLI_CASES = [
     (["classify", "--subfields", "@s.json"], IV6, {"s.json": [{"deg_E": 4, "balanced": True}]}, 2),
     (["classify", "--subfields", "missing.json"], IV6, {}, 2),
     (["classify"], _pj("I", 1, 1, 1, n=MR_EXACT_BOUND), {}, 2),
+    # 924 = C(12, 6) is the orthogonal middle wedge of A11, not SU(2^k):
+    # the wedge alternative is dropped at type I, n = 462, even weight,
+    # and at type III, F = Q, m = 462, odd weight
+    (["classify"], _pj("I", 1, 1, 1, w=2, n=462), {}, 0),
+    (["classify"], _pj("III", 4, 1, 2, w=1, n=924), {}, 0),
+    # large-rank edges: n = C(32, 16) is twice odd (SL(2) x SL(2^5) struck at
+    # odd weight), and 2n = C(64, 32) offers SU(2^6) at even weight
+    (["classify"], _pj("I", 1, 1, 1, w=1, n=601080390), {}, 0),
+    (["classify"], _pj("I", 1, 1, 1, w=2, n=601080390), {}, 0),
+    (["classify"], _pj("I", 1, 1, 1, w=2, n=916312070471295267), {}, 0),
     (["weights", "dim", "A", "3", "0,1,0"], "", {}, 0),
     (["weights", "dim", "E", "7", "0,0,0,0,0,0,1", "--pretty"], "", {}, 0),
     (["weights", "autodual", "C", "3", "1,0,0"], "", {}, 0),
