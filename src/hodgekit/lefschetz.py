@@ -35,6 +35,7 @@ from .core import (
     REP_NONE,
     require_valid,
 )
+from .numth import _COUNT
 
 
 def lefschetz_group(profile: HodgeProfile) -> GroupExpr:
@@ -64,50 +65,29 @@ def _lefschetz_group(profile: HodgeProfile) -> GroupExpr:
     return GroupExpr(FAM_U_B, param=size, base_degree=g)
 
 
+# (absolute rank, |Phi^+|) of each family over an algebraic closure, at
+# base degree 1; the root counts come from the one table, ``numth._COUNT``.
+_ROOT_DATA = {
+    FAM_SP: lambda k: (k, _COUNT["C"](k)),
+    FAM_SP_B: lambda k: (k, _COUNT["C"](k)),
+    FAM_SO: lambda k: (k, _COUNT["D"](k)),
+    FAM_O_PLUS_B: lambda k: (k, _COUNT["D"](k)),
+    FAM_U_B: lambda k: (k, _COUNT["A"](k - 1)),  # GL(k): A_{k-1} and the centre
+    FAM_SU_B: lambda k: (k - 1, _COUNT["A"](k - 1)),
+    FAM_SU_POW2: lambda k: ((1 << k) - 1, _COUNT["A"]((1 << k) - 1)),
+    FAM_U_L: lambda k: (k, 0),
+    FAM_SU_LE: lambda k: (k - 1, 0),
+    FAM_SL2_SO4: lambda k: (3, 3),  # A1 x A1 x A1
+    FAM_SO7: lambda k: (3, _COUNT["B"](3)),
+}
+
+
 def group_dim(expr: GroupExpr) -> int:
-    """Dimension as a Q-algebraic group (classical Lie dimensions)."""
-    fam, k = expr.family, expr.param
-    if fam == FAM_SP or fam == FAM_SP_B:
-        base = k * (2 * k + 1)
-    elif fam == FAM_SO or fam == FAM_O_PLUS_B:
-        base = k * (2 * k - 1)
-    elif fam == FAM_U_B:
-        base = k * k
-    elif fam == FAM_SU_B:
-        base = k * k - 1
-    elif fam == FAM_SU_POW2:
-        size = 1 << k
-        base = size * size - 1
-    elif fam == FAM_U_L:
-        base = k
-    elif fam == FAM_SU_LE:
-        base = k - 1
-    elif fam == FAM_SL2_SO4:
-        base = 3 + 6
-    elif fam == FAM_SO7:
-        base = 21
-    else:  # pragma: no cover - families are closed
-        raise ValueError(f"unknown family {fam!r}")
-    return expr.base_degree * base
+    """Dimension as a Q-algebraic group: rank + 2 |Phi^+|, times the degree."""
+    rank, positive_roots = _ROOT_DATA[expr.family](expr.param)
+    return expr.base_degree * (rank + 2 * positive_roots)
 
 
 def group_rank(expr: GroupExpr) -> int:
     """Absolute rank (rank over an algebraic closure)."""
-    fam, k = expr.family, expr.param
-    if fam in (FAM_SP, FAM_SP_B, FAM_SO, FAM_O_PLUS_B, FAM_U_B):
-        base = k
-    elif fam == FAM_SU_B:
-        base = k - 1
-    elif fam == FAM_SU_POW2:
-        base = (1 << k) - 1
-    elif fam == FAM_U_L:
-        base = k
-    elif fam == FAM_SU_LE:
-        base = k - 1
-    elif fam == FAM_SL2_SO4:
-        base = 1 + 2
-    elif fam == FAM_SO7:
-        base = 3
-    else:  # pragma: no cover
-        raise ValueError(f"unknown family {fam!r}")
-    return expr.base_degree * base
+    return expr.base_degree * _ROOT_DATA[expr.family](expr.param)[0]

@@ -1,12 +1,13 @@
 """Number-theoretic facts the classification arguments lean on.
 
 Everything here is exact: 2-adic valuations by the floor-sum formula,
-central binomial residues by carry counting (with the direct big-integer
-product available as an independent path), prime counts by sieve.  One
+central binomial residues by carry counting, prime counts by sieve.  One
 byte sieve (``_sieve``) serves the prime-count gaps, which count its
 flags in C without building a list, and the composite check, which
 sieves once to 2^k_max and walks the odd flags of one dyadic interval at
-a time, so no list of all primes is built.
+a time, so no list of all primes is built.  It also owns the closed-form
+minuscule table and its one inversion, ``_rows_of_dimension``, which
+``rootsys``, ``central_binomial_solve`` and the classifier all read.
 
 ``is_prime`` is the one primality test of the package: deterministic
 Miller-Rabin on the 13 prime bases 2, 3, ..., 41.  No composite below
@@ -18,8 +19,10 @@ ValueError at or above it instead of guessing.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+from functools import lru_cache
 from typing import Optional
 
 # The dyadic checks sieve up to 2^k_max (the prime-count gaps once per k),
@@ -62,32 +65,137 @@ def central_binomial_mod4(z: int) -> int:
     return 2 if central_binomial_two_adic(z) == 1 else 0
 
 
-def central_binomial_mod4_direct(z: int) -> int:
-    """C(2z, z) mod 4 by full big-integer expansion (independent path)."""
-    if z < 1:
-        raise ValueError("z must be positive")
-    return math.comb(2 * z, z) % 4
+@lru_cache(maxsize=None)
+def _central_binomial(h: int) -> int:
+    """C(2h, h) for h >= 1, as a balanced product tree of its prime powers.
+    Python 3.11's ``math.comb(2^20, 2^19)`` divides big integers and takes
+    about 12 s on a 2-vCPU Xeon VM; this takes about 0.3 s.  Cached: the
+    inversion reads one value per bit length of its queries."""
+    powers = [
+        p ** v
+        for p in itertools.compress(range(2 * h + 1), _sieve(2 * h))
+        if (v := prime_valuation_central_binomial(p, h))
+    ]
+    while len(powers) > 1:
+        powers = [math.prod(powers[i : i + 2]) for i in range(0, len(powers), 2)]
+    return powers[0] if powers else 1
 
 
 def central_binomial_solve(target: int, k_max: int = 20) -> Optional[int]:
-    """Least k with 3 <= k <= k_max and C(2^k, 2^(k-1)) == target.
-
-    Full expansion is only attempted while a cheap lower bound on the
-    bit length of the central binomial does not already exceed the
-    target (C(2h,h) >= 4^h / (2h+1)), so large k_max stays cheap.
-    """
+    """Least k with 3 <= k <= k_max and C(2^k, 2^(k-1)) == target: the
+    orthogonal middle wedges of A_{2^k-1} that ``_rows_of_dimension`` finds
+    at target and ``_kept_in_twice_odd_dim`` keeps."""
     if k_max < 3:
         raise ValueError("k_max must be at least 3")
-    if target < 1:
-        return None
-    for k in range(3, k_max + 1):
-        half = 1 << (k - 1)
-        lower_bits = 2 * half - (2 * half + 1).bit_length()
-        if lower_bits > target.bit_length():
-            break
-        if math.comb(2 * half, half) == target:
-            return k
+    for kind, l, index in _rows_of_dimension(target, ORTHOGONAL, target):
+        if kind == "A" and _kept_in_twice_odd_dim(kind, l, index, ORTHOGONAL):
+            return l.bit_length() if l.bit_length() <= k_max else None
     return None
+
+
+# The closed-form minuscule table (Bourbaki, *Lie Groups and Lie Algebras*,
+# ch. VI-VIII, plates) and its one inversion, ``_rows_of_dimension``.
+ORTHOGONAL = "orthogonal"
+SYMPLECTIC = "symplectic"
+NON_SELF_DUAL = "non_self_dual"
+_DUALITIES = (ORTHOGONAL, SYMPLECTIC, NON_SELF_DUAL)
+
+_MIN_RANK = {"A": 1, "B": 2, "C": 1, "D": 3, "E": 6}
+
+# |Phi^+|, the number of positive roots of kind_l
+_COUNT = {
+    "A": lambda l: l * (l + 1) // 2,
+    "B": lambda l: l * l,
+    "C": lambda l: l * l,
+    "D": lambda l: l * (l - 1),
+    "E": lambda l: {6: 36, 7: 63}[l],
+}
+
+
+def _duality(kind: str, l: int, index: int) -> str:
+    """Duality of the minuscule weight omega_index of kind_l: the one place
+    the sign rules live (a wedge of A_l is self-dual only in the middle)."""
+    if kind == "A":
+        if l != 2 * index - 1:
+            return NON_SELF_DUAL
+        return ORTHOGONAL if index % 2 == 0 else SYMPLECTIC
+    if kind == "B":
+        return ORTHOGONAL if l % 4 in (0, 3) else SYMPLECTIC
+    if kind == "C":
+        return SYMPLECTIC
+    if kind == "E":
+        return SYMPLECTIC if l == 7 else NON_SELF_DUAL
+    if index == 1:
+        return ORTHOGONAL
+    if l % 2:
+        return NON_SELF_DUAL
+    return ORTHOGONAL if l % 4 == 0 else SYMPLECTIC
+
+
+def _minuscule_rows(kind: str, l: int) -> tuple[tuple[int, int, str], ...]:
+    """(index, dimension, duality) of each minuscule weight of kind_l: C(l+1, j)
+    for the j-th wedge of A_l, 2^l for the spin representation of B_l, 2l for
+    the standard ones, 2^(l-1) for the half-spins of D_l, 27 and 56 for E."""
+    if kind == "A":
+        dims = {j: math.comb(l + 1, j) for j in range(1, l + 1)}
+    elif kind == "B":
+        dims = {l: 2 ** l}
+    elif kind == "C":
+        dims = {1: 2 * l}
+    elif kind == "D":
+        dims = {1: 2 * l, l - 1: 2 ** (l - 1), l: 2 ** (l - 1)}
+    else:
+        dims = {1: 27, 6: 27} if l == 6 else {7: 56}
+    return tuple((j, dim, _duality(kind, l, j)) for j, dim in dims.items())
+
+
+def _kept_in_twice_odd_dim(kind: str, l: int, index: int, duality: str) -> bool:
+    """Whether a self-dual factor of dimension 2 mod 4 can occur: the
+    standard representation of C_l (symplectic) or D_l (orthogonal) with
+    l odd, or the middle exterior power of A_{2^k-1}, k >= 3 (orthogonal)."""
+    if index == 1 and l % 2 == 1:
+        return kind == ("C" if duality == SYMPLECTIC else "D")
+    middle = kind == "A" and l >= 7 and ((l + 1) & l) == 0 and 2 * index == l + 1
+    return middle and duality == ORTHOGONAL
+
+
+def _rows_of_dimension(dim: int, duality: str, max_rank: int):
+    """(kind, rank, index) of each classical minuscule weight of dimension
+    d = dim, the given duality and rank at most max_rank, in this order:
+    C_{d/2} and D_{d/2} standard, B_l spin and the D_{l+1} half-spins at
+    d = 2^l, then the wedges of A_l (A_{d-1} standard and its dual first).
+
+    A self-dual wedge is a middle one, C(2j, j) = d.  C(2j, j) < 4^j puts j
+    at least at (bit length of d - 1) / 2, and each step in j multiplies
+    C(2j, j) by at least 3, so a few steps decide it.  Otherwise a binary
+    search finds, for each j >= 2, the l <= sqrt(2d) with C(l + 1, j) = d.
+    """
+    rows = []
+    if dim % 2 == 0:
+        rows += [("C", dim // 2, 1), ("D", dim // 2, 1)]
+    if dim & (dim - 1) == 0:
+        l = dim.bit_length() - 1
+        rows += [("B", l, l), ("D", l + 1, l), ("D", l + 1, l + 1)]
+    if duality == NON_SELF_DUAL:
+        rows += [("A", dim - 1, 1), ("A", dim - 1, dim - 1)]
+        top = min(max_rank, math.isqrt(2 * dim))
+        for j in range(2, (top + 3) // 2):
+            if math.comb(2 * j, j) > dim:
+                break
+            ranks = range(2 * j - 1, top + 1)
+            at = bisect.bisect_left(ranks, dim, key=lambda l: math.comb(l + 1, j))
+            if at < len(ranks) and math.comb(ranks[at] + 1, j) == dim:
+                rows += [("A", ranks[at], j), ("A", ranks[at], ranks[at] + 1 - j)]
+    else:
+        j = max(1, (dim.bit_length() - 1) // 2)
+        middle = _central_binomial(j)
+        while middle < dim:
+            middle, j = middle * (4 * j + 2) // (j + 1), j + 1
+        if middle == dim:
+            rows.append(("A", 2 * j - 1, j))
+    for kind, l, index in rows:
+        if _MIN_RANK[kind] <= l <= max_rank and _duality(kind, l, index) == duality:
+            yield kind, l, index
 
 
 def _sieve(n: int) -> bytearray:
@@ -150,13 +258,12 @@ def prime_count_gap(k: int) -> int:
     return _sieve(1 << k).count(1, (1 << (k - 1)) + 1)
 
 
-def prime_valuation_central_binomial(p: int, k: int) -> int:
-    """v_p(C(2^k, 2^(k-1))) by the floor-sum (Legendre) formula."""
-    n, h = 1 << k, 1 << (k - 1)
+def prime_valuation_central_binomial(p: int, h: int) -> int:
+    """v_p(C(2h, h)) by the floor-sum (Legendre) formula."""
     total = 0
     power = p
-    while power <= n:
-        total += n // power - 2 * (h // power)
+    while power <= 2 * h:
+        total += 2 * h // power - 2 * (h // power)
         power *= p
     return total
 
@@ -181,9 +288,10 @@ def no_prime_double_is_central_binomial(
     for k in range(3, k_max + 1):
         # the primes of (2^(k-1), 2^k) are odd: walk the odd flags only
         lo, hi = 1 << (k - 1), 1 << k
-        gap_primes = itertools.compress(range(lo + 1, hi, 2), flags[lo + 1 : hi : 2])
+        odd_flags = memoryview(flags)[lo + 1 : hi : 2]
+        gap_primes = itertools.compress(range(lo + 1, hi, 2), odd_flags)
         dividing = [
-            p for p in gap_primes if prime_valuation_central_binomial(p, k) >= 1
+            p for p in gap_primes if prime_valuation_central_binomial(p, lo) >= 1
         ]
         witnesses[k] = dividing
         if len(dividing) < 2:

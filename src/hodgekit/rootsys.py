@@ -20,12 +20,12 @@ is c_alpha + c_alpha', alpha' = -w0(alpha).  Dominantizing -lambda to
 those steps sum to lambda - w0(lambda) in integer root coordinates, and
 every length is an integer.
 
-The minuscule table itself is given in closed form
-(``minuscule_table_expected``, after the plates of Bourbaki, *Lie Groups
-and Lie Algebras*, ch. VI-VIII).  ``admissible_factors`` inverts it: from
-the dimension alone it finds the few systems whose closed forms reach it,
-so it scans no ranks and builds a system only for a hit.
-``verify_minuscule_table`` checks the table against the Weyl-formula scan.
+The minuscule table itself is given in closed form in ``numth``, after
+the plates of Bourbaki, *Lie Groups and Lie Algebras*, ch. VI-VIII, and
+so is its one inversion, ``_rows_of_dimension``, which the classifier
+reads too.  ``admissible_factors`` filters that inversion, so it scans no
+ranks and builds a system only for a hit; ``verify_minuscule_table``
+checks the table against the Weyl-formula scan.
 
 Conventions: cartan[i][j] = <alpha_i, alpha_j^vee>, simple roots indexed
 from 0 internally, fundamental weights 1-based in the public API to
@@ -34,7 +34,6 @@ match the usual labelling of Dynkin diagrams (Bourbaki numbering).
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,10 +41,8 @@ from functools import cached_property, lru_cache
 from itertools import repeat
 from operator import add, mul, neg
 
-ORTHOGONAL = "orthogonal"
-SYMPLECTIC = "symplectic"
-NON_SELF_DUAL = "non_self_dual"
-_DUALITIES = (ORTHOGONAL, SYMPLECTIC, NON_SELF_DUAL)
+from .numth import _COUNT, _DUALITIES, _MIN_RANK, NON_SELF_DUAL, ORTHOGONAL, SYMPLECTIC
+from .numth import _kept_in_twice_odd_dim, _minuscule_rows, _rows_of_dimension
 
 # Largest rank a RootSystem is built for.  Root generation grows like l^3
 # and sets the cost of a single-system query: `weights dim`, `autodual` or
@@ -53,16 +50,6 @@ _DUALITIES = (ORTHOGONAL, SYMPLECTIC, NON_SELF_DUAL)
 # building B128 about 0.4 s.  The refusal above it is pinned by the CLI
 # golden, so the cap stays.
 MAX_RANK = 112
-
-_COUNT = {
-    "A": lambda l: l * (l + 1) // 2,
-    "B": lambda l: l * l,
-    "C": lambda l: l * l,
-    "D": lambda l: l * (l - 1),
-    "E": lambda l: {6: 36, 7: 63}[l],
-}
-
-_MIN_RANK = {"A": 1, "B": 2, "C": 1, "D": 3, "E": 6}
 
 
 def _cartan_and_norms(kind: str, l: int) -> tuple[list[list[int]], list[int]]:
@@ -390,47 +377,10 @@ def weight_length(rs: RootSystem, weight: Weight) -> Fraction:
     return Fraction(min(shift))
 
 
-@lru_cache(maxsize=None)
-def _minuscule_rows(kind: str, l: int) -> tuple[tuple[int, int, str], ...]:
-    """(index, dimension, duality) of each minuscule weight of kind_l,
-    in closed form; cached because the warm admissible_factors queries
-    read the same few systems again."""
-
-    def sign_mod4(plus: tuple[int, ...]) -> str:
-        return ORTHOGONAL if l % 4 in plus else SYMPLECTIC
-
-    if kind == "A":
-        rows = []
-        for j in range(1, l + 1):
-            duality = NON_SELF_DUAL
-            if l == 2 * j - 1:
-                duality = ORTHOGONAL if j % 2 == 0 else SYMPLECTIC
-            rows.append((j, math.comb(l + 1, j), duality))
-        return tuple(rows)
-    if kind == "B":
-        return ((l, 2 ** l, sign_mod4((0, 3))),)
-    if kind == "C":
-        return ((1, 2 * l, SYMPLECTIC),)
-    if kind == "D":
-        half = NON_SELF_DUAL if l % 2 else sign_mod4((0,))
-        return (
-            (1, 2 * l, ORTHOGONAL),
-            (l - 1, 2 ** (l - 1), half),
-            (l, 2 ** (l - 1), half),
-        )
-    if l == 6:
-        return ((1, 27, NON_SELF_DUAL), (6, 27, NON_SELF_DUAL))
-    return ((7, 56, SYMPLECTIC),)
-
-
 def minuscule_table_expected(rs: RootSystem) -> list[dict]:
-    """Closed-form minuscule data for one kind: index, dimension, duality.
-
-    These are the classical formulas (binomials for A, 2^l for the spin
-    representations, 2l for the standard ones, with the mod-4 sign
-    patterns).  ``admissible_factors`` answers from them, and
-    ``verify_minuscule_table`` checks the scan functions above against them.
-    """
+    """Closed-form minuscule data for one kind: index, dimension, duality,
+    from ``numth._minuscule_rows``; ``verify_minuscule_table`` checks the
+    scan functions above against it."""
     return [
         {"index": index, "dim": dim, "duality": duality}
         for index, dim, duality in _minuscule_rows(rs.kind, rs.rank)
@@ -452,7 +402,7 @@ def verify_minuscule_table(rs: RootSystem) -> dict:
         row = expected.get(idx)
         dim = rep_dimension(rs, w)
         dual = autoduality(rs, w)
-        length_ok = weight_length(rs, w) == 1 if rs.kind in _CLASSICAL else True
+        length_ok = weight_length(rs, w) == 1 if rs.kind != "E" else True
         row_ok = (
             row is not None
             and dim == row["dim"]
@@ -477,52 +427,6 @@ def verify_minuscule_table(rs: RootSystem) -> dict:
 # ---------------------------------------------------------------------------
 # Admissible simple factors for an irreducible summand of given dimension
 # ---------------------------------------------------------------------------
-
-_CLASSICAL = ("A", "B", "C", "D")
-
-
-def _kept_in_twice_odd_dim(kind: str, l: int, index: int, duality: str) -> bool:
-    """Whether a self-dual factor of dimension 2 mod 4 can occur: the
-    standard representation of C_l (symplectic) or D_l (orthogonal) with
-    l odd, or the middle exterior power of A_{2^k-1}, k >= 3 (orthogonal)."""
-    standard = "C" if duality == SYMPLECTIC else "D"
-    if kind == standard and l % 2 == 1 and index == 1:
-        return True
-    return (
-        duality == ORTHOGONAL
-        and kind == "A"
-        and l >= 7
-        and ((l + 1) & l) == 0
-        and 2 * index == l + 1
-    )
-
-
-def _rows_of_dimension(dim: int, duality: str, max_rank: int):
-    """(kind, rank, index) of each classical minuscule weight of the given
-    dimension and duality with rank at most max_rank, by inverting the
-    closed forms: C_l and D_l standard at l = d/2, B_l spin and D_{l+1}
-    half-spin at d = 2^l, A_{d-1} standard, and A_l on the j-th wedge for
-    each j >= 2 with C(2j, j) <= d, where C(l + 1, j) grows with l, so a
-    binary search over [2j - 1, max_rank] finds the one l it can be."""
-    systems = {("A", dim - 1)}
-    if dim % 2 == 0:
-        systems |= {("C", dim // 2), ("D", dim // 2)}
-    if dim & (dim - 1) == 0:
-        l = dim.bit_length() - 1
-        systems |= {("B", l), ("D", l + 1)}
-    for j in range(2, (max_rank + 3) // 2):
-        if math.comb(2 * j, j) > dim:
-            break
-        ranks = range(2 * j - 1, max_rank + 1)
-        at = bisect.bisect_left(ranks, dim, key=lambda l: math.comb(l + 1, j))
-        if at < len(ranks) and math.comb(ranks[at] + 1, j) == dim:
-            systems.add(("A", ranks[at]))
-    for kind, l in systems:
-        if _MIN_RANK[kind] <= l <= max_rank:
-            for index, rep_dim, rep_duality in _minuscule_rows(kind, l):
-                if rep_dim == dim and rep_duality == duality:
-                    yield kind, l, index
-
 
 def admissible_factors(
     dim: int, duality: str, max_rank: int = 16

@@ -20,6 +20,7 @@ the first negative coordinate by dense reflections.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -355,3 +356,11 @@ def primes_up_to(n: int) -> list[int]:
     if n < 2:
         return []
     return list(itertools.compress(range(n + 1), numth._sieve(n)))
+
+
+def central_binomial_mod4_direct(z: int) -> int:
+    """C(2z, z) mod 4 by full big-integer expansion, against the package's
+    carry count."""
+    if z < 1:
+        raise ValueError("z must be positive")
+    return math.comb(2 * z, z) % 4

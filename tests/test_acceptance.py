@@ -26,14 +26,13 @@ from hodgekit.core import EndomorphismDescriptor, HodgeProfile, profile_from_jso
 from hodgekit.lefschetz import group_rank, lefschetz_group
 from hodgekit.numth import (
     central_binomial_mod4,
-    central_binomial_mod4_direct,
     no_prime_double_is_central_binomial,
     prime_count_gap,
 )
 from hodgekit.realizability import realizable
 from hodgekit.rootsys import RootSystem, verify_minuscule_table
 
-from oracles import fraction_rank, primes_up_to
+from oracles import central_binomial_mod4_direct, fraction_rank, primes_up_to
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from hodgekit.classifier import (
+    _orthogonal_factors,
     CONDITIONAL,
     DETERMINED,
     OUT_OF_SCOPE,
@@ -19,7 +20,7 @@ from hodgekit.classifier import (
 )
 from hodgekit.core import EndomorphismDescriptor, GroupExpr, HodgeProfile
 from hodgekit.lefschetz import group_dim, group_rank, lefschetz_group
-from hodgekit.numth import central_binomial_solve
+from hodgekit.numth import _central_binomial, _rows_of_dimension, central_binomial_solve
 from hodgekit.rootsys import ORTHOGONAL, admissible_factors, fundamental_weight
 
 
@@ -174,6 +175,13 @@ def test_type_i_odd_multiplicity_without_wedge():
     assert any("wedge alternative dropped" in note for note in out.notes)
 
 
+def _derived_k(d):
+    """k of the wedge alternative the classifier reads at d, or None."""
+    ks = [size.bit_length() - 1 for fam, size in _orthogonal_factors(d) if fam == "SL"]
+    assert len(ks) <= 1, d
+    return ks[0] if ks else None
+
+
 def test_wedge_solutions_are_the_admissible_middle_wedges():
     # The wedge alternative 2l = C(2^k, 2^(k-1)) is exactly the A_{2^k-1}
     # middle-weight factor admissible_factors keeps in dimension 2 mod 4
@@ -187,6 +195,79 @@ def test_wedge_solutions_are_the_admissible_middle_wedges():
                 wedges.append((rs.rank + 1).bit_length() - 1)
         assert len(wedges) <= 1, d
         assert central_binomial_solve(d, 5) == (wedges[0] if wedges else None), d
+    # The same from the inversion itself, at every d in both classes mod 4:
+    # every orthogonal A-row is a middle wedge C(2j, j) = d, the classifier
+    # keeps exactly those with j = 2^(k-1), k >= 3, and central_binomial_solve
+    # agrees with it.
+    a_rows = {}
+    for d in range(1, 20_001):
+        rows = [r for r in _rows_of_dimension(d, ORTHOGONAL, d) if r[0] == "A"]
+        if rows:
+            a_rows[d] = rows
+        assert central_binomial_solve(d) == _derived_k(d), d
+    assert a_rows == {
+        6: [("A", 3, 2)],
+        70: [("A", 7, 4)],
+        924: [("A", 11, 6)],
+        12_870: [("A", 15, 8)],
+    }
+    assert [d for d in a_rows if _derived_k(d)] == [70, 12_870]
+    # 924 = C(12, 6) is A11 on the sixth wedge, not SU(2^k): dropped
+    assert _orthogonal_factors(924) == []
+    for k in range(1, 21):
+        d = _central_binomial(1 << (k - 1))
+        assert d % 4 == 2 and (d + 2) % 4 == 0
+        assert _derived_k(d) == (k if k >= 3 else None), k
+        assert central_binomial_solve(d) == _derived_k(d), k
+        assert _derived_k(d + 2) is None and central_binomial_solve(d + 2) is None
+
+
+def test_self_dual_inversion_is_fast_at_large_d():
+    # a self-dual query looks only near the one j with C(2j, j) ~ d, and
+    # reads no system's rows, so the rank of D_{d/2} does not matter
+    _central_binomial.cache_clear()
+    for d in (2 * 10 ** 24, 2 * 10 ** 24 + 2, 2 ** 200, math.comb(84, 42)):
+        for duality in (ORTHOGONAL, "symplectic"):
+            start = time.perf_counter()
+            rows = list(_rows_of_dimension(d, duality, d))
+            assert time.perf_counter() - start < 0.005, (d, duality)
+            assert all(kind != "A" or rank < 100 for kind, rank, _ in rows)
+    # D_{2^199} standard and the spin representation of B_200 (the half-spins
+    # of D_201 are dual to each other)
+    d = 2 ** 200
+    assert list(_rows_of_dimension(d, ORTHOGONAL, d)) == [("D", d // 2, 1), ("B", 200, 200)]
+    assert ("A", 83, 42) in _rows_of_dimension(math.comb(84, 42), ORTHOGONAL, 10 ** 30)
+
+
+# n = 2 (mod 4) up to 4,000 (the branch itself sees those with n/2 composite)
+# and the central binomials C(2^k, 2^(k-1)) below the primality bound.
+TWICE_ODD = list(range(6, 4001, 4)) + [math.comb(2 ** k, 2 ** (k - 1)) for k in range(3, 7)]
+
+
+def test_twice_odd_rows_are_struck_products():
+    # The facts the classifier once checked at run time: every factor the
+    # twice-odd branch reads (the standard SO(n), then SL(2^k) when n is a
+    # central binomial) makes SL(2) x G a struck product.
+    for n in TWICE_ODD:
+        factors = _orthogonal_factors(n)
+        assert factors[0] == ("SO", n), n
+        k = central_binomial_solve(n)
+        assert factors[1:] == ([("SL", 1 << k)] if k else []), n
+        for factor in factors:
+            assert exclude_sl2_product([("SL", 2), factor]), (n, factor)
+
+
+def test_twice_odd_notes_follow_the_rows():
+    for n in (18, 70, 12_870, math.comb(32, 16), math.comb(64, 32)):
+        odd = classify(prof("I", 1, 1, 1, w=1, n=n))
+        assert odd.applied_rule == "typeI:rational-twice-odd", n
+        k = central_binomial_solve(n)
+        expected = [f"product alternative SL(2) x SO({n}) excluded"]
+        if k:
+            expected.append(f"product alternative SL(2) x SL(2^{k}) excluded")
+        assert list(odd.notes) == expected, n
+        even = classify(prof("I", 1, 1, 1, w=2, n=n))
+        assert even.notes[0] == f"product alternative SU(2) x SO({n}) excluded"
 
 
 def test_type_i_multiplicity_two():
@@ -413,6 +494,16 @@ def test_table3_has_13_rows():
         (r["odd"] or {}).get("label") for r in rows
     } | {(r["even"] or {}).get("label") for r in rows}
     assert {"SL(2)xSO(4)", "SO(7)", "SU(B,-)", "SU_{L/E}"} <= labels_found
+
+
+def test_table3_rows_without_a_pick_have_one_candidate():
+    from hodgekit.classifier import _TABLE3_ROWS
+
+    for t, dL, dF, q, weights, extra, subs, pick, _ in _TABLE3_ROWS:
+        endo = EndomorphismDescriptor(t, dL, dF, q, **extra)
+        for w in weights:
+            out = classify(HodgeProfile(weight=w, n=4, endo=endo), subs)
+            assert pick is not None or len(out.candidates) == 1, (t, dL, w)
 
 
 def test_classify_deterministic():

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hodgekit.numth import (
+    _central_binomial,
     central_binomial_mod4,
-    central_binomial_mod4_direct,
     central_binomial_solve,
     central_binomial_two_adic,
     factorial_two_adic,
@@ -16,7 +16,7 @@ from hodgekit.numth import (
     VERIFY_MAX_K,
 )
 
-from oracles import primes_up_to
+from oracles import central_binomial_mod4_direct, primes_up_to
 
 
 def test_factorial_two_adic_examples():
@@ -63,8 +63,13 @@ def test_central_binomial_solve():
         central_binomial_solve(70, k_max=2)
 
 
+def test_central_binomial_matches_math_comb():
+    for h in list(range(1, 400)) + [2 ** 11 - 1, 2 ** 11, 5_000]:
+        assert _central_binomial(h) == math.comb(2 * h, h), h
+
+
 def test_central_binomial_solve_large_kmax_is_cheap():
-    # the bit-length bound prunes before any huge expansion happens
+    # the inversion looks only near the bit length of the target
     assert central_binomial_solve(70, k_max=200) == 3
 
 
