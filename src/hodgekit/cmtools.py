@@ -1,8 +1,12 @@
 """Galois-theoretic CM-type machinery on abstract permutation models.
 
-A model is a transitive permutation group on the 2g embeddings of a CM
-field, together with the central free involution playing the role of
-complex conjugation.  CM types are half-systems.
+A model is its generators: permutations of the 2g embeddings of a CM
+field that act transitively, with the central free involution playing
+the role of complex conjugation.  CM types are half-systems.  No engine
+builds the group: each orbit, of points or of a type's translates, is a
+breadth-first search over the generators (Seress, Permutation Group
+Algorithms, ch. 2; Holt, Eick and O'Brien, Handbook of Computational
+Group Theory, sec. 4.1), refused past MAX_ORBIT items.
 
 * Kubota ranks are the ranks of the span of a type's group translates,
   raw and reduced by conjugation (reduced = raw - 1).  On a regular
@@ -24,10 +28,10 @@ since both are invariant under the group.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import product
-from typing import Iterator, Optional, Sequence
+from dataclasses import dataclass
+from functools import cached_property, lru_cache, partial
+from itertools import combinations, compress, product
+from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 from .intlinalg import integer_rank
 from .numth import is_prime
@@ -47,13 +51,15 @@ SCAN_MAX_G = 18
 # 2-vCPU Xeon VM, and 111 s for cyclic:300.
 MAX_DEGREE = 256
 
-# Largest group a model is built with: GaloisModel holds every element,
-# and generate_group refuses as soon as the closure passes the cap.  Memory
-# sets it: an element of degree 256 costs about 2.9 KB, and refusing S8 x Z32
-# on 256 points at this cap takes 4.5 s and 374 MB on a 2-vCPU Xeon VM (the
-# closure's time alone would allow about 2^20).  Z2 wr S6 (order 46,080)
-# builds; Z2 wr S7 (645,120) is refused.
-MAX_GROUP_ORDER = 1 << 17
+# Largest orbit a model walks: _orbit refuses as soon as it holds more
+# items.  The engines walk points and a type's translates; the group is an
+# orbit too, walked only when a caller reads `elements`.  An orbit is never
+# larger than the group, so every model of at most this order is answered.
+# On a 2-vCPU Xeon VM, the 2^17 translates of a type of Z2 wr S17 on 34
+# points take 0.7-1.2 s and 24 MB peak RSS, their Bareiss rank (`cm rank`)
+# 14 s and 114 MB, and their Smith form (`--invariants`) 27 s and 112 MB;
+# refusing a type of Z2 wr S128 on 256 points takes 2.1 s and 27 MB.
+MAX_ORBIT = 1 << 17
 
 
 class InvalidModelError(ValueError):
@@ -69,33 +75,23 @@ def compose(p: Perm, q: Perm) -> Perm:
     return tuple(map(p.__getitem__, q))
 
 
-def inverse(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
-
-
-def generate_group(generators: Sequence[Perm], size: int) -> frozenset[Perm]:
-    """Closure of the generators under composition, refused as soon as it
-    holds more than MAX_GROUP_ORDER elements."""
-    ident = identity_perm(size)
-    seen = {ident}
-    frontier = [ident]
-    gens = [tuple(g) for g in generators]
-    while frontier:
-        p = frontier.pop()
-        for g in gens:
-            nxt = compose(g, p)
-            if nxt not in seen:
-                seen.add(nxt)
-                if len(seen) > MAX_GROUP_ORDER:
+def _orbit(seed: Hashable, moves: Sequence[Callable]) -> list:
+    """The orbit of seed under the moves, in breadth-first order from
+    seed, refused as soon as it holds more than MAX_ORBIT items (Seress,
+    Permutation Group Algorithms, ch. 2)."""
+    seen = {seed}
+    reached = [seed]
+    for x in reached:
+        for move in moves:
+            y = move(x)
+            if y not in seen:
+                seen.add(y)
+                reached.append(y)
+                if len(reached) > MAX_ORBIT:
                     raise InvalidModelError(
-                        f"group order is over the cap MAX_GROUP_ORDER = {MAX_GROUP_ORDER}"
-                        " for CM models"
+                        f"orbit over the cap MAX_ORBIT = {MAX_ORBIT} for CM models"
                     )
-                frontier.append(nxt)
-    return frozenset(seen)
+    return reached
 
 
 def parse_cycles(text: str, size: int) -> Perm:
@@ -134,12 +130,12 @@ def _check_degree(size: int) -> None:
 
 @dataclass(frozen=True)
 class GaloisModel:
-    """Transitive group on the embedding set with central free involution."""
+    """Transitive group on the embedding set with central free involution,
+    held as its generators."""
 
     generators: tuple[Perm, ...]
     conj: Perm
     size: int
-    elements: frozenset[Perm] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_degree(self.size)
@@ -155,49 +151,35 @@ class GaloisModel:
             raise InvalidModelError("conjugation must have order 2")
         if any(conj[i] == i for i in range(self.size)):
             raise InvalidModelError("conjugation must act freely")
-        # commuting with the generators is commuting with the whole group,
-        # so a non-central conjugation is refused before the closure
+        # commuting with the generators is commuting with the whole group
         if any(compose(conj, g) != compose(g, conj) for g in gens):
             raise InvalidModelError("conjugation must be central")
-        orbit = {0}
-        frontier = [0]
-        while frontier:
-            x = frontier.pop()
-            for g in gens + (conj,):
-                if g[x] not in orbit:
-                    orbit.add(g[x])
-                    frontier.append(g[x])
-        if len(orbit) != self.size:
+        if len(_orbit(0, [g.__getitem__ for g in gens + (conj,)])) != self.size:
             raise InvalidModelError("action must be transitive")
-        elements = generate_group(gens + (conj,), self.size)
-        object.__setattr__(self, "elements", elements)
 
     @property
     def g(self) -> int:
         return self.size // 2
+
+    @cached_property
+    def elements(self) -> frozenset[Perm]:
+        """The group: the orbit of the identity under left multiplication
+        by the generators.  No engine reads it."""
+        moves = [partial(compose, g) for g in self.generators + (self.conj,)]
+        return frozenset(_orbit(identity_perm(self.size), moves))
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def conjugate_pairs(self) -> list[tuple[int, int]]:
-        pairs = []
-        for i in range(self.size):
-            j = self.conj[i]
-            if i < j:
-                pairs.append((i, j))
-        return pairs
+        return [(i, j) for i, j in enumerate(self.conj) if i < j]
 
 
 def cyclic_model(size: int) -> GaloisModel:
     """Regular action of Z/size with conjugation the shift by size/2, the
     unique central free involution of the cycle."""
-    _check_degree(size)
-    if size % 2 != 0:
-        raise InvalidModelError("cyclic CM model needs even size")
-    rot = tuple((i + 1) % size for i in range(size))
-    conj = tuple((i + size // 2) % size for i in range(size))
-    return GaloisModel(generators=(rot,), conj=conj, size=size)
+    return abelian_model([size])
 
 
 def abelian_model(factors: Sequence[int]) -> GaloisModel:
@@ -208,45 +190,22 @@ def abelian_model(factors: Sequence[int]) -> GaloisModel:
     dims = [int(d) for d in factors]
     if any(d < 2 for d in dims):
         raise InvalidModelError("cyclic factors must be >= 2")
-    size = 1
-    for d in dims:
-        size *= d
+    size = math.prod(dims)
     _check_degree(size)
     if size % 2:
         raise InvalidModelError("group order must be even")
 
-    def index(coords: Sequence[int]) -> int:
-        idx = 0
-        for c, d in zip(coords, dims):
-            idx = idx * d + (c % d)
-        return idx
+    def shift(axis: int, step: int) -> Perm:
+        # point i has coordinate (i // stride) % d on the axis
+        stride = math.prod(dims[axis + 1 :])
+        span = stride * dims[axis]
+        return tuple(i - i % span + (i + step * stride) % span for i in range(size))
 
-    def coords(idx: int) -> list[int]:
-        out = []
-        for d in reversed(dims):
-            out.append(idx % d)
-            idx //= d
-        return list(reversed(out))
-
-    gens = []
-    for axis in range(len(dims)):
-        images = []
-        for i in range(size):
-            c = coords(i)
-            c[axis] += 1
-            images.append(index(c))
-        gens.append(tuple(images))
-    # default conjugation: add the order-2 element on the last even axis
-    even_axes = [a for a, d in enumerate(dims) if d % 2 == 0]
-    if not even_axes:
-        raise InvalidModelError("no order-2 element available")
-    axis = even_axes[-1]
-    images = []
-    for i in range(size):
-        c = coords(i)
-        c[axis] += dims[axis] // 2
-        images.append(index(c))
-    return GaloisModel(generators=tuple(gens), conj=tuple(images), size=size)
+    # default conjugation: add the order-2 element on the last even axis,
+    # which exists since the order is even
+    axis = max(a for a, d in enumerate(dims) if d % 2 == 0)
+    gens = tuple(shift(a, 1) for a in range(len(dims)))
+    return GaloisModel(generators=gens, conj=shift(axis, dims[axis] // 2), size=size)
 
 
 def dihedral_model(n: int) -> GaloisModel:
@@ -316,19 +275,27 @@ def enumerate_cm_types(model: GaloisModel) -> list[CMType]:
     return [CMType(frozenset(t)) for t in _half_systems(model)]
 
 
-def _translate(perm: Perm, theta: frozenset[int]) -> frozenset[int]:
-    return frozenset(perm[x] for x in theta)
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
-def _orbit(model: GaloisModel, theta: frozenset[int]) -> list[tuple[int, ...]]:
-    """The distinct group translates of a type, sorted: its G-orbit."""
-    return sorted({tuple(sorted(p[x] for x in theta)) for p in model.elements})
+def _image(bits: list[int], mask: int) -> int:
+    # the set bits of mask, lowest first, select the bits of their images
+    return sum(compress(bits, bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
+
+
+def _translates(model: GaloisModel, mask: int) -> list[int]:
+    """The distinct group translates of a type, as bitmasks, mask first.
+    conj is central and acts freely, so it maps a half-system to its
+    complement and costs no permutation."""
+    moves = [partial(_image, [1 << y for y in g]) for g in model.generators]
+    moves.append(((1 << model.size) - 1).__xor__)
+    return _orbit(mask, moves)
 
 
 def _translate_rows(model: GaloisModel, theta: frozenset[int]) -> list[list[int]]:
     return [
-        [1 if i in t else 0 for i in range(model.size)]
-        for t in map(set, _orbit(model, theta))
+        [m >> i & 1 for i in range(model.size)]
+        for m in _translates(model, _mask(theta))
     ]
 
 
@@ -366,19 +333,21 @@ def _cyclotomic(d: int) -> tuple[int, ...]:
 def _odd_characters(model: GaloisModel):
     """Kubota's data for a regular abelian model, None for any other.
 
-    The model qualifies when G acts regularly, the generators commute,
-    and the product of their orders is the degree with every point
-    reached from 0 by the generators alone.  Then prod Z/ord(g_i) is G,
-    and e is the point prod g_i^e_i (0).  The character k sends e to
+    The model qualifies when the generators commute, and the product of
+    their orders is the degree with every point reached from 0 by the
+    generators alone.  Then they generate a transitive abelian group H,
+    which acts regularly, so |H| is the degree and prod Z/ord(g_i) is H.
+    conj commutes with every generator, so it lies in the centralizer of
+    H, which for a regular abelian group is H itself.  Hence G = H and
+    |G| is the degree, with no closure to count it.  The point e is
+    prod g_i^e_i (0), and the character k sends it to
     zeta_N^(sum k_i e_i N/ord(g_i)), N the exponent of G.  The result
     has one entry per Galois orbit {k^j : j prime to d} of odd
     characters (value -1 on conj), d their order: the orbit size, d,
     Phi_d, and the exponent of zeta_d at each point.
     """
     gens, size = model.generators, model.size
-    if model.order != size or any(
-        compose(g, h) != compose(h, g) for i, g in enumerate(gens) for h in gens[:i]
-    ):
+    if any(compose(g, h) != compose(h, g) for g, h in combinations(gens, 2)):
         return None
     orders = []
     for g in gens:
@@ -510,8 +479,13 @@ def _block_labels(
     return [find(x) for x in range(model.size)]
 
 
-def _base_block(labels: list[int]) -> frozenset[int]:
-    return frozenset(x for x, lab in enumerate(labels) if lab == labels[0])
+def _blocks(labels: list[int]) -> tuple[frozenset[int], ...]:
+    """The classes of a union-find run, by least element: the base block
+    first."""
+    classes: dict[int, list[int]] = {}
+    for x, label in enumerate(labels):
+        classes.setdefault(label, []).append(x)
+    return tuple(map(frozenset, classes.values()))
 
 
 def _minimal_systems(model: GaloisModel) -> list[frozenset[int]]:
@@ -519,7 +493,7 @@ def _minimal_systems(model: GaloisModel) -> list[frozenset[int]]:
     0 to some other point."""
     found: dict[frozenset[int], None] = {}
     for x in range(1, model.size):
-        block = _base_block(_block_labels(model, 0, (x,)))
+        block = _blocks(_block_labels(model, 0, (x,)))[0]
         if len(block) < model.size:
             found[block] = None
     return list(found)
@@ -533,9 +507,10 @@ def block_systems(model: GaloisModel) -> list[tuple[frozenset[int], ...]]:
     system with 0 and x in one block (M. D. Atkinson, Math. Comp. 29
     (1975); Seress, Permutation Group Algorithms, ch. 5).  Every system is
     the join of the minimal systems of the points in its base block, so
-    closing the minimal systems under joins finds them all.  Each system
-    lists its blocks by least element; systems are sorted by block size,
-    then by their sorted blocks.
+    closing the minimal systems under joins finds them all.  A system's
+    blocks are the classes of the union-find run that joins its base
+    block.  Each system lists its blocks by least element; systems are
+    sorted by block size, then by their sorted blocks.
     """
     minimal = _minimal_systems(model)
     found = set(minimal)
@@ -545,32 +520,12 @@ def block_systems(model: GaloisModel) -> list[tuple[frozenset[int], ...]]:
         for other in minimal:
             if other <= block:
                 continue
-            joined = _base_block(_block_labels(model, 0, block | other))
+            joined = _blocks(_block_labels(model, 0, block | other))[0]
             if len(joined) < model.size and joined not in found:
                 found.add(joined)
                 frontier.append(joined)
-    systems = [
-        tuple(sorted({_translate(p, block) for p in model.elements}, key=min))
-        for block in found
-    ]
+    systems = [_blocks(_block_labels(model, 0, block)) for block in found]
     return sorted(systems, key=lambda s: (len(s[0]), [sorted(b) for b in s]))
-
-
-def quotient_model(
-    model: GaloisModel, blocks: tuple[frozenset[int], ...]
-) -> tuple[GaloisModel, dict[int, int]]:
-    """The induced model on a block system, plus point -> block index."""
-    lookup: dict[int, int] = {}
-    for idx, block in enumerate(blocks):
-        for x in block:
-            lookup[x] = idx
-
-    def push(perm: Perm) -> Perm:
-        return tuple(lookup[perm[min(block)]] for block in blocks)
-
-    gens = tuple(push(g) for g in model.generators)
-    conj = push(model.conj)
-    return GaloisModel(generators=gens, conj=conj, size=len(blocks)), lookup
 
 
 def _is_induced(model: GaloisModel, theta: frozenset[int]) -> bool:
@@ -668,8 +623,9 @@ def tankeev_scan(model: GaloisModel) -> ScanReport:
     copied to its translates: both are invariant under the group, and
     the translates of a type are its orbit.  The types are generated one
     at a time in canonical order, and only the translates not yet
-    reached are held, as bitmasks.  Models with g above SCAN_MAX_G are
-    refused before anything is enumerated.
+    reached are held, as bitmasks from a breadth-first search over the
+    generators.  Models with g above SCAN_MAX_G are refused before
+    anything is enumerated.
     """
     g = model.g
     if g > SCAN_MAX_G:
@@ -688,9 +644,7 @@ def tankeev_scan(model: GaloisModel) -> ScanReport:
             theta = frozenset(key)
             raw = _raw_rank(model, theta, characters)
             found = (raw, raw - 1, not _is_induced(model, theta))
-            translates = {_mask(map(p.__getitem__, key)) for p in model.elements}
-            translates.discard(mask)
-            known.update(dict.fromkeys(translates, found))
+            known.update(dict.fromkeys(_translates(model, mask)[1:], found))
         raw, reduced, prim = found
         entries.append(
             ScanEntry(

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import repeat
-from operator import add, mul, neg
+from operator import add, mul
 
 from .numth import _COUNT, _DUALITIES, _MIN_RANK, NON_SELF_DUAL, ORTHOGONAL, SYMPLECTIC
 from .numth import _kept_in_twice_odd_dim, _minuscule_rows, _rows_of_dimension
@@ -204,14 +204,6 @@ class RootSystem:
         return coroots
 
     # -- pairings ------------------------------------------------------
-
-    def pair_coroot(self, weight: Weight, beta: tuple[int, ...]) -> int:
-        """<weight, beta^vee> = 2(weight, beta)/(beta, beta) for a root beta."""
-        if beta in self._coroots:
-            vec = self._coroots[beta]
-        else:  # a negative root: (-beta)^vee = -(beta^vee)
-            vec = tuple(map(neg, self._coroots[tuple(map(neg, beta))]))
-        return sum(c * vec[j] for j, c in weight.support)
 
     def _pairings(self, weight: Weight):
         """<weight, beta^vee> for the positive roots beta, in order."""

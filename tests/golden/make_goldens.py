@@ -376,6 +376,15 @@ DIHEDRAL32_INDUCED = _theta(
     a + 16 * bit + 32 * b for a, bit in enumerate(_bits(16, 33)) for b in (0, 1)
 )
 
+# Models whose group is far larger than any orbit in them, on two copies of
+# k points with conjugation the copy swap: Z2 x S9 (725,760 elements, at
+# most 252 translates of a type) and Z2 wr S7 (645,120 elements, 128).
+Z2_S9 = "perms:18:(0 1 2 3 4 5 6 7 8)(9 10 11 12 13 14 15 16 17);(0 1)(9 10)"
+Z2_S9_IOTA = "".join(f"({i} {i + 9})" for i in range(9))
+Z2_S9_THETA = "0,1,2,12,13,14,15,16,17"
+Z2_WR_S7 = "perms:14:(0 1 2 3 4 5 6)(7 8 9 10 11 12 13);(0 1)(7 8);(0 7)"
+Z2_WR_S7_IOTA = "".join(f"({i} {i + 7})" for i in range(7))
+
 
 # (argv, stdin, {file name: JSON content}, hand-derived exit code); "@name"
 # in argv stands for the path of that file.
@@ -473,6 +482,17 @@ CLI_CASES = [
     (["cm", "--group", "dihedral:32", "primitive", "--theta", DIHEDRAL32], "", {}, 0),
     (["cm", "--group", "dihedral:32", "rank", "--theta", DIHEDRAL32_INDUCED], "", {}, 0),
     (["cm", "--group", "dihedral:32", "primitive", "--theta", DIHEDRAL32_INDUCED], "", {}, 3),
+    (["cm", "--group", Z2_S9, "--iota", Z2_S9_IOTA, "scan"], "", {}, 0),
+    (["cm", "--group", Z2_S9, "--iota", Z2_S9_IOTA, "rank", "--theta", Z2_S9_THETA], "", {}, 0),
+    (
+        ["cm", "--group", Z2_S9, "--iota", Z2_S9_IOTA, "rank", "--theta", Z2_S9_THETA,
+         "--invariants"],
+        "",
+        {},
+        0,
+    ),
+    (["cm", "--group", Z2_S9, "--iota", Z2_S9_IOTA, "primitive", "--theta", Z2_S9_THETA], "", {}, 0),
+    (["cm", "--group", Z2_WR_S7, "--iota", Z2_WR_S7_IOTA, "scan"], "", {}, 0),
     (["numth", "verify", "--k-max", "6"], "", {}, 0),
     (["numth", "verify", "--k-max", "14"], "", {}, 0),
     (["numth", "verify", "--k-max", "4", "--pretty"], "", {}, 0),

@@ -4,7 +4,8 @@ These deliberately avoid the package's integer elimination so that rank
 checks are dual-route: the package uses fraction-free Bareiss, the tests
 use plain Gaussian elimination over Fraction (and, for Kubota ranks, eliminate
 both the raw and the reduced matrix where the package derives one rank
-from the other).  Block systems likewise:
+from the other).  The group likewise: the package walks orbits of the
+generators, the oracle closes the whole group.  Block systems likewise:
 the package finds them by union-find, the oracle from the subgroup
 lattice.  The minuscule table likewise: the package inverts closed forms,
 the oracle scans the fundamental weights with the Weyl formula.  Weight
@@ -24,8 +25,10 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from operator import neg
+
 from hodgekit import numth, rootsys
-from hodgekit.cmtools import generate_group, identity_perm
+from hodgekit.cmtools import GaloisModel, compose, identity_perm
 
 
 def fraction_rank(rows) -> int:
@@ -126,11 +129,56 @@ def unitary_algebra_dim(k: int) -> int:
     return anti + sym
 
 
+def generate_group(generators, size: int) -> frozenset:
+    """Closure of the generators under composition (the package walks
+    only orbits of the generators and builds no group)."""
+    ident = identity_perm(size)
+    seen = {ident}
+    frontier = [ident]
+    gens = [tuple(g) for g in generators]
+    while frontier:
+        p = frontier.pop()
+        for g in gens:
+            nxt = compose(g, p)
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return frozenset(seen)
+
+
+@lru_cache(maxsize=None)
+def group_of(model) -> frozenset:
+    """The model's group, closed here rather than read from the model."""
+    return generate_group(model.generators + (model.conj,), model.size)
+
+
+def inverse(p):
+    out = [0] * len(p)
+    for i, v in enumerate(p):
+        out[v] = i
+    return tuple(out)
+
+
+def quotient_model(model, blocks):
+    """The induced model on a block system, plus point -> block index."""
+    lookup = {}
+    for idx, block in enumerate(blocks):
+        for x in block:
+            lookup[x] = idx
+
+    def push(perm):
+        return tuple(lookup[perm[min(block)]] for block in blocks)
+
+    gens = tuple(push(g) for g in model.generators)
+    conj = push(model.conj)
+    return GaloisModel(generators=gens, conj=conj, size=len(blocks)), lookup
+
+
 def all_subgroups(model):
     """Every subgroup of the model's group, by closing under one more
     element at a time from the trivial group."""
     ident = identity_perm(model.size)
-    elements = sorted(model.elements)
+    elements = sorted(group_of(model))
     found = {frozenset([ident])}
     frontier = [frozenset([ident])]
     while frontier:
@@ -154,7 +202,7 @@ def subgroup_block_systems(model):
     the intermediate subgroup.
     """
     base = 0
-    stab = {p for p in model.elements if p[base] == base}
+    stab = {p for p in group_of(model) if p[base] == base}
     systems = set()
     for sub in all_subgroups(model):
         if not stab <= sub:
@@ -162,7 +210,7 @@ def subgroup_block_systems(model):
         block = frozenset(p[base] for p in sub)
         if len(block) in (1, model.size):
             continue
-        blocks = {frozenset(p[x] for x in block) for p in model.elements}
+        blocks = {frozenset(p[x] for x in block) for p in group_of(model)}
         if sum(len(b) for b in blocks) != model.size:
             raise AssertionError("block translates failed to partition")
         systems.add(tuple(sorted(blocks, key=min)))
@@ -174,13 +222,14 @@ def kubota_ranks(model, theta) -> tuple[int, int]:
     0/1 indicator rows of the group translates of theta, and of the rows
     2t - 1 (translate minus its conjugate)."""
     translates = frozenset(
-        frozenset(p[x] for x in theta.theta) for p in model.elements
+        frozenset(p[x] for x in theta.theta) for p in group_of(model)
     )
-    return _translate_ranks(model.size, translates)
+    return translate_ranks(model.size, translates)
 
 
 @lru_cache(maxsize=None)
-def _translate_ranks(size: int, translates: frozenset) -> tuple[int, int]:
+def translate_ranks(size: int, translates: frozenset) -> tuple[int, int]:
+    """(raw, reduced) ranks of a set of translates, by Fraction."""
     # the types of one Galois orbit share their translates, hence the cache
     raw = [[int(i in t) for i in range(size)] for t in translates]
     reduced = [[2 * v - 1 for v in row] for row in raw]
@@ -285,6 +334,16 @@ def scan_admissible_table(max_rank: int):
                 coords = tuple(int(i == index - 1) for i in range(l))
                 table.setdefault((dim, duality), []).append((kind, l, coords))
     return {key: tuple(sorted(hits)) for key, hits in table.items()}
+
+
+def pair_coroot(rs, weight, beta) -> int:
+    """<weight, beta^vee> = 2(weight, beta)/(beta, beta) for a root beta,
+    read from the package's coroots."""
+    if beta in rs._coroots:
+        vec = rs._coroots[beta]
+    else:  # a negative root: (-beta)^vee = -(beta^vee)
+        vec = tuple(map(neg, rs._coroots[tuple(map(neg, beta))]))
+    return sum(c * vec[j] for j, c in weight.support)
 
 
 def dense_positive_roots(rs) -> dict[tuple[int, ...], int]:

@@ -32,7 +32,7 @@ from hodgekit.numth import (
 from hodgekit.realizability import realizable
 from hodgekit.rootsys import RootSystem, verify_minuscule_table
 
-from oracles import central_binomial_mod4_direct, fraction_rank, primes_up_to
+from oracles import central_binomial_mod4_direct, fraction_rank, group_of, primes_up_to
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -167,7 +167,7 @@ def test_ac07_kubota_calibration():
         # independent brute-force rational-elimination oracle
         def oracle(model, theta):
             raws, reds = [], []
-            for perm in model.elements:
+            for perm in group_of(model):
                 image = {perm[x] for x in theta.theta}
                 ind = [1 if i in image else 0 for i in range(model.size)]
                 raws.append(ind)

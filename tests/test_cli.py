@@ -232,12 +232,12 @@ def test_numth_and_cm_over_their_caps_are_bad_input(args, cap):
     assert cap in proc.stderr
 
 
-def test_cm_group_order_over_the_cap_is_bad_input(monkeypatch, capsys):
-    monkeypatch.setattr(cmtools, "MAX_GROUP_ORDER", 1000, raising=True)
-    # Z2 wr S5 on two copies of 5 points, order 3840
+def test_cm_orbit_over_the_cap_is_bad_input(monkeypatch, capsys):
+    monkeypatch.setattr(cmtools, "MAX_ORBIT", 31, raising=True)
+    # Z2 wr S5 on two copies of 5 points: a type has 2^5 = 32 translates
     group = "perms:10:(0 1 2 3 4)(5 6 7 8 9);(0 1)(5 6);(0 5)"
     args = ["cm", "--group", group, "--iota", "(0 5)(1 6)(2 7)(3 8)(4 9)", "scan"]
-    assert "MAX_GROUP_ORDER = 1000" in run_bad_input(args, capsys)
+    assert "MAX_ORBIT = 31" in run_bad_input(args, capsys)
 
 
 def test_cm_iota_override():
@@ -553,9 +553,10 @@ _cycles = st.sampled_from(["(0 1)", "(0 3)(1 4)(2 5)", "(0 4)(1 5)(2 6)(3 7)", "
 @st.composite
 def _wreath_group(draw):
     """A perms: group on two copies of k points whose generators commute
-    with swapping the copies, so it lies in Z2 wr S_k.  k stops at 7,
-    where Z2 wr S_7 (order 645,120) is over MAX_GROUP_ORDER."""
-    k = draw(st.integers(1, 7))
+    with swapping the copies, so it lies in Z2 wr S_k.  No engine builds
+    the group, so Z2 wr S_8 (order 10,321,920) is answered: a type has at
+    most 2^8 translates.  k stops at 8 to keep each example fast."""
+    k = draw(st.integers(1, 8))
 
     def doubled(cycle):
         return "".join(f"({' '.join(str(x + c) for x in cycle)})" for c in (0, k))

@@ -16,17 +16,22 @@ from hodgekit.cmtools import (
     cyclic_model,
     dihedral_model,
     enumerate_cm_types,
-    inverse,
     is_primitive,
     kubota_rank,
     parse_cycles,
-    quotient_model,
     tankeev_scan,
     translate_lattice,
 )
-from hodgekit.intlinalg import integer_rank
+from hodgekit.intlinalg import integer_rank, smith_normal_form
 
-from oracles import is_union_of_blocks, kubota_ranks, subgroup_block_systems
+from oracles import (
+    inverse,
+    is_union_of_blocks,
+    kubota_ranks,
+    quotient_model,
+    subgroup_block_systems,
+    translate_ranks,
+)
 
 
 def test_z2_model():
@@ -329,27 +334,100 @@ def test_models_refuse_a_degree_over_the_cap():
     assert cyclic_model(MAX_DEGREE).order == MAX_DEGREE
 
 
-def test_group_order_over_the_cap_is_refused(monkeypatch):
-    # Z2 wr S5 on two copies of 5 points: order 2^5 * 5! = 3840
+def test_orbit_over_the_cap_is_refused(monkeypatch):
+    # Z2 wr S5 on two copies of 5 points: order 2^5 * 5! = 3840, and a
+    # type's translates are all 2^5 half-systems
     gens = ["(0 1 2 3 4)(5 6 7 8 9)", "(0 1)(5 6)", "(0 5)"]
     iota = "(0 5)(1 6)(2 7)(3 8)(4 9)"
-    monkeypatch.setattr(cmtools, "MAX_GROUP_ORDER", 3839, raising=True)
-    with pytest.raises(InvalidModelError, match="MAX_GROUP_ORDER = 3839"):
-        _perms_model(10, gens, iota)
-    monkeypatch.setattr(cmtools, "MAX_GROUP_ORDER", 3840, raising=True)
+    theta = CMType(frozenset(range(5)))
+    monkeypatch.setattr(cmtools, "MAX_ORBIT", 31, raising=True)
+    model = _perms_model(10, gens, iota)
+    for engine in (kubota_rank, translate_lattice):
+        with pytest.raises(InvalidModelError, match="MAX_ORBIT = 31"):
+            engine(model, theta)
+    with pytest.raises(InvalidModelError, match="MAX_ORBIT = 31"):
+        tankeev_scan(model)
+    monkeypatch.setattr(cmtools, "MAX_ORBIT", 32, raising=True)
+    assert len(translate_lattice(model, theta)) == 32
+    # the group is an orbit too: the identity's under left multiplication
+    monkeypatch.setattr(cmtools, "MAX_ORBIT", 3839, raising=True)
+    with pytest.raises(InvalidModelError, match="MAX_ORBIT = 3839"):
+        _perms_model(10, gens, iota).order
+    monkeypatch.setattr(cmtools, "MAX_ORBIT", 3840, raising=True)
     assert _perms_model(10, gens, iota).order == 3840
 
 
-def test_non_central_conjugation_is_refused_before_the_closure(monkeypatch):
-    def closure(*args):
-        raise AssertionError("the group closure ran")
-
-    monkeypatch.setattr(cmtools, "generate_group", closure)
-    # the generators give the symmetric group on 10 points, 3,628,800 elements
+def test_no_engine_reads_the_group():
+    for name, shared in ORACLE_MODELS.items():
+        model = GaloisModel(shared.generators, shared.conj, shared.size)
+        assert "elements" not in vars(model), name
+        theta = enumerate_cm_types(model)[-1]
+        block_systems(model)
+        tankeev_scan(model)
+        translate_lattice(model, theta)
+        kubota_rank(model, theta)
+        is_primitive(model, theta)
+        assert "elements" not in vars(model), name
+    # non-central conjugation is refused from the generators: they give
+    # the symmetric group on 10 points, 3,628,800 elements
     gens = (parse_cycles("(0 1 2 3 4 5 6 7 8 9)", 10), parse_cycles("(0 1)", 10))
     conj = parse_cycles("(0 5)(1 6)(2 7)(3 8)(4 9)", 10)
     with pytest.raises(InvalidModelError, match="central"):
         GaloisModel(generators=gens, conj=conj, size=10)
+
+
+def test_cyclic_model_is_the_shifted_cycle_at_every_even_size():
+    for size in range(2, MAX_DEGREE + 1, 2):
+        rot = tuple((i + 1) % size for i in range(size))
+        conj = tuple((i + size // 2) % size for i in range(size))
+        model = cyclic_model(size)
+        assert model == GaloisModel(generators=(rot,), conj=conj, size=size)
+    for size in (-2, 0, 1, 3, 5, 7, MAX_DEGREE - 1, MAX_DEGREE + 1):
+        with pytest.raises(InvalidModelError):
+            cyclic_model(size)
+
+
+# Z2 x S9 on two copies of 9 points, conjugation the copy swap: 725,760
+# elements, yet a type has at most 2 * C(9, 4) = 252 translates
+Z2_S9 = ["(0 1 2 3 4 5 6 7 8)(9 10 11 12 13 14 15 16 17)", "(0 1)(9 10)"]
+Z2_S9_IOTA = "".join(f"({i} {i + 9})" for i in range(9))
+
+
+def _frozenset_orbit(model, theta):
+    """The translates of theta by a search over the generators and conj."""
+    orbit = {frozenset(theta)}
+    frontier = list(orbit)
+    while frontier:
+        t = frontier.pop()
+        for g in model.generators + (model.conj,):
+            image = frozenset(g[x] for x in t)
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return frozenset(orbit)
+
+
+def test_z2_x_s9_matches_fraction_ranks():
+    model = _perms_model(18, Z2_S9, Z2_S9_IOTA)
+    report = tankeev_scan(model)
+    assert (report.total, report.primitive_count) == (512, 510)
+    orbits = []
+    for entry in report.entries:
+        theta = frozenset(entry.theta)
+        translates = next((o for o in orbits if theta in o), None)
+        if translates is None:
+            translates = _frozenset_orbit(model, theta)
+            orbits.append(translates)
+        assert (entry.raw, entry.reduced) == translate_ranks(18, translates)
+        # the types that are unions of blocks are the two copies
+        assert entry.primitive == (len(translates) > 2)
+        assert kubota_rank(model, CMType(theta)) == (entry.raw, entry.reduced)
+    assert sorted(map(len, orbits)) == [2, 18, 72, 168, 252]
+    for translates in orbits:
+        theta = CMType(min(translates, key=sorted))
+        rows = [[int(i in t) for i in range(18)] for t in translates]
+        assert smith_normal_form(translate_lattice(model, theta)) == smith_normal_form(rows)
+    assert "elements" not in vars(model)
 
 
 def test_dihedral_model_shape():

@@ -36,6 +36,7 @@ from oracles import (
     norm_coroots,
     opposition,
     oracle_weight_length,
+    pair_coroot,
     scan_admissible_factors,
     weight_root_coordinates,
 )
@@ -101,7 +102,7 @@ def test_dominantization_steps_count_the_negative_coroots():
         for _ in range(8):
             rs = RootSystem(kind, l)
             mu = tuple(rng.randint(-3, 3) for _ in range(l))
-            negative = sum(rs.pair_coroot(Weight(mu), b) < 0 for b in rs.positive_roots)
+            negative = sum(pair_coroot(rs, Weight(mu), b) < 0 for b in rs.positive_roots)
             expected = rs.dominant_representative(mu)
             rs.positive_roots = rs.positive_roots[:negative]
             assert rs.dominant_representative(mu) == expected
@@ -147,7 +148,7 @@ def test_definitional_pairings_on_returned_weights():
         returned = minuscule_weights(rs)
         for i in range(1, rs.rank + 1):
             w = fundamental_weight(rs, i)
-            values = {rs.pair_coroot(w, beta) for beta in roots}
+            values = {pair_coroot(rs, w, beta) for beta in roots}
             assert (values <= {-1, 0, 1}) == (w in returned), (rs.name, i)
 
 
