@@ -20,8 +20,7 @@ wedge and SL(2)-product alternatives are read off ``numth``'s table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import (
     FAM_SL2_SO4,
@@ -76,8 +75,7 @@ class InconsistentSubfieldError(ValueError):
     """Subfield assertions contradict the profile (no structure exists)."""
 
 
-@dataclass(frozen=True)
-class SubfieldDescriptor:
+class SubfieldDescriptor(NamedTuple):
     """A CM subfield E of the endomorphism algebra, with the flag saying
     whether the structure is balanced over E (equal extreme multiplicities
     at every embedding of E), and optionally whether L/Q is Galois."""
@@ -110,8 +108,7 @@ class SubfieldDescriptor:
         return cls(_require_int(data["deg_E"], "deg_E"), balanced, galois)
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     group: GroupExpr
     condition: str = ""
     occurs: str = OCCURS_PROVEN
@@ -124,8 +121,7 @@ class Candidate:
         }
 
 
-@dataclass(frozen=True)
-class ClassificationOutcome:
+class ClassificationOutcome(NamedTuple):
     status: str
     candidates: tuple[Candidate, ...]
     applied_rule: str

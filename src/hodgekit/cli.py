@@ -185,6 +185,20 @@ def _cmd_weights(args):
     return {"system": rs.name, key: value}, EXIT_OK
 
 
+def _parse_theta(text: str) -> list[int]:
+    """The embeddings of ``--theta``, refusing a bad entry or a repeat."""
+    try:
+        theta = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(f"bad embeddings {text!r} in --theta") from None
+    seen: set[int] = set()
+    for x in theta:
+        if x in seen:
+            raise ValueError(f"repeated embedding {x} in --theta")
+        seen.add(x)
+    return theta
+
+
 def _build_model(args) -> cmtools.GaloisModel:
     from . import cmtools
 
@@ -220,7 +234,7 @@ def _cmd_cm(args):
     model = _build_model(args)
     if args.cm_cmd == "scan":
         return cmtools.tankeev_scan(model).to_json(), EXIT_OK
-    theta = cmtools.CMType(frozenset(int(x) for x in args.theta.split(",")))
+    theta = cmtools.CMType(_parse_theta(args.theta))
     if args.cm_cmd == "primitive":
         primitive = cmtools.is_primitive(model, theta)
         payload = {"theta": theta.to_json(), "primitive": primitive}

@@ -28,10 +28,9 @@ since both are invariant under the group.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import combinations, compress, product
-from typing import Callable, Hashable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterator, NamedTuple, Optional, Sequence
 
 from .intlinalg import integer_rank
 from .numth import is_prime
@@ -128,34 +127,35 @@ def _check_degree(size: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class GaloisModel:
-    """Transitive group on the embedding set with central free involution,
-    held as its generators."""
-
+class _ModelFields(NamedTuple):
     generators: tuple[Perm, ...]
     conj: Perm
     size: int
 
-    def __post_init__(self) -> None:
-        _check_degree(self.size)
-        if self.size < 2 or self.size % 2 != 0:
+
+class GaloisModel(_ModelFields):
+    """Transitive group on the embedding set with central free involution,
+    held as its generators.  No __slots__: ``elements`` is cached in the
+    instance dict."""
+
+    def __new__(cls, generators, conj, size):
+        _check_degree(size)
+        if size < 2 or size % 2 != 0:
             raise InvalidModelError("embedding set must have even size >= 2")
-        gens = tuple(tuple(g) for g in self.generators)
-        conj = tuple(self.conj)
-        if any(len(g) != self.size for g in gens) or len(conj) != self.size:
+        gens = tuple(tuple(g) for g in generators)
+        conj = tuple(conj)
+        if any(len(g) != size for g in gens) or len(conj) != size:
             raise InvalidModelError("permutation length mismatch")
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "conj", conj)
-        if compose(conj, conj) != identity_perm(self.size):
+        if compose(conj, conj) != identity_perm(size):
             raise InvalidModelError("conjugation must have order 2")
-        if any(conj[i] == i for i in range(self.size)):
+        if any(conj[i] == i for i in range(size)):
             raise InvalidModelError("conjugation must act freely")
         # commuting with the generators is commuting with the whole group
         if any(compose(conj, g) != compose(g, conj) for g in gens):
             raise InvalidModelError("conjugation must be central")
-        if len(_orbit(0, [g.__getitem__ for g in gens + (conj,)])) != self.size:
+        if len(_orbit(0, [g.__getitem__ for g in gens + (conj,)])) != size:
             raise InvalidModelError("action must be transitive")
+        return tuple.__new__(cls, (gens, conj, size))
 
     @property
     def g(self) -> int:
@@ -228,14 +228,17 @@ def dihedral_model(n: int) -> GaloisModel:
     return GaloisModel(generators=(rot, flip), conj=conj, size=size)
 
 
-@dataclass(frozen=True)
-class CMType:
-    """A half-system: one embedding from each conjugate pair."""
-
+class _TypeFields(NamedTuple):
     theta: frozenset[int]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", frozenset(int(x) for x in self.theta))
+
+class CMType(_TypeFields):
+    """A half-system: one embedding from each conjugate pair."""
+
+    __slots__ = ()
+
+    def __new__(cls, theta):
+        return tuple.__new__(cls, (frozenset(int(x) for x in theta),))
 
     def sorted(self) -> tuple[int, ...]:
         return tuple(sorted(self.theta))
@@ -559,8 +562,7 @@ def is_primitive(model: GaloisModel, theta: CMType) -> bool:
     return not _is_induced(model, theta.theta)
 
 
-@dataclass(frozen=True)
-class ScanEntry:
+class ScanEntry(NamedTuple):
     theta: tuple[int, ...]
     raw: int
     reduced: int
@@ -579,8 +581,7 @@ class ScanEntry:
         }
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     degree: int
     p: Optional[int]
     bound: Optional[int]

@@ -9,8 +9,7 @@ in that set is data the abstract profile cannot derive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .classifier import SubfieldDescriptor, _balanced_quadratic, su_constraint
 from .core import EndomorphismDescriptor, HodgeProfile, InvalidProfileError
@@ -22,16 +21,19 @@ OPEN = "open"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class AbelianProfile:
-    """A simple complex abelian variety of dimension 2p, via its profile."""
-
+class _AbelianFields(NamedTuple):
     dim: int
     endo: EndomorphismDescriptor
-    subfields: tuple[SubfieldDescriptor, ...] = ()
+    subfields: tuple[SubfieldDescriptor, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "subfields", tuple(self.subfields))
+
+class AbelianProfile(_AbelianFields):
+    """A simple complex abelian variety of dimension 2p, via its profile."""
+
+    __slots__ = ()
+
+    def __new__(cls, dim, endo, subfields=()):
+        self = tuple.__new__(cls, (dim, endo, tuple(subfields)))
         if self.dim % 2 != 0 or self.p == 2 or not is_prime(self.p):
             raise InvalidProfileError(
                 f"dimension must be 2p with p an odd prime, got {self.dim}"
@@ -44,6 +46,7 @@ class AbelianProfile:
             )
         for sub in self.subfields:
             su_constraint(profile, sub)
+        return self
 
     @property
     def p(self) -> int:
@@ -93,20 +96,14 @@ def murty_equal(ap: AbelianProfile) -> tuple[Optional[bool], str]:
     return None, f"{desc}: outside the proved hypotheses, status unknown"
 
 
-@dataclass(frozen=True)
-class HodgeStatus:
+class HodgeStatus(NamedTuple):
     divisor_weil_generated: Optional[bool]
     hc_all_powers: str  # proven | open
     ghc_reduction: bool
     rationale: str
 
     def to_json(self) -> dict:
-        return {
-            "divisor_weil_generated": self.divisor_weil_generated,
-            "hc_all_powers": self.hc_all_powers,
-            "ghc_reduction": self.ghc_reduction,
-            "rationale": self.rationale,
-        }
+        return self._asdict()
 
 
 def hodge_status(ap: AbelianProfile) -> HodgeStatus:

@@ -6,12 +6,17 @@ concentrated in the two extreme bidegrees: the weight, the half-dimension
 n, and a description of the endomorphism division algebra in Albert's
 classification.  Number fields are abstracted to their degrees; trace
 data over a CM center is carried as a list of nonnegative integer pairs.
+
+The package's records are ``typing.NamedTuple`` classes: immutable,
+hashable and compared field by field.  A record that checks or
+normalises its fields is a thin subclass whose ``__new__`` does it, so
+``_make`` and ``_replace``, which skip ``__new__``, are not used.  Being
+tuples, records also compare equal to a plain tuple of the same fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 ALBERT_TYPES = ("I", "II", "III", "IV")
 
@@ -23,19 +28,26 @@ class InvalidProfileError(ValueError):
     """Raised by operations whose precondition requires a valid profile."""
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One violated structural invariant, with a stable machine code."""
 
     code: str
     message: str
 
     def to_json(self) -> dict:
-        return {"code": self.code, "message": self.message}
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class EndomorphismDescriptor:
+class _EndomorphismFields(NamedTuple):
+    albert_type: str
+    deg_L: int
+    deg_F: int
+    q: int
+    cm_traces: Optional[tuple[tuple[int, int], ...]]
+    disc_one: Optional[bool]
+
+
+class EndomorphismDescriptor(_EndomorphismFields):
     """Albert-type descriptor of the endomorphism division algebra L.
 
     deg_L is [L:Q], deg_F is the degree of the maximal totally real
@@ -48,24 +60,15 @@ class EndomorphismDescriptor:
     for the totally real m=4 case).
     """
 
-    albert_type: str
-    deg_L: int
-    deg_F: int = 1
-    q: int = 1
-    cm_traces: Optional[tuple[tuple[int, int], ...]] = None
-    disc_one: Optional[bool] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.cm_traces is not None:
-            object.__setattr__(
-                self,
-                "cm_traces",
-                tuple((int(a), int(b)) for a, b in self.cm_traces),
-            )
+    def __new__(cls, albert_type, deg_L, deg_F=1, q=1, cm_traces=None, disc_one=None):
+        if cm_traces is not None:
+            cm_traces = tuple((int(a), int(b)) for a, b in cm_traces)
+        return tuple.__new__(cls, (albert_type, deg_L, deg_F, q, cm_traces, disc_one))
 
 
-@dataclass(frozen=True)
-class HodgeProfile:
+class HodgeProfile(NamedTuple):
     """Weight, half-dimension n, and endomorphism data of one structure."""
 
     weight: int
@@ -139,8 +142,15 @@ _PARAMLESS = {FAM_SL2_SO4, FAM_SO7}
 _TORI = {FAM_U_L, FAM_SU_LE}
 
 
-@dataclass(frozen=True)
-class GroupExpr:
+class _GroupFields(NamedTuple):
+    family: str
+    param: Optional[int]
+    base_degree: int
+    rep: str
+    rep_param: Optional[int]
+
+
+class GroupExpr(_GroupFields):
     """A symbolic Q-algebraic group with its representation tag.
 
     base_degree g means restriction of scalars from a totally real field
@@ -148,27 +158,26 @@ class GroupExpr:
     family needs.  Equality is field-by-field after normalization.
     """
 
-    family: str
-    param: Optional[int] = None
-    base_degree: int = 1
-    rep: str = REP_STANDARD
-    rep_param: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.family not in GROUP_FAMILIES:
-            raise ValueError(f"unknown group family {self.family!r}")
-        if self.family in _PARAMLESS:
-            object.__setattr__(self, "param", None)
-        elif self.param is None or self.param < 1:
-            raise ValueError(f"family {self.family} needs a positive param")
-        if self.base_degree < 1:
+    def __new__(
+        cls, family, param=None, base_degree=1, rep=REP_STANDARD, rep_param=None
+    ):
+        if family not in GROUP_FAMILIES:
+            raise ValueError(f"unknown group family {family!r}")
+        if family in _PARAMLESS:
+            param = None
+        elif param is None or param < 1:
+            raise ValueError(f"family {family} needs a positive param")
+        if base_degree < 1:
             raise ValueError("base_degree must be >= 1")
-        if self.family in _TORI:
-            object.__setattr__(self, "rep", REP_NONE)
-        if self.rep != REP_EXTERIOR:
-            object.__setattr__(self, "rep_param", None)
-        elif self.rep_param is None or self.rep_param < 1:
+        if family in _TORI:
+            rep = REP_NONE
+        if rep != REP_EXTERIOR:
+            rep_param = None
+        elif rep_param is None or rep_param < 1:
             raise ValueError("exterior_power rep needs rep_param j >= 1")
+        return tuple.__new__(cls, (family, param, base_degree, rep, rep_param))
 
     def label(self) -> str:
         """Human-readable name, close to the usual classification tables."""
@@ -207,13 +216,7 @@ class GroupExpr:
 
     @classmethod
     def from_json(cls, data: dict) -> "GroupExpr":
-        return cls(
-            family=data["family"],
-            param=data.get("param"),
-            base_degree=data.get("base_degree", 1),
-            rep=data.get("rep", REP_STANDARD),
-            rep_param=data.get("rep_param"),
-        )
+        return cls(**{name: data[name] for name in cls._fields if name in data})
 
 
 # ---------------------------------------------------------------------------

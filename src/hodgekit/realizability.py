@@ -14,9 +14,8 @@ both parities share (cases 3-5) appear in it once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     EVEN,
@@ -27,15 +26,12 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class ExceptionalCase:
-    """One catalog entry; match returns True (the profile matches), False
-    (it does not), or the name of the missing datum that would decide."""
+class ExceptionalCase(NamedTuple):
+    """One catalog entry: its parity, 1-based index and description."""
 
     parity: str
     index: int
     description: str
-    match: Callable[[HodgeProfile], object] = field(compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -76,6 +72,8 @@ def _iv_all_ones(m: int, q: int, p: HodgeProfile):
 
 
 # (parities, description, predicate), in catalog order within each parity.
+# A predicate returns True (the profile matches), False (it does not), or
+# the name of the missing datum that would decide.
 _CATALOG = (
     ((ODD,), "Type III and m=1", partial(_type_m, "III", 1)),
     (
@@ -113,20 +111,21 @@ _CATALOG = (
 )
 
 
-def _cases(parity: str) -> tuple[ExceptionalCase, ...]:
+def _checks(parity: str) -> tuple:
+    """The parity's (case, predicate) pairs; the predicate stays out of the
+    record, so cases compare, hash and print by their data alone."""
     entries = [(d, pred) for ps, d, pred in _CATALOG if parity in ps]
     return tuple(
-        ExceptionalCase(parity, i, d, pred)
-        for i, (d, pred) in enumerate(entries, 1)
+        (ExceptionalCase(parity, i, d), pred) for i, (d, pred) in enumerate(entries, 1)
     )
 
 
-ODD_CASES = _cases(ODD)
-EVEN_CASES = _cases(EVEN)
+_CHECKS = {ODD: _checks(ODD), EVEN: _checks(EVEN)}
+ODD_CASES = tuple(case for case, _ in _CHECKS[ODD])
+EVEN_CASES = tuple(case for case, _ in _CHECKS[EVEN])
 
 
-@dataclass(frozen=True)
-class ExceptionalMatch:
+class ExceptionalMatch(NamedTuple):
     """A catalog hit; conditional=True means required data was absent."""
 
     case: ExceptionalCase
@@ -143,8 +142,8 @@ class ExceptionalMatch:
 
 def _match(profile: HodgeProfile) -> Optional[ExceptionalMatch]:
     pending: Optional[ExceptionalMatch] = None
-    for case in ODD_CASES if profile.parity == ODD else EVEN_CASES:
-        verdict = case.match(profile)
+    for case, match in _CHECKS[profile.parity]:
+        verdict = match(profile)
         if verdict is True:
             return ExceptionalMatch(case)
         if isinstance(verdict, str) and pending is None:
@@ -164,8 +163,7 @@ def is_exceptional(profile: HodgeProfile) -> Optional[ExceptionalMatch]:
     return _match(profile)
 
 
-@dataclass(frozen=True)
-class RealizabilityVerdict:
+class RealizabilityVerdict(NamedTuple):
     """realizable is True, False, or None when data is missing."""
 
     realizable: Optional[bool]

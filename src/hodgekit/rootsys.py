@@ -35,11 +35,10 @@ match the usual labelling of Dynkin diagrams (Bourbaki numbering).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import repeat
 from operator import add, mul
+from typing import NamedTuple
 
 from .numth import _COUNT, _DUALITIES, _MIN_RANK, NON_SELF_DUAL, ORTHOGONAL, SYMPLECTIC
 from .numth import _kept_in_twice_odd_dim, _minuscule_rows, _rows_of_dimension
@@ -89,14 +88,16 @@ def _cartan_and_norms(kind: str, l: int) -> tuple[list[list[int]], list[int]]:
     return mat, norms
 
 
-@dataclass(frozen=True)
-class Weight:
-    """A weight in fundamental-weight coordinates."""
-
+class _WeightFields(NamedTuple):
     coords: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+
+class Weight(_WeightFields):
+    """A weight in fundamental-weight coordinates.  No __slots__:
+    ``support`` is cached in the instance dict."""
+
+    def __new__(cls, coords):
+        return tuple.__new__(cls, (tuple(int(c) for c in coords),))
 
     @property
     def is_zero(self) -> bool:
@@ -355,18 +356,24 @@ def autoduality(rs: RootSystem, weight: Weight) -> str:
 
 
 def weight_length(rs: RootSystem, weight: Weight) -> Fraction:
+    """The length as a Fraction with denominator 1 (see _length)."""
+    from fractions import Fraction
+
+    return Fraction(_length(rs, weight))
+
+
+def _length(rs: RootSystem, weight: Weight) -> int:
     """min over simple roots of c_alpha + c_alpha', alpha' = -w0(alpha).
 
     With lambda = sum c_alpha alpha, c_alpha + c_alpha' is the
     alpha-coordinate of lambda - w0(lambda), which dominantizing -lambda
     to -w0(lambda) accumulates in integers; that vector lies in the root
-    lattice, so the length is an integer (returned as a Fraction with
-    denominator 1).
+    lattice, so the length is an integer.
     """
     if not is_dominant(weight):
         raise ValueError("weight_length needs a dominant weight")
     _, shift = rs.dominant_representative(tuple(-c for c in weight.coords))
-    return Fraction(min(shift))
+    return min(shift)
 
 
 def minuscule_table_expected(rs: RootSystem) -> list[dict]:
@@ -394,7 +401,7 @@ def verify_minuscule_table(rs: RootSystem) -> dict:
         row = expected.get(idx)
         dim = rep_dimension(rs, w)
         dual = autoduality(rs, w)
-        length_ok = weight_length(rs, w) == 1 if rs.kind != "E" else True
+        length_ok = _length(rs, w) == 1 if rs.kind != "E" else True
         row_ok = (
             row is not None
             and dim == row["dim"]

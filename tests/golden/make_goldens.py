@@ -468,6 +468,9 @@ CLI_CASES = [
     (["cm", "--group", "cyclic:6", "--iota", "(0 1)", "scan"], "", {}, 2),
     (["cm", "--group", "cyclic:6", "rank", "--theta", "0,1"], "", {}, 2),
     (["cm", "--group", "cyclic:6", "rank", "--theta", "0,a"], "", {}, 2),
+    (["cm", "--group", "perms:4:(0 1 2 3)", "--iota", "(0 2)(1 3)", "rank", "--theta", "0,1,1"], "", {}, 2),
+    (["cm", "--group", "perms:4:(0 1 2 3)", "--iota", "(0 2)(1 3)", "primitive", "--theta", "0,1,1"], "", {}, 2),
+    (["cm", "--group", "cyclic:6", "rank", "--theta", "0,,1"], "", {}, 2),
     (["cm", "--group", "cyclic:64", "scan"], "", {}, 2),
     (["cm", "--group", "cyclic:6", "rank"], "", {}, 2),
     (["cm", "--group", "cyclic:128", "rank", "--theta", CYCLIC128], "", {}, 0),

@@ -345,11 +345,26 @@ def test_verify_table2_max_rank_below_one_is_bad_input(capsys, max_rank):
     assert err == f"error: --max-rank must be at least 1, got {max_rank}\n"
 
 
+@pytest.mark.parametrize(
+    "cmd, theta, err",
+    [
+        ("rank", "0,1,1", "error: repeated embedding 1 in --theta\n"),
+        ("primitive", "1,0,1", "error: repeated embedding 1 in --theta\n"),
+        ("rank", "0,,1", "error: bad embeddings '0,,1' in --theta\n"),
+        ("primitive", "0,x", "error: bad embeddings '0,x' in --theta\n"),
+    ],
+)
+def test_cm_theta_refuses_a_repeat_or_a_bad_entry(capsys, cmd, theta, err):
+    group = ["--group", "perms:4:(0 1 2 3)", "--iota", "(0 2)(1 3)"]
+    assert run_bad_input(["cm", *group, cmd, "--theta", theta], capsys) == err
+
+
 # --- Import footprint: a one-shot process loads only its subcommand's engine ---
 
 # Runs the CLI as ``python -m hodgekit.cli`` does (or, with no arguments,
 # only ``import hodgekit``), then reports on stderr its exit code, the
-# ``hodgekit`` modules loaded and whether ``dataclasses`` and ``fractions`` are.
+# ``hodgekit`` modules loaded, whether ``dataclasses`` (or ``inspect``, which
+# it imports) is, and whether ``fractions`` is.
 FOOTPRINT = """
 import sys
 code = 0
@@ -364,7 +379,7 @@ else:
 loaded = (
     code,
     sorted(m for m in sys.modules if m.split(".")[0] == "hodgekit"),
-    "dataclasses" in sys.modules,
+    "dataclasses" in sys.modules or "inspect" in sys.modules,
     "fractions" in sys.modules,
 )
 sys.stderr.write("\\n" + repr(loaded))
@@ -411,6 +426,36 @@ def test_classify_loads_no_verification_engine():
     assert "classifier" in modules
     assert not modules & {"rootsys", "cmtools", "intlinalg"}
     assert not fractions
+
+
+ABELIAN_6 = {"dim": 6, "endo": PROFILE_N3["endo"]}
+
+
+SUBCOMMANDS = [
+    (["validate"], PROFILE_N3),
+    (["realizable"], PROFILE_N3),
+    (["lefschetz"], PROFILE_N3),
+    (["classify"], PROFILE_N3),
+    (["classify", "--table3"], None),
+    (["weights", "dim", "A", "3", "0,1,0"], None),
+    (["weights", "autodual", "A", "3", "0,1,0"], None),
+    (["weights", "length", "A", "3", "0,1,0"], None),
+    (["weights", "verify-table2", "--max-rank", "3"], None),
+    (["cm", "--group", "cyclic:6", "rank", "--theta", "0,1,2"], None),
+    (["cm", "--group", "cyclic:6", "primitive", "--theta", "0,1,2"], None),
+    (["cm", "--group", "cyclic:6", "scan"], None),
+    (["numth", "verify", "--k-max", "6"], None),
+    (["abelian", "status"], ABELIAN_6),
+]
+
+
+@pytest.mark.parametrize(
+    "args, stdin", SUBCOMMANDS, ids=[" ".join(args) for args, _ in SUBCOMMANDS]
+)
+def test_no_subcommand_loads_dataclasses_and_only_length_loads_fractions(args, stdin):
+    _, dataclasses, fractions = footprint(args, stdin and json.dumps(stdin))
+    assert not dataclasses
+    assert fractions == (args[:2] == ["weights", "length"])
 
 
 def test_n_beyond_the_primality_bound_is_bad_input(tmp_path, capsys):

@@ -1,0 +1,184 @@
+"""The package's records: immutable, hashable, equal field by field, and,
+where a record checks or normalises its fields, refusing and coercing
+at construction.
+
+Records are NamedTuples, so two hazards are pinned here as well: a
+record equals the plain tuple of its fields, and ``_make``/``_replace``
+would skip a record's checks, so no source file calls them.
+"""
+
+import pathlib
+import re
+
+import pytest
+
+from hodgekit import classifier, cmtools, consequences, core, realizability, rootsys
+from hodgekit.classifier import Candidate, ClassificationOutcome, SubfieldDescriptor
+from hodgekit.cmtools import (
+    CMType,
+    GaloisModel,
+    ScanEntry,
+    ScanReport,
+    compose,
+    cyclic_model,
+    parse_cycles,
+)
+from hodgekit.consequences import AbelianProfile, HodgeStatus
+from hodgekit.core import EndomorphismDescriptor, GroupExpr, HodgeProfile, Violation
+from hodgekit.realizability import (
+    EVEN,
+    EVEN_CASES,
+    ODD,
+    ODD_CASES,
+    ExceptionalCase,
+    ExceptionalMatch,
+    RealizabilityVerdict,
+)
+from hodgekit.rootsys import Weight
+
+RATIONAL = EndomorphismDescriptor("I", 1)
+IV_ENDO = EndomorphismDescriptor("IV", 2, 1, 1, cm_traces=((1, 3),))
+SP6 = GroupExpr("Sp", param=3)
+Z6 = cyclic_model(6)
+SHIFT = Z6.generators[0]
+
+# (class, the fields of one instance, a field, and another value for it)
+RECORDS = [
+    (Violation, dict(code="n_positive", message="n must be >= 1"), "code", "weight_positive"),
+    (EndomorphismDescriptor, IV_ENDO._asdict(), "disc_one", True),
+    (HodgeProfile, dict(weight=1, n=4, endo=IV_ENDO), "weight", 3),
+    (GroupExpr, dict(family="Sp", param=3), "param", 2),
+    (SubfieldDescriptor, dict(deg_E=2, balanced=True), "galois_L", True),
+    (Candidate, dict(group=SP6), "occurs", classifier.OCCURS_POSSIBLE),
+    (
+        ClassificationOutcome,
+        dict(status="determined", candidates=(Candidate(SP6),), applied_rule="n=prime"),
+        "notes",
+        ("a note",),
+    ),
+    (ExceptionalCase, ODD_CASES[0]._asdict(), "index", 2),
+    (ExceptionalMatch, dict(case=ODD_CASES[0]), "conditional", True),
+    (RealizabilityVerdict, dict(realizable=True), "realizable", None),
+    (AbelianProfile, dict(dim=6, endo=RATIONAL), "dim", 10),
+    (
+        HodgeStatus,
+        dict(zip(HodgeStatus._fields, (True, consequences.PROVEN, True, "r"))),
+        "ghc_reduction",
+        False,
+    ),
+    (GaloisModel, Z6._asdict(), "generators", (SHIFT, compose(SHIFT, SHIFT))),
+    (CMType, dict(theta=frozenset({0, 1, 2})), "theta", frozenset({0, 1, 5})),
+    (
+        ScanEntry,
+        dict(zip(ScanEntry._fields, ((0, 1, 2), 4, 3, True, None, None))),
+        "primitive",
+        False,
+    ),
+    (ScanReport, dict(degree=6, p=3, bound=5, entries=()), "bound", None),
+    (Weight, dict(coords=(0, 1, 0)), "coords", (1, 0, 0)),
+]
+
+
+def test_every_record_class_is_pinned():
+    modules = (core, classifier, realizability, consequences, cmtools, rootsys)
+    found = {
+        obj
+        for module in modules
+        for name, obj in vars(module).items()
+        if isinstance(obj, type)
+        and issubclass(obj, tuple)
+        and obj.__module__ == module.__name__
+        and not name.startswith("_")
+    }
+    assert found == {cls for cls, *_ in RECORDS}
+    assert len(found) == 17
+
+
+@pytest.mark.parametrize(
+    "cls, fields, name, other", RECORDS, ids=[cls.__name__ for cls, *_ in RECORDS]
+)
+def test_record_semantics(cls, fields, name, other):
+    record = cls(**fields)
+    twin = cls(**fields)
+    assert record == twin and hash(record) == hash(twin)
+    assert record != cls(**{**fields, name: other})
+    for field in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    assert repr(record).startswith(f"{cls.__name__}({cls._fields[0]}=")
+    # only the two records with a cached_property carry an instance dict
+    assert hasattr(record, "__dict__") == (cls in (GaloisModel, Weight))
+    # the NamedTuple caveat: a record equals the plain tuple of its fields
+    assert record == tuple(getattr(record, field) for field in cls._fields)
+
+
+def _non_central_model():
+    gens = (parse_cycles("(0 1 2)(3 4 5)", 6),)
+    return GaloisModel(gens, parse_cycles("(0 1)(2 4)(3 5)", 6), 6)
+
+
+@pytest.mark.parametrize(
+    "build, complaint",
+    [
+        (lambda: GroupExpr("nope", param=1), "unknown group family"),
+        (lambda: GroupExpr("Sp"), "needs a positive param"),
+        (lambda: GroupExpr("Sp", param=0), "needs a positive param"),
+        (lambda: GroupExpr("U(B)", param=2, base_degree=0), "base_degree"),
+        (lambda: GroupExpr("SU(2^k)", 3, rep=core.REP_EXTERIOR), "rep_param"),
+        (lambda: GroupExpr("SU(2^k)", 3, rep=core.REP_EXTERIOR, rep_param=0), "rep_param"),
+        (_non_central_model, "conjugation must be central"),
+        (lambda: AbelianProfile(dim=8, endo=RATIONAL), "2p with p an odd prime"),
+        (lambda: AbelianProfile(dim=4, endo=RATIONAL), "2p with p an odd prime"),
+    ],
+)
+def test_validated_records_refuse(build, complaint):
+    with pytest.raises(ValueError, match=re.escape(complaint)):
+        build()
+
+
+def _canonical(value):
+    """Value and type, all the way down, so that 1 and 1.0 or "1" differ."""
+    if isinstance(value, (tuple, frozenset)):
+        return type(value), sorted(map(_canonical, value), key=repr)
+    return type(value), value
+
+
+@pytest.mark.parametrize(
+    "record, name, expected",
+    [
+        (GroupExpr("SO(7)", param=5), "param", None),
+        (GroupExpr("SL(2)xSO(4)", param=2), "param", None),
+        (GroupExpr("U_L", param=2, rep=core.REP_STANDARD), "rep", core.REP_NONE),
+        (GroupExpr("SU_{L/E}", param=2, rep=core.REP_SPIN), "rep", core.REP_NONE),
+        (GroupExpr("Sp", param=2, rep_param=4), "rep_param", None),
+        (GroupExpr("SU(2^k)", 3, rep=core.REP_EXTERIOR, rep_param=4), "rep_param", 4),
+        (
+            EndomorphismDescriptor("IV", 4, 2, 1, cm_traces=[[1, 3], [True, 3.0]]),
+            "cm_traces",
+            ((1, 3), (1, 3)),
+        ),
+        (CMType([2, 0, True]), "theta", frozenset({0, 1, 2})),
+        (Weight([1, False, 2.0]), "coords", (1, 0, 2)),
+        (AbelianProfile(dim=6, endo=RATIONAL, subfields=[]), "subfields", ()),
+        (GaloisModel([list(SHIFT)], list(Z6.conj), 6), "generators", (SHIFT,)),
+    ],
+)
+def test_validated_records_normalise(record, name, expected):
+    assert _canonical(getattr(record, name)) == _canonical(expected)
+
+
+def test_catalog_predicates_stay_out_of_the_cases():
+    assert ExceptionalCase._fields == ("parity", "index", "description")
+    for parity, cases in ((ODD, ODD_CASES), (EVEN, EVEN_CASES)):
+        checks = realizability._CHECKS[parity]
+        assert tuple(case for case, _ in checks) == cases
+        assert all(callable(match) for _, match in checks)
+    # the Type IV entries both parities share are distinct cases
+    assert ODD_CASES[2].description == EVEN_CASES[2].description
+    assert ODD_CASES[2] != EVEN_CASES[2]
+
+
+def test_no_source_file_builds_a_record_around_its_checks():
+    src = pathlib.Path(core.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        assert not re.search(r"\._(make|replace)\b", path.read_text()), path.name
