@@ -36,6 +36,7 @@ from .core import (
     REP_PRODUCT,
     REP_SPIN,
     _require_int,
+    _require_object,
 )
 from .lefschetz import _lefschetz_group, group_rank
 from .numth import ORTHOGONAL, _kept_in_twice_odd_dim, _rows_of_dimension
@@ -92,14 +93,7 @@ class SubfieldDescriptor(NamedTuple):
 
     @classmethod
     def from_json(cls, data: dict) -> "SubfieldDescriptor":
-        if not isinstance(data, dict):
-            raise ValueError("a subfield entry must be a JSON object")
-        extra = set(data) - {"deg_E", "balanced", "galois_L"}
-        if extra:
-            raise ValueError(f"unknown subfield fields: {sorted(extra)}")
-        for key in ("deg_E", "balanced"):
-            if key not in data:
-                raise ValueError(f"subfield is missing required field {key!r}")
+        _require_object(data, "subfield", ("deg_E", "balanced"), ("galois_L",))
         balanced, galois = data["balanced"], data.get("galois_L")
         if not isinstance(balanced, bool):
             raise ValueError(f"balanced must be a boolean, got {balanced!r}")
@@ -280,8 +274,6 @@ def _balanced_any(
 def _su_bound_group(profile: HodgeProfile, sub: SubfieldDescriptor) -> GroupExpr:
     """R_{J/Q}SU(C,-) for the centralizer C of E, as a symbolic group."""
     size = (2 * profile.n) // sub.deg_E
-    if size == 1:
-        return GroupExpr(FAM_SU_LE, param=profile.endo.deg_F)
     return GroupExpr(FAM_SU_B, param=size, base_degree=sub.deg_E // 2)
 
 
@@ -641,7 +633,7 @@ def _classify_type_iv(profile: HodgeProfile, lef: GroupExpr, subfields):
             claim = "balanced index-2 subfield with coprime multiplicities"
             return _single(_guard(profile, su, claim), RULE_IV_INDEX2)
     note = None
-    if subfields is None and (m == 2 or m % 2 == 0):
+    if subfields is None and m % 2 == 0:
         note = "subfield inventory not supplied; only the upper bound is reported"
     return _fallback(profile, lef, note=note, subfields=subfields)
 

@@ -15,7 +15,8 @@ of ``weights verify-table2``).  It maps errors in this order: a
 internal invariant) with exit 4, and a ``ValueError`` (bad input; the
 package's ``InvalidProfileError``, ``InvalidModelError`` and
 ``InconsistentSubfieldError`` all derive from it) with
-``error: <message>`` on stderr and exit 2.
+``error: <message>`` on stderr and exit 2.  Bad input is refused by two
+readers: JSON objects by ``core._require_object``, argv numbers by ``_ints``.
 
 Each subcommand imports the engine it calls when it runs, so a one-shot
 process loads only its own subcommand's modules: ``numth verify`` never
@@ -140,13 +141,18 @@ def _cmd_classify(args):
         return {"error": "not_realizable", "detail": str(exc)}, EXIT_NEGATIVE
 
 
+def _ints(text: str, complaint: str) -> list[int]:
+    """The comma-separated integers of argv ``text``, else ``complaint``."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(complaint) from None
+
+
 def _parse_coords(text: str, rank: int) -> rootsys.Weight:
     from . import rootsys
 
-    try:
-        coords = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise ValueError(f"bad weight coordinates {text!r}") from None
+    coords = _ints(text, f"bad weight coordinates {text!r}")
     if len(coords) != rank:
         raise ValueError(f"expected {rank} coordinates, got {len(coords)}")
     return rootsys.Weight(coords)
@@ -187,10 +193,7 @@ def _cmd_weights(args):
 
 def _parse_theta(text: str) -> list[int]:
     """The embeddings of ``--theta``, refusing a bad entry or a repeat."""
-    try:
-        theta = [int(x) for x in text.split(",")]
-    except ValueError:
-        raise ValueError(f"bad embeddings {text!r} in --theta") from None
+    theta = _ints(text, f"bad embeddings {text!r} in --theta")
     seen: set[int] = set()
     for x in theta:
         if x in seen:
@@ -204,22 +207,27 @@ def _build_model(args) -> cmtools.GaloisModel:
 
     family, _, rest = args.group.partition(":")
     if family == "perms":
-        _, size_text, gens_text = args.group.split(":", 2)
-        size = int(size_text)
+        rest, colon, gens_text = rest.partition(":")
+        if not colon:
+            raise ValueError(f"no generator list in --group {args.group!r}")
+    elif family not in ("cyclic", "dihedral", "abelian"):
+        raise ValueError(f"unknown group spec {args.group!r}")
+    bad = f"bad numbers {rest!r} in --group {args.group!r}"
+    numbers = _ints(rest, bad)
+    if family != "abelian" and len(numbers) != 1:
+        raise ValueError(bad)
+    if family == "perms":
+        size = numbers[0]
         gens = tuple(
             cmtools.parse_cycles(g, size) for g in gens_text.split(";") if g.strip()
         )
         if args.iota == "auto":
             raise ValueError("explicit --iota required with perms: groups")
     else:
-        if family == "cyclic":
-            model = cmtools.cyclic_model(int(rest))
-        elif family == "dihedral":
-            model = cmtools.dihedral_model(int(rest))
-        elif family == "abelian":
-            model = cmtools.abelian_model([int(x) for x in rest.split(",")])
-        else:
-            raise ValueError(f"unknown group spec {args.group!r}")
+        if family == "dihedral":
+            model = cmtools.dihedral_model(numbers[0])
+        else:  # cyclic:N is abelian:N
+            model = cmtools.abelian_model(numbers)
         if args.iota == "auto":
             return model
         gens, size = model.generators, model.size
@@ -279,18 +287,13 @@ def _cmd_numth(args):
 
 def _cmd_abelian(args):
     from .consequences import AbelianProfile, hodge_status, murty_equal
-    from .core import _require_int, profile_from_json
+    from .core import _endo_from_json, _require_int, _require_object
 
     data = _read_json(args.profile)
-    if not isinstance(data, dict):
-        raise ValueError("abelian profile must be a JSON object")
-    extra = set(data) - {"dim", "endo", "subfields"}
-    if extra:
-        raise ValueError(f"unknown abelian fields: {sorted(extra)}")
+    _require_object(data, "abelian profile", (), ("dim", "endo", "subfields"))
     dim = _require_int(data.get("dim"), "dim")
-    endo = profile_from_json({"weight": 1, "n": dim, "endo": data.get("endo")}).endo
-    subs = _subfields(data.get("subfields", []))
-    ap = AbelianProfile(dim=dim, endo=endo, subfields=tuple(subs))
+    endo = _endo_from_json(data.get("endo"))
+    ap = AbelianProfile(dim, endo, _subfields(data.get("subfields", [])))
     equal, rationale = murty_equal(ap)
     payload = {
         "murty_equal": equal,

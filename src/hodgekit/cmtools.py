@@ -106,9 +106,10 @@ def parse_cycles(text: str, size: int) -> Perm:
     seen: set[int] = set()
     for chunk in chunks:
         chunk = chunk.strip()
-        if not (chunk.startswith("(") and chunk.endswith(")")):
-            raise ValueError(f"bad cycle chunk {chunk!r}")
         items = chunk[1:-1].replace(",", " ").split()
+        shaped = chunk.startswith("(") and chunk.endswith(")")
+        if not shaped or not all(map(str.isdecimal, items)):
+            raise ValueError(f"bad cycle chunk {chunk!r}")
         cycle = [int(x) for x in items]
         if any(not 0 <= x < size for x in cycle):
             raise ValueError(f"cycle entry out of range in {chunk!r}")

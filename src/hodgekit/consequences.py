@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .classifier import SubfieldDescriptor, _balanced_quadratic, su_constraint
+from .classifier import NotRealizableError, SubfieldDescriptor, classify
+from .classifier import _balanced_quadratic, su_constraint
 from .core import EndomorphismDescriptor, HodgeProfile, InvalidProfileError
 from .numth import is_prime
-from .realizability import realizable
 
 PROVEN = "proven"
 OPEN = "open"
@@ -28,7 +28,8 @@ class _AbelianFields(NamedTuple):
 
 
 class AbelianProfile(_AbelianFields):
-    """A simple complex abelian variety of dimension 2p, via its profile."""
+    """A simple complex abelian variety of dimension 2p, via its profile.
+    Construction refuses the data that ``classify`` refuses."""
 
     __slots__ = ()
 
@@ -39,11 +40,12 @@ class AbelianProfile(_AbelianFields):
                 f"dimension must be 2p with p an odd prime, got {self.dim}"
             )
         profile = self.hodge_profile()
-        verdict = realizable(profile)
-        if verdict.realizable is False:
+        try:
+            classify(profile, self.subfields)
+        except NotRealizableError as exc:
             raise InvalidProfileError(
-                f"endomorphism data not realizable at weight 1: {verdict.reason}"
-            )
+                f"endomorphism data not realizable at weight 1: {exc}"
+            ) from None
         for sub in self.subfields:
             su_constraint(profile, sub)
         return self

@@ -6,6 +6,8 @@ concentrated in the two extreme bidegrees: the weight, the half-dimension
 n, and a description of the endomorphism division algebra in Albert's
 classification.  Number fields are abstracted to their degrees; trace
 data over a CM center is carried as a list of nonnegative integer pairs.
+Every JSON object read from outside goes through ``_require_object``, and
+every integer field through ``_require_int``.
 
 The package's records are ``typing.NamedTuple`` classes: immutable,
 hashable and compared field by field.  A record that checks or
@@ -319,10 +321,6 @@ def require_valid(profile: HodgeProfile) -> None:
 # Canonical JSON encoding of profiles
 # ---------------------------------------------------------------------------
 
-_ENDO_FIELDS = ("type", "deg_L", "deg_F", "q", "cm_traces", "disc_one")
-_PROFILE_FIELDS = ("weight", "n", "endo")
-
-
 def profile_to_json(profile: HodgeProfile) -> dict:
     """Serialize with canonical field order (stable for golden files)."""
     endo: dict = {
@@ -344,47 +342,52 @@ def _require_int(value, where: str) -> int:
     return value
 
 
-def profile_from_json(data: dict) -> HodgeProfile:
-    """Parse a profile object, rejecting unknown fields."""
+def _require_object(data, name: str, required: tuple, optional: tuple = ()) -> None:
+    """Refuse ``data`` unless it is a JSON object with no field missing or unknown."""
     if not isinstance(data, dict):
-        raise ValueError("profile must be a JSON object")
-    extra = set(data) - set(_PROFILE_FIELDS)
+        raise ValueError(f"{name} must be a JSON object")
+    extra = set(data).difference(required, optional)
     if extra:
-        raise ValueError(f"unknown profile fields: {sorted(extra)}")
-    for key in ("weight", "n", "endo"):
+        raise ValueError(f"unknown {name} fields: {sorted(extra)}")
+    for key in required:
         if key not in data:
-            raise ValueError(f"profile is missing required field {key!r}")
-    raw = data["endo"]
-    if not isinstance(raw, dict):
-        raise ValueError("endo must be a JSON object")
-    extra = set(raw) - set(_ENDO_FIELDS)
-    if extra:
-        raise ValueError(f"unknown endo fields: {sorted(extra)}")
-    for key in ("type", "deg_L", "deg_F", "q"):
-        if key not in raw:
-            raise ValueError(f"endo is missing required field {key!r}")
+            raise ValueError(f"{name} is missing required field {key!r}")
+
+
+def _endo_from_json(raw) -> EndomorphismDescriptor:
+    """Parse an ``endo`` object, rejecting unknown fields."""
+    _require_object(
+        raw, "endo", ("type", "deg_L", "deg_F", "q"), ("cm_traces", "disc_one")
+    )
+    if not isinstance(raw["type"], str):
+        raise ValueError(f"type must be a string, got {raw['type']!r}")
     traces = raw.get("cm_traces")
-    parsed: Optional[tuple[tuple[int, int], ...]] = None
     if traces is not None:
         if not isinstance(traces, list) or any(
             not isinstance(p, list) or len(p) != 2 for p in traces
         ):
             raise ValueError("cm_traces must be a list of [int, int] pairs")
-        parsed = tuple(
+        traces = tuple(
             (_require_int(a, "cm_traces"), _require_int(b, "cm_traces"))
             for a, b in traces
         )
     disc = raw.get("disc_one")
     if disc is not None and not isinstance(disc, bool):
         raise ValueError("disc_one must be a boolean")
-    endo = EndomorphismDescriptor(
-        albert_type=str(raw["type"]),
+    return EndomorphismDescriptor(
+        albert_type=raw["type"],
         deg_L=_require_int(raw["deg_L"], "deg_L"),
         deg_F=_require_int(raw["deg_F"], "deg_F"),
         q=_require_int(raw["q"], "q"),
-        cm_traces=parsed,
+        cm_traces=traces,
         disc_one=disc,
     )
+
+
+def profile_from_json(data: dict) -> HodgeProfile:
+    """Parse a profile object, rejecting unknown fields."""
+    _require_object(data, "profile", ("weight", "n", "endo"))
+    endo = _endo_from_json(data["endo"])
     return HodgeProfile(
         weight=_require_int(data["weight"], "weight"),
         n=_require_int(data["n"], "n"),

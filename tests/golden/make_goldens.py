@@ -342,6 +342,11 @@ N3 = _pj("I", 1, 1, 1, n=3)
 IV6 = _pj("IV", 2, 1, 1, n=6, cm_traces=[[3, 3]])
 ABELIAN = {"dim": 6, "endo": {"type": "II", "deg_L": 4, "deg_F": 1, "q": 2}}
 BALANCED = [{"deg_E": 2, "balanced": True}]
+ABELIAN_IV_LOW_RANK = {
+    "dim": 6,
+    "endo": {"type": "IV", "deg_L": 6, "deg_F": 3, "q": 1, "cm_traces": [[2, 0], [1, 1], [2, 0]]},
+    "subfields": BALANCED,
+}
 
 
 def _bits(count, seed):
@@ -473,6 +478,14 @@ CLI_CASES = [
     (["cm", "--group", "cyclic:6", "rank", "--theta", "0,,1"], "", {}, 2),
     (["cm", "--group", "cyclic:64", "scan"], "", {}, 2),
     (["cm", "--group", "cyclic:6", "rank"], "", {}, 2),
+    # every number of --group is read as an integer, or the spec is refused
+    (["cm", "--group", "cyclic:", "scan"], "", {}, 2),
+    (["cm", "--group", "cyclic:6,8", "scan"], "", {}, 2),
+    (["cm", "--group", "dihedral:a", "scan"], "", {}, 2),
+    (["cm", "--group", "abelian:2,,2", "scan"], "", {}, 2),
+    (["cm", "--group", "perms:x:(0 1)", "--iota", "(0 1)", "scan"], "", {}, 2),
+    (["cm", "--group", "perms:6", "--iota", "(0 3)(1 4)(2 5)", "scan"], "", {}, 2),
+    (["cm", "--group", "cyclic:6", "--iota", "(0 a)(1 4)(2 5)", "scan"], "", {}, 2),
     (["cm", "--group", "cyclic:128", "rank", "--theta", CYCLIC128], "", {}, 0),
     (["cm", "--group", "cyclic:128", "primitive", "--theta", CYCLIC128], "", {}, 0),
     (["cm", "--group", "cyclic:256", "rank", "--theta", CYCLIC256], "", {}, 0),
@@ -511,6 +524,9 @@ CLI_CASES = [
     (["abelian", "status"], json.dumps({**ABELIAN, "extra": 1}), {}, 2),
     (["abelian", "status"], json.dumps({**ABELIAN, "dim": "6"}), {}, 2),
     (["abelian", "status"], json.dumps({**ABELIAN, "dim": 8}), {}, 2),
+    # classify refuses this data (a rank-3 group under the ceil(log2 2n) = 4
+    # floor), so abelian status must not answer it
+    (["abelian", "status"], json.dumps(ABELIAN_IV_LOW_RANK), {}, 2),
     (["abelian"], "", {}, 2),
 ]
 

@@ -502,6 +502,74 @@ def test_abelian_status_rejects_a_balanced_flag_the_traces_contradict(
     assert "balanced flag contradicts the trace data" in err
 
 
+# --- Every kind of outside input has one refusal, naming where it came from ---
+
+N3_ENDO = PROFILE_N3["endo"]
+IV6_ENDO = {"type": "IV", "deg_L": 2, "deg_F": 1, "q": 1, "cm_traces": [[3, 3]]}
+IV6_PROFILE = {"weight": 1, "n": 6, "endo": IV6_ENDO}
+IOTA6 = ["--iota", "(0 3)(1 4)(2 5)"]
+
+# (argv, the JSON value on stdin, the text the refusal must contain); an
+# argument "@text" stands for the path of a file that holds text
+REFUSALS = [
+    # profile, endo, subfield and abelian objects
+    (["validate"], [PROFILE_N3], "profile must be a JSON object"),
+    (["validate"], {**PROFILE_N3, "x": 1}, "unknown profile fields: ['x']"),
+    (["validate"], {"weight": 1, "n": 3}, "profile is missing required field 'endo'"),
+    (["validate"], {**PROFILE_N3, "endo": [N3_ENDO]}, "endo must be a JSON object"),
+    (["validate"], {**PROFILE_N3, "endo": {**N3_ENDO, "x": 1}}, "unknown endo fields: ['x']"),
+    (
+        ["validate"],
+        {**PROFILE_N3, "endo": {"type": "I", "deg_L": 1, "deg_F": 1}},
+        "endo is missing required field 'q'",
+    ),
+    (["validate"], {**PROFILE_N3, "endo": {**N3_ENDO, "type": 1}}, "type must be a string, got 1"),
+    (["classify", "--subfields", "@[2]"], IV6_PROFILE, "subfield must be a JSON object"),
+    (
+        ["classify", "--subfields", '@[{"deg_E": 2, "balanced": true, "x": 1}]'],
+        IV6_PROFILE,
+        "unknown subfield fields: ['x']",
+    ),
+    (
+        ["classify", "--subfields", '@[{"deg_E": 2}]'],
+        IV6_PROFILE,
+        "subfield is missing required field 'balanced'",
+    ),
+    (["abelian", "status"], [ABELIAN_II], "abelian profile must be a JSON object"),
+    (["abelian", "status"], {**ABELIAN_II, "x": 1}, "unknown abelian profile fields: ['x']"),
+    (["abelian", "status"], {"endo": ABELIAN_II["endo"]}, "dim must be an integer, got None"),
+    (["abelian", "status"], {"dim": 6}, "endo must be a JSON object"),
+    # every number in argv
+    (["cm", "--group", "cyclic:", "scan"], None, "bad numbers '' in --group 'cyclic:'"),
+    (["cm", "--group", "cyclic:6.0", "scan"], None, "in --group 'cyclic:6.0'"),
+    (["cm", "--group", "cyclic:6,8", "scan"], None, "in --group 'cyclic:6,8'"),
+    (["cm", "--group", "dihedral:", "scan"], None, "in --group 'dihedral:'"),
+    (["cm", "--group", "dihedral:a", "scan"], None, "in --group 'dihedral:a'"),
+    (["cm", "--group", "abelian:2,,2", "scan"], None, "in --group 'abelian:2,,2'"),
+    (["cm", "--group", "abelian:2,x", "scan"], None, "in --group 'abelian:2,x'"),
+    (["cm", "--group", "perms::(0 1)", *IOTA6, "scan"], None, "in --group 'perms::(0 1)'"),
+    (["cm", "--group", "perms:x:(0 1)", *IOTA6, "scan"], None, "in --group 'perms:x:(0 1)'"),
+    (["cm", "--group", "perms:6", *IOTA6, "scan"], None, "no generator list in --group 'perms:6'"),
+    (["cm", "--group", "cyclic:6", "--iota", "(0 a)", "scan"], None, "bad cycle chunk '(0 a)'"),
+    (["cm", "--group", "cyclic:6", "--iota", "(0 +3)(1 4)(2 5)", "scan"], None, "'(0 +3)'"),
+    (["cm", "--group", "cyclic:6", "rank", "--theta", "0,1.5"], None, "in --theta"),
+    (["weights", "dim", "A", "3", "0,,0"], None, "bad weight coordinates '0,,0'"),
+]
+
+
+@pytest.mark.parametrize("argv, stdin, named", REFUSALS)
+def test_outside_input_is_refused_by_name(argv, stdin, named, tmp_path, capsys, monkeypatch):
+    """Each refusal exits 2 with nothing on stdout and names the field or
+    the flag (with its text) that it refuses."""
+    path = tmp_path / "input.json"
+    for arg in argv:
+        if arg.startswith("@"):
+            path.write_text(arg[1:])
+    argv = [str(path) if arg.startswith("@") else arg for arg in argv]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(stdin)))
+    assert named in run_bad_input(argv, capsys)
+
+
 # --- Exit-code fuzz: every input ends in exit 0/2/3/4, stdout empty on 2 ---
 
 
@@ -517,7 +585,6 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=6), inner, max_size=4),
     max_leaves=10,
 )
-IV6_ENDO = {"type": "IV", "deg_L": 2, "deg_F": 1, "q": 1, "cm_traces": [[3, 3]]}
 BALANCED = [{"deg_E": 2, "balanced": True}]
 ENDO_FIELDS = ["type", "deg_L", "deg_F", "q", "cm_traces", "disc_one", "extra"]
 # (valid inputs, the field paths a mutation may drop or replace)

@@ -1,6 +1,6 @@
 import pytest
 
-from hodgekit.classifier import SubfieldDescriptor
+from hodgekit.classifier import InconsistentSubfieldError, SubfieldDescriptor
 from hodgekit.consequences import (
     OPEN,
     PROVEN,
@@ -32,6 +32,17 @@ def test_endo_must_be_realizable_at_weight_one():
         AbelianProfile(dim=6, endo=EndomorphismDescriptor("III", 12, 3, 2))
     # m=3 (deg_L=4) is fine
     assert ap("III", 4, 1, 2).p == 3
+
+
+def test_data_classify_refuses_is_refused():
+    # a balanced quadratic field at n = 2p = 6 leaves R_{F/Q}SU(B,-) of
+    # rank 3 below the ceil(log2(2n)) = 4 floor for commutative L: no such
+    # variety exists, so there is no Murty equality to report
+    balanced = SubfieldDescriptor(deg_E=2, balanced=True)
+    with pytest.raises(InconsistentSubfieldError, match="rank 3 < 4"):
+        ap("IV", 6, 3, 1, traces=[(2, 0), (1, 1), (2, 0)], subfields=[balanced])
+    # without the subfield the same algebra is answered
+    assert ap("IV", 6, 3, 1, traces=[(2, 0), (1, 1), (2, 0)]).p == 3
 
 
 def test_murty_types_i_ii_iii():
