@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import TYPE_CHECKING, Optional
 
@@ -142,11 +143,13 @@ def _cmd_classify(args):
 
 
 def _ints(text: str, complaint: str) -> list[int]:
-    """The comma-separated integers of argv ``text``, else ``complaint``."""
-    try:
-        return [int(x) for x in text.split(",")]
-    except ValueError:
-        raise ValueError(complaint) from None
+    """The comma-separated integers of argv ``text``, each written as ASCII
+    ``-?[0-9]+``, else ``complaint``.  ``int()`` alone would also take a
+    ``+``, an ``_``, blanks and non-ASCII digits."""
+    items = text.split(",")
+    if not all(re.fullmatch("-?[0-9]+", x) for x in items):
+        raise ValueError(complaint)
+    return [int(x) for x in items]
 
 
 def _parse_coords(text: str, rank: int) -> rootsys.Weight:
@@ -202,6 +205,16 @@ def _parse_theta(text: str) -> list[int]:
     return theta
 
 
+def _cycles(text: str, size: int, flag: str) -> cmtools.Perm:
+    """``cmtools.parse_cycles``, its refusal naming the flag."""
+    from . import cmtools
+
+    try:
+        return cmtools.parse_cycles(text, size)
+    except ValueError as exc:
+        raise ValueError(f"{exc} in {flag}") from None
+
+
 def _build_model(args) -> cmtools.GaloisModel:
     from . import cmtools
 
@@ -218,9 +231,8 @@ def _build_model(args) -> cmtools.GaloisModel:
         raise ValueError(bad)
     if family == "perms":
         size = numbers[0]
-        gens = tuple(
-            cmtools.parse_cycles(g, size) for g in gens_text.split(";") if g.strip()
-        )
+        flag = f"--group {args.group!r}"
+        gens = tuple(_cycles(g, size, flag) for g in gens_text.split(";") if g.strip())
         if args.iota == "auto":
             raise ValueError("explicit --iota required with perms: groups")
     else:
@@ -231,7 +243,7 @@ def _build_model(args) -> cmtools.GaloisModel:
         if args.iota == "auto":
             return model
         gens, size = model.generators, model.size
-    conj = cmtools.parse_cycles(args.iota, size)
+    conj = _cycles(args.iota, size, "--iota")
     return cmtools.GaloisModel(generators=gens, conj=conj, size=size)
 
 

@@ -17,9 +17,14 @@ Group Theory, sec. 4.1), refused past MAX_ORBIT items.
   AMS 118 (1965); Ribet, Mém. SMF 2 (1980)).  Every other model, and
   `cm rank --invariants`, eliminates the translate matrix by Bareiss.
 * Primitivity asks whether theta is a union of blocks of a proper block
-  system.  Union-find finds the finest system joining two points
-  (Atkinson, Math. Comp. 29 (1975)), and a run from the least point of
-  theta stops as soon as it joins a point of theta to one outside.
+  system.  On a regular abelian model the same characters decide it:
+  theta is induced exactly when some point translation fixes it, and its
+  stabilizer is the intersection of the kernels of the characters that
+  do not vanish on theta.  Every other model runs union-find, which finds
+  the finest system joining two points (Atkinson, Math. Comp. 29
+  (1975)); a run from the least point of theta stops as soon as it joins
+  a point of theta to one outside.  A model builds its character table
+  once, for both questions.
 
 A scan computes ranks and primitivity once per Galois orbit of CM types,
 since both are invariant under the group.
@@ -39,9 +44,10 @@ Perm = tuple[int, ...]
 
 # tankeev_scan enumerates 2^g CM types and its time and memory about
 # double per step in g.  `cm scan` at g = 18 on a 2-vCPU Xeon VM: cyclic:36
-# 7.3 s, abelian:6,6 8.6 s, dihedral:18 (Bareiss ranks) 26.8 s, each about
-# 235 MB peak RSS.  At g = 19 the Bareiss model Z2 x D19 on 38 points takes
-# 74 s and 452 MB.
+# 4.4 s and abelian:6,6 4.7 s (characters), dihedral:18 21.8 s (Bareiss
+# ranks, union-find primitivity), each about 225 MB peak RSS.  The models
+# without a character table and the memory set the cap: at g = 19 the
+# Bareiss model Z2 x D19 on 38 points takes 74 s and 452 MB.
 SCAN_MAX_G = 18
 
 # Largest embedding set a model is built on.  The slowest query is
@@ -94,7 +100,8 @@ def _orbit(seed: Hashable, moves: Sequence[Callable]) -> list:
 
 
 def parse_cycles(text: str, size: int) -> Perm:
-    """Parse disjoint cycle notation like "(0 3)(1 4)(2 5)"."""
+    """Parse disjoint cycle notation like "(0 3)(1 4)(2 5)".  Entries are
+    ASCII decimal numbers."""
     _check_degree(size)
     out = list(range(size))
     body = text.strip()
@@ -108,7 +115,7 @@ def parse_cycles(text: str, size: int) -> Perm:
         chunk = chunk.strip()
         items = chunk[1:-1].replace(",", " ").split()
         shaped = chunk.startswith("(") and chunk.endswith(")")
-        if not shaped or not all(map(str.isdecimal, items)):
+        if not shaped or not all(x.isascii() and x.isdecimal() for x in items):
             raise ValueError(f"bad cycle chunk {chunk!r}")
         cycle = [int(x) for x in items]
         if any(not 0 <= x < size for x in cycle):
@@ -136,8 +143,8 @@ class _ModelFields(NamedTuple):
 
 class GaloisModel(_ModelFields):
     """Transitive group on the embedding set with central free involution,
-    held as its generators.  No __slots__: ``elements`` is cached in the
-    instance dict."""
+    held as its generators.  No __slots__: ``elements`` and
+    ``_characters`` are cached in the instance dict."""
 
     def __new__(cls, generators, conj, size):
         _check_degree(size)
@@ -168,6 +175,12 @@ class GaloisModel(_ModelFields):
         by the generators.  No engine reads it."""
         moves = [partial(compose, g) for g in self.generators + (self.conj,)]
         return frozenset(_orbit(identity_perm(self.size), moves))
+
+    @cached_property
+    def _characters(self):
+        """Kubota's character table (see _odd_characters), built on first
+        read, or None when the model has none."""
+        return _odd_characters(self)
 
     @property
     def order(self) -> int:
@@ -234,12 +247,17 @@ class _TypeFields(NamedTuple):
 
 
 class CMType(_TypeFields):
-    """A half-system: one embedding from each conjugate pair."""
+    """A half-system: one embedding from each conjugate pair.  Every entry
+    must be an int (a bool is refused too); nothing is coerced."""
 
     __slots__ = ()
 
     def __new__(cls, theta):
-        return tuple.__new__(cls, (frozenset(int(x) for x in theta),))
+        theta = tuple(theta)
+        for x in theta:
+            if type(x) is not int:
+                raise ValueError(f"CM type entry {x!r} is not an int")
+        return tuple.__new__(cls, (frozenset(theta),))
 
     def sorted(self) -> tuple[int, ...]:
         return tuple(sorted(self.theta))
@@ -348,7 +366,9 @@ def _odd_characters(model: GaloisModel):
     zeta_N^(sum k_i e_i N/ord(g_i)), N the exponent of G.  The result
     has one entry per Galois orbit {k^j : j prime to d} of odd
     characters (value -1 on conj), d their order: the orbit size, d,
-    Phi_d, and the exponent of zeta_d at each point.
+    Phi_d, the exponent of zeta_d at each point, and the kernel as a
+    bitmask, the points with exponent 0 (Galois-conjugate characters
+    share it).
     """
     gens, size = model.generators, model.size
     if any(compose(g, h) != compose(h, g) for g, h in combinations(gens, 2)):
@@ -396,21 +416,25 @@ def _odd_characters(model: GaloisModel):
         exps = [0] * size
         for y in reached[1:]:
             exps[y] = (exps[parent[y]] + steps[step[y]] // unit) % d
-        found.append((len(orbit), d, _cyclotomic(d), exps))
+        kernel = _mask(y for y, e in enumerate(exps) if e == 0)
+        found.append((len(orbit), d, _cyclotomic(d), exps, kernel))
     return found
 
 
-def _raw_rank(model: GaloisModel, theta: frozenset[int], characters) -> int:
-    if characters is None:
-        return integer_rank(_translate_rows(model, theta))
-    raw = 1
-    for count, d, phi, exps in characters:
+def _by_characters(theta: frozenset[int], characters) -> tuple[int, bool]:
+    """(raw rank, primitive) of theta from Kubota's table, in one pass:
+    each odd orbit that does not vanish on theta adds its size to the
+    rank and its kernel to the stabilizer, and theta is primitive when
+    the stabilizer is the point 0 alone (see kubota_rank, is_primitive)."""
+    raw, stabilizer = 1, -1  # -1: every point
+    for count, d, phi, exps, kernel in characters:
         coeffs = [0] * d
         for a in theta:
             coeffs[exps[a]] += 1
         if any(_poly_divmod(coeffs, phi)[1]):
             raw += count
-    return raw
+            stabilizer &= kernel
+    return raw, stabilizer == 1
 
 
 def kubota_rank(model: GaloisModel, theta: CMType) -> tuple[int, int]:
@@ -440,7 +464,10 @@ def kubota_rank(model: GaloisModel, theta: CMType) -> tuple[int, int]:
     the 0/1 translate rows.
     """
     check_cm_type(model, theta)
-    raw = _raw_rank(model, theta.theta, _odd_characters(model))
+    if model._characters is None:
+        raw = integer_rank(_translate_rows(model, theta.theta))
+    else:
+        raw = _by_characters(theta.theta, model._characters)[0]
     return raw, raw - 1
 
 
@@ -548,19 +575,38 @@ def is_primitive(model: GaloisModel, theta: CMType) -> bool:
     Induced means: some proper nontrivial block system has theta equal
     to a union of blocks (conjugation then automatically acts freely on
     the blocks, so the quotient is again a CM model and the image of
-    theta is a CM type on it).  Let a be the least point of theta.  For
-    each other x in theta, union-find builds the finest system S(a, x)
-    joining a and x, and stops at the first pair it would join that has
-    one point in theta and one outside.  A run that finishes has every
-    block inside theta or outside it (so it is proper, and nontrivial
-    since a and x share a block), and theta is induced.  Conversely,
-    if theta is a union of blocks of a nontrivial system, the block of a
-    holds some x != a, which lies in theta; S(a, x) refines that system,
-    so its run never joins across theta and finishes.  The test is the
-    same on every model; no Bareiss or block-system list is needed.
+    theta is a CM type on it).
+
+    On a regular abelian model (see _odd_characters) the points are G.
+    Its block systems are the coset partitions of its subgroups, so
+    theta is induced exactly when its stabilizer Stab = {h : h + theta =
+    theta} is nontrivial (Stab is proper, as theta is not G).  By
+    Fourier inversion 1_theta = sum_chi c_chi chi with c_chi nonzero
+    exactly when chi(theta) != 0, and 1_theta(x + h) = sum_chi c_chi
+    chi(h) chi(x); so h lies in Stab exactly when chi(h) = 1 for every
+    chi with chi(theta) != 0, and Stab is the intersection of their
+    kernels.  The trivial character's kernel is G, every even chi != 1
+    vanishes on theta (see kubota_rank), and Galois-conjugate characters
+    share both their kernel and whether they vanish.  So Stab is the
+    intersection of the kernels of the odd orbits that do not vanish on
+    theta, read in the same pass over the table that counts the rank,
+    and theta is primitive exactly when Stab = {0}.
+
+    Every other model runs union-find.  Let a be the least point of
+    theta.  For each other x in theta, union-find builds the finest
+    system S(a, x) joining a and x, and stops at the first pair it would
+    join that has one point in theta and one outside.  A run that
+    finishes has every block inside theta or outside it (so it is
+    proper, and nontrivial since a and x share a block), and theta is
+    induced.  Conversely, if theta is a union of blocks of a nontrivial
+    system, the block of a holds some x != a, which lies in theta;
+    S(a, x) refines that system, so its run never joins across theta and
+    finishes.  Neither route needs Bareiss or a block-system list.
     """
     check_cm_type(model, theta)
-    return not _is_induced(model, theta.theta)
+    if model._characters is None:
+        return not _is_induced(model, theta.theta)
+    return _by_characters(theta.theta, model._characters)[1]
 
 
 class ScanEntry(NamedTuple):
@@ -623,11 +669,13 @@ def tankeev_scan(model: GaloisModel) -> ScanReport:
     an odd prime p; otherwise the bound columns are reported as None.
     Ranks and primitivity are computed for one type per G-orbit and
     copied to its translates: both are invariant under the group, and
-    the translates of a type are its orbit.  The types are generated one
-    at a time in canonical order, and only the translates not yet
-    reached are held, as bitmasks from a breadth-first search over the
-    generators.  Models with g above SCAN_MAX_G are refused before
-    anything is enumerated.
+    the translates of a type are its orbit.  A model with a character
+    table reads both from one pass over it (see kubota_rank and
+    is_primitive); any other takes Bareiss and union-find.  The types
+    are generated one at a time in canonical order, and only the
+    translates not yet reached are held, as bitmasks from a breadth-first
+    search over the generators.  Models with g above SCAN_MAX_G are
+    refused before anything is enumerated.
     """
     g = model.g
     if g > SCAN_MAX_G:
@@ -636,7 +684,7 @@ def tankeev_scan(model: GaloisModel) -> ScanReport:
         )
     applicable = g != 2 and is_prime(g)
     bound = 2 * g - 1 if applicable else None
-    characters = _odd_characters(model)
+    characters = model._characters
     known: dict[int, tuple[int, int, bool]] = {}
     entries = []
     for key in _half_systems(model):
@@ -644,8 +692,12 @@ def tankeev_scan(model: GaloisModel) -> ScanReport:
         found = known.pop(mask, None)
         if found is None:
             theta = frozenset(key)
-            raw = _raw_rank(model, theta, characters)
-            found = (raw, raw - 1, not _is_induced(model, theta))
+            if characters is None:
+                raw = integer_rank(_translate_rows(model, theta))
+                prim = not _is_induced(model, theta)
+            else:
+                raw, prim = _by_characters(theta, characters)
+            found = (raw, raw - 1, prim)
             known.update(dict.fromkeys(_translates(model, mask)[1:], found))
         raw, reduced, prim = found
         entries.append(

@@ -486,6 +486,14 @@ CLI_CASES = [
     (["cm", "--group", "perms:x:(0 1)", "--iota", "(0 1)", "scan"], "", {}, 2),
     (["cm", "--group", "perms:6", "--iota", "(0 3)(1 4)(2 5)", "scan"], "", {}, 2),
     (["cm", "--group", "cyclic:6", "--iota", "(0 a)(1 4)(2 5)", "scan"], "", {}, 2),
+    # an argv number is ASCII -?[0-9]+: no other literal form int() takes
+    (["cm", "--group", "cyclic:0_6", "rank", "--theta", "0,1,2"], "", {}, 2),
+    (["cm", "--group", "cyclic:+6", "rank", "--theta", "0,1,2"], "", {}, 2),
+    (["cm", "--group", "cyclic: 6", "rank", "--theta", "0,1,2"], "", {}, 2),
+    (["cm", "--group", "cyclic:\u0666", "rank", "--theta", "0,1,2"], "", {}, 2),
+    (["cm", "--group", "perms:4:(\u0660 1 2 3)", "--iota", "(0 2)(1 3)", "scan"], "", {}, 2),
+    (["cm", "--group", "cyclic:6", "rank", "--theta", "0,1_0,+2"], "", {}, 2),
+    (["weights", "dim", "A", "2", "+1,0"], "", {}, 2),
     (["cm", "--group", "cyclic:128", "rank", "--theta", CYCLIC128], "", {}, 0),
     (["cm", "--group", "cyclic:128", "primitive", "--theta", CYCLIC128], "", {}, 0),
     (["cm", "--group", "cyclic:256", "rank", "--theta", CYCLIC256], "", {}, 0),

@@ -554,6 +554,19 @@ REFUSALS = [
     (["cm", "--group", "cyclic:6", "--iota", "(0 +3)(1 4)(2 5)", "scan"], None, "'(0 +3)'"),
     (["cm", "--group", "cyclic:6", "rank", "--theta", "0,1.5"], None, "in --theta"),
     (["weights", "dim", "A", "3", "0,,0"], None, "bad weight coordinates '0,,0'"),
+    # an argv number is ASCII -?[0-9]+: none of int()'s other literal forms
+    (["cm", "--group", "cyclic:0_6", "rank", "--theta", "0,1,2"], None, "'0_6' in --group"),
+    (["cm", "--group", "cyclic:+6", "rank", "--theta", "0,1,2"], None, "'+6' in --group"),
+    (["cm", "--group", "cyclic: 6", "rank", "--theta", "0,1,2"], None, "' 6' in --group"),
+    (["cm", "--group", "cyclic:\u0666", "scan"], None, "in --group 'cyclic:\u0666'"),
+    (
+        ["cm", "--group", "perms:4:(\u0660 1 2 3)", "--iota", "(0 2)(1 3)", "scan"],
+        None,
+        "in --group 'perms:4:(\u0660 1 2 3)'",
+    ),
+    (["cm", "--group", "cyclic:6", "--iota", "(\u0660 3)(1 4)(2 5)", "scan"], None, "in --iota"),
+    (["cm", "--group", "cyclic:6", "rank", "--theta", "0,1_0,+2"], None, "'0,1_0,+2' in --theta"),
+    (["weights", "dim", "A", "2", "+1,0"], None, "bad weight coordinates '+1,0'"),
 ]
 
 

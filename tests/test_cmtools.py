@@ -25,6 +25,7 @@ from hodgekit.cmtools import (
 from hodgekit.intlinalg import integer_rank, smith_normal_form
 
 from oracles import (
+    group_of,
     inverse,
     is_union_of_blocks,
     kubota_ranks,
@@ -206,9 +207,12 @@ def test_union_find_blocks_match_subgroup_oracle(name):
     systems = subgroup_block_systems(model)
     assert set(block_systems(model)) == systems
     for theta in enumerate_cm_types(model):
-        assert is_primitive(model, theta) == (
-            not is_union_of_blocks(systems, theta.theta)
-        )
+        want = not is_union_of_blocks(systems, theta.theta)
+        assert is_primitive(model, theta) == want
+        # union-find is live for models without a table: keep its oracle
+        assert cmtools._is_induced(model, theta.theta) != want
+        if model._characters is not None:
+            assert cmtools._by_characters(theta.theta, model._characters)[1] == want
     assert tankeev_scan(model).to_json() == _per_type_scan(model, systems)
 
 
@@ -244,6 +248,56 @@ def test_kubota_rank_by_characters_on_regular_abelian_models(monkeypatch):
     ):
         with pytest.raises(AssertionError, match="integer_rank ran"):
             kubota_rank(model, enumerate_cm_types(model)[0])
+
+
+def test_primitivity_by_characters_on_regular_abelian_models(monkeypatch):
+    regular = [cyclic_model(16), abelian_model([2, 6]), abelian_model([2, 2, 2])]
+    other = [
+        dihedral_model(4),
+        ORACLE_MODELS["S4xZ2"],
+        ORACLE_MODELS["Z6xZ2 iota outside"],
+    ]
+    union_find = cmtools._block_labels
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return union_find(*args, **kwargs)
+
+    monkeypatch.setattr(cmtools, "_block_labels", counted)
+    for model in regular + other:
+        is_primitive(model, enumerate_cm_types(model)[0])
+        tankeev_scan(model)
+        assert (model in calls) == (model in other), model
+        assert (model._characters is None) == (model in other), model
+
+
+# every shape of regular abelian model with g <= 8, factors non-decreasing
+SMALL_ABELIAN_SHAPES = [[n] for n in range(2, 17, 2)] + [
+    [2, 2], [2, 3], [2, 4], [2, 5], [2, 6], [3, 4], [2, 7], [2, 8], [4, 4],
+    [2, 2, 2], [2, 2, 3], [2, 2, 4], [2, 2, 2, 2],
+]
+
+
+def test_primitivity_routes_agree_on_small_regular_abelian_models():
+    """Characters and union-find, on every type of every regular abelian
+    model with g <= 8 and every choice of conjugation (--iota)."""
+    count = 0
+    for dims in SMALL_ABELIAN_SHAPES:
+        base = abelian_model(dims)
+        identity = tuple(range(base.size))
+        involutions = [
+            p for p in group_of(base) if p != identity and compose(p, p) == identity
+        ]
+        for conj in sorted(involutions):
+            model = GaloisModel(base.generators, conj, base.size)
+            assert model._characters is not None, (dims, conj)
+            for key in cmtools._half_systems(model):
+                theta = frozenset(key)
+                by_characters = cmtools._by_characters(theta, model._characters)[1]
+                assert by_characters != cmtools._is_induced(model, theta), (dims, conj, key)
+                count += 1
+    assert count == 8466
 
 
 def test_scan_is_capped_before_enumerating():

@@ -129,6 +129,10 @@ def _non_central_model():
         (_non_central_model, "conjugation must be central"),
         (lambda: AbelianProfile(dim=8, endo=RATIONAL), "2p with p an odd prime"),
         (lambda: AbelianProfile(dim=4, endo=RATIONAL), "2p with p an odd prime"),
+        (lambda: CMType([0.5, 1, 2]), "CM type entry 0.5 is not an int"),
+        (lambda: CMType([2, 0, True]), "CM type entry True is not an int"),
+        (lambda: CMType([2.7, "3", True]), "CM type entry 2.7 is not an int"),
+        (lambda: CMType(["3", 1, 2]), "CM type entry '3' is not an int"),
     ],
 )
 def test_validated_records_refuse(build, complaint):
@@ -157,7 +161,7 @@ def _canonical(value):
             "cm_traces",
             ((1, 3), (1, 3)),
         ),
-        (CMType([2, 0, True]), "theta", frozenset({0, 1, 2})),
+        (CMType([2, 0, 1]), "theta", frozenset({0, 1, 2})),
         (Weight([1, False, 2.0]), "coords", (1, 0, 2)),
         (AbelianProfile(dim=6, endo=RATIONAL, subfields=[]), "subfields", ()),
         (GaloisModel([list(SHIFT)], list(Z6.conj), 6), "generators", (SHIFT,)),
