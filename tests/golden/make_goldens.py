@@ -342,6 +342,11 @@ N3 = _pj("I", 1, 1, 1, n=3)
 IV6 = _pj("IV", 2, 1, 1, n=6, cm_traces=[[3, 3]])
 ABELIAN = {"dim": 6, "endo": {"type": "II", "deg_L": 4, "deg_F": 1, "q": 2}}
 BALANCED = [{"deg_E": 2, "balanced": True}]
+# [L:Q] = 12 = 4p at p = 3: the n = 2p result needs L/Q Galois
+IV12_ENDO = {
+    "type": "IV", "deg_L": 12, "deg_F": 6, "q": 1,
+    "cm_traces": [list(pair) for pair in alternating(6)],
+}
 ABELIAN_IV_LOW_RANK = {
     "dim": 6,
     "endo": {"type": "IV", "deg_L": 6, "deg_F": 3, "q": 1, "cm_traces": [[2, 0], [1, 1], [2, 0]]},
@@ -525,6 +530,23 @@ CLI_CASES = [
     (
         ["abelian", "status", "--pretty"],
         json.dumps({"dim": 6, "endo": json.loads(IV6)["endo"], "subfields": BALANCED}),
+        {},
+        0,
+    ),
+    # the n = 2p type IV edges: [L:Q] = 4p with the Galois flag false,
+    # absent, and no subfield at all; and [L:Q] = 2 without trace data,
+    # where realizability is unconfirmed
+    (
+        ["abelian", "status"],
+        json.dumps({"dim": 6, "endo": IV12_ENDO, "subfields": [{**BALANCED[0], "galois_L": False}]}),
+        {},
+        0,
+    ),
+    (["abelian", "status"], json.dumps({"dim": 6, "endo": IV12_ENDO, "subfields": BALANCED}), {}, 0),
+    (["abelian", "status"], json.dumps({"dim": 6, "endo": IV12_ENDO, "subfields": []}), {}, 0),
+    (
+        ["abelian", "status"],
+        json.dumps({"dim": 6, "endo": {"type": "IV", "deg_L": 2, "deg_F": 1, "q": 1}, "subfields": BALANCED}),
         {},
         0,
     ),
