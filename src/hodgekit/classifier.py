@@ -25,6 +25,7 @@ from typing import NamedTuple, Optional, Sequence
 from .core import (
     FAM_SL2_SO4,
     FAM_SO7,
+    FAM_SP_B,
     FAM_SU_B,
     FAM_SU_LE,
     FAM_SU_POW2,
@@ -507,9 +508,7 @@ def _classify_quaternion(profile: HodgeProfile, lef: GroupExpr):
         rule = RULE_QUAT_4ODD
     else:
         return _fallback(profile, lef)
-    odd = profile.parity == ODD
-    sp_side = odd if endo.albert_type == "II" else not odd
-    if sp_side:
+    if lef.family == FAM_SP_B:
         return _single(lef, rule)
     return _with_wedge(profile, lef, rule, 2 * m)
 

@@ -1,10 +1,10 @@
 """Hodge-conjecture bookkeeping for simple abelian varieties of dimension 2p.
 
-This module is a decision ledger, not a prover: every verdict names the
-structural hypothesis that produced it.  The inputs are the weight-1
-profile of the variety and the caller-supplied inventory of CM fields
-acting with balanced extreme multiplicities (the set W(A)); membership
-in that set is data the abstract profile cannot derive.
+A decision ledger, not a prover: every verdict names the hypothesis that
+produced it.  Types I-III always meet one.  For type IV the ledger reads
+the n = 2p verdict of ``classify``, the one place that decides it from
+the caller's inventory of CM fields acting with balanced extreme
+multiplicities (the set W(A), data the profile cannot derive).
 """
 
 from __future__ import annotations
@@ -12,13 +12,12 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .classifier import NotRealizableError, SubfieldDescriptor, classify
-from .classifier import _balanced_quadratic, su_constraint
-from .core import EndomorphismDescriptor, HodgeProfile, InvalidProfileError
+from .classifier import su_constraint
+from .core import FAM_SU_LE, EndomorphismDescriptor, HodgeProfile, InvalidProfileError
 from .numth import is_prime
 
 PROVEN = "proven"
 OPEN = "open"
-UNKNOWN = "unknown"
 
 
 class _AbelianFields(NamedTuple):
@@ -57,23 +56,24 @@ class AbelianProfile(_AbelianFields):
     def hodge_profile(self) -> HodgeProfile:
         return HodgeProfile(weight=1, n=self.dim, endo=self.endo)
 
-    def balanced_quadratic(self) -> Optional[SubfieldDescriptor]:
-        return _balanced_quadratic(self.hodge_profile(), self.subfields)
 
-
-def _case(ap: AbelianProfile) -> tuple[Optional[int], str]:
-    """Which hypothesis family applies: 1 (types I/II/III), 2 (type IV
-    with a balanced imaginary quadratic field), or None."""
-    if ap.endo.albert_type in ("I", "II", "III"):
-        return 1, f"type {ap.endo.albert_type} endomorphism algebra"
-    quad = ap.balanced_quadratic()
-    if quad is None:
-        return None, "type IV without a balanced imaginary quadratic field"
-    if ap.endo.deg_L == 4 * ap.p and quad.galois_L is not True:
-        return None, (
+def _hypothesis(ap: AbelianProfile) -> tuple[bool, str]:
+    """Whether a proved hypothesis family applies, and which.  Type IV
+    qualifies when the n = 2p rule gives one unconditional group; else
+    it leads with the torus ([L:Q]=4p, Galois flag not true) or the
+    Lefschetz bound.  The status is not read: an unconfirmed
+    realizability lowers it to conditional over the same candidates."""
+    if ap.endo.albert_type != "IV":
+        return True, f"type {ap.endo.albert_type} endomorphism algebra"
+    candidates = classify(ap.hodge_profile(), ap.subfields).candidates
+    first = candidates[0]
+    if len(candidates) == 1 and not first.condition:
+        return True, "type IV with a balanced imaginary quadratic field in W(A)"
+    if first.group.family == FAM_SU_LE:
+        return False, (
             "type IV with [L:Q]=4p but the Galois hypothesis is not affirmed"
         )
-    return 2, "type IV with a balanced imaginary quadratic field in W(A)"
+    return False, "type IV without a balanced imaginary quadratic field"
 
 
 def murty_equal(ap: AbelianProfile) -> tuple[Optional[bool], str]:
@@ -82,20 +82,20 @@ def murty_equal(ap: AbelianProfile) -> tuple[Optional[bool], str]:
     True under either hypothesis family; outside them the question is
     left unknown rather than answered.
     """
-    case, desc = _case(ap)
-    if case == 1:
+    holds, desc = _hypothesis(ap)
+    if not holds:
+        return None, f"{desc}: outside the proved hypotheses, status unknown"
+    if ap.endo.albert_type != "IV":
         return True, (
             f"{desc}: the full centralizer bound collapses and the Hodge "
             "group fills the Lefschetz group, which already equals the "
             "divisor-Weil group for these types"
         )
-    if case == 2:
-        return True, (
-            f"{desc}: the Hodge group is exactly the Lefschetz group cut "
-            "by the special-unitary constraint of the balanced field, "
-            "which is the divisor-Weil group"
-        )
-    return None, f"{desc}: outside the proved hypotheses, status unknown"
+    return True, (
+        f"{desc}: the Hodge group is exactly the Lefschetz group cut "
+        "by the special-unitary constraint of the balanced field, "
+        "which is the divisor-Weil group"
+    )
 
 
 class HodgeStatus(NamedTuple):
@@ -112,7 +112,6 @@ def hodge_status(ap: AbelianProfile) -> HodgeStatus:
     """Divisor/Weil generation, Hodge-conjecture status, and whether the
     general conjecture reduces to the ordinary one for all powers."""
     t = ap.endo.albert_type
-    case, desc = _case(ap)
     if t in ("I", "II"):
         return HodgeStatus(
             divisor_weil_generated=True,
@@ -135,8 +134,8 @@ def hodge_status(ap: AbelianProfile) -> HodgeStatus:
                 "reduces to the ordinary one for all powers"
             ),
         )
-    # Type IV
-    if case == 2:
+    holds, desc = _hypothesis(ap)
+    if holds:
         reduction = ap.endo.deg_L != 4 * ap.p
         why = (
             "the reduction hypothesis excludes [L:Q]=4p"

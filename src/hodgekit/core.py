@@ -66,7 +66,10 @@ class EndomorphismDescriptor(_EndomorphismFields):
 
     def __new__(cls, albert_type, deg_L, deg_F=1, q=1, cm_traces=None, disc_one=None):
         if cm_traces is not None:
-            cm_traces = tuple((int(a), int(b)) for a, b in cm_traces)
+            cm_traces = tuple(
+                (_require_int(a, "cm_traces"), _require_int(b, "cm_traces"))
+                for a, b in cm_traces
+            )
         return tuple.__new__(cls, (albert_type, deg_L, deg_F, q, cm_traces, disc_one))
 
 
@@ -230,7 +233,8 @@ def validate_profile(profile: HodgeProfile) -> list[Violation]:
     """Return every violated structural invariant; empty means valid.
 
     Violations are data, not failures: the list is deterministic and
-    ordered by check, so callers may assert on codes.
+    ordered by check, so callers may assert on codes.  A number that is
+    not an int (a bool included) is reported alone, before any arithmetic.
     """
     endo = profile.endo
     out: list[Violation] = []
@@ -238,6 +242,23 @@ def validate_profile(profile: HodgeProfile) -> list[Violation]:
     def bad(code: str, message: str) -> None:
         out.append(Violation(code, message))
 
+    if not (
+        _is_int(profile.weight)
+        and _is_int(profile.n)
+        and _is_int(endo.deg_L)
+        and _is_int(endo.deg_F)
+        and _is_int(endo.q)
+    ):
+        for name, value in (
+            ("weight", profile.weight),
+            ("n", profile.n),
+            ("deg_L", endo.deg_L),
+            ("deg_F", endo.deg_F),
+            ("q", endo.q),
+        ):
+            if not _is_int(value):
+                bad("integer_fields", f"{name} must be an integer, got {value!r}")
+        return out
     if profile.weight < 1:
         bad("weight_positive", f"weight must be >= 1, got {profile.weight}")
     if profile.n < 1:
@@ -336,8 +357,12 @@ def profile_to_json(profile: HodgeProfile) -> dict:
     return {"weight": profile.weight, "n": profile.n, "endo": endo}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise ValueError(f"{where} must be an integer, got {value!r}")
     return value
 
@@ -367,10 +392,6 @@ def _endo_from_json(raw) -> EndomorphismDescriptor:
             not isinstance(p, list) or len(p) != 2 for p in traces
         ):
             raise ValueError("cm_traces must be a list of [int, int] pairs")
-        traces = tuple(
-            (_require_int(a, "cm_traces"), _require_int(b, "cm_traces"))
-            for a, b in traces
-        )
     disc = raw.get("disc_one")
     if disc is not None and not isinstance(disc, bool):
         raise ValueError("disc_one must be a boolean")

@@ -93,11 +93,16 @@ class _WeightFields(NamedTuple):
 
 
 class Weight(_WeightFields):
-    """A weight in fundamental-weight coordinates.  No __slots__:
+    """A weight in fundamental-weight coordinates.  Every coordinate must
+    be an int (a bool is refused too); nothing is coerced.  No __slots__:
     ``support`` is cached in the instance dict."""
 
     def __new__(cls, coords):
-        return tuple.__new__(cls, (tuple(int(c) for c in coords),))
+        coords = tuple(coords)
+        for c in coords:
+            if type(c) is not int:
+                raise ValueError(f"weight coordinate {c!r} is not an int")
+        return tuple.__new__(cls, (coords,))
 
     @property
     def is_zero(self) -> bool:

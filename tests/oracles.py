@@ -15,7 +15,9 @@ likewise: the package reflects sparsely, upward only, carrying coroots
 through the closure; the oracle reflects by full Cartan columns in both
 directions, derives each coroot from its root by the norm formula, sums
 all positive coroot pairings for the autoduality sign, and dominantizes at
-the first negative coordinate by dense reflections.
+the first negative coordinate by dense reflections.  The abelian ledger
+likewise: the package reads the n = 2p verdict of ``classify``, the
+oracle decides the hypothesis family from the subfield inventory itself.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from functools import lru_cache
 from operator import neg
 
 from hodgekit import numth, rootsys
+from hodgekit.classifier import su_constraint
 from hodgekit.cmtools import GaloisModel, compose, identity_perm
 
 
@@ -423,3 +426,24 @@ def central_binomial_mod4_direct(z: int) -> int:
     if z < 1:
         raise ValueError("z must be positive")
     return math.comb(2 * z, z) % 4
+
+
+def abelian_case(ap) -> tuple:
+    """Which hypothesis family an ``AbelianProfile`` meets: 1 (types
+    I/II/III), 2 (type IV with a balanced imaginary quadratic field, and
+    L/Q Galois when [L:Q] = 4p), or None; with the ledger's description.
+    The first balanced degree-2 subfield of the inventory decides."""
+    if ap.endo.albert_type in ("I", "II", "III"):
+        return 1, f"type {ap.endo.albert_type} endomorphism algebra"
+    profile = ap.hodge_profile()
+    quad = next(
+        (s for s in ap.subfields if s.deg_E == 2 and su_constraint(profile, s)),
+        None,
+    )
+    if quad is None:
+        return None, "type IV without a balanced imaginary quadratic field"
+    if ap.endo.deg_L == 4 * ap.p and quad.galois_L is not True:
+        return None, (
+            "type IV with [L:Q]=4p but the Galois hypothesis is not affirmed"
+        )
+    return 2, "type IV with a balanced imaginary quadratic field in W(A)"

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from hodgekit.classifier import InconsistentSubfieldError, SubfieldDescriptor
@@ -9,6 +12,8 @@ from hodgekit.consequences import (
     murty_equal,
 )
 from hodgekit.core import EndomorphismDescriptor, InvalidProfileError
+
+from oracles import abelian_case
 
 
 def ap(t, deg_L, deg_F, q, dim=6, traces=None, subfields=()):
@@ -139,3 +144,93 @@ def test_murty_true_for_every_type_i_ii_iii():
     for t, dL, dF in [("I", 1, 1), ("I", 3, 3), ("II", 4, 1), ("III", 4, 1)]:
         q = 1 if t == "I" else 2
         assert murty_equal(ap(t, dL, dF, q))[0] is True
+
+
+# --- the ledger against the oracle's own reading of the inventory ---------
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _trace_lists(deg_F, total, rng, cap=8):
+    """No traces, then every list of deg_F pairs summing to total, or a
+    seeded sample of cap of them with the balanced and alternating lists."""
+    lists = list(itertools.product(range(total + 1), repeat=deg_F))
+    if len(lists) > cap:
+        lists = rng.sample(lists, cap) + [(total // 2,) * deg_F, (0, 1) * (deg_F // 2)]
+    return [None] + [tuple((a, total - a) for a in firsts) for firsts in lists]
+
+
+def _endos(p, rng):
+    """Every weight-1 shape at n = 2p (disc_one varied on types II/III),
+    with trace lists on type IV, plus a q = 2 type IV shape that is refused."""
+    n = 2 * p
+    for d in _divisors(n):
+        yield EndomorphismDescriptor("I", d, d, 1)
+    for t, f, disc in itertools.product(("II", "III"), (1, p), (None, False, True)):
+        yield EndomorphismDescriptor(t, 4 * f, f, 2, disc_one=disc)
+    for f in _divisors(n):
+        for traces in _trace_lists(f, n // f, rng):
+            yield EndomorphismDescriptor("IV", 2 * f, f, 1, cm_traces=traces)
+    yield EndomorphismDescriptor("IV", 8, 1, 2)
+
+
+def _inventories(endo):
+    """Every ordered inventory of 0-2 entries from a pool of degree-2
+    fields (each balance and Galois flag) and fields of degree 4 and [L:Q]."""
+    pool = [SubfieldDescriptor(2, b, g) for b in (True, False) for g in (None, True, False)]
+    pool += [
+        SubfieldDescriptor(e, b) for e in sorted({4, endo.deg_L} - {2}) for b in (True, False)
+    ]
+    yield ()
+    for k in (1, 2):
+        yield from itertools.product(pool, repeat=k)
+
+
+def _route(answer, dim, endo, subfields):
+    """One route's answer, or the refusal it ends in (type and message)."""
+    try:
+        return answer(AbelianProfile(dim, endo, subfields))
+    except ValueError as exc:
+        return "refused", type(exc).__name__, str(exc)
+
+
+def _ledger(profile):
+    return murty_equal(profile), hodge_status(profile)
+
+
+def test_the_ledger_matches_the_oracle_on_every_n_2p_inventory():
+    rng = random.Random(17)
+    reached = set()
+    for p in (3, 5):
+        for endo in _endos(p, rng):
+            for subs in _inventories(endo):
+                expected = _route(abelian_case, 2 * p, endo, subs)
+                got = _route(_ledger, 2 * p, endo, subs)
+                if expected[0] == "refused" or got[0] == "refused":
+                    assert got == expected, (endo, subs)
+                    reached.add(expected[1])
+                    continue
+                case, desc = expected
+                (equal, why), status = got
+                assert equal is (None if case is None else True), (endo, subs)
+                assert why.startswith(desc + ": "), (endo, subs, why)
+                if endo.albert_type == "IV":
+                    assert status.divisor_weil_generated is equal
+                    assert status.rationale.startswith(desc + "; ")
+                    assert status.ghc_reduction is (
+                        case == 2 and endo.deg_L != 4 * p
+                    )
+                reached.add((desc, status.ghc_reduction))
+    assert reached >= {
+        "InvalidProfileError",
+        "InconsistentSubfieldError",
+        ("type I endomorphism algebra", True),
+        ("type II endomorphism algebra", True),
+        ("type III endomorphism algebra", True),
+        ("type IV with a balanced imaginary quadratic field in W(A)", True),
+        ("type IV with a balanced imaginary quadratic field in W(A)", False),
+        ("type IV with [L:Q]=4p but the Galois hypothesis is not affirmed", False),
+        ("type IV without a balanced imaginary quadratic field", False),
+    }

@@ -37,6 +37,28 @@ def test_degree_not_dividing_2n():
     assert "deg_l_divides_2n" in {v.code for v in violations}
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("weight", 1.0), ("n", 6.0), ("n", True), ("n", "6"), ("deg_L", 1.0),
+     ("deg_F", False), ("q", "1")],
+)
+def test_a_number_that_is_not_an_int_is_the_only_violation(field, value):
+    numbers = {"t": "I", "deg_L": 1, "deg_F": 1, "q": 1, "w": 1, "n": 6}
+    numbers[{"weight": "w"}.get(field, field)] = value
+    violations = validate_profile(prof(**numbers))
+    assert violations == [
+        ("integer_fields", f"{field} must be an integer, got {value!r}")
+    ]
+
+
+def test_classify_refuses_a_number_that_is_not_an_int():
+    from hodgekit.classifier import NotRealizableError, classify
+
+    for n in (6.0, True, "6"):
+        with pytest.raises(NotRealizableError, match="n must be an integer"):
+            classify(prof("I", 1, 1, 1, w=1, n=n))
+
+
 def test_type_iv_trace_arithmetic():
     p = prof("IV", 2, 1, 1, w=1, n=4, traces=[(1, 3)])
     assert validate_profile(p) == []

@@ -133,6 +133,18 @@ def _non_central_model():
         (lambda: CMType([2, 0, True]), "CM type entry True is not an int"),
         (lambda: CMType([2.7, "3", True]), "CM type entry 2.7 is not an int"),
         (lambda: CMType(["3", 1, 2]), "CM type entry '3' is not an int"),
+        # numbers are refused, not coerced, by int() or otherwise
+        (
+            lambda: EndomorphismDescriptor("IV", 4, 2, 1, cm_traces=[[1, 3], [True, 3.0]]),
+            "cm_traces must be an integer, got True",
+        ),
+        (
+            lambda: EndomorphismDescriptor("IV", 2, 1, 1, cm_traces=[(2.7, "3")]),
+            "cm_traces must be an integer, got 2.7",
+        ),
+        (lambda: Weight([1, False, 2.0]), "weight coordinate False is not an int"),
+        (lambda: Weight([1, 0, 2.0]), "weight coordinate 2.0 is not an int"),
+        (lambda: Weight(["1"]), "weight coordinate '1' is not an int"),
     ],
 )
 def test_validated_records_refuse(build, complaint):
@@ -157,12 +169,12 @@ def _canonical(value):
         (GroupExpr("Sp", param=2, rep_param=4), "rep_param", None),
         (GroupExpr("SU(2^k)", 3, rep=core.REP_EXTERIOR, rep_param=4), "rep_param", 4),
         (
-            EndomorphismDescriptor("IV", 4, 2, 1, cm_traces=[[1, 3], [True, 3.0]]),
+            EndomorphismDescriptor("IV", 4, 2, 1, cm_traces=[[1, 3], [3, 1]]),
             "cm_traces",
-            ((1, 3), (1, 3)),
+            ((1, 3), (3, 1)),
         ),
         (CMType([2, 0, 1]), "theta", frozenset({0, 1, 2})),
-        (Weight([1, False, 2.0]), "coords", (1, 0, 2)),
+        (Weight([1, 0, 2]), "coords", (1, 0, 2)),
         (AbelianProfile(dim=6, endo=RATIONAL, subfields=[]), "subfields", ()),
         (GaloisModel([list(SHIFT)], list(Z6.conj), 6), "generators", (SHIFT,)),
     ],
