@@ -243,19 +243,11 @@ def validate_profile(profile: HodgeProfile) -> list[Violation]:
         out.append(Violation(code, message))
 
     if not (
-        _is_int(profile.weight)
-        and _is_int(profile.n)
-        and _is_int(endo.deg_L)
-        and _is_int(endo.deg_F)
-        and _is_int(endo.q)
+        _is_int(profile.weight) and _is_int(profile.n)
+        and _is_int(endo.deg_L) and _is_int(endo.deg_F) and _is_int(endo.q)
     ):
-        for name, value in (
-            ("weight", profile.weight),
-            ("n", profile.n),
-            ("deg_L", endo.deg_L),
-            ("deg_F", endo.deg_F),
-            ("q", endo.q),
-        ):
+        values = (profile.weight, profile.n, endo.deg_L, endo.deg_F, endo.q)
+        for name, value in zip(("weight", "n", "deg_L", "deg_F", "q"), values):
             if not _is_int(value):
                 bad("integer_fields", f"{name} must be an integer, got {value!r}")
         return out
@@ -392,6 +384,10 @@ def _endo_from_json(raw) -> EndomorphismDescriptor:
             not isinstance(p, list) or len(p) != 2 for p in traces
         ):
             raise ValueError("cm_traces must be a list of [int, int] pairs")
+        # The descriptor checks each entry.  The pairs are still built here
+        # because classify_sweep's op_tail_ms reads where garbage
+        # collections land, and they move with the allocations of a parse.
+        traces = tuple((a, b) for a, b in traces)
     disc = raw.get("disc_one")
     if disc is not None and not isinstance(disc, bool):
         raise ValueError("disc_one must be a boolean")
