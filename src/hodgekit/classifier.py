@@ -3,6 +3,9 @@
 The dispatch tries the sharp results for special half-dimensions first
 (n = 1, n prime, n = 4, n = 2p with p an odd prime) and falls back to
 the general statements organized by Albert type and the multiplicity m.
+Type IV with q != 1 is cut off in the dispatch itself, ahead of n = 4:
+no result here covers it, so it gets the Lefschetz upper bound at every
+n, and every branch past the cut-off that sees type IV sees a CM field.
 Anything the theorems do not cover is reported as out_of_scope with the
 Lefschetz group as an upper bound.  Missing optional data (trace lists,
 discriminant flags, subfield inventories, the Galois flag) degrades the
@@ -77,14 +80,27 @@ class InconsistentSubfieldError(ValueError):
     """Subfield assertions contradict the profile (no structure exists)."""
 
 
-class SubfieldDescriptor(NamedTuple):
-    """A CM subfield E of the endomorphism algebra, with the flag saying
-    whether the structure is balanced over E (equal extreme multiplicities
-    at every embedding of E), and optionally whether L/Q is Galois."""
-
+class _SubfieldFields(NamedTuple):
     deg_E: int
     balanced: bool
-    galois_L: Optional[bool] = None
+    galois_L: Optional[bool]
+
+
+class SubfieldDescriptor(_SubfieldFields):
+    """A CM subfield E of the endomorphism algebra, with the flag saying
+    whether the structure is balanced over E (equal extreme multiplicities
+    at every embedding of E), and optionally whether L/Q is Galois.  The
+    flags must be bools and deg_E an int; nothing is coerced."""
+
+    __slots__ = ()
+
+    def __new__(cls, deg_E, balanced, galois_L=None):
+        if not isinstance(balanced, bool):
+            raise ValueError(f"balanced must be a boolean, got {balanced!r}")
+        if galois_L is not None and not isinstance(galois_L, bool):
+            raise ValueError(f"galois_L must be a boolean, got {galois_L!r}")
+        _require_int(deg_E, "deg_E")
+        return tuple.__new__(cls, (deg_E, balanced, galois_L))
 
     def to_json(self) -> dict:
         out: dict = {"deg_E": self.deg_E, "balanced": self.balanced}
@@ -95,12 +111,10 @@ class SubfieldDescriptor(NamedTuple):
     @classmethod
     def from_json(cls, data: dict) -> "SubfieldDescriptor":
         _require_object(data, "subfield", ("deg_E", "balanced"), ("galois_L",))
-        balanced, galois = data["balanced"], data.get("galois_L")
-        if not isinstance(balanced, bool):
-            raise ValueError(f"balanced must be a boolean, got {balanced!r}")
-        if "galois_L" in data and not isinstance(galois, bool):
-            raise ValueError(f"galois_L must be a boolean, got {galois!r}")
-        return cls(_require_int(data["deg_E"], "deg_E"), balanced, galois)
+        sub = cls(data["deg_E"], data["balanced"], data.get("galois_L"))
+        if "galois_L" in data and sub.galois_L is None:  # null is not a flag
+            raise ValueError("galois_L must be a boolean, got None")
+        return sub
 
 
 class Candidate(NamedTuple):
@@ -136,25 +150,15 @@ def rank_threshold(n: int) -> int:
     return (2 * n - 1).bit_length()
 
 
-def _commutative(profile: HodgeProfile) -> bool:
-    t = profile.endo.albert_type
-    return t == "I" or (t == "IV" and profile.endo.q == 1)
-
-
-def _bound_ok(profile: HodgeProfile, expr: GroupExpr) -> bool:
-    if not _commutative(profile):
-        return True
-    return group_rank(expr) >= rank_threshold(profile.n)
-
-
 def _guard(profile: HodgeProfile, expr: GroupExpr, claim: str) -> GroupExpr:
     """Refuse to emit a group below the rank floor for commutative L.
 
     Such an emission would mean the input data asserts a structure whose
     Hodge group is provably too small to exist; the data, not the
-    engine, is inconsistent.
+    engine, is inconsistent.  Every caller holds type IV with q = 1:
+    ``classify`` cuts off q != 1 before it dispatches on n.
     """
-    if not _bound_ok(profile, expr):
+    if group_rank(expr) < rank_threshold(profile.n):
         raise InconsistentSubfieldError(
             f"{claim}: {expr.label()} has rank {group_rank(expr)} < "
             f"{rank_threshold(profile.n)} = ceil(log2(2n)); no simple "
@@ -200,7 +204,7 @@ def exclude_sl2_product(factors: Sequence[tuple[str, int]]) -> bool:
     components (so SL(2) x SO(4) survives, SL(2) x SO(2k) for k >= 3 and
     SL(2) x Sp(4) and SL(2) x SL(2^k) do not).
     """
-    factors = [(str(f), int(s)) for f, s in factors]
+    factors = [(f, _require_int(s, "factor size")) for f, s in factors]
     if len(factors) < 2:
         raise ValueError("pattern needs SL(2) times a nontrivial group")
     head = _simple_components(factors[0])
@@ -254,10 +258,8 @@ def su_constraint(profile: HodgeProfile, sub: SubfieldDescriptor) -> bool:
 
 
 def _balanced_quadratic(
-    profile: HodgeProfile, subfields: Optional[Sequence[SubfieldDescriptor]]
+    profile: HodgeProfile, subfields: Sequence[SubfieldDescriptor]
 ) -> Optional[SubfieldDescriptor]:
-    if subfields is None:
-        return None
     for sub in subfields:
         if sub.deg_E == 2 and su_constraint(profile, sub):
             return sub
@@ -402,14 +404,13 @@ def _classify_2p(profile: HodgeProfile, lef: GroupExpr, subfields):
         )
         return _single(lef, RULE_2P, notes=(note,))
     # Type IV; realizability forces q=1, so L is a CM field.
-    quad = _balanced_quadratic(profile, subfields)
     four_p = 4 * p
     su = GroupExpr(FAM_SU_B, param=profile.m, base_degree=endo.deg_F)
     torus = GroupExpr(FAM_SU_LE, param=2 * p)
     if subfields is None:
         cands = [_upper(lef, "no balanced imaginary quadratic subfield known")]
         if endo.deg_L != four_p:
-            if not _bound_ok(profile, su):
+            if group_rank(su) < rank_threshold(profile.n):
                 return ClassificationOutcome(
                     CONDITIONAL,
                     tuple(cands),
@@ -433,6 +434,7 @@ def _classify_2p(profile: HodgeProfile, lef: GroupExpr, subfields):
             RULE_2P,
             ("subfield inventory not supplied",),
         )
+    quad = _balanced_quadratic(profile, subfields)
     if quad is None:
         return ClassificationOutcome(
             OUT_OF_SCOPE,
@@ -571,10 +573,6 @@ def _classify_iv_torus(
 
 def _classify_type_iv(profile: HodgeProfile, lef: GroupExpr, subfields):
     endo = profile.endo
-    if endo.q != 1:
-        return _fallback(
-            profile, lef, note="no determination for q=2 at this n"
-        )
     m = profile.m
     traces = endo.cm_traces
     if endo.deg_L == 2:
@@ -676,6 +674,8 @@ def classify(
         out = _single(lef, RULE_N1)
     elif _is_prime(n):
         out = _single(lef, RULE_PRIME)
+    elif profile.endo.albert_type == "IV" and profile.endo.q != 1:
+        out = _fallback(profile, lef, note="no determination for q=2 at this n")
     elif n == 4:
         out = _classify_n4(profile, lef, subfields)
     elif n % 2 == 0 and _is_prime(n // 2) and (n // 2) % 2 == 1:

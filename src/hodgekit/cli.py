@@ -189,8 +189,7 @@ def _cmd_weights(args):
     elif args.weights_cmd == "autodual":
         key, value = "autoduality", rootsys.autoduality(rs, weight)
     else:
-        length = rootsys.weight_length(rs, weight)
-        key, value = "length", {"num": length.numerator, "den": length.denominator}
+        key, value = "length", {"num": rootsys.weight_length(rs, weight), "den": 1}
     return {"system": rs.name, key: value}, EXIT_OK
 
 

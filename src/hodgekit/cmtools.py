@@ -152,8 +152,12 @@ class GaloisModel(_ModelFields):
             raise InvalidModelError("embedding set must have even size >= 2")
         gens = tuple(tuple(g) for g in generators)
         conj = tuple(conj)
-        if any(len(g) != size for g in gens) or len(conj) != size:
-            raise InvalidModelError("permutation length mismatch")
+        # the engines assume permutations: another map can stall the order
+        # count in _odd_characters or inflate a rank, so none is coerced
+        points = list(range(size))
+        for perm in gens + (conj,):
+            if any(type(x) is not int for x in perm) or sorted(perm) != points:
+                raise InvalidModelError(f"{perm} is not a permutation of 0..{size - 1}")
         if compose(conj, conj) != identity_perm(size):
             raise InvalidModelError("conjugation must have order 2")
         if any(conj[i] == i for i in range(size)):
@@ -201,7 +205,10 @@ def abelian_model(factors: Sequence[int]) -> GaloisModel:
     the element of order 2 in the last even factor; for another one,
     pass these generators and the wanted conj to GaloisModel (on the
     command line, give it with --iota)."""
-    dims = [int(d) for d in factors]
+    dims = list(factors)
+    for d in dims:
+        if type(d) is not int:
+            raise InvalidModelError(f"cyclic factor {d!r} is not an int")
     if any(d < 2 for d in dims):
         raise InvalidModelError("cyclic factors must be >= 2")
     size = math.prod(dims)

@@ -59,12 +59,15 @@ class EndomorphismDescriptor(_EndomorphismFields):
     of the CM center; disc_one flags discriminant 1 where the
     exceptional-case catalog consults it (its meaning is case dependent:
     disc of (B, -) for quaternionic cases, disc of the polarized space
-    for the totally real m=4 case).
+    for the totally real m=4 case).  disc_one must be None or a bool and
+    each trace entry an int; nothing is coerced.
     """
 
     __slots__ = ()
 
     def __new__(cls, albert_type, deg_L, deg_F=1, q=1, cm_traces=None, disc_one=None):
+        if disc_one is not None and not isinstance(disc_one, bool):
+            raise ValueError("disc_one must be a boolean")
         if cm_traces is not None:
             cm_traces = tuple(
                 (_require_int(a, "cm_traces"), _require_int(b, "cm_traces"))
@@ -388,16 +391,13 @@ def _endo_from_json(raw) -> EndomorphismDescriptor:
         # because classify_sweep's op_tail_ms reads where garbage
         # collections land, and they move with the allocations of a parse.
         traces = tuple((a, b) for a, b in traces)
-    disc = raw.get("disc_one")
-    if disc is not None and not isinstance(disc, bool):
-        raise ValueError("disc_one must be a boolean")
     return EndomorphismDescriptor(
         albert_type=raw["type"],
         deg_L=_require_int(raw["deg_L"], "deg_L"),
         deg_F=_require_int(raw["deg_F"], "deg_F"),
         q=_require_int(raw["q"], "q"),
         cm_traces=traces,
-        disc_one=disc,
+        disc_one=raw.get("disc_one"),
     )
 
 

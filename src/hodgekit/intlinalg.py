@@ -2,16 +2,21 @@
 
 No floating point anywhere: rank uses fraction-free (Bareiss)
 elimination over the integers, and the Smith form uses the classical
-pivot-and-reduce loop.  Matrices are lists of equal-length integer rows.
+pivot-and-reduce loop.  Matrices are lists of equal-length integer rows;
+an entry that is not an int (a bool included) is refused, not coerced.
 """
 
 from __future__ import annotations
 
 
 def _checked(rows: list[list[int]]) -> list[list[int]]:
-    mat = [list(map(int, row)) for row in rows]
+    mat = [list(row) for row in rows]
     if mat and any(len(row) != len(mat[0]) for row in mat):
         raise ValueError("ragged matrix")
+    for row in mat:
+        for v in row:
+            if type(v) is not int:
+                raise ValueError(f"matrix entry {v!r} is not an int")
     return mat
 
 

@@ -34,11 +34,7 @@ class ExceptionalCase(NamedTuple):
     description: str
 
     def to_json(self) -> dict:
-        return {
-            "parity": self.parity,
-            "index": self.index,
-            "description": self.description,
-        }
+        return self._asdict()
 
 
 def _type_m(albert_type: str, m: int, p: HodgeProfile):

@@ -113,9 +113,6 @@ class Weight(_WeightFields):
         """(index, coordinate) of each nonzero coordinate, 0-based."""
         return tuple((j, c) for j, c in enumerate(self.coords) if c)
 
-    def to_json(self) -> list[int]:
-        return list(self.coords)
-
 
 class RootSystem:
     """An irreducible root system of classical type or E6/E7.
@@ -360,15 +357,9 @@ def autoduality(rs: RootSystem, weight: Weight) -> str:
     return ORTHOGONAL if total % 2 == 0 else SYMPLECTIC
 
 
-def weight_length(rs: RootSystem, weight: Weight) -> Fraction:
-    """The length as a Fraction with denominator 1 (see _length)."""
-    from fractions import Fraction
-
-    return Fraction(_length(rs, weight))
-
-
-def _length(rs: RootSystem, weight: Weight) -> int:
-    """min over simple roots of c_alpha + c_alpha', alpha' = -w0(alpha).
+def weight_length(rs: RootSystem, weight: Weight) -> int:
+    """The length of a dominant weight: the min over simple roots of
+    c_alpha + c_alpha', alpha' = -w0(alpha).
 
     With lambda = sum c_alpha alpha, c_alpha + c_alpha' is the
     alpha-coordinate of lambda - w0(lambda), which dominantizing -lambda
@@ -406,7 +397,7 @@ def verify_minuscule_table(rs: RootSystem) -> dict:
         row = expected.get(idx)
         dim = rep_dimension(rs, w)
         dual = autoduality(rs, w)
-        length_ok = _length(rs, w) == 1 if rs.kind != "E" else True
+        length_ok = weight_length(rs, w) == 1 if rs.kind != "E" else True
         row_ok = (
             row is not None
             and dim == row["dim"]

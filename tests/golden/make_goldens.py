@@ -433,6 +433,15 @@ CLI_CASES = [
     (["classify"], _pj("I", 1, 1, 1, w=1, n=601080390), {}, 0),
     (["classify"], _pj("I", 1, 1, 1, w=2, n=601080390), {}, 0),
     (["classify"], _pj("I", 1, 1, 1, w=2, n=916312070471295267), {}, 0),
+    # type IV with q = 2 gets the Lefschetz upper bound at n = 4 as at every n
+    (["classify"], _pj("IV", 8, 1, 2), {}, 0),
+    # outside the classified cases a balanced subfield adds its SU(B,-) bound
+    (
+        ["classify", "--subfields", "@s.json"],
+        _pj("IV", 4, 2, 1, n=16, cm_traces=[[4, 4], [4, 4]]),
+        {"s.json": BALANCED},
+        0,
+    ),
     (["weights", "dim", "A", "3", "0,1,0"], "", {}, 0),
     (["weights", "dim", "E", "7", "0,0,0,0,0,0,1", "--pretty"], "", {}, 0),
     (["weights", "autodual", "C", "3", "1,0,0"], "", {}, 0),

@@ -386,6 +386,62 @@ def test_type_iv_q2_out_of_scope():
     assert labels(out) == ["U(B,-)"]
 
 
+# the five subfield inventories of the classify_sweep benchmark
+INVENTORIES = (
+    None,
+    [],
+    [SubfieldDescriptor(2, True)],
+    [SubfieldDescriptor(2, True, True)],
+    [SubfieldDescriptor(2, False)],
+)
+
+
+def test_n4_type_iv_q2_gets_the_upper_bound():
+    # the cut-off comes before n = 4, as before every n; no trace list of
+    # this shape is realizable (catalog cases 3 and 5), so none is lost
+    for w in (1, 2):
+        for subs in INVENTORIES:
+            out = classify(prof("IV", 8, 1, 2, w=w, n=4), subs)
+            assert out.status == OUT_OF_SCOPE and labels(out) == ["U(B,-)"]
+            assert out.notes[-1] == "no determination for q=2 at this n"
+        for pair in ((2, 0), (1, 1), (0, 2)):
+            with pytest.raises(NotRealizableError):
+                classify(prof("IV", 8, 1, 2, w=w, n=4, traces=(pair,)))
+
+
+def test_no_type_iv_candidate_has_rank_zero():
+    # every type IV shape with n <= 32, without trace data
+    answered = 0
+    for n in range(1, 33):
+        for dF in (d for d in range(1, n + 1) if n % d == 0):
+            q = 1
+            while 2 * dF * q * q <= 2 * n:
+                if (2 * n) % (2 * dF * q * q) == 0:
+                    for w in (1, 2):
+                        for subs in INVENTORIES:
+                            p = prof("IV", 2 * dF * q * q, dF, q, w=w, n=n)
+                            try:
+                                out = classify(p, subs)
+                            except (NotRealizableError, InconsistentSubfieldError):
+                                continue
+                            answered += 1
+                            for cand in out.candidates:
+                                assert group_rank(cand.group) > 0, (p, subs, cand)
+                q += 1
+    assert answered > 500
+
+
+def test_balanced_subfield_bounds_a_profile_outside_the_classified_cases():
+    p = prof("IV", 4, 2, 1, w=1, n=16, traces=((4, 4), (4, 4)))
+    out = classify(p, [SubfieldDescriptor(2, True)])
+    assert out.status == OUT_OF_SCOPE and out.applied_rule == "upper-bound-only"
+    lef, bound = out.candidates
+    assert lef.group == lefschetz_group(p)
+    assert bound.group == GroupExpr("SU(B)", param=16) and labels(out)[1] == "SU(B,-)"
+    assert bound.condition == "upper bound from the balanced degree-2 subfield"
+    assert bound.occurs == "possible"
+
+
 def test_not_realizable_rejected():
     with pytest.raises(NotRealizableError):
         classify(prof("I", 2, 2, 1, w=2, n=2))

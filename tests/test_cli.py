@@ -309,6 +309,7 @@ def run_bad_input(args, capsys):
         ({"deg_E": True, "balanced": True}, "deg_E must be an integer"),
         ({"balanced": True}, "missing required field 'deg_E'"),
         ("deg_E", "JSON object"),
+        ({"deg_E": 2, "balanced": True, "galois_L": None}, "galois_L must be a boolean, got None"),
     ],
 )
 def test_classify_rejects_badly_typed_subfields(tmp_path, capsys, entry, complaint):
@@ -453,9 +454,10 @@ SUBCOMMANDS = [
     "args, stdin", SUBCOMMANDS, ids=[" ".join(args) for args, _ in SUBCOMMANDS]
 )
 def test_no_subcommand_loads_dataclasses_and_only_length_loads_fractions(args, stdin):
+    # weight lengths are ints, so not even `weights length` needs fractions
     _, dataclasses, fractions = footprint(args, stdin and json.dumps(stdin))
     assert not dataclasses
-    assert fractions == (args[:2] == ["weights", "length"])
+    assert not fractions
 
 
 def test_n_beyond_the_primality_bound_is_bad_input(tmp_path, capsys):

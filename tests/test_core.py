@@ -136,6 +136,12 @@ def test_missing_fields_rejected():
         )
 
 
+def test_disc_one_must_be_a_bool():
+    endo = {"type": "III", "deg_L": 4, "deg_F": 1, "q": 2, "disc_one": "yes"}
+    with pytest.raises(ValueError, match="disc_one must be a boolean"):
+        profile_from_json({"weight": 1, "n": 4, "endo": endo})
+
+
 def test_group_expr_equality_and_labels():
     a = GroupExpr("Sp", param=3)
     b = GroupExpr("Sp", param=3, rep="standard")

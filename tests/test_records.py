@@ -19,12 +19,15 @@ from hodgekit.cmtools import (
     GaloisModel,
     ScanEntry,
     ScanReport,
+    abelian_model,
     compose,
     cyclic_model,
     parse_cycles,
 )
+from hodgekit.classifier import exclude_sl2_product
 from hodgekit.consequences import AbelianProfile, HodgeStatus
 from hodgekit.core import EndomorphismDescriptor, GroupExpr, HodgeProfile, Violation
+from hodgekit.intlinalg import integer_rank, smith_normal_form
 from hodgekit.realizability import (
     EVEN,
     EVEN_CASES,
@@ -41,6 +44,7 @@ IV_ENDO = EndomorphismDescriptor("IV", 2, 1, 1, cm_traces=((1, 3),))
 SP6 = GroupExpr("Sp", param=3)
 Z6 = cyclic_model(6)
 SHIFT = Z6.generators[0]
+Z4_CONJ = (2, 3, 0, 1)
 
 # (class, the fields of one instance, a field, and another value for it)
 RECORDS = [
@@ -145,6 +149,55 @@ def _non_central_model():
         (lambda: Weight([1, False, 2.0]), "weight coordinate False is not an int"),
         (lambda: Weight([1, 0, 2.0]), "weight coordinate 2.0 is not an int"),
         (lambda: Weight(["1"]), "weight coordinate '1' is not an int"),
+        # a model's generators and conj are permutations of 0..size-1
+        (
+            lambda: GaloisModel([(1, 1, 3, 3)], Z4_CONJ, 4),
+            "(1, 1, 3, 3) is not a permutation of 0..3",
+        ),
+        (
+            lambda: GaloisModel([(1, 2, 3, 0), (1, 1, 3, 3)], Z4_CONJ, 4),
+            "(1, 1, 3, 3) is not a permutation of 0..3",
+        ),
+        (
+            lambda: GaloisModel([(1, 2, 3, 9)], Z4_CONJ, 4),
+            "(1, 2, 3, 9) is not a permutation of 0..3",
+        ),
+        (
+            lambda: GaloisModel([(1.0, 2, 3, 0)], Z4_CONJ, 4),
+            "(1.0, 2, 3, 0) is not a permutation of 0..3",
+        ),
+        (
+            lambda: GaloisModel([(1, 2, 3, 0)], (2, 3, False, True), 4),
+            "(2, 3, False, True) is not a permutation of 0..3",
+        ),
+        (
+            lambda: GaloisModel([(1, 0)], Z4_CONJ, 4),
+            "(1, 0) is not a permutation of 0..3",
+        ),
+        # the records refuse what the JSON readers refuse, in the same order
+        (lambda: SubfieldDescriptor(2.0, "yes"), "balanced must be a boolean, got 'yes'"),
+        (lambda: SubfieldDescriptor(2, True, "no"), "galois_L must be a boolean, got 'no'"),
+        (lambda: SubfieldDescriptor(2.0, True), "deg_E must be an integer, got 2.0"),
+        (lambda: SubfieldDescriptor(True, False), "deg_E must be an integer, got True"),
+        (
+            lambda: EndomorphismDescriptor("IV", 2, 1, 1, cm_traces=[(1, 3)], disc_one="yes"),
+            "disc_one must be a boolean",
+        ),
+        (lambda: EndomorphismDescriptor("I", 1, disc_one=0), "disc_one must be a boolean"),
+        # numbers handed to the Python API are not coerced either
+        (lambda: integer_rank([[0.5, 1.9]]), "matrix entry 0.5 is not an int"),
+        (lambda: integer_rank([[1, 0], [0, True]]), "matrix entry True is not an int"),
+        (lambda: smith_normal_form([[2.9]]), "matrix entry 2.9 is not an int"),
+        (lambda: abelian_model([2.7, 4]), "cyclic factor 2.7 is not an int"),
+        (lambda: abelian_model([4, True]), "cyclic factor True is not an int"),
+        (
+            lambda: exclude_sl2_product([("SL", 2.7), ("SO", 6)]),
+            "factor size must be an integer, got 2.7",
+        ),
+        (
+            lambda: exclude_sl2_product([("SL", 2), ("Sp", True)]),
+            "factor size must be an integer, got True",
+        ),
     ],
 )
 def test_validated_records_refuse(build, complaint):

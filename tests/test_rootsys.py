@@ -254,7 +254,7 @@ def test_weight_length_matches_the_rational_solve():
         weights.append(Weight((0,) * l))
         for w in weights:
             got = weight_length(rs, w)
-            assert got.denominator == 1, (rs.name, w)
+            assert type(got) is int, (rs.name, w)
             assert got == oracle_weight_length(rs, w), (rs.name, w)
 
 
