@@ -7,7 +7,9 @@ n, and a description of the endomorphism division algebra in Albert's
 classification.  Number fields are abstracted to their degrees; trace
 data over a CM center is carried as a list of nonnegative integer pairs.
 Every JSON object read from outside goes through ``_require_object``, and
-every integer field through ``_require_int``.
+every integer field through ``_require_int``, which lives in ``numth``
+so that the engines check numbers with the same predicate without
+loading this module.
 
 The package's records are ``typing.NamedTuple`` classes: immutable,
 hashable and compared field by field.  A record that checks or
@@ -19,6 +21,8 @@ tuples, records also compare equal to a plain tuple of the same fields.
 from __future__ import annotations
 
 from typing import NamedTuple, Optional
+
+from .numth import _is_int, _require_int
 
 ALBERT_TYPES = ("I", "II", "III", "IV")
 
@@ -350,16 +354,6 @@ def profile_to_json(profile: HodgeProfile) -> dict:
     if profile.endo.disc_one is not None:
         endo["disc_one"] = profile.endo.disc_one
     return {"weight": profile.weight, "n": profile.n, "endo": endo}
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _require_int(value, where: str) -> int:
-    if not _is_int(value):
-        raise ValueError(f"{where} must be an integer, got {value!r}")
-    return value
 
 
 def _require_object(data, name: str, required: tuple, optional: tuple = ()) -> None:

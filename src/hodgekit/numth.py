@@ -2,10 +2,12 @@
 
 Everything here is exact: 2-adic valuations by the floor-sum formula,
 central binomial residues by carry counting, prime counts by sieve.  One
-byte sieve (``_sieve``) serves the prime-count gaps, which count its
-flags in C without building a list, and the composite check, which
-sieves once to 2^k_max and walks the odd flags of one dyadic interval at
-a time, so no list of all primes is built.  It also owns the closed-form
+odd-only byte sieve (``_odd_flags``), kept by the module and grown on
+demand, serves every prime read: the prime-count gaps count one
+contiguous range of its flags in C, the composite check walks the flags
+of one dyadic interval at a time, so no list of all primes is built, and
+``_central_binomial`` reads the flags up to 2h.  Each reader bounds its
+own range, since the sieve may reach past it.  It also owns the closed-form
 minuscule table and its one inversion, ``_rows_of_dimension``, which
 ``rootsys``, ``central_binomial_solve`` and the classifier all read.
 
@@ -25,18 +27,29 @@ import math
 from functools import lru_cache
 from typing import Optional
 
-# The dyadic checks sieve up to 2^k_max (the prime-count gaps once per k),
-# so time and memory double per step in k: `numth verify --k-max 24` takes
-# about 1.8-2.0 s and 96 MB on a 2-vCPU Xeon VM, and k = 27 about 17 s and
-# 567 MB.  No list of all primes is built any more; the memory is the
-# witness lists the answer prints (7.6 million primes at k = 27, as Python
-# ints) and their JSON text, so it is the output that sets the cap.
+# Time and memory double per step in k: `numth verify --k-max 24` takes
+# about 0.7-0.9 s and 83 MB on a 2-vCPU Xeon VM, and k = 27 about 5.8 s and
+# 506 MB.  The one sieve of 2^k_max holds 2^(k_max-1) bytes (64 MB at
+# k = 27); the rest is the witness lists the answer prints (7.6 million
+# primes at k = 27, as Python ints) and their JSON text, so it is the
+# output, not the sieve, that sets the cap.
 VERIFY_MAX_K = 27
+
+
+def _is_int(value) -> bool:
+    """An ``int`` that is not a ``bool``; ``core`` checks its fields with it too."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_int(value, where: str) -> int:
+    if not _is_int(value):
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+    return value
 
 
 def factorial_two_adic(n: int) -> int:
     """v_2(n!) as the sum of floor(n / 2^i) over i >= 1."""
-    if n < 0:
+    if _require_int(n, "n") < 0:
         raise ValueError("n must be nonnegative")
     total = 0
     power = 2
@@ -48,7 +61,7 @@ def factorial_two_adic(n: int) -> int:
 
 def central_binomial_two_adic(z: int) -> int:
     """v_2(C(2z, z)); equals the number of ones in binary z (Kummer)."""
-    if z < 0:
+    if _require_int(z, "z") < 0:
         raise ValueError("z must be nonnegative")
     # Carries when adding z + z in base 2 happen at every set bit.
     return bin(z).count("1")
@@ -60,7 +73,7 @@ def central_binomial_mod4(z: int) -> int:
     The residue is 2 exactly when v_2(C(2z,z)) = 1, i.e. when z is a
     power of two; otherwise the valuation is at least 2.
     """
-    if z < 1:
+    if _require_int(z, "z") < 1:
         raise ValueError("z must be positive")
     return 2 if central_binomial_two_adic(z) == 1 else 0
 
@@ -71,9 +84,11 @@ def _central_binomial(h: int) -> int:
     Python 3.11's ``math.comb(2^20, 2^19)`` divides big integers and takes
     about 12 s on a 2-vCPU Xeon VM; this takes about 0.3 s.  Cached: the
     inversion reads one value per bit length of its queries."""
+    # 2, then the odd primes 2i + 1 < 2h, i < h
+    primes = itertools.compress(range(1, 2 * h, 2), _odd_flags(2 * h)[:h])
     powers = [
         p ** v
-        for p in itertools.compress(range(2 * h + 1), _sieve(2 * h))
+        for p in itertools.chain((2,), primes)
         if (v := prime_valuation_central_binomial(p, h))
     ]
     while len(powers) > 1:
@@ -85,7 +100,8 @@ def central_binomial_solve(target: int, k_max: int = 20) -> Optional[int]:
     """Least k with 3 <= k <= k_max and C(2^k, 2^(k-1)) == target: the
     orthogonal middle wedges of A_{2^k-1} that ``_rows_of_dimension`` finds
     at target and ``_kept_in_twice_odd_dim`` keeps."""
-    if k_max < 3:
+    _require_int(target, "target")
+    if _require_int(k_max, "k_max") < 3:
         raise ValueError("k_max must be at least 3")
     for kind, l, index in _rows_of_dimension(target, ORTHOGONAL, target):
         if kind == "A" and _kept_in_twice_odd_dim(kind, l, index, ORTHOGONAL):
@@ -198,14 +214,29 @@ def _rows_of_dimension(dim: int, duality: str, max_rank: int):
             yield kind, l, index
 
 
-def _sieve(n: int) -> bytearray:
-    """flags[i] == 1 exactly when i <= n is prime (Eratosthenes), n >= 1."""
-    flags = bytearray([1]) * (n + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, math.isqrt(n) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
-    return flags
+_ODD_FLAGS = bytearray()
+
+
+def _odd_flags(n: int) -> bytearray:
+    """flags[i] == 1 exactly when 2i + 1 is prime (Eratosthenes over the odd
+    numbers), for every odd 2i + 1 <= n at least.
+
+    The process keeps the largest sieve built and returns it whole, so it
+    may reach past n: each caller bounds its own reads.  A request past its
+    end sieves again from scratch, to n.
+    """
+    global _ODD_FLAGS
+    size = (n + 1) // 2
+    if len(_ODD_FLAGS) < size:
+        flags = bytearray([1]) * size
+        flags[0] = 0
+        for i in range(1, (math.isqrt(n) + 1) // 2):
+            if flags[i]:
+                p = 2 * i + 1
+                start = p * p // 2
+                flags[start::p] = bytes(len(range(start, size, p)))
+        _ODD_FLAGS = flags
+    return _ODD_FLAGS
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -214,7 +245,7 @@ MR_EXACT_BOUND = 3_317_044_064_679_887_385_961_981
 
 def is_prime(n: int) -> bool:
     """Primality by deterministic Miller-Rabin; exact for n < MR_EXACT_BOUND."""
-    if n < 2:
+    if _require_int(n, "n") < 2:
         return False
     if n >= MR_EXACT_BOUND:
         raise ValueError(
@@ -251,15 +282,21 @@ def _check_verify_cap(k: int) -> None:
 
 def prime_count_gap(k: int) -> int:
     """pi(2^k) - pi(2^(k-1)); k is at most VERIFY_MAX_K."""
-    if k < 1:
+    if _require_int(k, "k") < 1:
         raise ValueError("k must be >= 1")
     _check_verify_cap(k)
-    # the flags past 2^(k-1) mark the primes p with 2^(k-1) < p <= 2^k
-    return _sieve(1 << k).count(1, (1 << (k - 1)) + 1)
+    if k == 1:
+        return 1  # the prime 2, the one even prime
+    # the primes of (2^(k-1), 2^k] are the odd 2i + 1 with 2^(k-2) <= i < 2^(k-1)
+    lo, hi = 1 << (k - 2), 1 << (k - 1)
+    return _odd_flags(1 << k).count(1, lo, hi)
 
 
 def prime_valuation_central_binomial(p: int, h: int) -> int:
     """v_p(C(2h, h)) by the floor-sum (Legendre) formula."""
+    if _require_int(p, "p") < 2:
+        raise ValueError(f"p must be a prime, got {p}")
+    _require_int(h, "h")
     total = 0
     power = p
     while power <= 2 * h:
@@ -279,20 +316,25 @@ def no_prime_double_is_central_binomial(
     (ok, witnesses) where witnesses[k] lists the dividing primes found.
     k_max is at most VERIFY_MAX_K.
     """
-    if k_max < 3:
+    if _require_int(k_max, "k_max") < 3:
         raise ValueError("k_max must be at least 3")
     _check_verify_cap(k_max)
-    flags = _sieve(1 << k_max)
+    flags = _odd_flags(1 << k_max)
     witnesses: dict[int, list[int]] = {}
     ok = True
     for k in range(3, k_max + 1):
-        # the primes of (2^(k-1), 2^k) are odd: walk the odd flags only
+        # the odd p of (2^(k-1), 2^k) are the 2i + 1 with lo/2 <= i < hi/2
         lo, hi = 1 << (k - 1), 1 << k
-        odd_flags = memoryview(flags)[lo + 1 : hi : 2]
-        gap_primes = itertools.compress(range(lo + 1, hi, 2), odd_flags)
-        dividing = [
-            p for p in gap_primes if prime_valuation_central_binomial(p, lo) >= 1
-        ]
+        dividing = []
+        for p in itertools.compress(range(lo + 1, hi, 2), flags[lo >> 1 : hi >> 1]):
+            # v_p(C(hi, lo)) by the Legendre sum, inline: one call per prime
+            # would cost more than the sum
+            v, power = 0, p
+            while power <= hi:
+                v += hi // power - 2 * (lo // power)
+                power *= p
+            if v:
+                dividing.append(p)
         witnesses[k] = dividing
         if len(dividing) < 2:
             ok = False

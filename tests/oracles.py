@@ -29,7 +29,7 @@ from functools import lru_cache
 
 from operator import neg
 
-from hodgekit import numth, rootsys
+from hodgekit import rootsys
 from hodgekit.classifier import su_constraint
 from hodgekit.cmtools import GaloisModel, compose, identity_perm
 
@@ -413,11 +413,22 @@ def dense_dominant_representative(rs, mu):
         current = tuple(m - c * rs.cartan[i][j] for j, m in enumerate(current))
 
 
+def _sieve(n: int) -> bytearray:
+    """flags[i] == 1 exactly when i <= n is prime (Eratosthenes), n >= 1."""
+    flags = bytearray([1]) * (n + 1)
+    flags[0] = flags[1] = 0
+    for p in range(2, math.isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return flags
+
+
 def primes_up_to(n: int) -> list[int]:
-    """All primes <= n, listed from the package's byte sieve."""
+    """All primes <= n, from a plain sieve over 0..n that shares nothing
+    with the package's odd-only sieve."""
     if n < 2:
         return []
-    return list(itertools.compress(range(n + 1), numth._sieve(n)))
+    return list(itertools.compress(range(n + 1), _sieve(n)))
 
 
 def central_binomial_mod4_direct(z: int) -> int:

@@ -453,7 +453,7 @@ SUBCOMMANDS = [
 @pytest.mark.parametrize(
     "args, stdin", SUBCOMMANDS, ids=[" ".join(args) for args, _ in SUBCOMMANDS]
 )
-def test_no_subcommand_loads_dataclasses_and_only_length_loads_fractions(args, stdin):
+def test_no_subcommand_loads_dataclasses_or_fractions(args, stdin):
     # weight lengths are ints, so not even `weights length` needs fractions
     _, dataclasses, fractions = footprint(args, stdin and json.dumps(stdin))
     assert not dataclasses

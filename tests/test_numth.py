@@ -1,8 +1,11 @@
+import bisect
 import math
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hodgekit import numth
 from hodgekit.numth import (
     _central_binomial,
     central_binomial_mod4,
@@ -13,6 +16,7 @@ from hodgekit.numth import (
     MR_EXACT_BOUND,
     no_prime_double_is_central_binomial,
     prime_count_gap,
+    prime_valuation_central_binomial,
     VERIFY_MAX_K,
 )
 
@@ -174,3 +178,163 @@ def test_dyadic_checks_refuse_k_over_the_cap():
         prime_count_gap(VERIFY_MAX_K + 1)
     with pytest.raises(ValueError, match=f"VERIFY_MAX_K = {VERIFY_MAX_K}"):
         no_prime_double_is_central_binomial(VERIFY_MAX_K + 1)
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (is_prime, (7.0,)),
+        (is_prime, (True,)),
+        (factorial_two_adic, (4.0,)),
+        (factorial_two_adic, (False,)),
+        (central_binomial_two_adic, (3.0,)),
+        (central_binomial_mod4, (4.0,)),
+        (central_binomial_mod4, (True,)),
+        (prime_count_gap, (3.0,)),
+        (prime_count_gap, (True,)),
+        (prime_valuation_central_binomial, (5.0, 4)),
+        (prime_valuation_central_binomial, (5, 4.0)),
+        (no_prime_double_is_central_binomial, (4.0,)),
+        (no_prime_double_is_central_binomial, (True,)),
+        (central_binomial_solve, (70.0,)),
+        (central_binomial_solve, (70, 5.0)),
+        (central_binomial_solve, (True,)),
+    ],
+)
+def test_numbers_that_are_not_int_are_refused(call, args):
+    # a float or a bool used to be answered (7.0 prime, True a gap of 1)
+    # or to raise TypeError; each is a ValueError that names the argument
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(*args)
+
+
+def test_legendre_sum_refuses_p_below_two():
+    # p = 1 never grows past 2h, so the sum would loop forever
+    for p in (1, 0, -3):
+        with pytest.raises(ValueError, match="p must be a prime"):
+            prime_valuation_central_binomial(p, 5)
+
+
+# --- The shared odd-only sieve: every growth order gives the oracle's answers ---
+
+K_SHARED = 20  # the benchmark's k_max
+
+
+@lru_cache(maxsize=None)
+def oracle_primes(n):
+    return primes_up_to(n)
+
+
+def oracle_interval(lo, hi):
+    """The oracle's primes p with lo < p <= hi."""
+    primes = oracle_primes(1 << K_SHARED)
+    return primes[bisect.bisect_right(primes, lo) : bisect.bisect_right(primes, hi)]
+
+
+@pytest.fixture
+def fresh_sieve(monkeypatch):
+    """An empty module sieve and an empty binomial cache, restored after."""
+    monkeypatch.setattr(numth, "_ODD_FLAGS", bytearray())
+    _central_binomial.cache_clear()
+    yield
+    _central_binomial.cache_clear()
+
+
+def reset():
+    numth._ODD_FLAGS = bytearray()
+    _central_binomial.cache_clear()
+
+
+def check_gap(k):
+    assert prime_count_gap(k) == len(oracle_interval(1 << (k - 1), 1 << k)), k
+
+
+def check_witnesses():
+    ok, witnesses = no_prime_double_is_central_binomial(K_SHARED)
+    assert ok
+    assert sorted(witnesses) == list(range(3, K_SHARED + 1))
+    for k, primes in witnesses.items():
+        assert primes == oracle_interval(1 << (k - 1), 1 << k), k
+
+
+def check_binomials():
+    _central_binomial.cache_clear()
+    for h in range(1, 401):
+        assert _central_binomial(h) == math.comb(2 * h, h), h
+
+
+@pytest.mark.parametrize("order", ["small_first", "large_first", "reset_each"])
+def test_shared_sieve_answers_in_every_growth_order(order, fresh_sieve):
+    if order == "small_first":
+        check_binomials()
+        for k in range(1, K_SHARED + 1):
+            check_gap(k)
+        check_witnesses()
+    elif order == "large_first":
+        check_witnesses()
+        for k in range(K_SHARED, 0, -1):
+            check_gap(k)
+        check_binomials()
+    else:
+        for k in range(1, K_SHARED + 1):
+            reset()
+            check_gap(k)
+        reset()
+        check_witnesses()
+        for h in range(1, 401):
+            reset()
+            assert _central_binomial(h) == math.comb(2 * h, h), h
+        reset()
+        check_binomials()
+    if order != "reset_each":
+        # the sieve of 2^20 holds one byte per odd number, and never shrinks
+        assert len(numth._ODD_FLAGS) == 1 << (K_SHARED - 1)
+
+
+class Watched(bytearray):
+    """A sieve that records the highest index a read reaches: a slice, a
+    ``count`` or an iteration over the whole.  A read it cannot see (a
+    memoryview) leaves ``reach`` at 0, which the test below refuses."""
+
+    reach = 0
+
+    def _reach(self, stop):
+        self.reach = max(self.reach, len(self) if stop is None else stop)
+
+    def __getitem__(self, key):
+        self._reach(key.stop if isinstance(key, slice) else key + 1)
+        return super().__getitem__(key)
+
+    def count(self, sub, start=0, end=None):
+        self._reach(end)
+        return super().count(sub, start, len(self) if end is None else end)
+
+    def __iter__(self):
+        self._reach(None)
+        return super().__iter__()
+
+
+def test_no_read_goes_past_the_callers_bound(fresh_sieve, monkeypatch):
+    # the true flags of the odd numbers below 2^12, then every odd number
+    # up to 2^13 marked prime: a gap that read past its bound would count
+    # the poison, and `reach` shows any overrun the answers cannot
+    top = 12
+    primes = set(oracle_primes(1 << top))
+    flags = bytes(2 * i + 1 in primes for i in range(1 << (top - 1)))
+    sieve = Watched(flags + b"\x01" * (1 << (top - 1)))
+    monkeypatch.setattr(numth, "_ODD_FLAGS", sieve)
+    assert prime_count_gap(1) == 1 and sieve.reach == 0
+    for k in range(2, top + 1):
+        sieve.reach = 0
+        check_gap(k)
+        assert 0 < sieve.reach <= 1 << (k - 1), k
+    sieve.reach = 0
+    ok, witnesses = no_prime_double_is_central_binomial(top)
+    assert ok and witnesses[top] == oracle_interval(1 << (top - 1), 1 << top)
+    assert 0 < sieve.reach <= 1 << (top - 1)
+    for h in (1, 2, 3, 100, 2047, 2048):
+        _central_binomial.cache_clear()
+        sieve.reach = 0
+        assert _central_binomial(h) == math.comb(2 * h, h), h
+        assert 0 < sieve.reach <= h, h
+    assert numth._ODD_FLAGS is sieve  # no read rebuilt the longer sieve
