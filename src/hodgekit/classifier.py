@@ -285,9 +285,10 @@ def _su_bound_group(profile: HodgeProfile, sub: SubfieldDescriptor) -> GroupExpr
 # ---------------------------------------------------------------------------
 
 # The wedge alternative SU(2^k) acts on the middle wedge of A_{2^k-1}.
-# classify reaches only k <= 6, because n lies below the primality bound
-# MR_EXACT_BOUND (about 3.3e24) and C(2^7, 2^6) is about 2.4e37; the cap
-# stays 20 because the note that drops the alternative names it.
+# classify reaches only k <= 13, because a JSON number has at most 4,300
+# digits (Python's default limit on reading an int) and C(2^14, 2^13) has
+# about 4,930; the cap stays 20 because the note that drops the
+# alternative names it.
 _WEDGE_K_MAX = 20
 
 

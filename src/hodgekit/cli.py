@@ -16,7 +16,10 @@ internal invariant) with exit 4, and a ``ValueError`` (bad input; the
 package's ``InvalidProfileError``, ``InvalidModelError`` and
 ``InconsistentSubfieldError`` all derive from it) with
 ``error: <message>`` on stderr and exit 2.  Bad input is refused by two
-readers: JSON objects by ``core._require_object``, argv numbers by ``_ints``.
+readers: JSON objects by ``core._require_object``, and every number in
+argv by ``_ints``, which takes ASCII ``-?[0-9]+`` only (argparse converts
+no number).  Past the readers, every number meets the package's one
+integer rule, ``numth._require_int``.
 
 Each subcommand imports the engine it calls when it runs, so a one-shot
 process loads only its own subcommand's modules: ``numth verify`` never
@@ -60,6 +63,8 @@ def _read_json(path: Optional[str]):
             f"malformed JSON in {where} at line {exc.lineno} column "
             f"{exc.colno} (char {exc.pos}): {exc.msg}"
         ) from None
+    except RecursionError:
+        raise ValueError(f"JSON in {where} nests too deeply to read") from None
 
 
 def _subfields(data) -> list[SubfieldDescriptor]:
@@ -142,14 +147,22 @@ def _cmd_classify(args):
         return {"error": "not_realizable", "detail": str(exc)}, EXIT_NEGATIVE
 
 
-def _ints(text: str, complaint: str) -> list[int]:
+def _ints(text: str, complaint: str, count: Optional[int] = None) -> list[int]:
     """The comma-separated integers of argv ``text``, each written as ASCII
-    ``-?[0-9]+``, else ``complaint``.  ``int()`` alone would also take a
-    ``+``, an ``_``, blanks and non-ASCII digits."""
+    ``-?[0-9]+``, and ``count`` of them if given; else ``complaint``.
+    ``int()`` alone would also take a ``+``, an ``_``, blanks and non-ASCII
+    digits."""
     items = text.split(",")
-    if not all(re.fullmatch("-?[0-9]+", x) for x in items):
+    if count not in (None, len(items)) or not all(
+        re.fullmatch("-?[0-9]+", x) for x in items
+    ):
         raise ValueError(complaint)
     return [int(x) for x in items]
+
+
+def _int(text: str, name: str) -> int:
+    """The one argv number ``text`` of the slot ``name``, read by ``_ints``."""
+    return _ints(text, f"{name} must be an integer, got {text!r}", 1)[0]
 
 
 def _parse_coords(text: str, rank: int) -> rootsys.Weight:
@@ -165,13 +178,14 @@ def _cmd_weights(args):
     from . import rootsys
 
     if args.weights_cmd == "verify-table2":
-        if args.max_rank < 1:
-            raise ValueError(f"--max-rank must be at least 1, got {args.max_rank}")
-        rootsys._check_rank_cap(args.max_rank)
+        max_rank = _int(args.max_rank, "--max-rank")
+        if max_rank < 1:
+            raise ValueError(f"--max-rank must be at least 1, got {max_rank}")
+        rootsys._check_rank_cap(max_rank)
         specs = [
             (kind, rank)
             for kind, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
-            for rank in range(lo, args.max_rank + 1)
+            for rank in range(lo, max_rank + 1)
         ]
         specs += [("E", 6), ("E", 7)]
         # one system alive at a time: its roots are garbage once verified
@@ -182,7 +196,7 @@ def _cmd_weights(args):
         lines = [f"{'PASS' if r['ok'] else 'FAIL'} {r['system']}" for r in reports]
         payload = "\n".join(lines) if args.pretty else {"ok": ok, "rows": reports}
         return payload, EXIT_OK if ok else EXIT_NEGATIVE
-    rs = rootsys.RootSystem(args.kind.upper(), args.rank)
+    rs = rootsys.RootSystem(args.kind.upper(), _int(args.rank, "rank"))
     weight = _parse_coords(args.coords, rs.rank)
     if args.weights_cmd == "dim":
         key, value = "dim", rootsys.rep_dimension(rs, weight)
@@ -225,9 +239,7 @@ def _build_model(args) -> cmtools.GaloisModel:
     elif family not in ("cyclic", "dihedral", "abelian"):
         raise ValueError(f"unknown group spec {args.group!r}")
     bad = f"bad numbers {rest!r} in --group {args.group!r}"
-    numbers = _ints(rest, bad)
-    if family != "abelian" and len(numbers) != 1:
-        raise ValueError(bad)
+    numbers = _ints(rest, bad, None if family == "abelian" else 1)
     if family == "perms":
         size = numbers[0]
         flag = f"--group {args.group!r}"
@@ -269,7 +281,7 @@ def _cmd_cm(args):
 def _cmd_numth(args):
     from . import numth
 
-    k_max = args.k_max
+    k_max = _int(args.k_max, "--k-max")
     if k_max < 3:
         raise ValueError(f"--k-max must be at least 3, got {k_max}")
     numth._check_verify_cap(k_max)
@@ -298,13 +310,12 @@ def _cmd_numth(args):
 
 def _cmd_abelian(args):
     from .consequences import AbelianProfile, hodge_status, murty_equal
-    from .core import _endo_from_json, _require_int, _require_object
+    from .core import _endo_from_json, _require_object
 
     data = _read_json(args.profile)
     _require_object(data, "abelian profile", (), ("dim", "endo", "subfields"))
-    dim = _require_int(data.get("dim"), "dim")
     endo = _endo_from_json(data.get("endo"))
-    ap = AbelianProfile(dim, endo, _subfields(data.get("subfields", [])))
+    ap = AbelianProfile(data.get("dim"), endo, _subfields(data.get("subfields", [])))
     equal, rationale = murty_equal(ap)
     payload = {
         "murty_equal": equal,
@@ -373,11 +384,14 @@ def build_parser() -> argparse.ArgumentParser:
     v = wsub.add_parser(
         "verify-table2", parents=[common], help="check the minuscule table"
     )
-    v.add_argument("--max-rank", type=int, default=10)
+    v.add_argument("--max-rank", default="10")
     for name in ("dim", "autodual", "length"):
         w = wsub.add_parser(name, parents=[common])
+        # argparse takes "-1,0" for an option, not the coordinates, unless
+        # it counts as a number; no option of this parser starts "-<digit>"
+        w._negative_number_matcher = re.compile("-[0-9]")
         w.add_argument("kind", help="A, B, C, D or E")
-        w.add_argument("rank", type=int)
+        w.add_argument("rank")
         w.add_argument("coords", help="comma-separated fundamental coordinates")
     p.set_defaults(func=_cmd_weights)
 
@@ -412,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("numth", help="number-theoretic verification")
     nsub = p.add_subparsers(dest="numth_cmd", required=True)
     v = nsub.add_parser("verify", parents=[common], help="run all arithmetic checks")
-    v.add_argument("--k-max", type=int, default=10)
+    v.add_argument("--k-max", default="10")
     p.set_defaults(func=_cmd_numth)
 
     p = sub.add_parser("abelian", help="consequences for abelian varieties")

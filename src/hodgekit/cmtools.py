@@ -38,7 +38,7 @@ from itertools import combinations, compress, product
 from typing import Callable, Hashable, Iterator, NamedTuple, Optional, Sequence
 
 from .intlinalg import integer_rank
-from .numth import is_prime
+from .numth import _is_int, _require_int, _require_ints, is_prime
 
 Perm = tuple[int, ...]
 
@@ -129,7 +129,7 @@ def parse_cycles(text: str, size: int) -> Perm:
 
 
 def _check_degree(size: int) -> None:
-    if size > MAX_DEGREE:
+    if _require_int(size, "size") > MAX_DEGREE:
         raise InvalidModelError(
             f"degree {size} is over the cap MAX_DEGREE = {MAX_DEGREE} for CM models"
         )
@@ -156,7 +156,7 @@ class GaloisModel(_ModelFields):
         # count in _odd_characters or inflate a rank, so none is coerced
         points = list(range(size))
         for perm in gens + (conj,):
-            if any(type(x) is not int for x in perm) or sorted(perm) != points:
+            if not all(map(_is_int, perm)) or sorted(perm) != points:
                 raise InvalidModelError(f"{perm} is not a permutation of 0..{size - 1}")
         if compose(conj, conj) != identity_perm(size):
             raise InvalidModelError("conjugation must have order 2")
@@ -205,10 +205,7 @@ def abelian_model(factors: Sequence[int]) -> GaloisModel:
     the element of order 2 in the last even factor; for another one,
     pass these generators and the wanted conj to GaloisModel (on the
     command line, give it with --iota)."""
-    dims = list(factors)
-    for d in dims:
-        if type(d) is not int:
-            raise InvalidModelError(f"cyclic factor {d!r} is not an int")
+    dims = _require_ints(list(factors), "cyclic factor")
     if any(d < 2 for d in dims):
         raise InvalidModelError("cyclic factors must be >= 2")
     size = math.prod(dims)
@@ -233,7 +230,7 @@ def dihedral_model(n: int) -> GaloisModel:
     """Regular action of the dihedral group of order 2n (n even, so the
     central rotation by n/2 serves as conjugation).  Point a + n*b stands
     for rotation^a * flip^b."""
-    if n % 2 != 0:
+    if _require_int(n, "n") % 2 != 0:
         raise InvalidModelError("dihedral CM model needs n even")
     size = 2 * n
     _check_degree(size)
@@ -260,10 +257,7 @@ class CMType(_TypeFields):
     __slots__ = ()
 
     def __new__(cls, theta):
-        theta = tuple(theta)
-        for x in theta:
-            if type(x) is not int:
-                raise ValueError(f"CM type entry {x!r} is not an int")
+        theta = _require_ints(tuple(theta), "CM type entry")
         return tuple.__new__(cls, (frozenset(theta),))
 
     def sorted(self) -> tuple[int, ...]:

@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 from .classifier import NotRealizableError, SubfieldDescriptor, classify
 from .classifier import su_constraint
 from .core import FAM_SU_LE, EndomorphismDescriptor, HodgeProfile, InvalidProfileError
-from .numth import is_prime
+from .numth import _require_int, is_prime
 
 PROVEN = "proven"
 OPEN = "open"
@@ -33,6 +33,7 @@ class AbelianProfile(_AbelianFields):
     __slots__ = ()
 
     def __new__(cls, dim, endo, subfields=()):
+        _require_int(dim, "dim")
         self = tuple.__new__(cls, (dim, endo, tuple(subfields)))
         if self.dim % 2 != 0 or self.p == 2 or not is_prime(self.p):
             raise InvalidProfileError(

@@ -7,9 +7,11 @@ n, and a description of the endomorphism division algebra in Albert's
 classification.  Number fields are abstracted to their degrees; trace
 data over a CM center is carried as a list of nonnegative integer pairs.
 Every JSON object read from outside goes through ``_require_object``, and
-every integer field through ``_require_int``, which lives in ``numth``
-so that the engines check numbers with the same predicate without
-loading this module.
+every integer field through ``_require_int``.  That check is the
+package's one integer rule, ``numth``'s: the type is ``int`` itself, so
+a ``bool``, a float or an ``int`` subclass is refused, never coerced.  It
+lives in ``numth`` so that the engines check numbers with the same rule
+without loading this module.
 
 The package's records are ``typing.NamedTuple`` classes: immutable,
 hashable and compared field by field.  A record that checks or
@@ -167,7 +169,8 @@ class GroupExpr(_GroupFields):
 
     base_degree g means restriction of scalars from a totally real field
     of degree g over Q (1 = no restriction); param carries the k or r the
-    family needs.  Equality is field-by-field after normalization.
+    family needs.  Each number kept must be an int; nothing is coerced.
+    Equality is field-by-field after normalization.
     """
 
     __slots__ = ()
@@ -179,15 +182,15 @@ class GroupExpr(_GroupFields):
             raise ValueError(f"unknown group family {family!r}")
         if family in _PARAMLESS:
             param = None
-        elif param is None or param < 1:
+        elif param is None or _require_int(param, "param") < 1:
             raise ValueError(f"family {family} needs a positive param")
-        if base_degree < 1:
+        if _require_int(base_degree, "base_degree") < 1:
             raise ValueError("base_degree must be >= 1")
         if family in _TORI:
             rep = REP_NONE
         if rep != REP_EXTERIOR:
             rep_param = None
-        elif rep_param is None or rep_param < 1:
+        elif rep_param is None or _require_int(rep_param, "rep_param") < 1:
             raise ValueError("exterior_power rep needs rep_param j >= 1")
         return tuple.__new__(cls, (family, param, base_degree, rep, rep_param))
 

@@ -8,15 +8,15 @@ an entry that is not an int (a bool included) is refused, not coerced.
 
 from __future__ import annotations
 
+from .numth import _require_ints
+
 
 def _checked(rows: list[list[int]]) -> list[list[int]]:
     mat = [list(row) for row in rows]
     if mat and any(len(row) != len(mat[0]) for row in mat):
         raise ValueError("ragged matrix")
     for row in mat:
-        for v in row:
-            if type(v) is not int:
-                raise ValueError(f"matrix entry {v!r} is not an int")
+        _require_ints(row, "matrix entry")
     return mat
 
 

@@ -11,12 +11,21 @@ own range, since the sieve may reach past it.  It also owns the closed-form
 minuscule table and its one inversion, ``_rows_of_dimension``, which
 ``rootsys``, ``central_binomial_solve`` and the classifier all read.
 
-``is_prime`` is the one primality test of the package: deterministic
-Miller-Rabin on the 13 prime bases 2, 3, ..., 41.  No composite below
+``is_prime`` is the one primality test of the package: trial division
+by the 13 primes 2, 3, ..., 41, then Miller-Rabin to those 13 bases.  A
+witness proves n composite at any size.  No composite below
 3,317,044,064,679,887,385,961,981 is a strong pseudoprime to all of them
 (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases",
-Math. Comp. 86 (2017)), so the test is exact below that bound and raises
-ValueError at or above it instead of guessing.
+Math. Comp. 86 (2017)), so an n that passes is prime below that bound;
+at or above it, such an n raises ValueError instead of guessing.
+
+The package's one integer rule lives here too: a number is an integer
+exactly when its type is ``int``, so a ``bool``, a float and an ``int``
+subclass are all refused, never coerced.  ``_require_int`` checks one
+number and ``_require_ints`` a whole row, with the loop inside it, and
+each refuses with ``<where> must be an integer, got <value!r>``.  Every
+module checks its numbers through these, and the command line reads its
+numbers with ``cli._ints`` before they get here.
 """
 
 from __future__ import annotations
@@ -37,14 +46,25 @@ VERIFY_MAX_K = 27
 
 
 def _is_int(value) -> bool:
-    """An ``int`` that is not a ``bool``; ``core`` checks its fields with it too."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """The one integer rule: the type is ``int`` itself, which refuses a
+    ``bool`` and every other ``int`` subclass in one identity test."""
+    return type(value) is int
 
 
 def _require_int(value, where: str) -> int:
-    if not _is_int(value):
+    """``value``, if ``_is_int`` holds for it; else a ValueError naming ``where``."""
+    if type(value) is not int:
         raise ValueError(f"{where} must be an integer, got {value!r}")
     return value
+
+
+def _require_ints(values, where: str):
+    """``_require_int`` on every entry of ``values``, returned as given.  The
+    loop is inside, so a matrix row costs one call, not one per entry."""
+    for value in values:
+        if type(value) is not int:
+            raise ValueError(f"{where} must be an integer, got {value!r}")
+    return values
 
 
 def factorial_two_adic(n: int) -> int:
@@ -244,13 +264,11 @@ MR_EXACT_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Primality by deterministic Miller-Rabin; exact for n < MR_EXACT_BOUND."""
+    """Primality by trial division and Miller-Rabin to the 13 bases.  A
+    factor or a witness decides any n; an n that passes every base is
+    prime below MR_EXACT_BOUND and refused at or above it."""
     if _require_int(n, "n") < 2:
         return False
-    if n >= MR_EXACT_BOUND:
-        raise ValueError(
-            f"primality is decided exactly only below {MR_EXACT_BOUND}, got {n}"
-        )
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
@@ -269,6 +287,10 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= MR_EXACT_BOUND:
+        raise ValueError(
+            f"primality is decided exactly only below {MR_EXACT_BOUND}, got {n}"
+        )
     return True
 
 

@@ -42,6 +42,7 @@ from typing import NamedTuple
 
 from .numth import _COUNT, _DUALITIES, _MIN_RANK, NON_SELF_DUAL, ORTHOGONAL, SYMPLECTIC
 from .numth import _kept_in_twice_odd_dim, _minuscule_rows, _rows_of_dimension
+from .numth import _require_int, _require_ints
 
 # Largest rank a RootSystem is built for.  Root generation grows like l^3
 # and sets the cost of a single-system query: `weights dim`, `autodual` or
@@ -98,10 +99,7 @@ class Weight(_WeightFields):
     ``support`` is cached in the instance dict."""
 
     def __new__(cls, coords):
-        coords = tuple(coords)
-        for c in coords:
-            if type(c) is not int:
-                raise ValueError(f"weight coordinate {c!r} is not an int")
+        coords = _require_ints(tuple(coords), "weight coordinate")
         return tuple.__new__(cls, (coords,))
 
     @property
@@ -125,6 +123,7 @@ class RootSystem:
     def __init__(self, kind: str, rank: int):
         if kind not in _MIN_RANK:
             raise ValueError(f"unknown kind {kind!r}")
+        _require_int(rank, "rank")
         if rank < _MIN_RANK[kind] or (kind == "E" and rank not in (6, 7)):
             raise ValueError(f"rank {rank} out of range for kind {kind}")
         _check_rank_cap(rank)
@@ -281,15 +280,16 @@ def _check_rank_cap(rank: int) -> None:
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def root_system(kind: str, rank: int) -> RootSystem:
-    """Shared, cached system instances (they are immutable after init)."""
+    """Shared, cached system instances (they are immutable after init).
+    Typed, so a 3.0 or a True is not answered from the cache of 3 or 1."""
     return RootSystem(kind, rank)
 
 
 def fundamental_weight(rs: RootSystem, index: int) -> Weight:
     """The fundamental weight with 1-based index."""
-    if not 1 <= index <= rs.rank:
+    if not 1 <= _require_int(index, "index") <= rs.rank:
         raise ValueError(f"index {index} out of range for {rs.name}")
     return Weight(tuple(int(i == index - 1) for i in range(rs.rank)))
 
@@ -325,7 +325,7 @@ def minuscule_weights(rs: RootSystem) -> list[Weight]:
 def rep_dimension(rs: RootSystem, weight: Weight) -> int:
     """Weyl dimension formula, evaluated exactly."""
     if not is_dominant(weight):
-        raise ValueError("rep_dimension needs a dominant weight")
+        raise ValueError(f"rep_dimension needs a dominant weight, got {weight.coords}")
     # <lambda + rho, beta^vee> = <lambda, beta^vee> + height of beta^vee
     heights = rs._coroot_heights
     num = math.prod(map(add, heights, rs._pairings(weight)))
@@ -350,7 +350,9 @@ def autoduality(rs: RootSystem, weight: Weight) -> str:
     positive coroots (even = orthogonal, odd = symplectic).
     """
     if not is_minuscule(rs, weight):
-        raise ValueError("autoduality is defined here for minuscule weights")
+        raise ValueError(
+            f"autoduality is defined here for minuscule weights, got {weight.coords}"
+        )
     if dual_weight(rs, weight) != weight:
         return NON_SELF_DUAL
     total = sum(c * rs._two_rho_vee[j] for j, c in weight.support)
@@ -367,7 +369,7 @@ def weight_length(rs: RootSystem, weight: Weight) -> int:
     lattice, so the length is an integer.
     """
     if not is_dominant(weight):
-        raise ValueError("weight_length needs a dominant weight")
+        raise ValueError(f"weight_length needs a dominant weight, got {weight.coords}")
     _, shift = rs.dominant_representative(tuple(-c for c in weight.coords))
     return min(shift)
 
@@ -439,13 +441,13 @@ def admissible_factors(
     odd or the middle exterior power for A_{2^k-1} with k >= 3.  Hits are
     sorted by kind, rank and weight.
     """
-    if dim < 1:
+    if _require_int(dim, "dim") < 1:
         raise ValueError("dim must be positive")
     if duality not in _DUALITIES:
         raise ValueError(
             f"duality must be one of {', '.join(_DUALITIES)}, got {duality!r}"
         )
-    _check_rank_cap(max_rank)
+    _check_rank_cap(_require_int(max_rank, "max_rank"))
     self_dual = duality != NON_SELF_DUAL
     if self_dual and dim % 2 == 1:
         return []

@@ -567,6 +567,13 @@ CLI_CASES = [
     # floor), so abelian status must not answer it
     (["abelian", "status"], json.dumps(ABELIAN_IV_LOW_RANK), {}, 2),
     (["abelian"], "", {}, 2),
+    # above MR_EXACT_BOUND a factor or a Miller-Rabin base still decides n
+    # (type I, L = Q): an even n, n = 2p with p below the bound, and an odd
+    # n that 3 divides; n = MR_EXACT_BOUND itself passes every base and is
+    # refused above
+    (["classify"], _pj("I", 1, 1, 1, n=3_317_044_064_679_887_385_961_984), {}, 0),
+    (["classify"], _pj("I", 1, 1, 1, n=2 * 1_658_522_032_339_943_692_981_061), {}, 0),
+    (["classify"], _pj("I", 1, 1, 1, n=3_317_044_064_679_887_385_961_983), {}, 0),
 ]
 
 # The two outputs that are text, not JSON.

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import time
@@ -617,3 +618,77 @@ def test_classify_validates_the_profile_once(monkeypatch):
         calls.clear()
         assert classify(profile).applied_rule == rule
         assert len(calls) == 1, rule
+
+
+# --- a conditional verdict covers every completion of its missing data ---
+
+
+def _outcome(profile, subfields):
+    """classify's verdict, or None when it refuses the data."""
+    try:
+        return classify(profile, subfields)
+    except ValueError:
+        return None
+
+
+def _inventories(deg_L):
+    """Every inventory of at most one CM subfield, with both values of
+    each flag."""
+    yield []
+    for deg_E in range(2, deg_L + 1, 2):
+        if deg_L % deg_E == 0:
+            for balanced, galois in itertools.product((True, False), repeat=2):
+                yield [SubfieldDescriptor(deg_E, balanced, galois)]
+
+
+def _gaps():
+    """(profile, subfields, traces, inventories) for each way of leaving
+    data out, where traces and inventories are the values that complete
+    it.  Type IV with q = 1 leaves out the trace list, the subfield
+    inventory or both (trace lists as multisets of pairs, at most 12 per
+    shape); types I-III leave out disc_one."""
+    for w, n in itertools.product((1, 2), range(1, 41)):
+        for g in (g for g in range(1, n + 1) if n % g == 0):
+            m = n // g
+            pairs = [(a, m - a) for a in range(m + 1)]
+            lists = list(itertools.islice(itertools.combinations_with_replacement(pairs, g), 12))
+            inventories = list(_inventories(2 * g))
+
+            def iv(traces):
+                return prof("IV", 2 * g, g, 1, w=w, n=n, traces=traces)
+
+            yield iv(None), None, [iv(t) for t in lists], inventories
+            for traces in lists:
+                yield iv(traces), None, [iv(traces)], inventories
+            for subfields in inventories:
+                yield iv(None), subfields, [iv(t) for t in lists], [subfields]
+            for t, factor, q in (("I", 1, 1), ("II", 4, 2), ("III", 4, 2)):
+                if (2 * n) % (factor * g) == 0:
+                    args = (t, factor * g, g, q)
+                    discs = [prof(*args, w=w, n=n, disc=d) for d in (True, False)]
+                    yield prof(*args, w=w, n=n), None, discs, [None]
+
+
+def test_a_conditional_verdict_covers_each_completion_of_its_data():
+    """Every group of a DETERMINED completion is among the candidates of
+    the CONDITIONAL verdict on the data with gaps."""
+    verdicts = completions = 0
+    missed = []
+    for profile, subfields, profiles, inventories in _gaps():
+        conditional = _outcome(profile, subfields)
+        if conditional is None or conditional.status != CONDITIONAL:
+            continue
+        offered = {c.group for c in conditional.candidates}
+        completed = list(itertools.product(profiles, inventories))
+        verdicts, completions = verdicts + 1, completions + len(completed)
+        for filled, filled_subfields in completed:
+            out = _outcome(filled, filled_subfields)
+            if out is not None and out.status == DETERMINED:
+                missed += [
+                    (filled, filled_subfields, c.group.label())
+                    for c in out.candidates
+                    if c.group not in offered
+                ]
+    assert not missed, missed[:5]
+    # the sweep reaches the branches it is meant to check
+    assert verdicts > 1000 and completions > 40000

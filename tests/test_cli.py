@@ -511,6 +511,11 @@ IV6_ENDO = {"type": "IV", "deg_L": 2, "deg_F": 1, "q": 1, "cm_traces": [[3, 3]]}
 IV6_PROFILE = {"weight": 1, "n": 6, "endo": IV6_ENDO}
 IOTA6 = ["--iota", "(0 3)(1 4)(2 5)"]
 
+# int()'s literal forms that an argv number must not take
+INT_LITERALS = ["1_0", "+6", "\u0666", " 6"]
+# a JSON text nested far past any interpreter's recursion limit, as a file
+DEEP = "@" + "[" * 100_000 + "]" * 100_000
+
 # (argv, the JSON value on stdin, the text the refusal must contain); an
 # argument "@text" stands for the path of a file that holds text
 REFUSALS = [
@@ -569,6 +574,30 @@ REFUSALS = [
     (["cm", "--group", "cyclic:6", "--iota", "(\u0660 3)(1 4)(2 5)", "scan"], None, "in --iota"),
     (["cm", "--group", "cyclic:6", "rank", "--theta", "0,1_0,+2"], None, "'0,1_0,+2' in --theta"),
     (["weights", "dim", "A", "2", "+1,0"], None, "bad weight coordinates '+1,0'"),
+    # the three argv numbers that argparse used to read with int()
+    *[
+        (argv, None, f"{slot} must be an integer, got {text!r}")
+        for text in INT_LITERALS
+        for argv, slot in (
+            (["numth", "verify", "--k-max", text], "--k-max"),
+            (["weights", "verify-table2", "--max-rank", text], "--max-rank"),
+            (["weights", "dim", "A", text, "1,0,0"], "rank"),
+        )
+    ],
+    # coordinates with a leading minus are coordinates, not an option
+    (["weights", "dim", "A", "2", "-1,0"], None, "dominant weight, got (-1, 0)"),
+    # JSON nested past the parser's recursion limit, in every JSON slot
+    *[
+        (argv, IV6_PROFILE, "nests too deeply")
+        for argv in (
+            ["validate", "--profile", DEEP],
+            ["realizable", "--profile", DEEP],
+            ["lefschetz", "--profile", DEEP],
+            ["classify", "--profile", DEEP],
+            ["classify", "--subfields", DEEP],
+            ["abelian", "status", "--profile", DEEP],
+        )
+    ],
 ]
 
 
@@ -651,10 +680,17 @@ def _holds(container, key) -> bool:
     return isinstance(container, list) and isinstance(key, int) and key < len(container)
 
 
+# JSON_VALUES are Python values that json.dumps must write, and the
+# writer recurses too; so texts nested up to far past the reader's
+# recursion limit are drawn as text
+DEEP_JSON = st.integers(1, 100_000).map(lambda depth: "[" * depth + "]" * depth)
+
+
 def _inputs(spec):
     return (
         _near_valid(spec).map(json.dumps)
         | JSON_VALUES.map(json.dumps)
+        | DEEP_JSON
         | st.text(max_size=12)
     )
 
@@ -718,18 +754,20 @@ ARGVS = st.one_of(
         st.just("weights"),
         st.sampled_from(["dim", "autodual", "length"]),
         st.sampled_from(["A", "b", "C", "D", "E", "Z"]),
-        _sizes(MAX_RANK).map(str),
+        _sizes(MAX_RANK).map(str) | st.sampled_from(INT_LITERALS),
         st.lists(st.integers(-1, 2), max_size=17).map(lambda xs: ",".join(map(str, xs))),
     ).map(list),
     # ranks up to 4 only: verify-table2 checks every system up to the rank
-    (st.integers(-1, 4) | st.sampled_from([MAX_RANK + 1, MAX_RANK + 2])).map(
-        lambda r: ["weights", "verify-table2", "--max-rank", str(r)]
-    ),
+    (
+        (st.integers(-1, 4) | st.sampled_from([MAX_RANK + 1, MAX_RANK + 2])).map(str)
+        | st.sampled_from(INT_LITERALS)
+    ).map(lambda r: ["weights", "verify-table2", "--max-rank", r]),
     _cm_argv(),
     # one step over the cap only: each step doubles the sieve's time and memory
-    (st.integers(-2, 16) | st.just(VERIFY_MAX_K + 1)).map(
-        lambda k: ["numth", "verify", "--k-max", str(k)]
-    ),
+    (
+        (st.integers(-2, 16) | st.just(VERIFY_MAX_K + 1)).map(str)
+        | st.sampled_from(INT_LITERALS)
+    ).map(lambda k: ["numth", "verify", "--k-max", k]),
     st.lists(
         st.sampled_from(
             ["validate", "classify", "weights", "cm", "numth", "abelian", "status",

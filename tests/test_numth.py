@@ -23,6 +23,10 @@ from hodgekit.numth import (
 from oracles import central_binomial_mod4_direct, primes_up_to
 
 
+class _Int(int):
+    """An int subclass, which the package's integer rule refuses."""
+
+
 def test_factorial_two_adic_examples():
     assert factorial_two_adic(4) == 3
     assert factorial_two_adic(0) == 0
@@ -168,8 +172,20 @@ def test_is_prime_refuses_at_the_exact_bound():
     assert MR_EXACT_BOUND == 1287836182261 * 2575672364521
     with pytest.raises(ValueError, match=str(MR_EXACT_BOUND)):
         is_prime(MR_EXACT_BOUND)
+    # a factor decides at any size: only an n that passes every base is refused
+    assert is_prime(1 << 100) is False
+
+
+def test_is_prime_decides_above_the_bound_when_a_factor_or_base_witnesses():
+    assert is_prime(MR_EXACT_BOUND + 3) is False  # even
+    assert is_prime(MR_EXACT_BOUND + 2) is False  # 3 divides it
+    # no factor up to 41, so a Miller-Rabin base is the witness
+    composite = ((1 << 61) - 1) * 1_000_000_007
+    assert composite > MR_EXACT_BOUND and math.gcd(composite, math.prod(range(2, 42))) == 1
+    assert is_prime(composite) is False
+    # a prime passes every base, so above the bound it is refused
     with pytest.raises(ValueError, match=str(MR_EXACT_BOUND)):
-        is_prime(1 << 100)
+        is_prime((1 << 89) - 1)
 
 
 def test_dyadic_checks_refuse_k_over_the_cap():
@@ -199,11 +215,14 @@ def test_dyadic_checks_refuse_k_over_the_cap():
         (central_binomial_solve, (70.0,)),
         (central_binomial_solve, (70, 5.0)),
         (central_binomial_solve, (True,)),
+        (is_prime, (_Int(7),)),
+        (factorial_two_adic, (_Int(4),)),
     ],
 )
 def test_numbers_that_are_not_int_are_refused(call, args):
     # a float or a bool used to be answered (7.0 prime, True a gap of 1)
-    # or to raise TypeError; each is a ValueError that names the argument
+    # or to raise TypeError; each is a ValueError that names the argument.
+    # The rule is type(value) is int, so an int subclass is refused too.
     with pytest.raises(ValueError, match="must be an integer"):
         call(*args)
 

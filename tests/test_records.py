@@ -46,6 +46,10 @@ Z6 = cyclic_model(6)
 SHIFT = Z6.generators[0]
 Z4_CONJ = (2, 3, 0, 1)
 
+
+class _Int(int):
+    """An int subclass, which the package's integer rule refuses."""
+
 # (class, the fields of one instance, a field, and another value for it)
 RECORDS = [
     (Violation, dict(code="n_positive", message="n must be >= 1"), "code", "weight_positive"),
@@ -133,10 +137,10 @@ def _non_central_model():
         (_non_central_model, "conjugation must be central"),
         (lambda: AbelianProfile(dim=8, endo=RATIONAL), "2p with p an odd prime"),
         (lambda: AbelianProfile(dim=4, endo=RATIONAL), "2p with p an odd prime"),
-        (lambda: CMType([0.5, 1, 2]), "CM type entry 0.5 is not an int"),
-        (lambda: CMType([2, 0, True]), "CM type entry True is not an int"),
-        (lambda: CMType([2.7, "3", True]), "CM type entry 2.7 is not an int"),
-        (lambda: CMType(["3", 1, 2]), "CM type entry '3' is not an int"),
+        (lambda: CMType([0.5, 1, 2]), "CM type entry must be an integer, got 0.5"),
+        (lambda: CMType([2, 0, True]), "CM type entry must be an integer, got True"),
+        (lambda: CMType([2.7, "3", True]), "CM type entry must be an integer, got 2.7"),
+        (lambda: CMType(["3", 1, 2]), "CM type entry must be an integer, got '3'"),
         # numbers are refused, not coerced, by int() or otherwise
         (
             lambda: EndomorphismDescriptor("IV", 4, 2, 1, cm_traces=[[1, 3], [True, 3.0]]),
@@ -146,9 +150,22 @@ def _non_central_model():
             lambda: EndomorphismDescriptor("IV", 2, 1, 1, cm_traces=[(2.7, "3")]),
             "cm_traces must be an integer, got 2.7",
         ),
-        (lambda: Weight([1, False, 2.0]), "weight coordinate False is not an int"),
-        (lambda: Weight([1, 0, 2.0]), "weight coordinate 2.0 is not an int"),
-        (lambda: Weight(["1"]), "weight coordinate '1' is not an int"),
+        # named by the refused input, which keeps the ids short and distinct
+        pytest.param(
+            lambda: Weight([1, False, 2.0]),
+            "weight coordinate must be an integer, got False",
+            id="<lambda>-weight coordinate False is not an int",
+        ),
+        pytest.param(
+            lambda: Weight([1, 0, 2.0]),
+            "weight coordinate must be an integer, got 2.0",
+            id="<lambda>-weight coordinate 2.0 is not an int",
+        ),
+        pytest.param(
+            lambda: Weight(["1"]),
+            "weight coordinate must be an integer, got '1'",
+            id="<lambda>-weight coordinate '1' is not an int",
+        ),
         # a model's generators and conj are permutations of 0..size-1
         (
             lambda: GaloisModel([(1, 1, 3, 3)], Z4_CONJ, 4),
@@ -185,11 +202,11 @@ def _non_central_model():
         ),
         (lambda: EndomorphismDescriptor("I", 1, disc_one=0), "disc_one must be a boolean"),
         # numbers handed to the Python API are not coerced either
-        (lambda: integer_rank([[0.5, 1.9]]), "matrix entry 0.5 is not an int"),
-        (lambda: integer_rank([[1, 0], [0, True]]), "matrix entry True is not an int"),
-        (lambda: smith_normal_form([[2.9]]), "matrix entry 2.9 is not an int"),
-        (lambda: abelian_model([2.7, 4]), "cyclic factor 2.7 is not an int"),
-        (lambda: abelian_model([4, True]), "cyclic factor True is not an int"),
+        (lambda: integer_rank([[0.5, 1.9]]), "matrix entry must be an integer, got 0.5"),
+        (lambda: integer_rank([[1, 0], [0, True]]), "matrix entry must be an integer, got True"),
+        (lambda: smith_normal_form([[2.9]]), "matrix entry must be an integer, got 2.9"),
+        (lambda: abelian_model([2.7, 4]), "cyclic factor must be an integer, got 2.7"),
+        (lambda: abelian_model([4, True]), "cyclic factor must be an integer, got True"),
         (
             lambda: exclude_sl2_product([("SL", 2.7), ("SO", 6)]),
             "factor size must be an integer, got 2.7",
@@ -198,6 +215,43 @@ def _non_central_model():
             lambda: exclude_sl2_product([("SL", 2), ("Sp", True)]),
             "factor size must be an integer, got True",
         ),
+        # the constructors that used to coerce a number or fail on it with a
+        # TypeError refuse it by name, by numth's one integer rule
+        (lambda: GroupExpr("Sp", param=2.5), "param must be an integer, got 2.5"),
+        (lambda: GroupExpr("Sp", param=True), "param must be an integer, got True"),
+        (
+            lambda: GroupExpr("U(B)", param=2, base_degree=1.0),
+            "base_degree must be an integer, got 1.0",
+        ),
+        (
+            lambda: GroupExpr("SU(2^k)", 3, rep=core.REP_EXTERIOR, rep_param=2.0),
+            "rep_param must be an integer, got 2.0",
+        ),
+        (lambda: rootsys.RootSystem("A", True), "rank must be an integer, got True"),
+        (lambda: rootsys.RootSystem("A", 3.0), "rank must be an integer, got 3.0"),
+        # the shared systems are cached by type too: 2.0 is not answered as 2
+        (
+            lambda: [rootsys.root_system("B", r) for r in (2, 2.0)],
+            "rank must be an integer, got 2.0",
+        ),
+        (
+            lambda: rootsys.fundamental_weight(rootsys.RootSystem("A", 2), 1.0),
+            "index must be an integer, got 1.0",
+        ),
+        (
+            lambda: rootsys.admissible_factors(6.0, rootsys.ORTHOGONAL),
+            "dim must be an integer, got 6.0",
+        ),
+        (
+            lambda: rootsys.admissible_factors(6, rootsys.ORTHOGONAL, 16.0),
+            "max_rank must be an integer, got 16.0",
+        ),
+        (lambda: cmtools.dihedral_model(4.0), "n must be an integer, got 4.0"),
+        (lambda: GaloisModel([(1, 2, 3, 0)], Z4_CONJ, 4.0), "size must be an integer, got 4.0"),
+        (lambda: parse_cycles("(0 1)", 2.0), "size must be an integer, got 2.0"),
+        (lambda: AbelianProfile(dim=True, endo=RATIONAL), "dim must be an integer, got True"),
+        # an int subclass is not an int either
+        (lambda: Weight([_Int(1)]), "weight coordinate must be an integer, got 1"),
     ],
 )
 def test_validated_records_refuse(build, complaint):
