@@ -442,6 +442,22 @@ CLI_CASES = [
         {"s.json": BALANCED},
         0,
     ),
+    # one case per conditional branch: the n = 4 trace gap, the n = 4 torus
+    # and the general torus (n = 8) without an inventory, the n = 2p
+    # inventory gaps at [L:Q] = 4, 6 (the balanced alternative is below the
+    # rank floor) and 12 = 4p, the n = 2p Galois gap, the [L:Q] = 2 trace
+    # gap at n = 9, and a determined answer on a profile not confirmed
+    # realizable (type III, m = 2, disc_one absent)
+    (["classify"], _pj("IV", 2, 1, 1), {}, 0),
+    (["classify"], _pj("IV", 8, 4, 1), {}, 0),
+    (["classify"], _pj("IV", 16, 8, 1, n=8), {}, 0),
+    (["classify"], _pj("IV", 4, 2, 1, n=6), {}, 0),
+    (["classify"], _pj("IV", 6, 3, 1, n=6), {}, 0),
+    (["classify"], _pj("IV", 12, 6, 1, n=6), {}, 0),
+    (["classify", "--subfields", "@s.json"], _pj("IV", 12, 6, 1, n=6), {"s.json": BALANCED}, 0),
+    # the upper bound SU(B,-) is offered although no pair (a, 9 - a) balances
+    (["classify"], _pj("IV", 2, 1, 1, n=9), {}, 0),
+    (["classify"], _pj("III", 4, 1, 2), {}, 0),
     (["weights", "dim", "A", "3", "0,1,0"], "", {}, 0),
     (["weights", "dim", "E", "7", "0,0,0,0,0,0,1", "--pretty"], "", {}, 0),
     (["weights", "autodual", "C", "3", "1,0,0"], "", {}, 0),
