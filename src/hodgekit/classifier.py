@@ -11,13 +11,22 @@ Lefschetz group as an upper bound.  Missing optional data (trace lists,
 discriminant flags, subfield inventories, the Galois flag) degrades the
 status to conditional instead of guessing.
 
+The Hodge group in the torus case (type IV, m = 1, where the Lefschetz
+group is the norm-one torus U_L) is settled at three half-dimensions.  At
+n = p it is the Lefschetz group (Ribet; Tankeev).  At n = 4 a balanced
+imaginary quadratic subfield E cuts it to SU_{L/E} (Moonen and Zarhin),
+and at n = 2p the same cut holds when L/Q is moreover Galois (the source
+paper).
+Elsewhere the cut is only a containment, reported as an upper bound.
+
 ``classify`` validates the profile once (inside ``realizable``), computes
 the Lefschetz group once, and hands it to every branch.  The branches
 build their outcomes from a few shared pieces: ``_single`` (one proven
 candidate), ``_upper`` (a possible upper bound), ``_subfield_bounds``
-(the bounds from balanced subfields) and ``_with_wedge`` (the Lefschetz
-group plus the special-unitary wedge alternative, when it exists).  The
-wedge and SL(2)-product alternatives are read off ``numth``'s table.
+(the bounds from the balanced subfields, which a verdict finds in one
+pass) and ``_with_wedge`` (the Lefschetz group plus the special-unitary
+wedge alternative, when it exists).  The wedge and SL(2)-product
+alternatives are read off ``numth``'s table.
 """
 
 from __future__ import annotations
@@ -274,12 +283,6 @@ def _balanced_any(
     return [s for s in subfields if su_constraint(profile, s)]
 
 
-def _su_bound_group(profile: HodgeProfile, sub: SubfieldDescriptor) -> GroupExpr:
-    """R_{J/Q}SU(C,-) for the centralizer C of E, as a symbolic group."""
-    size = (2 * profile.n) // sub.deg_E
-    return GroupExpr(FAM_SU_B, param=size, base_degree=sub.deg_E // 2)
-
-
 # ---------------------------------------------------------------------------
 # Outcome builders
 # ---------------------------------------------------------------------------
@@ -318,15 +321,19 @@ def _upper(group: GroupExpr, condition: str = "upper bound") -> Candidate:
     return Candidate(group, condition=condition, occurs=OCCURS_POSSIBLE)
 
 
-def _subfield_bounds(profile: HodgeProfile, subfields) -> list[Candidate]:
-    """The special-unitary upper bound from each balanced subfield."""
-    return [
-        _upper(
-            _guard(profile, _su_bound_group(profile, sub), "balanced subfield"),
-            f"upper bound from the balanced degree-{sub.deg_E} subfield",
+def _subfield_bounds(
+    profile: HodgeProfile, balanced: Sequence[SubfieldDescriptor]
+) -> list[Candidate]:
+    """The upper bound R_{J/Q}SU(C,-), for the centralizer C of E, from each
+    balanced subfield E."""
+    cands = []
+    for sub in balanced:
+        su = GroupExpr(
+            FAM_SU_B, param=(2 * profile.n) // sub.deg_E, base_degree=sub.deg_E // 2
         )
-        for sub in _balanced_any(profile, subfields)
-    ]
+        cond = f"upper bound from the balanced degree-{sub.deg_E} subfield"
+        cands.append(_upper(_guard(profile, su, "balanced subfield"), cond))
+    return cands
 
 
 def _with_wedge(
@@ -390,9 +397,7 @@ def _classify_n4(profile: HodgeProfile, lef: GroupExpr, subfields):
             )
         return _single(su if endo.cm_traces[0] == (2, 2) else lef, RULE_N4)
     # deg_L = 8: the torus, cut down by a balanced quadratic subfield
-    return _classify_iv_torus(
-        profile, lef, subfields, RULE_N4, equality_known=True
-    )
+    return _classify_iv_torus(profile, lef, subfields)
 
 
 def _classify_2p(profile: HodgeProfile, lef: GroupExpr, subfields):
@@ -517,18 +522,20 @@ def _classify_quaternion(profile: HodgeProfile, lef: GroupExpr):
 
 
 def _classify_iv_torus(
-    profile: HodgeProfile,
-    lef: GroupExpr,
-    subfields,
-    rule: str,
-    equality_known: bool,
+    profile: HodgeProfile, lef: GroupExpr, subfields
 ) -> ClassificationOutcome:
     """m = 1: the Lefschetz group is the norm-one torus of the CM field.
 
     A balanced imaginary quadratic subfield cuts the torus down to the
-    relative-norm-one subtorus; whether that containment is an equality
-    is known only for the special half-dimensions (equality_known).
+    relative-norm-one subtorus.  That containment is an equality at n = 4
+    (Moonen and Zarhin), the one n at which this branch proves it.  At
+    n = 1 and n = p (Ribet, Tankeev) ``classify`` answers the Lefschetz
+    group before it dispatches, and n = 2p, where equality also needs L/Q
+    Galois, has its own rule in ``_classify_2p``.  Every other n reaches
+    this branch from ``_classify_type_iv`` and gets bounds only.
     """
+    equality_known = profile.n == 4
+    rule = RULE_N4 if equality_known else RULE_IV_TORUS
     su_le = GroupExpr(FAM_SU_LE, param=profile.endo.deg_F)
     if subfields is None:
         occurs = OCCURS_PROVEN if equality_known else OCCURS_POSSIBLE
@@ -561,7 +568,7 @@ def _classify_iv_torus(
             RULE_UPPER,
             ("containment known, equality not proved at this n",),
         )
-    bounds = _subfield_bounds(profile, subfields)
+    bounds = _subfield_bounds(profile, _balanced_any(profile, subfields))
     if equality_known and not bounds:
         return _single(lef, rule)
     return ClassificationOutcome(
@@ -604,9 +611,7 @@ def _classify_type_iv(profile: HodgeProfile, lef: GroupExpr, subfields):
             note="multiplicities neither coprime nor balanced: no determination",
         )
     if m == 1:
-        return _classify_iv_torus(
-            profile, lef, subfields, RULE_IV_TORUS, equality_known=False
-        )
+        return _classify_iv_torus(profile, lef, subfields)
     su = GroupExpr(FAM_SU_B, param=m, base_degree=endo.deg_F)
     balanced_full = (
         traces is not None
@@ -617,32 +622,30 @@ def _classify_type_iv(profile: HodgeProfile, lef: GroupExpr, subfields):
     if balanced_full:
         claim = "balanced full-CM action with prime half-multiplicity"
         return _single(_guard(profile, su, claim), RULE_IV_FULL_CM)
-    if m == 2 and _balanced_any(profile, subfields):
+    balanced = _balanced_any(profile, subfields)
+    if m == 2 and balanced:
         claim = "balanced subfield with multiplicity 2"
         return _single(_guard(profile, su, claim), RULE_IV_M2)
-    if traces is not None and subfields:
-        coprime = all(math.gcd(a, b) == 1 for a, b in traces)
-        index2 = [
-            s
-            for s in _balanced_any(profile, subfields)
-            if s.deg_E * 2 == endo.deg_L
-        ]
-        if coprime and index2:
-            claim = "balanced index-2 subfield with coprime multiplicities"
-            return _single(_guard(profile, su, claim), RULE_IV_INDEX2)
+    if (
+        traces is not None
+        and all(math.gcd(a, b) == 1 for a, b in traces)
+        and any(s.deg_E * 2 == endo.deg_L for s in balanced)
+    ):
+        claim = "balanced index-2 subfield with coprime multiplicities"
+        return _single(_guard(profile, su, claim), RULE_IV_INDEX2)
     note = None
     if subfields is None and m % 2 == 0:
         note = "subfield inventory not supplied; only the upper bound is reported"
-    return _fallback(profile, lef, note=note, subfields=subfields)
+    return _fallback(profile, lef, note=note, balanced=balanced)
 
 
 def _fallback(
     profile: HodgeProfile,
     lef: GroupExpr,
     note: Optional[str] = None,
-    subfields: Optional[Sequence[SubfieldDescriptor]] = None,
+    balanced: Sequence[SubfieldDescriptor] = (),
 ) -> ClassificationOutcome:
-    cands = (_upper(lef), *_subfield_bounds(profile, subfields))
+    cands = (_upper(lef), *_subfield_bounds(profile, balanced))
     notes = ("outside the classified cases",)
     if note:
         notes += (note,)

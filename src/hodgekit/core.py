@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .numth import _is_int, _require_int
+from .numth import _COUNT, _is_int, _require_int
 
 ALBERT_TYPES = ("I", "II", "III", "IV")
 
@@ -130,19 +130,22 @@ FAM_SU_LE = "SU_{L/E}"  # relative-norm-one subtorus, rank r-1
 FAM_SL2_SO4 = "SL(2)xSO(4)"
 FAM_SO7 = "SO(7)"
 
-GROUP_FAMILIES = (
-    FAM_SP,
-    FAM_SO,
-    FAM_SP_B,
-    FAM_O_PLUS_B,
-    FAM_U_B,
-    FAM_SU_B,
-    FAM_SU_POW2,
-    FAM_U_L,
-    FAM_SU_LE,
-    FAM_SL2_SO4,
-    FAM_SO7,
-)
+# (absolute rank, |Phi^+|) of each family over an algebraic closure, at
+# base degree 1; its keys are the families a GroupExpr accepts, and the root
+# counts come from the one table, ``numth._COUNT``.
+_ROOT_DATA = {
+    FAM_SP: lambda k: (k, _COUNT["C"](k)),
+    FAM_SP_B: lambda k: (k, _COUNT["C"](k)),
+    FAM_SO: lambda k: (k, _COUNT["D"](k)),
+    FAM_O_PLUS_B: lambda k: (k, _COUNT["D"](k)),
+    FAM_U_B: lambda k: (k, _COUNT["A"](k - 1)),  # GL(k): A_{k-1} and the centre
+    FAM_SU_B: lambda k: (k - 1, _COUNT["A"](k - 1)),
+    FAM_SU_POW2: lambda k: ((1 << k) - 1, _COUNT["A"]((1 << k) - 1)),
+    FAM_U_L: lambda k: (k, 0),
+    FAM_SU_LE: lambda k: (k - 1, 0),
+    FAM_SL2_SO4: lambda k: (3, 3),  # A1 x A1 x A1
+    FAM_SO7: lambda k: (3, _COUNT["B"](3)),
+}
 
 REP_STANDARD = "standard"
 REP_SPIN = "spin"
@@ -178,7 +181,7 @@ class GroupExpr(_GroupFields):
     def __new__(
         cls, family, param=None, base_degree=1, rep=REP_STANDARD, rep_param=None
     ):
-        if family not in GROUP_FAMILIES:
+        if family not in _ROOT_DATA:
             raise ValueError(f"unknown group family {family!r}")
         if family in _PARAMLESS:
             param = None

@@ -12,30 +12,25 @@ Albert type, the weight parity, and the degree data:
 
 Matrix sizes: 2n/[F:Q] for type I, 2m for the quaternionic forms, mq for
 the unitary family.  When mq = 1 the unitary group degenerates to the
-norm-one torus of the CM field, which is how it is reported.
+norm-one torus of the CM field, which is how it is reported.  Ranks and
+dimensions read ``core._ROOT_DATA``, the table whose keys are the families.
 """
 
 from __future__ import annotations
 
 from .core import (
     FAM_O_PLUS_B,
-    FAM_SL2_SO4,
     FAM_SO,
-    FAM_SO7,
     FAM_SP,
     FAM_SP_B,
-    FAM_SU_B,
-    FAM_SU_LE,
-    FAM_SU_POW2,
     FAM_U_B,
     FAM_U_L,
     GroupExpr,
     HodgeProfile,
     ODD,
-    REP_NONE,
+    _ROOT_DATA,
     require_valid,
 )
-from .numth import _COUNT
 
 
 def lefschetz_group(profile: HodgeProfile) -> GroupExpr:
@@ -61,25 +56,8 @@ def _lefschetz_group(profile: HodgeProfile) -> GroupExpr:
     size = m * profile.endo.q
     if size == 1:
         # B is the CM field L itself; U(B,-) is the norm-one torus U_L.
-        return GroupExpr(FAM_U_L, param=g, rep=REP_NONE)
+        return GroupExpr(FAM_U_L, param=g)
     return GroupExpr(FAM_U_B, param=size, base_degree=g)
-
-
-# (absolute rank, |Phi^+|) of each family over an algebraic closure, at
-# base degree 1; the root counts come from the one table, ``numth._COUNT``.
-_ROOT_DATA = {
-    FAM_SP: lambda k: (k, _COUNT["C"](k)),
-    FAM_SP_B: lambda k: (k, _COUNT["C"](k)),
-    FAM_SO: lambda k: (k, _COUNT["D"](k)),
-    FAM_O_PLUS_B: lambda k: (k, _COUNT["D"](k)),
-    FAM_U_B: lambda k: (k, _COUNT["A"](k - 1)),  # GL(k): A_{k-1} and the centre
-    FAM_SU_B: lambda k: (k - 1, _COUNT["A"](k - 1)),
-    FAM_SU_POW2: lambda k: ((1 << k) - 1, _COUNT["A"]((1 << k) - 1)),
-    FAM_U_L: lambda k: (k, 0),
-    FAM_SU_LE: lambda k: (k - 1, 0),
-    FAM_SL2_SO4: lambda k: (3, 3),  # A1 x A1 x A1
-    FAM_SO7: lambda k: (3, _COUNT["B"](3)),
-}
 
 
 def group_dim(expr: GroupExpr) -> int:
