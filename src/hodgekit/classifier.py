@@ -278,9 +278,7 @@ def _balanced_quadratic(
 def _balanced_any(
     profile: HodgeProfile, subfields: Optional[Sequence[SubfieldDescriptor]]
 ) -> list[SubfieldDescriptor]:
-    if subfields is None:
-        return []
-    return [s for s in subfields if su_constraint(profile, s)]
+    return [s for s in subfields or () if su_constraint(profile, s)]
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,9 @@ def _read_json(path: Optional[str]):
         ) from None
     except RecursionError:
         raise ValueError(f"JSON in {where} nests too deeply to read") from None
+    except ValueError:  # an int past the interpreter's limit on reading one
+        message = f"a number of more than {sys.get_int_max_str_digits()} digits"
+        raise ValueError(f"JSON in {where}: {message}") from None
 
 
 def _subfields(data) -> list[SubfieldDescriptor]:
@@ -157,7 +160,17 @@ def _ints(text: str, complaint: str, count: Optional[int] = None) -> list[int]:
         re.fullmatch("-?[0-9]+", x) for x in items
     ):
         raise ValueError(complaint)
-    return [int(x) for x in items]
+    return _digits(items, complaint)
+
+
+def _digits(items: list[str], complaint: str) -> list[int]:
+    """``int`` of each checked numeral in ``items``, refusing one past the
+    interpreter's limit on reading an int by ``complaint``, which names it."""
+    try:
+        return [int(x) for x in items]
+    except ValueError:
+        message = f"a number of more than {sys.get_int_max_str_digits()} digits"
+        raise ValueError(f"{complaint}: {message}") from None
 
 
 def _int(text: str, name: str) -> int:
@@ -219,11 +232,36 @@ def _parse_theta(text: str) -> list[int]:
 
 
 def _cycles(text: str, size: int, flag: str) -> cmtools.Perm:
-    """``cmtools.parse_cycles``, its refusal naming the flag."""
+    """The permutation of ``size`` points that ``flag`` writes in disjoint
+    cycle notation, like "(0 3)(1 4)(2 5)"; each refusal names the flag.  An
+    entry is ASCII ``[0-9]+``: ``_ints``' rule without the sign."""
     from . import cmtools
 
     try:
-        return cmtools.parse_cycles(text, size)
+        cmtools._check_degree(size)
+        out = list(range(size))
+        body = text.strip()
+        if body in ("", "()", "id"):
+            return tuple(out)
+        if body.count("(") != body.count(")"):
+            raise ValueError(f"unbalanced cycle notation: {text!r}")
+        chunks = [c for c in body.replace(")", ")|").split("|") if c.strip()]
+        seen: set[int] = set()
+        for chunk in chunks:
+            chunk = chunk.strip()
+            items = chunk[1:-1].replace(",", " ").split()
+            shaped = chunk.startswith("(") and chunk.endswith(")")
+            if not shaped or not all(re.fullmatch("[0-9]+", x) for x in items):
+                raise ValueError(f"bad cycle chunk {chunk!r}")
+            cycle = _digits(items, f"bad cycle chunk {chunk!r}")
+            if any(not 0 <= x < size for x in cycle):
+                raise ValueError(f"cycle entry out of range in {chunk!r}")
+            if len(set(cycle)) != len(cycle) or seen & set(cycle):
+                raise ValueError(f"repeated point in cycles: {text!r}")
+            seen.update(cycle)
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                out[a] = b
+        return tuple(out)
     except ValueError as exc:
         raise ValueError(f"{exc} in {flag}") from None
 

@@ -99,35 +99,6 @@ def _orbit(seed: Hashable, moves: Sequence[Callable]) -> list:
     return reached
 
 
-def parse_cycles(text: str, size: int) -> Perm:
-    """Parse disjoint cycle notation like "(0 3)(1 4)(2 5)".  Entries are
-    ASCII decimal numbers."""
-    _check_degree(size)
-    out = list(range(size))
-    body = text.strip()
-    if body in ("", "()", "id"):
-        return tuple(out)
-    if body.count("(") != body.count(")"):
-        raise ValueError(f"unbalanced cycle notation: {text!r}")
-    chunks = [c for c in body.replace(")", ")|").split("|") if c.strip()]
-    seen: set[int] = set()
-    for chunk in chunks:
-        chunk = chunk.strip()
-        items = chunk[1:-1].replace(",", " ").split()
-        shaped = chunk.startswith("(") and chunk.endswith(")")
-        if not shaped or not all(x.isascii() and x.isdecimal() for x in items):
-            raise ValueError(f"bad cycle chunk {chunk!r}")
-        cycle = [int(x) for x in items]
-        if any(not 0 <= x < size for x in cycle):
-            raise ValueError(f"cycle entry out of range in {chunk!r}")
-        if len(set(cycle)) != len(cycle) or seen & set(cycle):
-            raise ValueError(f"repeated point in cycles: {text!r}")
-        seen.update(cycle)
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            out[a] = b
-    return tuple(out)
-
-
 def _check_degree(size: int) -> None:
     if _require_int(size, "size") > MAX_DEGREE:
         raise InvalidModelError(

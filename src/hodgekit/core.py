@@ -172,8 +172,9 @@ class GroupExpr(_GroupFields):
 
     base_degree g means restriction of scalars from a totally real field
     of degree g over Q (1 = no restriction); param carries the k or r the
-    family needs.  Each number kept must be an int; nothing is coerced.
-    Equality is field-by-field after normalization.
+    family needs.  Each number given must be an int, even one that
+    normalization then drops; nothing is coerced.  Equality is
+    field-by-field after normalization.
     """
 
     __slots__ = ()
@@ -183,9 +184,13 @@ class GroupExpr(_GroupFields):
     ):
         if family not in _ROOT_DATA:
             raise ValueError(f"unknown group family {family!r}")
+        if param is not None:
+            _require_int(param, "param")
+        if rep_param is not None:
+            _require_int(rep_param, "rep_param")
         if family in _PARAMLESS:
             param = None
-        elif param is None or _require_int(param, "param") < 1:
+        elif param is None or param < 1:
             raise ValueError(f"family {family} needs a positive param")
         if _require_int(base_degree, "base_degree") < 1:
             raise ValueError("base_degree must be >= 1")
@@ -193,7 +198,7 @@ class GroupExpr(_GroupFields):
             rep = REP_NONE
         if rep != REP_EXTERIOR:
             rep_param = None
-        elif rep_param is None or _require_int(rep_param, "rep_param") < 1:
+        elif rep_param is None or rep_param < 1:
             raise ValueError("exterior_power rep needs rep_param j >= 1")
         return tuple.__new__(cls, (family, param, base_degree, rep, rep_param))
 

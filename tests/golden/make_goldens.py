@@ -339,6 +339,7 @@ def _pj(t, dL, dF, q, w=1, n=4, **extra):
 
 
 N3 = _pj("I", 1, 1, 1, n=3)
+LONG = "1" * 4301
 IV6 = _pj("IV", 2, 1, 1, n=6, cm_traces=[[3, 3]])
 ABELIAN = {"dim": 6, "endo": {"type": "II", "deg_L": 4, "deg_F": 1, "q": 2}}
 BALANCED = [{"deg_E": 2, "balanced": True}]
@@ -423,6 +424,9 @@ CLI_CASES = [
     (["classify", "--subfields", "@s.json"], IV6, {"s.json": [{"deg_E": 4, "balanced": True}]}, 2),
     (["classify", "--subfields", "missing.json"], IV6, {}, 2),
     (["classify"], _pj("I", 1, 1, 1, n=MR_EXACT_BOUND), {}, 2),
+    # a number one digit past Python's default limit on reading an int
+    (["classify"], _pj("I", 1, 1, 1).replace('"n": 4', f'"n": {LONG}'), {}, 2),
+    (["numth", "verify", "--k-max", LONG], "", {}, 2),
     # 924 = C(12, 6) is the orthogonal middle wedge of A11, not SU(2^k):
     # the wedge alternative is dropped at type I, n = 462, even weight,
     # and at type III, F = Q, m = 462, odd weight

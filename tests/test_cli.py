@@ -10,7 +10,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hodgekit import cmtools
+from hodgekit import cli, cmtools
 from hodgekit.cli import run
 from hodgekit.cmtools import MAX_DEGREE, SCAN_MAX_G
 from hodgekit.numth import MR_EXACT_BOUND, VERIFY_MAX_K
@@ -245,6 +245,19 @@ def test_cm_iota_override():
     a = run_cli(["cm", "--group", "cyclic:6", "--iota", "(0 3)(1 4)(2 5)", "scan"])
     b = run_cli(["cm", "--group", "cyclic:6", "scan"])
     assert a.stdout == b.stdout
+
+
+def test_cycles():
+    assert cli._cycles("(0 3)(1 4)(2 5)", 6, "--iota") == (3, 4, 5, 0, 1, 2)
+    assert cli._cycles("id", 3, "--iota") == (0, 1, 2)
+    assert cli._cycles("(0,1)", 2, "--iota") == (1, 0)
+    with pytest.raises(ValueError, match="unbalanced cycle notation: '\\(0 1' in --iota"):
+        cli._cycles("(0 1", 2, "--iota")
+    with pytest.raises(ValueError, match="repeated point in cycles: .* in --iota"):
+        cli._cycles("(0 1)(1 0)", 3, "--iota")
+    # the degree cap is checked before a permutation is built
+    with pytest.raises(ValueError, match=f"MAX_DEGREE = {MAX_DEGREE} for CM models in --iota"):
+        cli._cycles("(0 1)", MAX_DEGREE + 2, "--iota")
 
 
 def test_numth_verify():
@@ -612,6 +625,42 @@ def test_outside_input_is_refused_by_name(argv, stdin, named, tmp_path, capsys, 
     argv = [str(path) if arg.startswith("@") else arg for arg in argv]
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(stdin)))
     assert named in run_bad_input(argv, capsys)
+
+
+# a numeral one digit past the interpreter's limit on reading an int
+LIMIT = sys.get_int_max_str_digits()
+LONG = "1" * (LIMIT + 1)
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["classify"], "JSON in <stdin>"),
+        (["classify", "--subfields", "-"], "JSON in <stdin>"),
+        (["abelian", "status"], "JSON in <stdin>"),
+        (["numth", "verify", "--k-max", LONG], f"--k-max must be an integer, got '{LONG}'"),
+        (["cm", "--group", f"cyclic:{LONG}", "scan"], f"in --group 'cyclic:{LONG}'"),
+        (["weights", "dim", "A", "2", f"{LONG},0"], f"bad weight coordinates '{LONG},0'"),
+        (["cm", "--group", "cyclic:6", "--iota", f"(0 {LONG})", "scan"], "in --iota"),
+    ],
+    ids=["profile", "subfields", "abelian", "k-max", "group", "coords", "iota"],
+)
+def test_a_number_past_the_int_limit_is_refused_by_name(
+    argv, named, tmp_path, capsys, monkeypatch
+):
+    """JSON and argv name the input or the slot that holds the number, not
+    the interpreter's setting that limits it."""
+    stdin = json.dumps(PROFILE_N3).replace('"n": 3', f'"n": {LONG}')
+    if "--subfields" in argv:  # a sound profile, the long number in a subfield
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(PROFILE_N3))
+        argv = [*argv, "--profile", str(path)]
+        stdin = f'[{{"deg_E": {LONG}, "balanced": true}}]'
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    err = run_bad_input(argv, capsys)
+    assert named in err
+    assert f"a number of more than {LIMIT} digits" in err
+    assert "set_int_max_str_digits" not in err
 
 
 # --- Exit-code fuzz: every input ends in exit 0/2/3/4, stdout empty on 2 ---

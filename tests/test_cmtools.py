@@ -18,10 +18,10 @@ from hodgekit.cmtools import (
     enumerate_cm_types,
     is_primitive,
     kubota_rank,
-    parse_cycles,
     tankeev_scan,
     translate_lattice,
 )
+from hodgekit.cli import _cycles
 from hodgekit.intlinalg import integer_rank, smith_normal_form
 
 from oracles import (
@@ -33,6 +33,12 @@ from oracles import (
     subgroup_block_systems,
     translate_ranks,
 )
+
+
+def _perm(text, size):
+    """The permutation of ``size`` points in cycle notation, read as the
+    CLI reads ``--iota``."""
+    return _cycles(text, size, "--iota")
 
 
 def test_z2_model():
@@ -130,8 +136,8 @@ def test_block_systems_canonical_order():
 
 def _perms_model(size, gens, iota):
     return GaloisModel(
-        generators=tuple(parse_cycles(g, size) for g in gens),
-        conj=parse_cycles(iota, size),
+        generators=tuple(_perm(g, size) for g in gens),
+        conj=_perm(iota, size),
         size=size,
     )
 
@@ -359,9 +365,9 @@ def test_model_validation():
             size=4,
         )
     # non-central conjugation in a symmetric-group action
-    s3_gens = (parse_cycles("(0 1 2)(3 4 5)", 6),)
+    s3_gens = (_perm("(0 1 2)(3 4 5)", 6),)
     with pytest.raises(InvalidModelError):
-        GaloisModel(generators=s3_gens, conj=parse_cycles("(0 1)(2 4)(3 5)", 6), size=6)
+        GaloisModel(generators=s3_gens, conj=_perm("(0 1)(2 4)(3 5)", 6), size=6)
 
 
 def test_cm_type_validation():
@@ -380,7 +386,6 @@ def test_models_refuse_a_degree_over_the_cap():
         lambda: cyclic_model(over),
         lambda: dihedral_model(MAX_DEGREE),
         lambda: abelian_model([MAX_DEGREE, 2]),
-        lambda: parse_cycles("(0 1)", over),
         lambda: GaloisModel(generators=(), conj=(1, 0), size=over),
     ):
         with pytest.raises(InvalidModelError, match=f"MAX_DEGREE = {MAX_DEGREE}"):
@@ -424,8 +429,8 @@ def test_no_engine_reads_the_group():
         assert "elements" not in vars(model), name
     # non-central conjugation is refused from the generators: they give
     # the symmetric group on 10 points, 3,628,800 elements
-    gens = (parse_cycles("(0 1 2 3 4 5 6 7 8 9)", 10), parse_cycles("(0 1)", 10))
-    conj = parse_cycles("(0 5)(1 6)(2 7)(3 8)(4 9)", 10)
+    gens = (_perm("(0 1 2 3 4 5 6 7 8 9)", 10), _perm("(0 1)", 10))
+    conj = _perm("(0 5)(1 6)(2 7)(3 8)(4 9)", 10)
     with pytest.raises(InvalidModelError, match="central"):
         GaloisModel(generators=gens, conj=conj, size=10)
 
@@ -492,12 +497,3 @@ def test_dihedral_model_shape():
     raw, reduced = kubota_rank(model, types[0])
     assert reduced <= raw
 
-
-def test_parse_cycles():
-    assert parse_cycles("(0 3)(1 4)(2 5)", 6) == (3, 4, 5, 0, 1, 2)
-    assert parse_cycles("id", 3) == (0, 1, 2)
-    assert parse_cycles("(0,1)", 2) == (1, 0)
-    with pytest.raises(ValueError):
-        parse_cycles("(0 1", 2)
-    with pytest.raises(ValueError):
-        parse_cycles("(0 1)(1 0)", 3)

@@ -22,9 +22,9 @@ from hodgekit.cmtools import (
     abelian_model,
     compose,
     cyclic_model,
-    parse_cycles,
 )
 from hodgekit.classifier import exclude_sl2_product
+from hodgekit.cli import _cycles
 from hodgekit.consequences import AbelianProfile, HodgeStatus
 from hodgekit.core import EndomorphismDescriptor, GroupExpr, HodgeProfile, Violation
 from hodgekit.intlinalg import integer_rank, smith_normal_form
@@ -121,8 +121,8 @@ def test_record_semantics(cls, fields, name, other):
 
 
 def _non_central_model():
-    gens = (parse_cycles("(0 1 2)(3 4 5)", 6),)
-    return GaloisModel(gens, parse_cycles("(0 1)(2 4)(3 5)", 6), 6)
+    gens = (_cycles("(0 1 2)(3 4 5)", 6, "--group"),)
+    return GaloisModel(gens, _cycles("(0 1)(2 4)(3 5)", 6, "--iota"), 6)
 
 
 @pytest.mark.parametrize(
@@ -219,6 +219,11 @@ def _non_central_model():
         # TypeError refuse it by name, by numth's one integer rule
         (lambda: GroupExpr("Sp", param=2.5), "param must be an integer, got 2.5"),
         (lambda: GroupExpr("Sp", param=True), "param must be an integer, got True"),
+        # a number that normalization drops is checked before it is dropped
+        (lambda: GroupExpr("SO(7)", param=2.5), "param must be an integer, got 2.5"),
+        (lambda: GroupExpr("SL(2)xSO(4)", param="2"), "param must be an integer, got '2'"),
+        (lambda: GroupExpr("Sp", 2, rep_param=2.5), "rep_param must be an integer, got 2.5"),
+        (lambda: GroupExpr("U_L", 2, rep_param=True), "rep_param must be an integer, got True"),
         (
             lambda: GroupExpr("U(B)", param=2, base_degree=1.0),
             "base_degree must be an integer, got 1.0",
@@ -248,7 +253,7 @@ def _non_central_model():
         ),
         (lambda: cmtools.dihedral_model(4.0), "n must be an integer, got 4.0"),
         (lambda: GaloisModel([(1, 2, 3, 0)], Z4_CONJ, 4.0), "size must be an integer, got 4.0"),
-        (lambda: parse_cycles("(0 1)", 2.0), "size must be an integer, got 2.0"),
+        (lambda: _cycles("(0 1)", 2.0, "--iota"), "size must be an integer, got 2.0"),
         (lambda: AbelianProfile(dim=True, endo=RATIONAL), "dim must be an integer, got True"),
         # an int subclass is not an int either
         (lambda: Weight([_Int(1)]), "weight coordinate must be an integer, got 1"),
