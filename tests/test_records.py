@@ -220,7 +220,7 @@ def _non_central_model():
         (lambda: GroupExpr("Sp", param=2.5), "param must be an integer, got 2.5"),
         (lambda: GroupExpr("Sp", param=True), "param must be an integer, got True"),
         # a number that normalization drops is checked before it is dropped
-        (lambda: GroupExpr("SO(7)", param=2.5), "param must be an integer, got 2.5"),
+        (lambda: GroupExpr("SO(7)", param=1.5), "param must be an integer, got 1.5"),
         (lambda: GroupExpr("SL(2)xSO(4)", param="2"), "param must be an integer, got '2'"),
         (lambda: GroupExpr("Sp", 2, rep_param=2.5), "rep_param must be an integer, got 2.5"),
         (lambda: GroupExpr("U_L", 2, rep_param=True), "rep_param must be an integer, got True"),
