@@ -16,8 +16,8 @@ group is the norm-one torus U_L) is settled at three half-dimensions.  At
 n = p it is the Lefschetz group (Ribet; Tankeev).  At n = 4 a balanced
 imaginary quadratic subfield E cuts it to SU_{L/E} (Moonen and Zarhin),
 and at n = 2p the same cut holds when L/Q is moreover Galois (the source
-paper).
-Elsewhere the cut is only a containment, reported as an upper bound.
+paper).  Elsewhere the cut is only a containment, reported as an upper
+bound.
 
 ``classify`` validates the profile once (inside ``realizable``), computes
 the Lefschetz group once, and hands it to every branch.  The branches

@@ -18,8 +18,9 @@ package's ``InvalidProfileError``, ``InvalidModelError`` and
 ``error: <message>`` on stderr and exit 2.  Bad input is refused by two
 readers: JSON objects by ``core._require_object``, and every number in
 argv by ``_ints``, which takes ASCII ``-?[0-9]+`` only (argparse converts
-no number).  Past the readers, every number meets the package's one
-integer rule, ``numth._require_int``.
+no number; ``_cycles`` reads cycle notation by the same rule, unsigned).
+Past the readers, every number meets the package's one integer rule,
+``numth._require_int``.
 
 Each subcommand imports the engine it calls when it runs, so a one-shot
 process loads only its own subcommand's modules: ``numth verify`` never
