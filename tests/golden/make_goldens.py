@@ -386,6 +386,25 @@ DIHEDRAL32 = _theta(k % 16 + 16 * bit + 32 * (k // 16) for k, bit in enumerate(_
 DIHEDRAL32_INDUCED = _theta(
     a + 16 * bit + 32 * b for a, bit in enumerate(_bits(16, 33)) for b in (0, 1)
 )
+# dihedral:10 has n = 10 = 2 mod 4, so its odd 1-dimensional characters
+# exist; this type is primitive and one of them vanishes on it.
+DIHEDRAL10 = _theta(k % 5 + 5 * bit + 10 * (k // 5) for k, bit in enumerate(_bits(10, 11)))
+# dihedral:128 pairs r^a s^b with r^(a+64) s^b.  Every nontrivial subgroup of
+# the rotations holds r^64, so no type is a union of cosets of one; the
+# induced type is a union of the cosets {r^a, r^(a+37) s} of <r^37 s>.
+DIHEDRAL128 = _theta(k % 64 + 64 * bit + 128 * (k // 64) for k, bit in enumerate(_bits(128, 128)))
+_D128_ROTATIONS = [a + 64 * bit for a, bit in enumerate(_bits(64, 129))]
+DIHEDRAL128_REFLECTED = _theta(
+    _D128_ROTATIONS + [128 + (x + 37) % 128 for x in _D128_ROTATIONS]
+)
+# dihedral:120 pairs r^a s^b with r^(a+60) s^b; r^40 has order 3, and this
+# type is a union of the cosets r^a s^b <r^40>.
+DIHEDRAL120_ROTATED = _theta(
+    a + 20 * bit + 40 * j + 120 * b
+    for b in (0, 1)
+    for a, bit in enumerate(_bits(20, 120 + b))
+    for j in range(3)
+)
 
 # Models whose group is far larger than any orbit in them, on two copies of
 # k points with conjugation the copy swap: Z2 x S9 (725,760 elements, at
@@ -594,6 +613,16 @@ CLI_CASES = [
     (["classify"], _pj("I", 1, 1, 1, n=3_317_044_064_679_887_385_961_984), {}, 0),
     (["classify"], _pj("I", 1, 1, 1, n=2 * 1_658_522_032_339_943_692_981_061), {}, 0),
     (["classify"], _pj("I", 1, 1, 1, n=3_317_044_064_679_887_385_961_983), {}, 0),
+    # dihedral models past the scan cap: a seeded type, and induced types
+    # whose stabilizer is a reflection and a rotation subgroup
+    (["cm", "--group", "dihedral:10", "rank", "--theta", DIHEDRAL10], "", {}, 0),
+    (["cm", "--group", "dihedral:10", "primitive", "--theta", DIHEDRAL10], "", {}, 0),
+    (["cm", "--group", "dihedral:128", "rank", "--theta", DIHEDRAL128], "", {}, 0),
+    (["cm", "--group", "dihedral:128", "primitive", "--theta", DIHEDRAL128], "", {}, 0),
+    (["cm", "--group", "dihedral:128", "rank", "--theta", DIHEDRAL128_REFLECTED], "", {}, 0),
+    (["cm", "--group", "dihedral:128", "primitive", "--theta", DIHEDRAL128_REFLECTED], "", {}, 3),
+    (["cm", "--group", "dihedral:120", "rank", "--theta", DIHEDRAL120_ROTATED], "", {}, 0),
+    (["cm", "--group", "dihedral:120", "primitive", "--theta", DIHEDRAL120_ROTATED], "", {}, 3),
 ]
 
 # The two outputs that are text, not JSON.
