@@ -14,17 +14,26 @@ Group Theory, sec. 4.1), refused past MAX_ORBIT items.
   Q[G]·1_theta, whose dimension is the number of characters that do not
   vanish on theta, and an odd character vanishes exactly when a
   cyclotomic polynomial divides an integer polynomial (Kubota, Trans.
-  AMS 118 (1965); Ribet, Mém. SMF 2 (1980)).  Every other model, and
-  `cm rank --invariants`, eliminates the translate matrix by Bareiss.
+  AMS 118 (1965); Ribet, Mém. SMF 2 (1980)).  On a regular dihedral
+  model D_n the same ideal is counted by the irreducible
+  representations, each weighted by its degree: those odd under the
+  central conj = r^(n/2) have degree at most 2, and the rank of a 2 x 2
+  matrix over Q(zeta_d) is read from three such divisibilities (Serre,
+  Linear Representations of Finite Groups, §5.3 and §6.2).  Every other
+  model, and `cm rank --invariants`, eliminates the translate matrix by
+  Bareiss.
 * Primitivity asks whether theta is a union of blocks of a proper block
-  system.  On a regular abelian model the same characters decide it:
-  theta is induced exactly when some point translation fixes it, and its
-  stabilizer is the intersection of the kernels of the characters that
-  do not vanish on theta.  Every other model runs union-find, which finds
+  system.  On a regular model the systems are the left-coset partitions
+  of the subgroups, so theta is induced exactly when some element other
+  than 1 fixes it from the right.  On an abelian model the characters
+  that do not vanish on theta give that stabilizer: it is the
+  intersection of their kernels.  On a dihedral model the rotation and
+  reflection parts of theta, as 0/1 words on Z/n, give it by comparing
+  their cyclic shifts.  Every other model runs union-find, which finds
   the finest system joining two points (Atkinson, Math. Comp. 29
   (1975)); a run from the least point of theta stops as soon as it joins
-  a point of theta to one outside.  A model builds its character table
-  once, for both questions.
+  a point of theta to one outside.  A model builds its table once, for
+  both questions.
 
 A scan computes ranks and primitivity once per Galois orbit of CM types,
 since both are invariant under the group.
@@ -35,6 +44,7 @@ from __future__ import annotations
 import math
 from functools import cached_property, lru_cache, partial
 from itertools import combinations, compress, product
+from operator import mul, sub
 from typing import Callable, Hashable, Iterator, NamedTuple, Optional, Sequence
 
 from .intlinalg import integer_rank
@@ -44,10 +54,10 @@ Perm = tuple[int, ...]
 
 # tankeev_scan enumerates 2^g CM types and its time and memory about
 # double per step in g.  `cm scan` at g = 18 on a 2-vCPU Xeon VM: cyclic:36
-# 4.4 s and abelian:6,6 4.7 s (characters), dihedral:18 21.8 s (Bareiss
-# ranks, union-find primitivity), each about 225 MB peak RSS.  The models
-# without a character table and the memory set the cap: at g = 19 the
-# Bareiss model Z2 x D19 on 38 points takes 74 s and 452 MB.
+# 3.7-4.4 s and abelian:6,6 4.7 s (characters), dihedral:18 4.4-4.7 s
+# (representations; 17-22 s by Bareiss and union-find), each about 225 MB
+# peak RSS.  The models without a table and the memory set the cap: at
+# g = 19 the Bareiss model Z2 x D19 on 38 points takes 74 s and 452 MB.
 SCAN_MAX_G = 18
 
 # Largest embedding set a model is built on.  The slowest query is
@@ -153,9 +163,12 @@ class GaloisModel(_ModelFields):
 
     @cached_property
     def _characters(self):
-        """Kubota's character table (see _odd_characters), built on first
-        read, or None when the model has none."""
-        return _odd_characters(self)
+        """Kubota's table, built on first read: the odd characters of a
+        regular abelian model (see _odd_characters), the odd
+        representations of a regular dihedral one (see
+        _dihedral_representations), or None when the model has neither."""
+        table = _odd_characters(self)
+        return _dihedral_representations(self) if table is None else table
 
     @property
     def order(self) -> int:
@@ -203,8 +216,16 @@ def dihedral_model(n: int) -> GaloisModel:
     for rotation^a * flip^b."""
     if _require_int(n, "n") % 2 != 0:
         raise InvalidModelError("dihedral CM model needs n even")
+    _check_degree(2 * n)
+    rot, flip, conj = _dihedral_perms(n)
+    return GaloisModel(generators=(rot, flip), conj=conj, size=2 * n)
+
+
+@lru_cache(maxsize=None)
+def _dihedral_perms(n: int) -> tuple[Perm, Perm, Perm]:
+    """Left multiplication by r, s and r^(n/2) on D_n, the point a + n*b
+    standing for r^a s^b."""
     size = 2 * n
-    _check_degree(size)
 
     def index(a: int, b: int) -> int:
         return (a % n) + n * (b % 2)
@@ -214,7 +235,7 @@ def dihedral_model(n: int) -> GaloisModel:
     # left multiplication by s: s * r^a s^b = r^(-a) s^(b+1)
     flip = tuple(index(-(i % n), i // n + 1) for i in range(size))
     conj = tuple(index(i % n + n // 2, i // n) for i in range(size))
-    return GaloisModel(generators=(rot, flip), conj=conj, size=size)
+    return rot, flip, conj
 
 
 class _TypeFields(NamedTuple):
@@ -393,11 +414,97 @@ def _odd_characters(model: GaloisModel):
     return found
 
 
+class _Dihedral(NamedTuple):
+    """The odd representations of a regular dihedral model, one entry per
+    Galois orbit (see _dihedral_representations)."""
+
+    n: int
+    label: list[int]  # a + n*b at the point r^a s^b (0)
+    orbits: list[tuple[int, tuple[int, ...]]]  # (d, Phi_d)
+
+
+def _dihedral_representations(model: GaloisModel) -> Optional[_Dihedral]:
+    """The odd representations of a regular dihedral model, None for any
+    other.
+
+    The model qualifies when it is dihedral_model(n) relabelled: its
+    generators are (r, s), the points r^a s^b (0), 0 <= a < n and b in
+    {0, 1}, are all distinct, and r, s and conj act on them as left
+    multiplication by r, s and r^(n/2).  G is then D_n acting regularly,
+    n = size/2 even, with conj the central r^(n/2).  Its odd irreducible
+    representations fall into one Galois orbit for each d | n with n/d
+    odd (see kubota_rank), listed as (d, Phi_d).
+    """
+    n, gens = model.size // 2, model.generators
+    if len(gens) != 2 or n % 2:
+        return None
+    r, s = gens
+    point = []  # point[a + n*b] = r^a s^b (0)
+    for x in (0, s[0]):
+        for _ in range(n):
+            point.append(x)
+            x = r[x]
+    if len(set(point)) < model.size or any(
+        [perm[x] for x in point] != [point[i] for i in move]
+        for perm, move in zip((r, s, model.conj), _dihedral_perms(n))
+    ):
+        return None
+    label = [0] * model.size
+    for i, x in enumerate(point):
+        label[x] = i
+    orbits = [(d, _cyclotomic(d)) for d in range(2, n + 1) if n % d == 0 and n // d % 2]
+    return _Dihedral(n, label, orbits)
+
+
+def _correlation(word) -> list[int]:
+    """w(x) w(1/x) mod x^n - 1 for the n coefficients of w, n even: the
+    coefficient of x^e is sum_a w_a w_(a+e), and that of x^(n-e) is the
+    same."""
+    half = [sum(map(mul, word, word[e:] + word[:e])) for e in range(len(word) // 2 + 1)]
+    return half + half[-2:0:-1]
+
+
+def _vanishes(word, d: int, phi: tuple[int, ...]) -> bool:
+    """Phi_d divides the polynomial with the coefficients word, d | len(word):
+    word is read mod x^d - 1, which Phi_d divides."""
+    return not any(_poly_divmod([sum(word[e::d]) for e in range(d)], phi)[1])
+
+
+def _by_representations(theta: frozenset[int], table: _Dihedral) -> tuple[int, bool]:
+    """(raw rank, primitive) of theta on a regular dihedral model: each
+    odd orbit adds phi(d) times the rank of its 2 x 2 matrix, and theta is
+    primitive when no nontrivial element fixes it from the right (see
+    kubota_rank, is_primitive)."""
+    n, label, orbits = table
+    word = bytearray(2 * n)
+    for x in theta:
+        word[label[x]] = 1
+    # theta's rotations and reflections as 0/1 words indexed by a in Z/n
+    rotations, reflections = word[:n], word[n:]
+    # A(x)A(1/x) - B(x)B(1/x) mod x^n - 1, which x^d - 1 divides
+    det = list(map(sub, _correlation(rotations), _correlation(reflections)))
+    raw = 1
+    for d, phi in orbits:
+        if not _vanishes(det, d, phi):
+            raw += 2 * (len(phi) - 1)
+        elif not (_vanishes(rotations, d, phi) and _vanishes(reflections, d, phi)):
+            raw += len(phi) - 1
+    # the least c > 0 with w + c = w for each word: it divides n, and
+    # those c are its multiples
+    p0 = (rotations * 2).find(rotations, 1)
+    p1 = (reflections * 2).find(reflections, 1)
+    induced = reflections in rotations * 2 or math.lcm(p0, p1) < n
+    return raw, not induced
+
+
 def _by_characters(theta: frozenset[int], characters) -> tuple[int, bool]:
     """(raw rank, primitive) of theta from Kubota's table, in one pass:
     each odd orbit that does not vanish on theta adds its size to the
     rank and its kernel to the stabilizer, and theta is primitive when
-    the stabilizer is the point 0 alone (see kubota_rank, is_primitive)."""
+    the stabilizer is the point 0 alone (see kubota_rank, is_primitive).
+    A dihedral table is read by _by_representations."""
+    if isinstance(characters, _Dihedral):
+        return _by_representations(theta, characters)
     raw, stabilizer = 1, -1  # -1: every point
     for count, d, phi, exps, kernel in characters:
         coeffs = [0] * d
@@ -430,10 +537,45 @@ def kubota_rank(model: GaloisModel, theta: CMType) -> tuple[int, int]:
     for the integer polynomial P = sum x^(exponent of a), d the order of
     chi; it vanishes exactly when Phi_d divides P, for the whole Galois
     orbit of chi at once.  This is Kubota's rank formula (Kubota, Trans.
-    AMS 118 (1965); Ribet, Mém. SMF 2 (1980)).  Every other model
-    (dihedral, non-regular or non-abelian, or with conj outside the
-    generators' group) takes one fraction-free Bareiss elimination of
-    the 0/1 translate rows.
+    AMS 118 (1965); Ribet, Mém. SMF 2 (1980)).
+
+    On a regular dihedral model (see _dihedral_representations) the
+    points are D_n = <r, s | r^n = s^2 = 1, s r s = r^-1>, n even, acted
+    on by left multiplication, and conj is the central r^(n/2).  The span
+    is the left ideal C[G]·X, X = sum_{x in theta} x.  C[G] is the
+    product of the End(V_rho) over the irreducible rho, so the ideal has
+    dimension sum_rho dim rho · rank rho(X) (Serre, Linear
+    Representations of Finite Groups, §6.2).  Each rho sends conj to a
+    sign.  An even rho != 1 has rho(X) = 0, since rho(conj X) = rho(X)
+    and X + conj X is the sum of G, which rho kills; the trivial rho
+    gives 1.  The irreducible representations of D_n (Serre, §5.3) are
+    four of degree 1, r -> ±1 and s -> ±1, and rho_k for 0 < k < n/2,
+    r -> diag(w^k, w^-k) and s -> [[0, 1], [1, 0]], w = exp(2 pi i/n).
+    Take rho_(n/2), given by the same formulas, with them: it is the sum
+    of the two characters with r -> -1, and the rank of rho_(n/2)(X)
+    counts those of the two that do not vanish on X.  With zeta = w^k of
+    order d = n/gcd(n, k), rho_k(conj) = zeta^(n/2) is -1 exactly when
+    n/d is odd; for d = 2 that is n = 2 mod 4, where the characters with
+    r -> -1 are odd.  As rho_k(r^a) = diag(zeta^a, zeta^-a) and
+    rho_k(r^a s) = [[0, zeta^a], [zeta^-a, 0]],
+
+        rho_k(X) = [[A(zeta), B(zeta)], [B(zeta^-1), A(zeta^-1)]]
+
+    for A = sum_{r^a in theta} x^a and B = sum_{r^a s in theta} x^a.  For
+    each d | n with n/d odd, the rho_k with w^k of order d are k =
+    (n/d) j, j prime to d, up to k ~ -k: phi(d)/2 representations of
+    degree 2 (for d = 2, the one rho_(n/2)), Galois conjugate over Q, so
+    their matrices share one rank and the orbit adds phi(d) times it.
+    The matrix is 0 exactly when A(zeta) = B(zeta) = 0 (the values at
+    zeta^-1 are their complex conjugates), i.e. Phi_d divides A and B.
+    It has rank at most 1 exactly when its determinant A(zeta)A(zeta^-1)
+    - B(zeta)B(zeta^-1) vanishes, i.e. Phi_d divides A(x)A(1/x) -
+    B(x)B(1/x) read mod x^n - 1, which Phi_d divides.  So raw = 1 + the
+    sum over those d of phi(d) times the rank.
+
+    Every other model (not regular, neither abelian nor dihedral, or
+    with conj outside the generators' group) takes one fraction-free
+    Bareiss elimination of the 0/1 translate rows.
     """
     check_cm_type(model, theta)
     if model._characters is None:
@@ -564,6 +706,23 @@ def is_primitive(model: GaloisModel, theta: CMType) -> bool:
     theta, read in the same pass over the table that counts the rank,
     and theta is primitive exactly when Stab = {0}.
 
+    On a regular dihedral model (see _dihedral_representations) the
+    points are D_n, acted on by left multiplication.  Its block systems
+    are the left-coset partitions {gH} of the subgroups H (the block of 1
+    is a subgroup H, and g maps it to the block of g, gH), so theta is
+    induced exactly when its right stabilizer {h : theta h = theta}, a
+    proper subgroup as theta is not G, is not {1}.  Write theta_0 =
+    {a : r^a in theta} and theta_1 = {a : r^a s in theta} in Z/n.  As
+    r^a s^b r^c = r^(a + (-1)^b c) s^b, the rotation r^c fixes theta
+    exactly when theta_0 + c = theta_0 and theta_1 - c = theta_1.  The c
+    with w + c = w, for either set w, are the multiples of the least one
+    p_w, which divides n, so some c != 0 fixes both exactly when
+    lcm(p_0, p_1) < n.  As r^a r^c s = r^(a+c) s and r^a s r^c s =
+    r^(a-c), the reflection r^c s fixes theta exactly when theta_1 =
+    theta_0 + c, i.e. when the 0/1 word of theta_1 on Z/n is a cyclic
+    shift of that of theta_0.  A string search on the two words decides
+    both.
+
     Every other model runs union-find.  Let a be the least point of
     theta.  For each other x in theta, union-find builds the finest
     system S(a, x) joining a and x, and stops at the first pair it would
@@ -641,9 +800,10 @@ def tankeev_scan(model: GaloisModel) -> ScanReport:
     an odd prime p; otherwise the bound columns are reported as None.
     Ranks and primitivity are computed for one type per G-orbit and
     copied to its translates: both are invariant under the group, and
-    the translates of a type are its orbit.  A model with a character
-    table reads both from one pass over it (see kubota_rank and
-    is_primitive); any other takes Bareiss and union-find.  The types
+    the translates of a type are its orbit.  A model with a table of
+    characters or representations reads both from one pass over it (see
+    kubota_rank and is_primitive); any other takes Bareiss and
+    union-find.  The types
     are generated one at a time in canonical order, and only the
     translates not yet reached are held, as bitmasks from a breadth-first
     search over the generators.  Models with g above SCAN_MAX_G are

@@ -170,6 +170,17 @@ def _oracle_models():
     models["Z8 redundant"] = _perms_model(
         8, ["(0 1 2 3 4 5 6 7)", "(0 2 4 6)(1 3 5 7)"], swap4
     )
+    models.update({f"dihedral:{n}": dihedral_model(n) for n in (8, 10)})
+    # regular dihedral actions that the representation route must turn
+    # down: conjugation the right multiplication by s, which is central but
+    # outside G, and the generators listed as (s, r)
+    rot, flip = dihedral_model(6).generators
+    models["dihedral:6 iota right s"] = GaloisModel(
+        generators=(rot, flip), conj=tuple((i + 6) % 12 for i in range(12)), size=12
+    )
+    models["dihedral:6 gens (s, r)"] = GaloisModel(
+        generators=(flip, rot), conj=dihedral_model(6).conj, size=12
+    )
     return models
 
 
@@ -229,10 +240,18 @@ def test_kubota_rank_matches_two_fraction_eliminations(name):
         assert kubota_rank(model, theta) == kubota_ranks(model, theta), theta
 
 
-def test_kubota_rank_by_characters_on_regular_abelian_models(monkeypatch):
+DIHEDRAL_FALLBACKS = ["dihedral:6 iota right s", "dihedral:6 gens (s, r)"]
+
+
+def test_kubota_rank_by_tables_on_regular_abelian_and_dihedral_models(monkeypatch):
     rng = random.Random(6)
     cases = []
-    for model in (cyclic_model(64), abelian_model([2] * 6), abelian_model([8, 8])):
+    for model in (
+        cyclic_model(64),
+        abelian_model([2] * 6),
+        abelian_model([8, 8]),
+        dihedral_model(4),
+    ):
         pairs = model.conjugate_pairs()
         for theta in (
             CMType(frozenset(i for i, _ in pairs)),
@@ -247,21 +266,21 @@ def test_kubota_rank_by_characters_on_regular_abelian_models(monkeypatch):
     monkeypatch.setattr(cmtools, "integer_rank", bareiss)
     for model, theta, want in cases:
         assert kubota_rank(model, theta) == want
-    for model in (
-        dihedral_model(4),
-        ORACLE_MODELS["S4xZ2"],
-        ORACLE_MODELS["Z6xZ2 iota outside"],
-    ):
+    for name in ["S4xZ2", "Z6xZ2 iota outside"] + DIHEDRAL_FALLBACKS:
+        model = ORACLE_MODELS[name]
         with pytest.raises(AssertionError, match="integer_rank ran"):
             kubota_rank(model, enumerate_cm_types(model)[0])
 
 
-def test_primitivity_by_characters_on_regular_abelian_models(monkeypatch):
-    regular = [cyclic_model(16), abelian_model([2, 6]), abelian_model([2, 2, 2])]
-    other = [
+def test_primitivity_by_tables_on_regular_abelian_and_dihedral_models(monkeypatch):
+    regular = [
+        cyclic_model(16),
+        abelian_model([2, 6]),
+        abelian_model([2, 2, 2]),
         dihedral_model(4),
-        ORACLE_MODELS["S4xZ2"],
-        ORACLE_MODELS["Z6xZ2 iota outside"],
+    ]
+    other = [
+        ORACLE_MODELS[name] for name in ["S4xZ2", "Z6xZ2 iota outside"] + DIHEDRAL_FALLBACKS
     ]
     union_find = cmtools._block_labels
     calls = []
@@ -276,6 +295,78 @@ def test_primitivity_by_characters_on_regular_abelian_models(monkeypatch):
         tankeev_scan(model)
         assert (model in calls) == (model in other), model
         assert (model._characters is None) == (model in other), model
+
+
+def _dihedral_types(n, rng):
+    """Seeded CM types of dihedral_model(n), as (type, built induced): two
+    random ones; two fixed by a reflection r^c s, the reflection part being
+    the rotation part shifted by c; and, when n has an odd divisor m > 1,
+    one fixed by the rotations <r^(n/m)> for the largest such m.  Point
+    a + n*b is r^a s^b, paired with r^(a + n/2) s^b."""
+
+    def half():
+        return [a + n // 2 * rng.getrandbits(1) for a in range(n // 2)]
+
+    parts = [(half(), half(), False) for _ in range(2)]
+    for c in (0, rng.randrange(1, n)):
+        rotations = half()
+        parts.append((rotations, [(a + c) % n for a in rotations], True))
+    odd = n // 2
+    while odd % 2 == 0:
+        odd //= 2
+    if odd > 1:
+        # <r^step> has odd order, so it misses r^(n/2); the residue a mod
+        # step is paired with a + step/2
+        step = n // odd
+
+        def cosets():
+            residues = [a + step // 2 * rng.getrandbits(1) for a in range(step // 2)]
+            return [x + step * j for x in residues for j in range(odd)]
+
+        parts.append((cosets(), cosets(), True))
+    return [(CMType(frozenset(r) | {n + a for a in f}), built) for r, f, built in parts]
+
+
+def test_dihedral_tables_match_bareiss_and_union_find(monkeypatch):
+    """Seeded types, induced ones among them, on dihedral:n for even n from
+    4 to 64, also relabelled: the table's answers are Bareiss's rank and
+    union-find's primitivity, and they come with both of those patched to
+    raise, in queries and in scans up to n = 14."""
+    rng = random.Random(23)
+    cases = []
+    for n in range(4, 66, 2):
+        model = dihedral_model(n)
+        relabel = list(range(2 * n))
+        rng.shuffle(relabel)
+        inv = inverse(relabel)
+        relabelled = GaloisModel(
+            tuple(compose(relabel, compose(g, inv)) for g in model.generators),
+            compose(relabel, compose(model.conj, inv)),
+            2 * n,
+        )
+        for theta, built_induced in _dihedral_types(n, rng):
+            raw = integer_rank(translate_lattice(model, theta))
+            prim = not cmtools._is_induced(model, theta.theta)
+            assert not (built_induced and prim), (n, theta)
+            cases.append((model, theta, ((raw, raw - 1), prim)))
+            image = CMType(frozenset(relabel[x] for x in theta.theta))
+            cases.append((relabelled, image, ((raw, raw - 1), prim)))
+
+    def refuse(*args):
+        raise AssertionError("Bareiss or union-find ran")
+
+    monkeypatch.setattr(cmtools, "integer_rank", refuse)
+    monkeypatch.setattr(cmtools, "_block_labels", refuse)
+    scans = {}
+    for model, theta, (ranks, prim) in cases:
+        assert model._characters is not None
+        assert (kubota_rank(model, theta), is_primitive(model, theta)) == (ranks, prim)
+        if model.g <= 14:
+            if model not in scans:
+                scans[model] = tankeev_scan(model).entries
+            entry = next(e for e in scans[model] if e.theta == theta.sorted())
+            assert (entry.raw, entry.reduced, entry.primitive) == (*ranks, prim)
+    assert len(scans) == 2 * 6
 
 
 # every shape of regular abelian model with g <= 8, factors non-decreasing
