@@ -151,38 +151,41 @@ def _cmd_classify(args):
         return {"error": "not_realizable", "detail": str(exc)}, EXIT_NEGATIVE
 
 
-def _ints(text: str, complaint: str, count: Optional[int] = None) -> list[int]:
-    """The comma-separated integers of argv ``text``, each written as ASCII
-    ``-?[0-9]+``, and ``count`` of them if given; else ``complaint``.
-    ``int()`` alone would also take a ``+``, an ``_``, blanks and non-ASCII
-    digits."""
+def _ints(
+    text: str, name: str, complaint: str, count: Optional[int] = None
+) -> list[int]:
+    """The comma-separated integers of argv ``text`` in the slot ``name``,
+    each written as ASCII ``-?[0-9]+``, and ``count`` of them if given;
+    else ``complaint``.  ``int()`` alone would also take a ``+``, an
+    ``_``, blanks and non-ASCII digits."""
     items = text.split(",")
     if count not in (None, len(items)) or not all(
         re.fullmatch("-?[0-9]+", x) for x in items
     ):
         raise ValueError(complaint)
-    return _digits(items, complaint)
+    return _digits(items, name)
 
 
-def _digits(items: list[str], complaint: str) -> list[int]:
+def _digits(items: list[str], name: str) -> list[int]:
     """``int`` of each checked numeral in ``items``, refusing one past the
-    interpreter's limit on reading an int by ``complaint``, which names it."""
+    interpreter's limit on reading an int by the slot's ``name`` and the
+    limit: the numeral, thousands of digits long, is not echoed."""
     try:
         return [int(x) for x in items]
     except ValueError:
-        message = f"a number of more than {sys.get_int_max_str_digits()} digits"
-        raise ValueError(f"{complaint}: {message}") from None
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"{name}: a number of more than {limit} digits") from None
 
 
 def _int(text: str, name: str) -> int:
     """The one argv number ``text`` of the slot ``name``, read by ``_ints``."""
-    return _ints(text, f"{name} must be an integer, got {text!r}", 1)[0]
+    return _ints(text, name, f"{name} must be an integer, got {text!r}", 1)[0]
 
 
 def _parse_coords(text: str, rank: int) -> rootsys.Weight:
     from . import rootsys
 
-    coords = _ints(text, f"bad weight coordinates {text!r}")
+    coords = _ints(text, "weight coordinates", f"bad weight coordinates {text!r}")
     if len(coords) != rank:
         raise ValueError(f"expected {rank} coordinates, got {len(coords)}")
     return rootsys.Weight(coords)
@@ -223,7 +226,7 @@ def _cmd_weights(args):
 
 def _parse_theta(text: str) -> list[int]:
     """The embeddings of ``--theta``, refusing a bad entry or a repeat."""
-    theta = _ints(text, f"bad embeddings {text!r} in --theta")
+    theta = _ints(text, "--theta", f"bad embeddings {text!r} in --theta")
     seen: set[int] = set()
     for x in theta:
         if x in seen:
@@ -254,7 +257,7 @@ def _cycles(text: str, size: int, flag: str) -> cmtools.Perm:
             shaped = chunk.startswith("(") and chunk.endswith(")")
             if not shaped or not all(re.fullmatch("[0-9]+", x) for x in items):
                 raise ValueError(f"bad cycle chunk {chunk!r}")
-            cycle = _digits(items, f"bad cycle chunk {chunk!r}")
+            cycle = _digits(items, "cycle entry")
             if any(not 0 <= x < size for x in cycle):
                 raise ValueError(f"cycle entry out of range in {chunk!r}")
             if len(set(cycle)) != len(cycle) or seen & set(cycle):
@@ -278,7 +281,7 @@ def _build_model(args) -> cmtools.GaloisModel:
     elif family not in ("cyclic", "dihedral", "abelian"):
         raise ValueError(f"unknown group spec {args.group!r}")
     bad = f"bad numbers {rest!r} in --group {args.group!r}"
-    numbers = _ints(rest, bad, None if family == "abelian" else 1)
+    numbers = _ints(rest, "--group", bad, None if family == "abelian" else 1)
     if family == "perms":
         size = numbers[0]
         flag = f"--group {args.group!r}"
