@@ -491,9 +491,10 @@ def _by_representations(theta: frozenset[int], table: _Dihedral) -> tuple[int, b
             raw += len(phi) - 1
     # the least c > 0 with w + c = w for each word: it divides n, and
     # those c are its multiples
-    p0 = (rotations * 2).find(rotations, 1)
+    cycled = rotations * 2
+    p0 = cycled.find(rotations, 1)
     p1 = (reflections * 2).find(reflections, 1)
-    induced = reflections in rotations * 2 or math.lcm(p0, p1) < n
+    induced = reflections in cycled or math.lcm(p0, p1) < n
     return raw, not induced
 
 
