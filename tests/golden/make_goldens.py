@@ -330,7 +330,7 @@ def make_consequences():
     write("consequences_grid.json", {"rows": rows})
 
 
-# --- The CLI: argv, stdin, exit code and stdout of every subcommand -------
+# --- The CLI: argv, stdin, exit code, stdout and stderr of every subcommand
 
 
 def _pj(t, dL, dF, q, w=1, n=4, **extra):
@@ -631,36 +631,48 @@ CLI_TEXT = [
     ["weights", "verify-table2", "--max-rank", "4", "--pretty"],
 ]
 
+# The two argparse usage errors: their wording differs across Python
+# versions, so their stderr is not recorded.
+CLI_USAGE = [
+    ["cm", "--group", "cyclic:6", "rank"],
+    ["abelian"],
+]
+
 
 def replay_cli(argv, stdin, files):
-    """Exit code and stdout of cli.run on the argv, in process."""
-    out = io.StringIO()
+    """Exit code, stdout and stderr of cli.run on the argv, in process."""
+    out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         for name, content in files.items():
             (pathlib.Path(tmp) / name).write_text(json.dumps(content))
         args = [str(pathlib.Path(tmp) / a[1:]) if a[:1] == "@" else a for a in argv]
         saved, sys.stdin = sys.stdin, io.StringIO(stdin)
         try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.run(args)
         finally:
             sys.stdin = saved
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def make_cli():
     cases = []
     for argv, stdin, files, expected in CLI_CASES:
-        code, stdout = replay_cli(argv, stdin, files)
+        code, stdout, stderr = replay_cli(argv, stdin, files)
         assert code == expected, (argv, code)
         if code == 2:
             assert stdout == "", argv
-        elif argv not in CLI_TEXT:
-            json.loads(stdout)
-        cases.append(
-            {"argv": argv, "stdin": stdin, "files": files, "exit": code, "stdout": stdout}
-        )
+            assert stderr.startswith("usage:" if argv in CLI_USAGE else "error: "), argv
+        else:
+            assert stderr == "", argv
+            if argv not in CLI_TEXT:
+                json.loads(stdout)
+        case = {"argv": argv, "stdin": stdin, "files": files, "exit": code, "stdout": stdout}
+        if argv not in CLI_USAGE:
+            case["stderr"] = stderr
+        cases.append(case)
     assert sum(case["argv"] in CLI_TEXT for case in cases) == len(CLI_TEXT)
+    assert sum("stderr" not in case for case in cases) == len(CLI_USAGE)
     write("cli.json", {"cases": cases})
 
 

@@ -300,7 +300,10 @@ def test_cli_golden_replays_in_process(case, tmp_path, monkeypatch, capsys):
     argv = [str(tmp_path / a[1:]) if a[:1] == "@" else a for a in case["argv"]]
     monkeypatch.setattr(sys, "stdin", io.StringIO(case["stdin"]))
     assert run(argv) == case["exit"], case["argv"]
-    assert capsys.readouterr().out == case["stdout"], case["argv"]
+    captured = capsys.readouterr()
+    assert captured.out == case["stdout"], case["argv"]
+    # every case but the argparse usage errors pins its stderr
+    assert captured.err == case.get("stderr", captured.err), case["argv"]
 
 
 def run_bad_input(args, capsys):
