@@ -32,8 +32,8 @@ Group Theory, sec. 4.1), refused past MAX_ORBIT items.
   their cyclic shifts.  Every other model runs union-find, which finds
   the finest system joining two points (Atkinson, Math. Comp. 29
   (1975)); a run from the least point of theta stops as soon as it joins
-  a point of theta to one outside.  A model builds its table once, for
-  both questions.
+  a point of theta to one outside.  A model decides its route once: its
+  cached slot `_kubota` holds its table's reader, or None.
 
 A scan computes ranks and primitivity once per Galois orbit of CM types,
 since both are invariant under the group.
@@ -124,8 +124,8 @@ class _ModelFields(NamedTuple):
 
 class GaloisModel(_ModelFields):
     """Transitive group on the embedding set with central free involution,
-    held as its generators.  No __slots__: ``elements`` and
-    ``_characters`` are cached in the instance dict."""
+    held as its generators.  No __slots__: ``elements`` and ``_kubota``
+    are cached in the instance dict."""
 
     def __new__(cls, generators, conj, size):
         _check_degree(size)
@@ -162,13 +162,17 @@ class GaloisModel(_ModelFields):
         return frozenset(_orbit(identity_perm(self.size), moves))
 
     @cached_property
-    def _characters(self):
-        """Kubota's table, built on first read: the odd characters of a
-        regular abelian model (see _odd_characters), the odd
-        representations of a regular dihedral one (see
-        _dihedral_representations), or None when the model has neither."""
-        table = _odd_characters(self)
-        return _dihedral_representations(self) if table is None else table
+    def _kubota(self) -> Optional[Callable[[frozenset[int]], tuple[int, bool]]]:
+        """The reader theta -> (raw rank, primitive), bound on first read
+        to the model's table: the odd characters of a regular abelian
+        model (see _odd_characters), the odd representations of a regular
+        dihedral one (see _dihedral_representations), or None when the
+        model has neither."""
+        characters = _odd_characters(self)
+        if characters is not None:
+            return partial(_by_characters, characters)
+        table = _dihedral_representations(self)
+        return None if table is None else partial(_by_representations, *table)
 
     @property
     def order(self) -> int:
@@ -307,17 +311,15 @@ def _translates(model: GaloisModel, mask: int) -> list[int]:
     return _orbit(mask, moves)
 
 
-def _translate_rows(model: GaloisModel, theta: frozenset[int]) -> list[list[int]]:
-    return [
-        [m >> i & 1 for i in range(model.size)]
-        for m in _translates(model, _mask(theta))
-    ]
+def _translate_rows(model: GaloisModel, masks: list[int]) -> list[list[int]]:
+    """The 0/1 indicator rows of translates given as bitmasks."""
+    return [[m >> i & 1 for i in range(model.size)] for m in masks]
 
 
 def translate_lattice(model: GaloisModel, theta: CMType) -> list[list[int]]:
     """Indicator rows of the distinct group translates of the type."""
     check_cm_type(model, theta)
-    return _translate_rows(model, theta.theta)
+    return _translate_rows(model, _translates(model, _mask(theta.theta)))
 
 
 def _poly_divmod(poly: Sequence[int], divisor: Sequence[int]):
@@ -414,16 +416,7 @@ def _odd_characters(model: GaloisModel):
     return found
 
 
-class _Dihedral(NamedTuple):
-    """The odd representations of a regular dihedral model, one entry per
-    Galois orbit (see _dihedral_representations)."""
-
-    n: int
-    label: list[int]  # a + n*b at the point r^a s^b (0)
-    orbits: list[tuple[int, tuple[int, ...]]]  # (d, Phi_d)
-
-
-def _dihedral_representations(model: GaloisModel) -> Optional[_Dihedral]:
+def _dihedral_representations(model: GaloisModel):
     """The odd representations of a regular dihedral model, None for any
     other.
 
@@ -433,7 +426,8 @@ def _dihedral_representations(model: GaloisModel) -> Optional[_Dihedral]:
     multiplication by r, s and r^(n/2).  G is then D_n acting regularly,
     n = size/2 even, with conj the central r^(n/2).  Its odd irreducible
     representations fall into one Galois orbit for each d | n with n/d
-    odd (see kubota_rank), listed as (d, Phi_d).
+    odd (see kubota_rank).  It returns n, label[r^a s^b (0)] = a + n*b,
+    and the orbits as (d, Phi_d).
     """
     n, gens = model.size // 2, model.generators
     if len(gens) != 2 or n % 2:
@@ -453,7 +447,7 @@ def _dihedral_representations(model: GaloisModel) -> Optional[_Dihedral]:
     for i, x in enumerate(point):
         label[x] = i
     orbits = [(d, _cyclotomic(d)) for d in range(2, n + 1) if n % d == 0 and n // d % 2]
-    return _Dihedral(n, label, orbits)
+    return n, label, orbits
 
 
 def _correlation(word) -> list[int]:
@@ -470,12 +464,11 @@ def _vanishes(word, d: int, phi: tuple[int, ...]) -> bool:
     return not any(_poly_divmod([sum(word[e::d]) for e in range(d)], phi)[1])
 
 
-def _by_representations(theta: frozenset[int], table: _Dihedral) -> tuple[int, bool]:
+def _by_representations(n, label, orbits, theta: frozenset[int]) -> tuple[int, bool]:
     """(raw rank, primitive) of theta on a regular dihedral model: each
     odd orbit adds phi(d) times the rank of its 2 x 2 matrix, and theta is
     primitive when no nontrivial element fixes it from the right (see
     kubota_rank, is_primitive)."""
-    n, label, orbits = table
     word = bytearray(2 * n)
     for x in theta:
         word[label[x]] = 1
@@ -498,14 +491,11 @@ def _by_representations(theta: frozenset[int], table: _Dihedral) -> tuple[int, b
     return raw, not induced
 
 
-def _by_characters(theta: frozenset[int], characters) -> tuple[int, bool]:
+def _by_characters(characters, theta: frozenset[int]) -> tuple[int, bool]:
     """(raw rank, primitive) of theta from Kubota's table, in one pass:
     each odd orbit that does not vanish on theta adds its size to the
     rank and its kernel to the stabilizer, and theta is primitive when
-    the stabilizer is the point 0 alone (see kubota_rank, is_primitive).
-    A dihedral table is read by _by_representations."""
-    if isinstance(characters, _Dihedral):
-        return _by_representations(theta, characters)
+    the stabilizer is the point 0 alone (see kubota_rank, is_primitive)."""
     raw, stabilizer = 1, -1  # -1: every point
     for count, d, phi, exps, kernel in characters:
         coeffs = [0] * d
@@ -579,10 +569,11 @@ def kubota_rank(model: GaloisModel, theta: CMType) -> tuple[int, int]:
     Bareiss elimination of the 0/1 translate rows.
     """
     check_cm_type(model, theta)
-    if model._characters is None:
-        raw = integer_rank(_translate_rows(model, theta.theta))
+    if model._kubota is None:
+        masks = _translates(model, _mask(theta.theta))
+        raw = integer_rank(_translate_rows(model, masks))
     else:
-        raw = _by_characters(theta.theta, model._characters)[0]
+        raw = model._kubota(theta.theta)[0]
     return raw, raw - 1
 
 
@@ -736,9 +727,9 @@ def is_primitive(model: GaloisModel, theta: CMType) -> bool:
     finishes.  Neither route needs Bareiss or a block-system list.
     """
     check_cm_type(model, theta)
-    if model._characters is None:
+    if model._kubota is None:
         return not _is_induced(model, theta.theta)
-    return _by_characters(theta.theta, model._characters)[1]
+    return model._kubota(theta.theta)[1]
 
 
 class ScanEntry(NamedTuple):
@@ -801,11 +792,11 @@ def tankeev_scan(model: GaloisModel) -> ScanReport:
     an odd prime p; otherwise the bound columns are reported as None.
     Ranks and primitivity are computed for one type per G-orbit and
     copied to its translates: both are invariant under the group, and
-    the translates of a type are its orbit.  A model with a table of
-    characters or representations reads both from one pass over it (see
-    kubota_rank and is_primitive); any other takes Bareiss and
-    union-find.  The types
-    are generated one at a time in canonical order, and only the
+    the translates of a type are its orbit.  A model whose slot `_kubota`
+    holds a reader reads both from one pass over its table (see
+    kubota_rank and is_primitive); any other takes Bareiss, on the rows
+    of the translates the scan walks once per orbit, and union-find.  The
+    types are generated one at a time in canonical order, and only the
     translates not yet reached are held, as bitmasks from a breadth-first
     search over the generators.  Models with g above SCAN_MAX_G are
     refused before anything is enumerated.
@@ -817,7 +808,7 @@ def tankeev_scan(model: GaloisModel) -> ScanReport:
         )
     applicable = g != 2 and is_prime(g)
     bound = 2 * g - 1 if applicable else None
-    characters = model._characters
+    kubota = model._kubota
     known: dict[int, tuple[int, int, bool]] = {}
     entries = []
     for key in _half_systems(model):
@@ -825,13 +816,14 @@ def tankeev_scan(model: GaloisModel) -> ScanReport:
         found = known.pop(mask, None)
         if found is None:
             theta = frozenset(key)
-            if characters is None:
-                raw = integer_rank(_translate_rows(model, theta))
+            translates = _translates(model, mask)
+            if kubota is None:
+                raw = integer_rank(_translate_rows(model, translates))
                 prim = not _is_induced(model, theta)
             else:
-                raw, prim = _by_characters(theta, characters)
+                raw, prim = kubota(theta)
             found = (raw, raw - 1, prim)
-            known.update(dict.fromkeys(_translates(model, mask)[1:], found))
+            known.update(dict.fromkeys(translates[1:], found))
         raw, reduced, prim = found
         entries.append(
             ScanEntry(

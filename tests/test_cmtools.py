@@ -228,8 +228,8 @@ def test_union_find_blocks_match_subgroup_oracle(name):
         assert is_primitive(model, theta) == want
         # union-find is live for models without a table: keep its oracle
         assert cmtools._is_induced(model, theta.theta) != want
-        if model._characters is not None:
-            assert cmtools._by_characters(theta.theta, model._characters)[1] == want
+        if model._kubota is not None:
+            assert model._kubota(theta.theta)[1] == want
     assert tankeev_scan(model).to_json() == _per_type_scan(model, systems)
 
 
@@ -294,7 +294,33 @@ def test_primitivity_by_tables_on_regular_abelian_and_dihedral_models(monkeypatc
         is_primitive(model, enumerate_cm_types(model)[0])
         tankeev_scan(model)
         assert (model in calls) == (model in other), model
-        assert (model._characters is None) == (model in other), model
+        assert (model._kubota is None) == (model in other), model
+
+
+TABLELESS = ["S3xZ2", "D4xZ2", "A4xZ2", "S4xZ2", "Z6xZ2 iota outside", "Z8 redundant"]
+
+
+@pytest.mark.parametrize("name", TABLELESS + DIHEDRAL_FALLBACKS)
+def test_a_scan_without_a_table_walks_each_orbit_once(name, monkeypatch):
+    """Bareiss reads its rows from the translates that mark the orbit, so
+    a scan walks the translates of one type per orbit, once."""
+    model = ORACLE_MODELS[name]
+    assert model._kubota is None
+    group = group_of(model)
+    orbits = {
+        min(tuple(sorted(p[x] for x in theta.theta)) for p in group)
+        for theta in enumerate_cm_types(model)
+    }
+    walks = []
+    translates = cmtools._translates
+
+    def counted(model, mask):
+        walks.append(mask)
+        return translates(model, mask)
+
+    monkeypatch.setattr(cmtools, "_translates", counted)
+    tankeev_scan(model)
+    assert len(walks) == len(orbits)
 
 
 def _dihedral_types(n, rng):
@@ -359,7 +385,7 @@ def test_dihedral_tables_match_bareiss_and_union_find(monkeypatch):
     monkeypatch.setattr(cmtools, "_block_labels", refuse)
     scans = {}
     for model, theta, (ranks, prim) in cases:
-        assert model._characters is not None
+        assert model._kubota.func is cmtools._by_representations
         assert (kubota_rank(model, theta), is_primitive(model, theta)) == (ranks, prim)
         if model.g <= 14:
             if model not in scans:
@@ -388,10 +414,10 @@ def test_primitivity_routes_agree_on_small_regular_abelian_models():
         ]
         for conj in sorted(involutions):
             model = GaloisModel(base.generators, conj, base.size)
-            assert model._characters is not None, (dims, conj)
+            assert model._kubota.func is cmtools._by_characters, (dims, conj)
             for key in cmtools._half_systems(model):
                 theta = frozenset(key)
-                by_characters = cmtools._by_characters(theta, model._characters)[1]
+                by_characters = model._kubota(theta)[1]
                 assert by_characters != cmtools._is_induced(model, theta), (dims, conj, key)
                 count += 1
     assert count == 8466
