@@ -224,17 +224,6 @@ def _cmd_weights(args):
     return {"system": rs.name, key: value}, EXIT_OK
 
 
-def _parse_theta(text: str) -> list[int]:
-    """The embeddings of ``--theta``, refusing a bad entry or a repeat."""
-    theta = _ints(text, "--theta", f"bad embeddings {text!r} in --theta")
-    seen: set[int] = set()
-    for x in theta:
-        if x in seen:
-            raise ValueError(f"repeated embedding {x} in --theta")
-        seen.add(x)
-    return theta
-
-
 def _cycles(text: str, size: int, flag: str) -> cmtools.Perm:
     """The permutation of ``size`` points that ``flag`` writes in disjoint
     cycle notation, like "(0 3)(1 4)(2 5)"; each refusal names the flag.  An
@@ -307,7 +296,11 @@ def _cmd_cm(args):
     model = _build_model(args)
     if args.cm_cmd == "scan":
         return cmtools.tankeev_scan(model).to_json(), EXIT_OK
-    theta = cmtools.CMType(_parse_theta(args.theta))
+    theta = _ints(args.theta, "--theta", f"bad embeddings {args.theta!r} in --theta")
+    try:  # CMType refuses a repeated embedding
+        theta = cmtools.CMType(theta)
+    except ValueError as exc:
+        raise ValueError(f"{exc} in --theta") from None
     if args.cm_cmd == "primitive":
         primitive = cmtools.is_primitive(model, theta)
         payload = {"theta": theta.to_json(), "primitive": primitive}

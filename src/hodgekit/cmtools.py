@@ -248,13 +248,19 @@ class _TypeFields(NamedTuple):
 
 class CMType(_TypeFields):
     """A half-system: one embedding from each conjugate pair.  Every entry
-    must be an int (a bool is refused too); nothing is coerced."""
+    must be an int (a bool is refused too) and appear once; nothing is
+    coerced."""
 
     __slots__ = ()
 
     def __new__(cls, theta):
         theta = _require_ints(tuple(theta), "CM type entry")
-        return tuple.__new__(cls, (frozenset(theta),))
+        points = frozenset(theta)
+        if len(points) < len(theta):
+            seen: set[int] = set()
+            repeat = next(x for x in theta if x in seen or seen.add(x))
+            raise InvalidModelError(f"repeated embedding {repeat}")
+        return tuple.__new__(cls, (points,))
 
     def sorted(self) -> tuple[int, ...]:
         return tuple(sorted(self.theta))

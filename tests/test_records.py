@@ -141,6 +141,9 @@ def _non_central_model():
         (lambda: CMType([2, 0, True]), "CM type entry must be an integer, got True"),
         (lambda: CMType([2.7, "3", True]), "CM type entry must be an integer, got 2.7"),
         (lambda: CMType(["3", 1, 2]), "CM type entry must be an integer, got '3'"),
+        # a repeated entry is refused, not read as the set of the entries
+        (lambda: CMType([0, 0, 1, 2]), "repeated embedding 0"),
+        (lambda: CMType([1, 2, 0, 2, 1]), "repeated embedding 2"),
         # numbers are refused, not coerced, by int() or otherwise
         (
             lambda: EndomorphismDescriptor("IV", 4, 2, 1, cm_traces=[[1, 3], [True, 3.0]]),
