@@ -182,15 +182,6 @@ def _int(text: str, name: str) -> int:
     return _ints(text, name, f"{name} must be an integer, got {text!r}", 1)[0]
 
 
-def _parse_coords(text: str, rank: int) -> rootsys.Weight:
-    from . import rootsys
-
-    coords = _ints(text, "weight coordinates", f"bad weight coordinates {text!r}")
-    if len(coords) != rank:
-        raise ValueError(f"expected {rank} coordinates, got {len(coords)}")
-    return rootsys.Weight(coords)
-
-
 def _cmd_weights(args):
     from . import rootsys
 
@@ -214,7 +205,8 @@ def _cmd_weights(args):
         payload = "\n".join(lines) if args.pretty else {"ok": ok, "rows": reports}
         return payload, EXIT_OK if ok else EXIT_NEGATIVE
     rs = rootsys.RootSystem(args.kind.upper(), _int(args.rank, "rank"))
-    weight = _parse_coords(args.coords, rs.rank)
+    bad = f"bad weight coordinates {args.coords!r}"
+    weight = rootsys.Weight(_ints(args.coords, "weight coordinates", bad))
     if args.weights_cmd == "dim":
         key, value = "dim", rootsys.rep_dimension(rs, weight)
     elif args.weights_cmd == "autodual":

@@ -294,6 +294,12 @@ def fundamental_weight(rs: RootSystem, index: int) -> Weight:
     return Weight(tuple(int(i == index - 1) for i in range(rs.rank)))
 
 
+def _check_length(rs: RootSystem, weight: Weight) -> None:
+    """Refuse a weight whose coordinates do not number the rank."""
+    if len(weight.coords) != rs.rank:
+        raise ValueError(f"expected {rs.rank} coordinates, got {len(weight.coords)}")
+
+
 def is_dominant(weight: Weight) -> bool:
     return all(c >= 0 for c in weight.coords)
 
@@ -304,6 +310,7 @@ def is_minuscule(rs: RootSystem, weight: Weight) -> bool:
     A dominant weight pairs with every positive coroot to >= 0 and with
     its negative to <= 0, so checking <= 1 on the positive roots suffices.
     """
+    _check_length(rs, weight)
     if not is_dominant(weight) or weight.is_zero:
         return False
     return max(rs._pairings(weight)) <= 1
@@ -324,6 +331,7 @@ def minuscule_weights(rs: RootSystem) -> list[Weight]:
 
 def rep_dimension(rs: RootSystem, weight: Weight) -> int:
     """Weyl dimension formula, evaluated exactly."""
+    _check_length(rs, weight)
     if not is_dominant(weight):
         raise ValueError(f"rep_dimension needs a dominant weight, got {weight.coords}")
     # <lambda + rho, beta^vee> = <lambda, beta^vee> + height of beta^vee
@@ -337,6 +345,7 @@ def rep_dimension(rs: RootSystem, weight: Weight) -> int:
 
 def dual_weight(rs: RootSystem, weight: Weight) -> Weight:
     """The highest weight -w0(lambda) of the dual representation."""
+    _check_length(rs, weight)
     negated = tuple(-c for c in weight.coords)
     return Weight(rs.dominant_representative(negated)[0])
 
@@ -368,6 +377,7 @@ def weight_length(rs: RootSystem, weight: Weight) -> int:
     to -w0(lambda) accumulates in integers; that vector lies in the root
     lattice, so the length is an integer.
     """
+    _check_length(rs, weight)
     if not is_dominant(weight):
         raise ValueError(f"weight_length needs a dominant weight, got {weight.coords}")
     _, shift = rs.dominant_representative(tuple(-c for c in weight.coords))

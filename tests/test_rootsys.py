@@ -393,6 +393,16 @@ def test_non_dominant_rejected():
         autoduality(rs, Weight((2, 0)))
 
 
+@pytest.mark.parametrize(
+    "query", [rep_dimension, is_minuscule, weight_length, autoduality, dual_weight]
+)
+@pytest.mark.parametrize("coords", [(1,), (1, 0, 0, 0), (0, 0, 0, 1)])
+def test_a_weight_of_the_wrong_length_is_refused(query, coords):
+    """On A3 a weight must have three coordinates, whatever the query."""
+    with pytest.raises(ValueError, match=f"^expected 3 coordinates, got {len(coords)}$"):
+        query(RootSystem("A", 3), Weight(coords))
+
+
 def test_bad_kind_and_rank():
     with pytest.raises(ValueError):
         RootSystem("F", 4)
