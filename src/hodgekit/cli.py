@@ -248,7 +248,9 @@ def _cycles(text: str, size: int, flag: str) -> cmtools.Perm:
                 out[a] = b
         return tuple(out)
     except ValueError as exc:
-        raise ValueError(f"{exc} in {flag}") from None
+        # a number past the limit names the flag alone, not the spec holding it
+        where = flag.split()[0] if str(exc).startswith("cycle entry:") else flag
+        raise ValueError(f"{exc} in {where}") from None
 
 
 def _build_model(args) -> cmtools.GaloisModel:

@@ -645,10 +645,17 @@ LONG = "1" * (LIMIT + 1)
         (["cm", "--group", f"cyclic:{LONG}", "scan"], "error: --group: "),
         (["weights", "dim", "A", "2", f"{LONG},0"], "error: weight coordinates: "),
         (["cm", "--group", "cyclic:6", "--iota", f"(0 {LONG})", "scan"], "error: cycle entry: "),
+        (
+            ["cm", "--group", f"perms:6:(0 {LONG})", "--iota", "(0 3)(1 4)(2 5)", "scan"],
+            f"error: cycle entry: a number of more than {LIMIT} digits in --group\n",
+        ),
         (["cm", "--group", "cyclic:6", "rank", "--theta", f"0,1,{LONG}"], "error: --theta: "),
         (["weights", "dim", "A", LONG, "0"], "error: rank: "),
     ],
-    ids=["profile", "subfields", "abelian", "k-max", "group", "coords", "iota", "theta", "rank"],
+    ids=[
+        "profile", "subfields", "abelian", "k-max", "group", "coords", "iota", "perms",
+        "theta", "rank",
+    ],
 )
 def test_a_number_past_the_int_limit_is_refused_by_name(
     argv, named, tmp_path, capsys, monkeypatch
