@@ -54,10 +54,11 @@ Perm = tuple[int, ...]
 
 # tankeev_scan enumerates 2^g CM types and its time and memory about
 # double per step in g.  `cm scan` at g = 18 on a 2-vCPU Xeon VM: cyclic:36
-# 3.7-4.4 s and abelian:6,6 4.7 s (characters), dihedral:18 4.4-4.7 s
-# (representations; 17-22 s by Bareiss and union-find), each about 225 MB
-# peak RSS.  The models without a table and the memory set the cap: at
-# g = 19 the Bareiss model Z2 x D19 on 38 points takes 74 s and 452 MB.
+# 3.7-4.4 s and abelian:6,6 4.7 s (characters), dihedral:18 4.4-5.5 s
+# (representations), and Z2 x D18 on 36 points, which has no table,
+# 25.6-27.5 s (Bareiss and union-find), each about 225 MB peak RSS.  The
+# models without a table and the memory set the cap: at g = 19 the Bareiss
+# model Z2 x D19 on 38 points takes 74 s and 452 MB.
 SCAN_MAX_G = 18
 
 # Largest embedding set a model is built on.  The slowest query is
