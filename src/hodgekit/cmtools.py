@@ -32,8 +32,10 @@ Group Theory, sec. 4.1), refused past MAX_ORBIT items.
   their cyclic shifts.  Every other model runs union-find, which finds
   the finest system joining two points (Atkinson, Math. Comp. 29
   (1975)); a run from the least point of theta stops as soon as it joins
-  a point of theta to one outside.  A model decides its route once: its
-  cached slot `_kubota` holds its table's reader, or None.
+  a point of theta to one outside.  A model's route is decided once per
+  model value: `_kubota(*model)` caches its table's reader, or None, so a
+  model built again reuses the table, and the reader keeps its last
+  answer for the rank and primitivity queries of one type.
 
 A scan computes ranks and primitivity once per Galois orbit of CM types,
 since both are invariant under the group.
@@ -76,6 +78,12 @@ MAX_DEGREE = 256
 # 14 s and 114 MB, and their Smith form (`--invariants`) 27 s and 112 MB;
 # refusing a type of Z2 wr S128 on 256 points takes 2.1 s and 27 MB.
 MAX_ORBIT = 1 << 17
+
+# Kubota tables _kubota keeps, least recently read dropped first.  The
+# largest is that of abelian:2^8, 128 odd characters with 256 exponents
+# each: about 0.3 MB by tracemalloc, against about 18 KB for cyclic:256
+# and 2 KB for dihedral:128.  So the full cache holds at most about 10 MB.
+KUBOTA_TABLES = 32
 
 
 class InvalidModelError(ValueError):
@@ -125,8 +133,9 @@ class _ModelFields(NamedTuple):
 
 class GaloisModel(_ModelFields):
     """Transitive group on the embedding set with central free involution,
-    held as its generators.  No __slots__: ``elements`` and ``_kubota``
-    are cached in the instance dict."""
+    held as its generators.  No __slots__: ``elements`` is cached in the
+    instance dict.  The Kubota table is cached apart, by the model's
+    fields (see _kubota)."""
 
     def __new__(cls, generators, conj, size):
         _check_degree(size)
@@ -161,19 +170,6 @@ class GaloisModel(_ModelFields):
         by the generators.  No engine reads it."""
         moves = [partial(compose, g) for g in self.generators + (self.conj,)]
         return frozenset(_orbit(identity_perm(self.size), moves))
-
-    @cached_property
-    def _kubota(self) -> Optional[Callable[[frozenset[int]], tuple[int, bool]]]:
-        """The reader theta -> (raw rank, primitive), bound on first read
-        to the model's table: the odd characters of a regular abelian
-        model (see _odd_characters), the odd representations of a regular
-        dihedral one (see _dihedral_representations), or None when the
-        model has neither."""
-        characters = _odd_characters(self)
-        if characters is not None:
-            return partial(_by_characters, characters)
-        table = _dihedral_representations(self)
-        return None if table is None else partial(_by_representations, *table)
 
     @property
     def order(self) -> int:
@@ -279,7 +275,8 @@ def check_cm_type(model: GaloisModel, theta: CMType) -> None:
     image = {model.conj[x] for x in t}
     if image & t:
         raise InvalidModelError("CM type meets its conjugate")
-    if image | t != set(range(model.size)):
+    # t and its image lie in 0..size-1, so covering is a count
+    if len(image | t) != model.size:
         raise InvalidModelError("CM type and conjugate must cover everything")
 
 
@@ -457,6 +454,29 @@ def _dihedral_representations(model: GaloisModel):
     return n, label, orbits
 
 
+@lru_cache(maxsize=KUBOTA_TABLES)
+def _kubota(
+    generators: tuple[Perm, ...], conj: Perm, size: int
+) -> Optional[Callable[[frozenset[int]], tuple[int, bool]]]:
+    """The reader theta -> (raw rank, primitive) of the model with these
+    fields, bound to its table: the odd characters of a regular abelian
+    model (see _odd_characters), the odd representations of a regular
+    dihedral one (see _dihedral_representations), or None when the model
+    has neither.  It is keyed by the fields, not the model, so no entry
+    keeps a model's instance dict alive, and the reader remembers its last
+    theta.  Call it as _kubota(*model)."""
+    model = _ModelFields(generators, conj, size)
+    characters = _odd_characters(model)
+    if characters is not None:
+        reader = partial(_by_characters, characters)
+    else:
+        table = _dihedral_representations(model)
+        if table is None:
+            return None
+        reader = partial(_by_representations, *table)
+    return lru_cache(maxsize=1)(reader)
+
+
 def _correlation(word) -> list[int]:
     """w(x) w(1/x) mod x^n - 1 for the n coefficients of w, n even: the
     coefficient of x^e is sum_a w_a w_(a+e), and that of x^(n-e) is the
@@ -576,11 +596,12 @@ def kubota_rank(model: GaloisModel, theta: CMType) -> tuple[int, int]:
     Bareiss elimination of the 0/1 translate rows.
     """
     check_cm_type(model, theta)
-    if model._kubota is None:
+    kubota = _kubota(*model)
+    if kubota is None:
         masks = _translates(model, _mask(theta.theta))
         raw = integer_rank(_translate_rows(model, masks))
     else:
-        raw = model._kubota(theta.theta)[0]
+        raw = kubota(theta.theta)[0]
     return raw, raw - 1
 
 
@@ -734,9 +755,10 @@ def is_primitive(model: GaloisModel, theta: CMType) -> bool:
     finishes.  Neither route needs Bareiss or a block-system list.
     """
     check_cm_type(model, theta)
-    if model._kubota is None:
+    kubota = _kubota(*model)
+    if kubota is None:
         return not _is_induced(model, theta.theta)
-    return model._kubota(theta.theta)[1]
+    return kubota(theta.theta)[1]
 
 
 class ScanEntry(NamedTuple):
@@ -799,14 +821,16 @@ def tankeev_scan(model: GaloisModel) -> ScanReport:
     an odd prime p; otherwise the bound columns are reported as None.
     Ranks and primitivity are computed for one type per G-orbit and
     copied to its translates: both are invariant under the group, and
-    the translates of a type are its orbit.  A model whose slot `_kubota`
-    holds a reader reads both from one pass over its table (see
-    kubota_rank and is_primitive); any other takes Bareiss, on the rows
-    of the translates the scan walks once per orbit, and union-find.  The
-    types are generated one at a time in canonical order, and only the
-    translates not yet reached are held, as bitmasks from a breadth-first
-    search over the generators.  Models with g above SCAN_MAX_G are
-    refused before anything is enumerated.
+    the translates of a type are its orbit.  A model with a table reads
+    both from one pass over it, through the reader that `_kubota(*model)`
+    caches for the model's value, so a scan of a model value already
+    built builds no table (see kubota_rank and is_primitive).  Any other
+    model takes Bareiss, on the rows of the translates the scan walks
+    once per orbit, and union-find.  The types are generated one at a
+    time in canonical order, and only the translates not yet reached are
+    held, as bitmasks from a breadth-first search over the generators.
+    Models with g above SCAN_MAX_G are refused before anything is
+    enumerated.
     """
     g = model.g
     if g > SCAN_MAX_G:
@@ -815,7 +839,7 @@ def tankeev_scan(model: GaloisModel) -> ScanReport:
         )
     applicable = g != 2 and is_prime(g)
     bound = 2 * g - 1 if applicable else None
-    kubota = model._kubota
+    kubota = _kubota(*model)
     known: dict[int, tuple[int, int, bool]] = {}
     entries = []
     for key in _half_systems(model):
