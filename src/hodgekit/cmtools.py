@@ -32,10 +32,8 @@ Group Theory, sec. 4.1), refused past MAX_ORBIT items.
   their cyclic shifts.  Every other model runs union-find, which finds
   the finest system joining two points (Atkinson, Math. Comp. 29
   (1975)); a run from the least point of theta stops as soon as it joins
-  a point of theta to one outside.  A model's route is decided once per
-  model value: `_kubota(*model)` caches its table's reader, or None, so a
-  model built again reuses the table, and the reader keeps its last
-  answer for the rank and primitivity queries of one type.
+  a point of theta to one outside.  A model decides its route once: its
+  cached slot `_kubota` holds its table's reader, or None.
 
 A scan computes ranks and primitivity once per Galois orbit of CM types,
 since both are invariant under the group.
@@ -46,7 +44,7 @@ from __future__ import annotations
 import math
 from functools import cached_property, lru_cache, partial
 from itertools import combinations, compress, product
-from operator import mul, sub
+from operator import eq, mul, sub
 from typing import Callable, Hashable, Iterator, NamedTuple, Optional, Sequence
 
 from .intlinalg import integer_rank
@@ -78,12 +76,6 @@ MAX_DEGREE = 256
 # 14 s and 114 MB, and their Smith form (`--invariants`) 27 s and 112 MB;
 # refusing a type of Z2 wr S128 on 256 points takes 2.1 s and 27 MB.
 MAX_ORBIT = 1 << 17
-
-# Kubota tables _kubota keeps, least recently read dropped first.  The
-# largest is that of abelian:2^8, 128 odd characters with 256 exponents
-# each: about 0.3 MB by tracemalloc, against about 18 KB for cyclic:256
-# and 2 KB for dihedral:128.  So the full cache holds at most about 10 MB.
-KUBOTA_TABLES = 32
 
 
 class InvalidModelError(ValueError):
@@ -133,9 +125,8 @@ class _ModelFields(NamedTuple):
 
 class GaloisModel(_ModelFields):
     """Transitive group on the embedding set with central free involution,
-    held as its generators.  No __slots__: ``elements`` is cached in the
-    instance dict.  The Kubota table is cached apart, by the model's
-    fields (see _kubota)."""
+    held as its generators.  No __slots__: ``elements`` and ``_kubota``
+    are cached in the instance dict."""
 
     def __new__(cls, generators, conj, size):
         _check_degree(size)
@@ -151,7 +142,7 @@ class GaloisModel(_ModelFields):
                 raise InvalidModelError(f"{perm} is not a permutation of 0..{size - 1}")
         if compose(conj, conj) != identity_perm(size):
             raise InvalidModelError("conjugation must have order 2")
-        if any(conj[i] == i for i in range(size)):
+        if any(map(eq, conj, points)):
             raise InvalidModelError("conjugation must act freely")
         # commuting with the generators is commuting with the whole group
         if any(compose(conj, g) != compose(g, conj) for g in gens):
@@ -170,6 +161,20 @@ class GaloisModel(_ModelFields):
         by the generators.  No engine reads it."""
         moves = [partial(compose, g) for g in self.generators + (self.conj,)]
         return frozenset(_orbit(identity_perm(self.size), moves))
+
+    @cached_property
+    def _kubota(self) -> Optional[Callable[..., tuple[Optional[int], bool]]]:
+        """The reader theta -> (raw rank, primitive), bound on first read
+        to the model's table: the odd characters of a regular abelian
+        model (see _odd_characters), the odd representations of a regular
+        dihedral one (see _dihedral_representations), or None when the
+        model has neither.  Read with rank=False, it skips what only the
+        rank needs."""
+        characters = _odd_characters(self)
+        if characters is not None:
+            return partial(_by_characters, characters)
+        table = _dihedral_representations(self)
+        return None if table is None else partial(_by_representations, *table)
 
     @property
     def order(self) -> int:
@@ -267,16 +272,17 @@ class CMType(_TypeFields):
 
 
 def check_cm_type(model: GaloisModel, theta: CMType) -> None:
-    t = theta.theta
+    t, size = theta.theta, model.size
     if len(t) != model.g:
         raise InvalidModelError(f"CM type must have size g={model.g}")
-    if any(not 0 <= x < model.size for x in t):
-        raise InvalidModelError(f"CM type entries must lie in 0..{model.size - 1}")
-    image = {model.conj[x] for x in t}
+    # t is not empty: g >= 1
+    if min(t) < 0 or max(t) >= size:
+        raise InvalidModelError(f"CM type entries must lie in 0..{size - 1}")
+    image = set(map(model.conj.__getitem__, t))
     if image & t:
         raise InvalidModelError("CM type meets its conjugate")
     # t and its image lie in 0..size-1, so covering is a count
-    if len(image | t) != model.size:
+    if len(image | t) != size:
         raise InvalidModelError("CM type and conjugate must cover everything")
 
 
@@ -351,72 +357,91 @@ def _cyclotomic(d: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+def _digit_walk(items: list, moves: Sequence[Sequence[int]], orders: Sequence[int]) -> list:
+    """items, then for each move m of order n the blocks m^j of the list
+    so far, 0 < j < n, each block read through m from the one before.
+    From the cycle of 0 under a generator g_0 and the other generators
+    g_i, entry e is prod g_i^e_i (0), e read as digits e_i base
+    ord(g_i), the first digit lowest."""
+    for move, n in zip(moves, orders):
+        block, items = items, list(items)
+        for _ in range(n - 1):
+            block = list(map(move.__getitem__, block))
+            items += block
+    return items
+
+
+# bytes.translate table: the byte 0 to "1", every other byte to "0"
+_ZERO_DIGITS = b"1" + b"0" * 255
+
+
+def _zeros(values: list[int]) -> int:
+    """The bitmask of the indices where values, each below 256, are 0."""
+    return int(bytes(values).translate(_ZERO_DIGITS)[::-1], 2)
+
+
 def _odd_characters(model: GaloisModel):
     """Kubota's data for a regular abelian model, None for any other.
 
     The model qualifies when the generators commute, and the product of
-    their orders is the degree with every point reached from 0 by the
-    generators alone.  Then they generate a transitive abelian group H,
-    which acts regularly, so |H| is the degree and prod Z/ord(g_i) is H.
-    conj commutes with every generator, so it lies in the centralizer of
-    H, which for a regular abelian group is H itself.  Hence G = H and
-    |G| is the degree, with no closure to count it.  The point e is
-    prod g_i^e_i (0), and the character k sends it to
+    their orders is the degree with the points prod g_i^e_i (0),
+    0 <= e_i < ord(g_i), all distinct.  Then they generate a transitive
+    abelian group H, which acts regularly, so |H| is the degree and
+    prod Z/ord(g_i) is H.  conj commutes with every generator, so it
+    lies in the centralizer of H, which for a regular abelian group is H
+    itself.  Hence G = H and |G| is the degree, with no closure to count
+    it.  The character k sends the point e to
     zeta_N^(sum k_i e_i N/ord(g_i)), N the exponent of G.  The result
     has one entry per Galois orbit {k^j : j prime to d} of odd
     characters (value -1 on conj), d their order: the orbit size, d,
     Phi_d, the exponent of zeta_d at each point, and the kernel as a
     bitmask, the points with exponent 0 (Galois-conjugate characters
-    share it).
+    share it).  An odd character has even order, so its conjugates
+    k^j, j odd, are odd too, and the orbits of the even ones are never
+    formed.
     """
     gens, size = model.generators, model.size
     if any(compose(g, h) != compose(h, g) for g, h in combinations(gens, 2)):
         return None
-    orders = []
+    # the cycle of 0 under each generator: its length is the order
+    cycles = []
     for g in gens:
-        n, x = 1, g[0]
+        cycle, x = [0], g[0]
         while x != 0:
-            n, x = n + 1, g[x]
-        orders.append(n)
+            cycle.append(x)
+            x = g[x]
+        cycles.append(cycle)
+    orders = list(map(len, cycles))
     if math.prod(orders) != size:
         return None
-    # BFS tree from 0 over the generators: each point's parent and step
-    parent, step, reached = [-1] * size, [0] * size, [0]
-    parent[0] = 0
-    for x in reached:
-        for i, g in enumerate(gens):
-            if parent[g[x]] < 0:
-                parent[g[x]], step[g[x]] = x, i
-                reached.append(g[x])
-    if len(reached) != size:
+    points = _digit_walk(cycles[0], gens[1:], orders[1:])
+    if len(set(points)) != size:
         return None
-    conj = [0] * len(gens)
-    y = model.conj[0]
-    while y:
-        conj[step[y]] += 1
-        y = parent[y]
+    where = sorted(range(size), key=points.__getitem__)  # points[where[y]] = y
     exponent = math.lcm(*orders)
+    weights = [exponent // n for n in orders]
+    # the value of each character on conj, a power of zeta_N, listed in
+    # the order of product(): the last digit of k runs fastest
+    on_conj, e = [0], where[model.conj[0]]
+    for n, w in zip(orders, weights):
+        e, digit = divmod(e, n)
+        on_conj = [(x + j * digit * w) % exponent for x in on_conj for j in range(n)]
     seen: set[tuple[int, ...]] = set()
     found = []
-    for k in product(*map(range, orders)):
-        if k in seen:
+    for k, value in zip(product(*map(range, orders)), on_conj):
+        if 2 * value != exponent or k in seen:
             continue
-        steps = [ki * (exponent // n) for ki, n in zip(k, orders)]
+        steps = list(map(mul, k, weights))
         unit = math.gcd(exponent, *steps)
         d = exponent // unit
-        orbit = {
-            tuple(j * ki % n for ki, n in zip(k, orders))
-            for j in range(1, d + 1)
-            if math.gcd(j, d) == 1
-        }
-        seen |= orbit
-        if 2 * sum(s * e for s, e in zip(steps, conj)) % (2 * exponent) != exponent:
-            continue
-        exps = [0] * size
-        for y in reached[1:]:
-            exps[y] = (exps[parent[y]] + steps[step[y]] // unit) % d
-        kernel = _mask(y for y, e in enumerate(exps) if e == 0)
-        found.append((len(orbit), d, _cyclotomic(d), exps, kernel))
+        units = [j for j in range(1, d + 1) if math.gcd(j, d) == 1]
+        seen.update(zip(*[[j * ki % n for j in units] for ki, n in zip(k, orders)]))
+        # the exponents of zeta_d at points[e], built as points was: a step
+        # of digit i adds steps[i] / unit
+        first = [j * steps[0] // unit % d for j in range(orders[0])]
+        adds = [[(x + s // unit) % d for x in range(d)] for s in steps[1:]]
+        exps = list(map(_digit_walk(first, adds, orders[1:]).__getitem__, where))
+        found.append((len(units), d, _cyclotomic(d), exps, _zeros(exps)))
     return found
 
 
@@ -454,29 +479,6 @@ def _dihedral_representations(model: GaloisModel):
     return n, label, orbits
 
 
-@lru_cache(maxsize=KUBOTA_TABLES)
-def _kubota(
-    generators: tuple[Perm, ...], conj: Perm, size: int
-) -> Optional[Callable[[frozenset[int]], tuple[int, bool]]]:
-    """The reader theta -> (raw rank, primitive) of the model with these
-    fields, bound to its table: the odd characters of a regular abelian
-    model (see _odd_characters), the odd representations of a regular
-    dihedral one (see _dihedral_representations), or None when the model
-    has neither.  It is keyed by the fields, not the model, so no entry
-    keeps a model's instance dict alive, and the reader remembers its last
-    theta.  Call it as _kubota(*model)."""
-    model = _ModelFields(generators, conj, size)
-    characters = _odd_characters(model)
-    if characters is not None:
-        reader = partial(_by_characters, characters)
-    else:
-        table = _dihedral_representations(model)
-        if table is None:
-            return None
-        reader = partial(_by_representations, *table)
-    return lru_cache(maxsize=1)(reader)
-
-
 def _correlation(word) -> list[int]:
     """w(x) w(1/x) mod x^n - 1 for the n coefficients of w, n even: the
     coefficient of x^e is sum_a w_a w_(a+e), and that of x^(n-e) is the
@@ -491,16 +493,27 @@ def _vanishes(word, d: int, phi: tuple[int, ...]) -> bool:
     return not any(_poly_divmod([sum(word[e::d]) for e in range(d)], phi)[1])
 
 
-def _by_representations(n, label, orbits, theta: frozenset[int]) -> tuple[int, bool]:
-    """(raw rank, primitive) of theta on a regular dihedral model: each
-    odd orbit adds phi(d) times the rank of its 2 x 2 matrix, and theta is
-    primitive when no nontrivial element fixes it from the right (see
-    kubota_rank, is_primitive)."""
+def _by_representations(
+    n, label, orbits, theta: frozenset[int], rank: bool = True
+) -> tuple[Optional[int], bool]:
+    """(raw rank, primitive) of theta on a regular dihedral model: theta
+    is primitive when no nontrivial element fixes it from the right, and
+    each odd orbit adds phi(d) times the rank of its 2 x 2 matrix (see
+    is_primitive, kubota_rank).  With rank=False the rank is not
+    computed, and is None."""
     word = bytearray(2 * n)
     for x in theta:
         word[label[x]] = 1
     # theta's rotations and reflections as 0/1 words indexed by a in Z/n
     rotations, reflections = word[:n], word[n:]
+    # the least c > 0 with w + c = w for each word: it divides n, and
+    # those c are its multiples
+    cycled = rotations * 2
+    p0 = cycled.find(rotations, 1)
+    p1 = (reflections * 2).find(reflections, 1)
+    primitive = not (reflections in cycled or math.lcm(p0, p1) < n)
+    if not rank:
+        return None, primitive
     # A(x)A(1/x) - B(x)B(1/x) mod x^n - 1, which x^d - 1 divides
     det = list(map(sub, _correlation(rotations), _correlation(reflections)))
     raw = 1
@@ -509,29 +522,29 @@ def _by_representations(n, label, orbits, theta: frozenset[int]) -> tuple[int, b
             raw += 2 * (len(phi) - 1)
         elif not (_vanishes(rotations, d, phi) and _vanishes(reflections, d, phi)):
             raw += len(phi) - 1
-    # the least c > 0 with w + c = w for each word: it divides n, and
-    # those c are its multiples
-    cycled = rotations * 2
-    p0 = cycled.find(rotations, 1)
-    p1 = (reflections * 2).find(reflections, 1)
-    induced = reflections in cycled or math.lcm(p0, p1) < n
-    return raw, not induced
+    return raw, primitive
 
 
-def _by_characters(characters, theta: frozenset[int]) -> tuple[int, bool]:
+def _by_characters(
+    characters, theta: frozenset[int], rank: bool = True
+) -> tuple[Optional[int], bool]:
     """(raw rank, primitive) of theta from Kubota's table, in one pass:
     each odd orbit that does not vanish on theta adds its size to the
     rank and its kernel to the stabilizer, and theta is primitive when
-    the stabilizer is the point 0 alone (see kubota_rank, is_primitive)."""
+    the stabilizer is the point 0 alone (see kubota_rank, is_primitive).
+    With rank=False the pass stops once the stabilizer is the point 0,
+    and the rank is None."""
     raw, stabilizer = 1, -1  # -1: every point
     for count, d, phi, exps, kernel in characters:
+        if stabilizer == 1 and not rank:
+            break
         coeffs = [0] * d
         for a in theta:
             coeffs[exps[a]] += 1
         if any(_poly_divmod(coeffs, phi)[1]):
             raw += count
             stabilizer &= kernel
-    return raw, stabilizer == 1
+    return raw if rank else None, stabilizer == 1
 
 
 def kubota_rank(model: GaloisModel, theta: CMType) -> tuple[int, int]:
@@ -596,12 +609,11 @@ def kubota_rank(model: GaloisModel, theta: CMType) -> tuple[int, int]:
     Bareiss elimination of the 0/1 translate rows.
     """
     check_cm_type(model, theta)
-    kubota = _kubota(*model)
-    if kubota is None:
+    if model._kubota is None:
         masks = _translates(model, _mask(theta.theta))
         raw = integer_rank(_translate_rows(model, masks))
     else:
-        raw = kubota(theta.theta)[0]
+        raw = model._kubota(theta.theta)[0]
     return raw, raw - 1
 
 
@@ -723,8 +735,8 @@ def is_primitive(model: GaloisModel, theta: CMType) -> bool:
     vanishes on theta (see kubota_rank), and Galois-conjugate characters
     share both their kernel and whether they vanish.  So Stab is the
     intersection of the kernels of the odd orbits that do not vanish on
-    theta, read in the same pass over the table that counts the rank,
-    and theta is primitive exactly when Stab = {0}.
+    theta, read in a pass over the table that stops once it is {0}, and
+    theta is primitive exactly when Stab = {0}.
 
     On a regular dihedral model (see _dihedral_representations) the
     points are D_n, acted on by left multiplication.  Its block systems
@@ -741,7 +753,7 @@ def is_primitive(model: GaloisModel, theta: CMType) -> bool:
     r^(a-c), the reflection r^c s fixes theta exactly when theta_1 =
     theta_0 + c, i.e. when the 0/1 word of theta_1 on Z/n is a cyclic
     shift of that of theta_0.  A string search on the two words decides
-    both.
+    both, with none of the divisions the rank needs.
 
     Every other model runs union-find.  Let a be the least point of
     theta.  For each other x in theta, union-find builds the finest
@@ -755,10 +767,9 @@ def is_primitive(model: GaloisModel, theta: CMType) -> bool:
     finishes.  Neither route needs Bareiss or a block-system list.
     """
     check_cm_type(model, theta)
-    kubota = _kubota(*model)
-    if kubota is None:
+    if model._kubota is None:
         return not _is_induced(model, theta.theta)
-    return kubota(theta.theta)[1]
+    return model._kubota(theta.theta, rank=False)[1]
 
 
 class ScanEntry(NamedTuple):
@@ -821,16 +832,14 @@ def tankeev_scan(model: GaloisModel) -> ScanReport:
     an odd prime p; otherwise the bound columns are reported as None.
     Ranks and primitivity are computed for one type per G-orbit and
     copied to its translates: both are invariant under the group, and
-    the translates of a type are its orbit.  A model with a table reads
-    both from one pass over it, through the reader that `_kubota(*model)`
-    caches for the model's value, so a scan of a model value already
-    built builds no table (see kubota_rank and is_primitive).  Any other
-    model takes Bareiss, on the rows of the translates the scan walks
-    once per orbit, and union-find.  The types are generated one at a
-    time in canonical order, and only the translates not yet reached are
-    held, as bitmasks from a breadth-first search over the generators.
-    Models with g above SCAN_MAX_G are refused before anything is
-    enumerated.
+    the translates of a type are its orbit.  A model whose slot `_kubota`
+    holds a reader reads both from one pass over its table (see
+    kubota_rank and is_primitive); any other takes Bareiss, on the rows
+    of the translates the scan walks once per orbit, and union-find.  The
+    types are generated one at a time in canonical order, and only the
+    translates not yet reached are held, as bitmasks from a breadth-first
+    search over the generators.  Models with g above SCAN_MAX_G are
+    refused before anything is enumerated.
     """
     g = model.g
     if g > SCAN_MAX_G:
@@ -839,7 +848,7 @@ def tankeev_scan(model: GaloisModel) -> ScanReport:
         )
     applicable = g != 2 and is_prime(g)
     bound = 2 * g - 1 if applicable else None
-    kubota = _kubota(*model)
+    kubota = model._kubota
     known: dict[int, tuple[int, int, bool]] = {}
     entries = []
     for key in _half_systems(model):

@@ -1,5 +1,4 @@
 import random
-import sys
 
 import pytest
 
@@ -40,37 +39,6 @@ def _perm(text, size):
     """The permutation of ``size`` points in cycle notation, read as the
     CLI reads ``--iota``."""
     return _cycles(text, size, "--iota")
-
-
-@pytest.fixture(autouse=True)
-def _cold_kubota_cache():
-    """Each test starts with no Kubota table built, so a test that counts
-    or patches the engines sees the same calls in any order, and leaves
-    no reader bound to a patched function behind."""
-    cmtools._kubota.cache_clear()
-    yield
-    cmtools._kubota.cache_clear()
-
-
-def _reader(model):
-    """The model's Kubota reader, or None (see cmtools._kubota)."""
-    return cmtools._kubota(*model)
-
-
-def _route(model):
-    """The table function the model's reader is bound to, seen through the
-    reader's memo of its last type."""
-    return _reader(model).__wrapped__.func
-
-
-def _counting(function, calls):
-    """function, appending its name to calls on every call."""
-
-    def counted(*args, **kwargs):
-        calls.append(function.__name__)
-        return function(*args, **kwargs)
-
-    return counted
 
 
 def test_z2_model():
@@ -202,6 +170,11 @@ def _oracle_models():
     models["Z8 redundant"] = _perms_model(
         8, ["(0 1 2 3 4 5 6 7)", "(0 2 4 6)(1 3 5 7)"], swap4
     )
+    # Z4 x Z2 given by r and r^2: the generators commute and their orders
+    # multiply to the degree, but they reach 4 of the 8 points
+    models["Z4xZ2 gens (r, r^2)"] = _perms_model(
+        8, ["(0 1 2 3)(4 5 6 7)", "(0 2)(1 3)(4 6)(5 7)"], swap4
+    )
     models.update({f"dihedral:{n}": dihedral_model(n) for n in (8, 10)})
     # regular dihedral actions that the representation route must turn
     # down: conjugation the right multiplication by s, which is central but
@@ -255,14 +228,13 @@ def test_union_find_blocks_match_subgroup_oracle(name):
     model = ORACLE_MODELS[name]
     systems = subgroup_block_systems(model)
     assert set(block_systems(model)) == systems
-    reader = _reader(model)
     for theta in enumerate_cm_types(model):
         want = not is_union_of_blocks(systems, theta.theta)
         assert is_primitive(model, theta) == want
         # union-find is live for models without a table: keep its oracle
         assert cmtools._is_induced(model, theta.theta) != want
-        if reader is not None:
-            assert reader(theta.theta)[1] == want
+        if model._kubota is not None:
+            assert model._kubota(theta.theta)[1] == want
     assert tankeev_scan(model).to_json() == _per_type_scan(model, systems)
 
 
@@ -327,10 +299,13 @@ def test_primitivity_by_tables_on_regular_abelian_and_dihedral_models(monkeypatc
         is_primitive(model, enumerate_cm_types(model)[0])
         tankeev_scan(model)
         assert (model in calls) == (model in other), model
-        assert (_reader(model) is None) == (model in other), model
+        assert (model._kubota is None) == (model in other), model
 
 
-TABLELESS = ["S3xZ2", "D4xZ2", "A4xZ2", "S4xZ2", "Z6xZ2 iota outside", "Z8 redundant"]
+TABLELESS = [
+    "S3xZ2", "D4xZ2", "A4xZ2", "S4xZ2", "Z6xZ2 iota outside", "Z8 redundant",
+    "Z4xZ2 gens (r, r^2)",
+]
 
 
 @pytest.mark.parametrize("name", TABLELESS + DIHEDRAL_FALLBACKS)
@@ -338,7 +313,7 @@ def test_a_scan_without_a_table_walks_each_orbit_once(name, monkeypatch):
     """Bareiss reads its rows from the translates that mark the orbit, so
     a scan walks the translates of one type per orbit, once."""
     model = ORACLE_MODELS[name]
-    assert _reader(model) is None
+    assert model._kubota is None
     group = group_of(model)
     orbits = {
         min(tuple(sorted(p[x] for x in theta.theta)) for p in group)
@@ -418,7 +393,7 @@ def test_dihedral_tables_match_bareiss_and_union_find(monkeypatch):
     monkeypatch.setattr(cmtools, "_block_labels", refuse)
     scans = {}
     for model, theta, (ranks, prim) in cases:
-        assert _route(model) is cmtools._by_representations
+        assert model._kubota.func is cmtools._by_representations
         assert (kubota_rank(model, theta), is_primitive(model, theta)) == (ranks, prim)
         if model.g <= 14:
             if model not in scans:
@@ -447,83 +422,53 @@ def test_primitivity_routes_agree_on_small_regular_abelian_models():
         ]
         for conj in sorted(involutions):
             model = GaloisModel(base.generators, conj, base.size)
-            assert _route(model) is cmtools._by_characters, (dims, conj)
+            assert model._kubota.func is cmtools._by_characters, (dims, conj)
             for key in cmtools._half_systems(model):
                 theta = frozenset(key)
-                by_characters = _reader(model)(theta)[1]
+                by_characters = model._kubota(theta)[1]
                 assert by_characters != cmtools._is_induced(model, theta), (dims, conj, key)
+                assert model._kubota(theta, rank=False) == (None, by_characters)
                 count += 1
     assert count == 8466
 
 
-def test_a_kubota_table_is_built_once_per_model_value(monkeypatch):
-    """Models equal in value share one table, built on the first query of
-    the first of them, whichever constructor built each."""
+def test_dihedral_primitivity_computes_no_rank(monkeypatch):
+    """is_primitive on a dihedral table compares the two words of theta
+    and leaves the correlation and the divisions by Phi_d to kubota_rank:
+    every type of dihedral:n, n = 4, 6, 8, 10, against union-find."""
+    cases = []
+    for n in (4, 6, 8, 10):
+        model = dihedral_model(n)
+        for key in cmtools._half_systems(model):
+            theta = CMType(key)
+            cases.append((model, theta, not cmtools._is_induced(model, theta.theta)))
+
+    def refuse(*args):
+        raise AssertionError("a rank was computed")
+
+    monkeypatch.setattr(cmtools, "_correlation", refuse)
+    monkeypatch.setattr(cmtools, "_vanishes", refuse)
+    for model, theta, want in cases:
+        assert is_primitive(model, theta) == want, (model.g, theta)
+    assert len(cases) == 2**4 + 2**6 + 2**8 + 2**10
+
+
+def test_abelian_primitivity_stops_at_a_trivial_stabilizer(monkeypatch):
+    """is_primitive stops reading the character table once the kernels of
+    the odd orbits that do not vanish meet in the point 0.  On a type of
+    Z2^4 where all 8 odd characters are nonzero (raw rank 9), kubota_rank
+    divides by Phi_2 8 times and is_primitive 5 times."""
+    model = abelian_model([2, 2, 2, 2])
+    theta = CMType([0, 2, 4, 6, 8, 10, 12, 15])
+    assert model._kubota is not None  # the table, built before counting
     calls = []
-    for name in ("_odd_characters", "_dihedral_representations"):
-        monkeypatch.setattr(cmtools, name, _counting(getattr(cmtools, name), calls))
-    cyclic = [
-        cyclic_model(12),
-        cyclic_model(12),
-        _perms_model(
-            12, ["(0 1 2 3 4 5 6 7 8 9 10 11)"], "(0 6)(1 7)(2 8)(3 9)(4 10)(5 11)"
-        ),
-    ]
-    assert cyclic[2] == cyclic[0]
-    for model in cyclic:
-        theta = CMType(range(6))
-        assert kubota_rank(model, theta) == kubota_ranks(model, theta) == (7, 6)
-        assert is_primitive(model, theta)
-        tankeev_scan(model)
-    assert calls == ["_odd_characters"]
+    divide = cmtools._poly_divmod
+    monkeypatch.setattr(cmtools, "_poly_divmod", lambda *args: calls.append(1) or divide(*args))
+    assert kubota_rank(model, theta) == (9, 8)
+    assert len(calls) == 8
     calls.clear()
-    for model in (dihedral_model(6), dihedral_model(6)):
-        theta = CMType([0, 1, 2, 6, 7, 8])
-        assert kubota_rank(model, theta) == kubota_ranks(model, theta)
-        is_primitive(model, theta)
-    # a dihedral model is first turned down by the character route
-    assert calls == ["_odd_characters", "_dihedral_representations"]
-
-
-@pytest.mark.parametrize(
-    "model, table",
-    [(cyclic_model(12), "_by_characters"), (dihedral_model(6), "_by_representations")],
-    ids=["cyclic:12", "dihedral:6"],
-)
-def test_rank_then_primitivity_reads_the_table_once(model, table, monkeypatch):
-    """kubota_rank and then is_primitive of one type read one table pass:
-    the reader remembers its last type."""
-    calls = []
-    monkeypatch.setattr(cmtools, table, _counting(getattr(cmtools, table), calls))
-    types = enumerate_cm_types(model)
-    for theta in types[:8]:
-        calls.clear()
-        kubota_rank(model, theta)
-        is_primitive(model, theta)
-        assert calls == [table], theta
-    # another type, and back: each is read again
-    calls.clear()
-    for theta in (types[0], types[1], types[0]):
-        is_primitive(model, theta)
-    assert calls == [table] * 3
-
-
-def test_the_kubota_cache_is_bounded_and_holds_no_model(monkeypatch):
-    """KUBOTA_TABLES + 1 model values evict the least recently read table,
-    and an entry holds the model's fields, not the model."""
-    calls = []
-    monkeypatch.setattr(cmtools, "_odd_characters", _counting(cmtools._odd_characters, calls))
-    bound = cmtools.KUBOTA_TABLES
-    models = [cyclic_model(2 * g) for g in range(1, bound + 2)]
-    refs = [sys.getrefcount(model) for model in models]
-    [kubota_rank(model, CMType(range(model.g))) for model in models]
-    assert [sys.getrefcount(model) for model in models] == refs
-    assert cmtools._kubota.cache_info().currsize == bound
-    assert len(calls) == bound + 1
-    kubota_rank(models[-1], CMType(range(models[-1].g)))
-    assert len(calls) == bound + 1
-    kubota_rank(models[0], CMType(range(models[0].g)))
-    assert len(calls) == bound + 2
+    assert is_primitive(model, theta)
+    assert len(calls) == 5
 
 
 def test_scan_is_capped_before_enumerating():
@@ -598,6 +543,8 @@ def test_cm_type_validation():
         check_cm_type(model, CMType(frozenset({0, 3, 1})))
     with pytest.raises(InvalidModelError, match="0..5"):
         check_cm_type(model, CMType(frozenset({0, 1, 8})))
+    with pytest.raises(InvalidModelError, match="0..5"):
+        check_cm_type(model, CMType(frozenset({-1, 1, 2})))
 
 
 def test_models_refuse_a_degree_over_the_cap():
