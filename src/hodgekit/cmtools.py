@@ -278,12 +278,11 @@ def check_cm_type(model: GaloisModel, theta: CMType) -> None:
     # t is not empty: g >= 1
     if min(t) < 0 or max(t) >= size:
         raise InvalidModelError(f"CM type entries must lie in 0..{size - 1}")
-    image = set(map(model.conj.__getitem__, t))
-    if image & t:
+    if not t.isdisjoint(map(model.conj.__getitem__, t)):
         raise InvalidModelError("CM type meets its conjugate")
-    # t and its image lie in 0..size-1, so covering is a count
-    if len(image | t) != size:
-        raise InvalidModelError("CM type and conjugate must cover everything")
+    # so t and its conjugate cover 0..size-1: conj is a permutation, so
+    # |conj t| = |t| = g, and two disjoint sets of g points of 0..size-1
+    # hold 2g = size points, all of them
 
 
 def _half_systems(model: GaloisModel) -> Iterator[tuple[int, ...]]:

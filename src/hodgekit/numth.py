@@ -1,12 +1,13 @@
 """Number-theoretic facts the classification arguments lean on.
 
 Everything here is exact: 2-adic valuations by the floor-sum formula,
-central binomial residues by carry counting, prime counts by sieve.  One
-odd-only byte sieve (``_odd_flags``), kept by the module and grown on
-demand, serves every prime read: the prime-count gaps count one
-contiguous range of its flags in C, the composite check walks the flags
-of one dyadic interval at a time, so no list of all primes is built, and
-``_central_binomial`` reads the flags up to 2h.  Each reader bounds its
+central binomial residues by carry counting (``int.bit_count``), prime
+counts by sieve.  One odd-only byte sieve (``_odd_flags``), kept by the
+module and grown on demand, serves every prime read: the prime-count
+gaps count one contiguous range of its flags in C, the composite check
+reads the primes of one dyadic interval at a time in one comprehension,
+each with the single Legendre term its valuation needs, so no list of
+all primes is built, and ``_central_binomial`` reads the flags up to 2h.  Each reader bounds its
 own range, since the sieve may reach past it.  It also owns the closed-form
 minuscule table and its one inversion, ``_rows_of_dimension``, which
 ``rootsys``, ``central_binomial_solve`` and the classifier all read.
@@ -37,8 +38,8 @@ from functools import lru_cache
 from typing import Optional
 
 # Time and memory double per step in k: `numth verify --k-max 24` takes
-# about 0.7-0.9 s and 83 MB on a 2-vCPU Xeon VM, and k = 27 about 5.8 s and
-# 506 MB.  The one sieve of 2^k_max holds 2^(k_max-1) bytes (64 MB at
+# about 0.55 s and 83 MB on a 2-vCPU Xeon VM, and k = 27 about 4.1-4.5 s
+# and 505 MB.  The one sieve of 2^k_max holds 2^(k_max-1) bytes (64 MB at
 # k = 27); the rest is the witness lists the answer prints (7.6 million
 # primes at k = 27, as Python ints) and their JSON text, so it is the
 # output, not the sieve, that sets the cap.
@@ -84,7 +85,7 @@ def central_binomial_two_adic(z: int) -> int:
     if _require_int(z, "z") < 0:
         raise ValueError("z must be nonnegative")
     # Carries when adding z + z in base 2 happen at every set bit.
-    return bin(z).count("1")
+    return z.bit_count()
 
 
 def central_binomial_mod4(z: int) -> int:
@@ -337,6 +338,12 @@ def no_prime_double_is_central_binomial(
     so the halved value has two distinct odd prime factors.  Returns
     (ok, witnesses) where witnesses[k] lists the dividing primes found.
     k_max is at most VERIFY_MAX_K.
+
+    With lo = 2^(k-1) and hi = 2^k, the Legendre sum for v_p(C(hi, lo))
+    has one term, hi // p - 2 (lo // p): a prime p > lo has
+    p^2 >= (lo + 1)^2 > 2 lo = hi, so every later term is 0.  The loop
+    checks that inequality once per interval and reads the term alone;
+    it is 1 for each p of the interval (lo < p < hi < 2p).
     """
     if _require_int(k_max, "k_max") < 3:
         raise ValueError("k_max must be at least 3")
@@ -347,16 +354,13 @@ def no_prime_double_is_central_binomial(
     for k in range(3, k_max + 1):
         # the odd p of (2^(k-1), 2^k) are the 2i + 1 with lo/2 <= i < hi/2
         lo, hi = 1 << (k - 1), 1 << k
-        dividing = []
-        for p in itertools.compress(range(lo + 1, hi, 2), flags[lo >> 1 : hi >> 1]):
-            # v_p(C(hi, lo)) by the Legendre sum, inline: one call per prime
-            # would cost more than the sum
-            v, power = 0, p
-            while power <= hi:
-                v += hi // power - 2 * (lo // power)
-                power *= p
-            if v:
-                dividing.append(p)
+        if (lo + 1) ** 2 <= hi:  # pragma: no cover
+            raise AssertionError("the Legendre sum needs more than one term")
+        dividing = [
+            p
+            for p in itertools.compress(range(lo + 1, hi, 2), flags[lo >> 1 : hi >> 1])
+            if hi // p - 2 * (lo // p)
+        ]
         witnesses[k] = dividing
         if len(dividing) < 2:
             ok = False

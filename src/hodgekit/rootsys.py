@@ -7,11 +7,17 @@ the simple root it descends from and its coroot,
 s_i(beta)^vee = s_i(beta^vee).  A Dynkin node has at most three
 neighbours, so every Weyl-group kernel is sparse: <beta, alpha_i^vee> is
 read off the root's weight coordinates, and s_i changes a weight only at
-i and its neighbours.  On top of that come representation dimensions by
-the Weyl formula, self-duality by dominantizing -lambda, and the
-orthogonal/symplectic sign of a self-dual representation by the parity
-of <lambda, 2 rho^vee>, with 2 rho^vee summed once per system; pairings
-read only the weight's nonzero coordinates.
+i and its neighbours.  The closure also carries the indices of a root's
+negative pairings, the only reflections it takes, and updates them at i
+and its neighbours, so no step scans all l pairings.  On top of that
+come representation dimensions by the Weyl formula, self-duality by
+dominantizing -lambda, and the orthogonal/symplectic sign of a
+self-dual representation by the parity of <lambda, 2 rho^vee>, with
+2 rho^vee summed once per system; pairings read only the weight's
+nonzero coordinates, and those of omega_i are coroot column i, which
+the minuscule scan reads whole.  One dominantization of -lambda gives
+both the dual and the length, and the table check reads it once per
+weight for the two.
 
 The length of a dominant weight needs no linear solve either.  Write
 lambda = sum c_alpha alpha; the alpha-coordinate of lambda - w0(lambda)
@@ -47,8 +53,10 @@ from .numth import _require_int, _require_ints
 # Largest rank a RootSystem is built for.  Root generation grows like l^3
 # and sets the cost of a single-system query: `weights dim`, `autodual` or
 # `length` on D112 takes about 0.5 s on a 2-vCPU Xeon VM (51 MB peak), and
-# building B128 about 0.4 s.  The refusal above it is pinned by the CLI
-# golden, so the cap stays.
+# building B128 about 0.4 s.  `weights verify-table2 --max-rank 112`, every
+# system up to the cap, takes 48-57 s and 54 MB, inside the 60 s budget of
+# the other caps.  The refusal above it is pinned by the CLI golden, so the
+# cap stays.
 MAX_RANK = 112
 
 
@@ -156,9 +164,10 @@ class RootSystem:
         """Each positive root beta with its coroot beta^vee, both in simple
         (co)root coordinates, so that <w, beta^vee> = sum_j w_j v_j.
 
-        A root is carried with its squared length and its weight
+        A root is carried with its squared length, its weight
         coordinates <beta, alpha_i^vee>, which s_i changes only at i and
-        its neighbours.  The closure reflects only upward: s_i(beta) =
+        its neighbours, and the indices where they are negative.  The
+        closure reflects only upward: s_i(beta) =
         beta - <beta, alpha_i^vee> alpha_i is taken when the pairing is
         negative, and is then a higher positive root.  That reaches every
         positive root: a positive root beta that is not simple has some i
@@ -174,18 +183,19 @@ class RootSystem:
         must be an integer.  Every read of the roots passes through here,
         so the count check below runs on every system whose roots are used.
         """
-        l = self.rank
+        l, links = self.rank, self._links
         coroots = {}
         frontier = []
         for i in range(l):
             alpha = tuple(int(i == j) for j in range(l))
             coroots[alpha] = alpha
-            frontier.append((alpha, alpha, self.norms[i], tuple(self.cartan[i])))
+            # alpha_i pairs negatively with its neighbours alone
+            negative = [j for j, _ in links[i]]
+            frontier.append((alpha, alpha, self.norms[i], tuple(self.cartan[i]), negative))
         while frontier:
-            beta, vee, size, pairings = frontier.pop()
-            for i, p in enumerate(pairings):
-                if p >= 0:
-                    continue
+            beta, vee, size, pairings, negative = frontier.pop()
+            for i in negative:
+                p = pairings[i]
                 img = list(beta)
                 img[i] -= p
                 img = tuple(img)
@@ -197,7 +207,13 @@ class RootSystem:
                 img_vee = list(vee)
                 img_vee[i] -= q
                 coroots[img] = img_vee = tuple(img_vee)
-                frontier.append((img, img_vee, size, self.reflect_weight(pairings, i)))
+                # s_i turns the pairing at i into -p > 0 and lowers it by
+                # p * a > 0 at each neighbour j (a < 0), so only i leaves
+                # the negative indices and only a neighbour joins them
+                mu = self.reflect_weight(pairings, i)
+                below = [j for j in negative if j != i]
+                below += [j for j, _ in links[i] if mu[j] < 0 <= pairings[j]]
+                frontier.append((img, img_vee, size, mu, below))
         expected = _COUNT[self.kind](l)
         if len(coroots) != expected:
             raise AssertionError(
@@ -321,11 +337,13 @@ def minuscule_weights(rs: RootSystem) -> list[Weight]:
 
     A nonzero minuscule weight is necessarily fundamental, so scanning
     the fundamental weights against the definitional test is exhaustive.
+    The pairings of omega_i with the positive coroots are their i-th
+    coordinates, coroot column i, so ``is_minuscule`` reads that column.
     """
     return [
-        w
-        for i in range(1, rs.rank + 1)
-        if is_minuscule(rs, w := fundamental_weight(rs, i))
+        fundamental_weight(rs, i)
+        for i, column in enumerate(rs._coroot_columns, 1)
+        if max(column) <= 1
     ]
 
 
@@ -343,11 +361,25 @@ def rep_dimension(rs: RootSystem, weight: Weight) -> int:
     return num // den
 
 
+def _negated_dominant(rs: RootSystem, weight: Weight):
+    """-w0(lambda) and lambda - w0(lambda) in simple-root coordinates:
+    ``dominant_representative`` of -lambda, the one dominantization that
+    the dual, the autoduality and the length all read."""
+    return rs.dominant_representative(tuple(-c for c in weight.coords))
+
+
+def _self_dual_sign(rs: RootSystem, weight: Weight, dual: tuple[int, ...]) -> str:
+    """The autoduality of a minuscule weight whose dual is ``dual``."""
+    if dual != weight.coords:
+        return NON_SELF_DUAL
+    total = sum(c * rs._two_rho_vee[j] for j, c in weight.support)
+    return ORTHOGONAL if total % 2 == 0 else SYMPLECTIC
+
+
 def dual_weight(rs: RootSystem, weight: Weight) -> Weight:
     """The highest weight -w0(lambda) of the dual representation."""
     _check_length(rs, weight)
-    negated = tuple(-c for c in weight.coords)
-    return Weight(rs.dominant_representative(negated)[0])
+    return Weight(_negated_dominant(rs, weight)[0])
 
 
 def autoduality(rs: RootSystem, weight: Weight) -> str:
@@ -362,10 +394,7 @@ def autoduality(rs: RootSystem, weight: Weight) -> str:
         raise ValueError(
             f"autoduality is defined here for minuscule weights, got {weight.coords}"
         )
-    if dual_weight(rs, weight) != weight:
-        return NON_SELF_DUAL
-    total = sum(c * rs._two_rho_vee[j] for j, c in weight.support)
-    return ORTHOGONAL if total % 2 == 0 else SYMPLECTIC
+    return _self_dual_sign(rs, weight, _negated_dominant(rs, weight)[0])
 
 
 def weight_length(rs: RootSystem, weight: Weight) -> int:
@@ -380,8 +409,7 @@ def weight_length(rs: RootSystem, weight: Weight) -> int:
     _check_length(rs, weight)
     if not is_dominant(weight):
         raise ValueError(f"weight_length needs a dominant weight, got {weight.coords}")
-    _, shift = rs.dominant_representative(tuple(-c for c in weight.coords))
-    return min(shift)
+    return min(_negated_dominant(rs, weight)[1])
 
 
 def minuscule_table_expected(rs: RootSystem) -> list[dict]:
@@ -408,8 +436,10 @@ def verify_minuscule_table(rs: RootSystem) -> dict:
     for idx, w in computed:
         row = expected.get(idx)
         dim = rep_dimension(rs, w)
-        dual = autoduality(rs, w)
-        length_ok = weight_length(rs, w) == 1 if rs.kind != "E" else True
+        # one dominantization of -w for both the dual and the length
+        opposite, shift = _negated_dominant(rs, w)
+        dual = _self_dual_sign(rs, w, opposite)
+        length_ok = min(shift) == 1 if rs.kind != "E" else True
         row_ok = (
             row is not None
             and dim == row["dim"]

@@ -139,13 +139,15 @@ def test_no_prime_double_scan():
 
 def test_witnesses_are_every_prime_of_each_dyadic_interval():
     # Miller-Rabin is a route independent of the sieve: a walk that
-    # skipped or overran an interval edge would change some list
-    ok, witnesses = no_prime_double_is_central_binomial(16)
+    # skipped or overran an interval edge would change some list; the
+    # full Legendre sum checks the one-term read of each valuation
+    ok, witnesses = no_prime_double_is_central_binomial(18)
     assert ok
-    assert sorted(witnesses) == list(range(3, 17))
+    assert sorted(witnesses) == list(range(3, 19))
     for k, primes in witnesses.items():
         lo, hi = 1 << (k - 1), 1 << k
         assert primes == [p for p in range(lo + 1, hi) if is_prime(p)], k
+        assert all(prime_valuation_central_binomial(p, lo) == 1 for p in primes), k
 
 
 def test_is_prime_matches_the_sieve():

@@ -272,6 +272,43 @@ def test_verify_minuscule_table_passes():
         assert verify_minuscule_table(rs)["ok"], rs.name
 
 
+def test_verify_minuscule_table_matches_the_public_queries():
+    # every classical system of rank <= 24 plus E6 and E7: the table check
+    # reads the minuscule test off the coroot columns and dominantizes -w
+    # once for both the dual and the length; the public queries, one call
+    # each, must give the same weights and the same rows
+    lows = (("A", 1), ("B", 2), ("C", 1), ("D", 3))
+    specs = [(kind, l) for kind, lo in lows for l in range(lo, 25)]
+    for kind, l in specs + [("E", 6), ("E", 7)]:
+        rs = RootSystem(kind, l)
+        fundamentals = [fundamental_weight(rs, i) for i in range(1, l + 1)]
+        minuscule = [w for w in fundamentals if is_minuscule(rs, w)]
+        assert minuscule_weights(rs) == minuscule, rs.name
+        expected = {
+            row["index"]: (row["dim"], row["duality"])
+            for row in minuscule_table_expected(rs)
+        }
+        rows = []
+        for w in minuscule:
+            index = w.coords.index(1) + 1
+            dim, dual = rep_dimension(rs, w), autoduality(rs, w)
+            length_one = kind == "E" or weight_length(rs, w) == 1
+            ok = expected.get(index) == (dim, dual) and length_one
+            rows.append(
+                {
+                    "index": index,
+                    "dim": dim,
+                    "duality": dual,
+                    "definitional": True,
+                    "length_one": length_one,
+                    "ok": ok,
+                }
+            )
+        assert sorted(row["index"] for row in rows) == sorted(expected), rs.name
+        assert all(row["ok"] for row in rows), rs.name
+        assert verify_minuscule_table(rs) == {"system": rs.name, "ok": True, "weights": rows}
+
+
 def test_admissible_factors_examples():
     # dim 6 orthogonal: only the D3 standard; the A3 middle wedge is cut
     hits = admissible_factors(6, ORTHOGONAL)
