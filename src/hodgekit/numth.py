@@ -7,10 +7,11 @@ module and grown on demand, serves every prime read: the prime-count
 gaps count one contiguous range of its flags in C, the composite check
 reads the primes of one dyadic interval at a time in one comprehension,
 each with the single Legendre term its valuation needs, so no list of
-all primes is built, and ``_central_binomial`` reads the flags up to 2h.  Each reader bounds its
-own range, since the sieve may reach past it.  It also owns the closed-form
-minuscule table and its one inversion, ``_rows_of_dimension``, which
-``rootsys``, ``central_binomial_solve`` and the classifier all read.
+all primes is built, and ``_central_binomial`` reads the flags up to 2h.
+Each reader bounds its own range, since the sieve may reach past it.  It
+also owns the closed-form minuscule table and its one inversion,
+``_rows_of_dimension``, which ``rootsys``, ``central_binomial_solve`` and
+the classifier all read.
 
 ``is_prime`` is the one primality test of the package: trial division
 by the 13 primes 2, 3, ..., 41, then Miller-Rabin to those 13 bases.  A

@@ -191,7 +191,7 @@ class RootSystem:
             coroots[alpha] = alpha
             # alpha_i pairs negatively with its neighbours alone
             negative = [j for j, _ in links[i]]
-            frontier.append((alpha, alpha, self.norms[i], tuple(self.cartan[i]), negative))
+            frontier.append((alpha, alpha, self.norms[i], self.cartan[i], negative))
         while frontier:
             beta, vee, size, pairings, negative = frontier.pop()
             for i in negative:
@@ -337,8 +337,9 @@ def minuscule_weights(rs: RootSystem) -> list[Weight]:
 
     A nonzero minuscule weight is necessarily fundamental, so scanning
     the fundamental weights against the definitional test is exhaustive.
-    The pairings of omega_i with the positive coroots are their i-th
-    coordinates, coroot column i, so ``is_minuscule`` reads that column.
+    omega_i is dominant and nonzero, and its pairings with the positive
+    coroots are their i-th coordinates, coroot column i, so the test is
+    ``is_minuscule``'s bound on that column.
     """
     return [
         fundamental_weight(rs, i)
