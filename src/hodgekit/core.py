@@ -13,6 +13,15 @@ a ``bool``, a float or an ``int`` subclass is refused, never coerced.  It
 lives in ``numth`` so that the engines check numbers with the same rule
 without loading this module.
 
+On the way to ``classify`` each field is checked once:
+``_require_object`` allocates nothing for an object it accepts,
+``_endo_from_json`` checks the trace list's shape in one loop (and copies
+the pairs; its comment says why), the descriptor builds and checks the
+pairs in one more (``numth._require_int_pairs``), and
+``validate_profile`` walks them once.  Refusals keep their reading order:
+the endo before the weight and n, and within the endo its type, the
+trace shape, deg_L, deg_F, q, disc_one, then the trace entries.
+
 The package's records are ``typing.NamedTuple`` classes: immutable,
 hashable and compared field by field.  A record that checks or
 normalises its fields is a thin subclass whose ``__new__`` does it, so
@@ -24,7 +33,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .numth import _COUNT, _is_int, _require_int
+from .numth import _COUNT, _is_int, _require_int, _require_int_pairs
 
 ALBERT_TYPES = ("I", "II", "III", "IV")
 
@@ -75,10 +84,7 @@ class EndomorphismDescriptor(_EndomorphismFields):
         if disc_one is not None and not isinstance(disc_one, bool):
             raise ValueError("disc_one must be a boolean")
         if cm_traces is not None:
-            cm_traces = tuple(
-                (_require_int(a, "cm_traces"), _require_int(b, "cm_traces"))
-                for a, b in cm_traces
-            )
+            cm_traces = _require_int_pairs(cm_traces, "cm_traces")
         return tuple.__new__(cls, (albert_type, deg_L, deg_F, q, cm_traces, disc_one))
 
 
@@ -256,10 +262,6 @@ def validate_profile(profile: HodgeProfile) -> list[Violation]:
     """
     endo = profile.endo
     out: list[Violation] = []
-
-    def bad(code: str, message: str) -> None:
-        out.append(Violation(code, message))
-
     if not (
         _is_int(profile.weight) and _is_int(profile.n)
         and _is_int(endo.deg_L) and _is_int(endo.deg_F) and _is_int(endo.q)
@@ -267,76 +269,81 @@ def validate_profile(profile: HodgeProfile) -> list[Violation]:
         values = (profile.weight, profile.n, endo.deg_L, endo.deg_F, endo.q)
         for name, value in zip(("weight", "n", "deg_L", "deg_F", "q"), values):
             if not _is_int(value):
-                bad("integer_fields", f"{name} must be an integer, got {value!r}")
+                message = f"{name} must be an integer, got {value!r}"
+                out.append(Violation("integer_fields", message))
         return out
     if profile.weight < 1:
-        bad("weight_positive", f"weight must be >= 1, got {profile.weight}")
+        message = f"weight must be >= 1, got {profile.weight}"
+        out.append(Violation("weight_positive", message))
     if profile.n < 1:
-        bad("n_positive", f"n must be >= 1, got {profile.n}")
-    if endo.albert_type not in ALBERT_TYPES:
-        bad("albert_type", f"unknown Albert type {endo.albert_type!r}")
+        out.append(Violation("n_positive", f"n must be >= 1, got {profile.n}"))
+    t = endo.albert_type
+    if t not in ALBERT_TYPES:
+        out.append(Violation("albert_type", f"unknown Albert type {t!r}"))
         return out
     if endo.deg_L < 1 or endo.deg_F < 1 or endo.q < 1:
-        bad("degrees_positive", "deg_L, deg_F and q must all be >= 1")
+        message = "deg_L, deg_F and q must all be >= 1"
+        out.append(Violation("degrees_positive", message))
         return out
 
-    t = endo.albert_type
     if t == "I":
         if endo.q != 1:
-            bad("type_i_q", f"Type I forces q=1, got q={endo.q}")
+            message = f"Type I forces q=1, got q={endo.q}"
+            out.append(Violation("type_i_q", message))
         if endo.deg_L != endo.deg_F:
-            bad(
-                "type_i_degrees",
-                f"Type I forces [L:Q]=[F:Q], got {endo.deg_L} != {endo.deg_F}",
-            )
+            message = f"Type I forces [L:Q]=[F:Q], got {endo.deg_L} != {endo.deg_F}"
+            out.append(Violation("type_i_degrees", message))
     elif t in ("II", "III"):
         if endo.q != 2:
-            bad("type_ii_iii_q", f"Type {t} forces q=2, got q={endo.q}")
+            message = f"Type {t} forces q=2, got q={endo.q}"
+            out.append(Violation("type_ii_iii_q", message))
         if endo.deg_L != 4 * endo.deg_F:
-            bad(
-                "type_ii_iii_degrees",
-                f"Type {t} forces [L:Q]=4[F:Q], got {endo.deg_L} != 4*{endo.deg_F}",
+            message = (
+                f"Type {t} forces [L:Q]=4[F:Q], got {endo.deg_L} != 4*{endo.deg_F}"
             )
+            out.append(Violation("type_ii_iii_degrees", message))
     else:  # Type IV: center is CM of degree 2 deg_F and [L:center] = q**2
         if endo.deg_L != 2 * endo.deg_F * endo.q * endo.q:
-            bad(
-                "type_iv_degrees",
+            message = (
                 f"Type IV forces [L:Q]=2[F:Q]q^2, got {endo.deg_L} != "
-                f"2*{endo.deg_F}*{endo.q}^2",
+                f"2*{endo.deg_F}*{endo.q}^2"
             )
+            out.append(Violation("type_iv_degrees", message))
 
+    divides = (2 * profile.n) % endo.deg_L == 0
     if profile.n >= 1:
-        if (2 * profile.n) % endo.deg_L != 0:
-            bad(
-                "deg_l_divides_2n",
-                f"[L:Q]={endo.deg_L} must divide 2n={2 * profile.n}",
-            )
+        if not divides:
+            message = f"[L:Q]={endo.deg_L} must divide 2n={2 * profile.n}"
+            out.append(Violation("deg_l_divides_2n", message))
         if profile.n % endo.deg_F != 0:
-            bad(
-                "deg_f_divides_n",
-                f"[F:Q]={endo.deg_F} must divide n={profile.n}",
-            )
+            message = f"[F:Q]={endo.deg_F} must divide n={profile.n}"
+            out.append(Violation("deg_f_divides_n", message))
 
-    if endo.cm_traces is not None:
-        if t != "IV":
-            bad("traces_type_iv_only", "cm_traces are only meaningful for Type IV")
-        else:
-            if len(endo.cm_traces) != endo.deg_F:
-                bad(
-                    "traces_length",
-                    f"cm_traces must have g={endo.deg_F} pairs, got "
-                    f"{len(endo.cm_traces)}",
-                )
-            if any(a < 0 or b < 0 for a, b in endo.cm_traces):
-                bad("traces_nonnegative", "trace entries must be nonnegative")
-            if (2 * profile.n) % endo.deg_L == 0:
-                mq = ((2 * profile.n) // endo.deg_L) * endo.q
-                for i, (a, b) in enumerate(endo.cm_traces):
-                    if a + b != mq:
-                        bad(
-                            "traces_pair_sum",
-                            f"pair {i} sums to {a + b}, expected mq={mq}",
-                        )
+    traces = endo.cm_traces
+    if traces is None:
+        return out
+    if t != "IV":
+        message = "cm_traces are only meaningful for Type IV"
+        out.append(Violation("traces_type_iv_only", message))
+        return out
+    if len(traces) != endo.deg_F:
+        message = f"cm_traces must have g={endo.deg_F} pairs, got {len(traces)}"
+        out.append(Violation("traces_length", message))
+    # One walk over the pairs; a negative entry is reported once, before
+    # any pair sum.
+    mq = ((2 * profile.n) // endo.deg_L) * endo.q if divides else None
+    negative = False
+    sums = []
+    for i, (a, b) in enumerate(traces):
+        if a < 0 or b < 0:
+            negative = True
+        if mq is not None and a + b != mq:
+            message = f"pair {i} sums to {a + b}, expected mq={mq}"
+            sums.append(Violation("traces_pair_sum", message))
+    if negative:
+        message = "trace entries must be nonnegative"
+        out.append(Violation("traces_nonnegative", message))
+    out += sums
     return out
 
 
@@ -371,9 +378,10 @@ def _require_object(data, name: str, required: tuple, optional: tuple = ()) -> N
     """Refuse ``data`` unless it is a JSON object with no field missing or unknown."""
     if not isinstance(data, dict):
         raise ValueError(f"{name} must be a JSON object")
-    extra = set(data).difference(required, optional)
-    if extra:
-        raise ValueError(f"unknown {name} fields: {sorted(extra)}")
+    for key in data:
+        if key not in required and key not in optional:
+            extra = set(data).difference(required, optional)
+            raise ValueError(f"unknown {name} fields: {sorted(extra)}")
     for key in required:
         if key not in data:
             raise ValueError(f"{name} is missing required field {key!r}")
@@ -388,10 +396,11 @@ def _endo_from_json(raw) -> EndomorphismDescriptor:
         raise ValueError(f"type must be a string, got {raw['type']!r}")
     traces = raw.get("cm_traces")
     if traces is not None:
-        if not isinstance(traces, list) or any(
-            not isinstance(p, list) or len(p) != 2 for p in traces
-        ):
+        if not isinstance(traces, list):
             raise ValueError("cm_traces must be a list of [int, int] pairs")
+        for pair in traces:
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ValueError("cm_traces must be a list of [int, int] pairs")
         # The descriptor checks each entry.  The pairs are still built here
         # because classify_sweep's op_tail_ms reads where garbage
         # collections land, and they move with the allocations of a parse.

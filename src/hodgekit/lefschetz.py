@@ -48,16 +48,16 @@ def _lefschetz_group(profile: HodgeProfile) -> GroupExpr:
     if t == "I":
         # V over F has dimension m = 2n/[F:Q], always even for type I.
         k = m // 2
-        return GroupExpr(FAM_SP if odd else FAM_SO, param=k, base_degree=g)
+        return GroupExpr(FAM_SP if odd else FAM_SO, k, g)
     if t in ("II", "III"):
         sp_side = odd if t == "II" else not odd
         fam = FAM_SP_B if sp_side else FAM_O_PLUS_B
-        return GroupExpr(fam, param=m, base_degree=g)
+        return GroupExpr(fam, m, g)
     size = m * profile.endo.q
     if size == 1:
         # B is the CM field L itself; U(B,-) is the norm-one torus U_L.
-        return GroupExpr(FAM_U_L, param=g)
-    return GroupExpr(FAM_U_B, param=size, base_degree=g)
+        return GroupExpr(FAM_U_L, g)
+    return GroupExpr(FAM_U_B, size, g)
 
 
 def group_dim(expr: GroupExpr) -> int:

@@ -24,7 +24,8 @@ at or above it, such an n raises ValueError instead of guessing.
 The package's one integer rule lives here too: a number is an integer
 exactly when its type is ``int``, so a ``bool``, a float and an ``int``
 subclass are all refused, never coerced.  ``_require_int`` checks one
-number and ``_require_ints`` a whole row, with the loop inside it, and
+number, ``_require_ints`` a whole row, with the loop inside it, and
+``_require_int_pairs`` a list of pairs, building their tuple as it checks;
 each refuses with ``<where> must be an integer, got <value!r>``.  Every
 module checks its numbers through these, and the command line reads its
 numbers with ``cli._ints`` before they get here.
@@ -67,6 +68,17 @@ def _require_ints(values, where: str):
         if type(value) is not int:
             raise ValueError(f"{where} must be an integer, got {value!r}")
     return values
+
+
+def _require_int_pairs(pairs, where: str) -> tuple[tuple[int, int], ...]:
+    """The pairs ``(a, b)`` of ``pairs`` as a tuple, built and checked in one
+    loop: ``a`` then ``b`` of each pair under ``_require_int``'s rule."""
+    out = []
+    for a, b in pairs:
+        if type(a) is not int or type(b) is not int:
+            _require_ints((a, b), where)
+        out.append((a, b))
+    return tuple(out)
 
 
 def factorial_two_adic(n: int) -> int:

@@ -9,7 +9,11 @@ list) yield a conditional match instead of a verdict.
 
 The catalog is one table, ``_CATALOG``, from which ``ODD_CASES`` and
 ``EVEN_CASES`` are built once at import; the three Type IV entries that
-both parities share (cases 3-5) appear in it once.
+both parities share (cases 3-5) appear in it once.  Each entry names its
+Albert type, and ``_CHECKS[parity][type]`` holds that type's entries in
+catalog order, so a profile runs only those, with m computed once (type I
+at odd weight runs none).  A case keeps its index in the whole parity;
+entries of other types never match, so the answer is the whole scan's.
 """
 
 from __future__ import annotations
@@ -18,8 +22,10 @@ from functools import partial
 from typing import NamedTuple, Optional
 
 from .core import (
+    ALBERT_TYPES,
     EVEN,
     ODD,
+    EndomorphismDescriptor,
     HodgeProfile,
     InvalidProfileError,
     validate_profile,
@@ -37,88 +43,100 @@ class ExceptionalCase(NamedTuple):
         return self._asdict()
 
 
-def _type_m(albert_type: str, m: int, p: HodgeProfile):
-    return p.endo.albert_type == albert_type and p.m == m
+def _m_is(m: int, endo: EndomorphismDescriptor, profile_m: int):
+    return profile_m == m
 
 
-def _type_m_disc(albert_type: str, m: int, p: HodgeProfile):
-    if not _type_m(albert_type, m, p):
+def _m_is_disc(m: int, endo: EndomorphismDescriptor, profile_m: int):
+    if profile_m != m:
         return False
-    if p.endo.disc_one is None:
+    if endo.disc_one is None:
         return "disc_one"
-    return p.endo.disc_one
+    return endo.disc_one
 
 
-def _iv_zero_products(p: HodgeProfile):
-    if p.endo.albert_type != "IV":
+def _iv_zero_products(endo: EndomorphismDescriptor, m: int):
+    if m == 1 and endo.q == 1:
         return False
-    if p.m == 1 and p.endo.q == 1:
-        return False
-    if p.endo.cm_traces is None:
+    if endo.cm_traces is None:
         return "cm_traces"
-    return sum(a * b for a, b in p.endo.cm_traces) == 0
+    return sum(a * b for a, b in endo.cm_traces) == 0
 
 
-def _iv_all_ones(m: int, q: int, p: HodgeProfile):
-    if p.endo.albert_type != "IV" or p.m != m or p.endo.q != q:
+def _iv_all_ones(m: int, q: int, endo: EndomorphismDescriptor, profile_m: int):
+    if profile_m != m or endo.q != q:
         return False
-    if p.endo.cm_traces is None:
+    if endo.cm_traces is None:
         return "cm_traces"
-    return all(a == 1 and b == 1 for a, b in p.endo.cm_traces)
+    return all(a == 1 and b == 1 for a, b in endo.cm_traces)
 
 
-# (parities, description, predicate), in catalog order within each parity.
-# A predicate returns True (the profile matches), False (it does not), or
-# the name of the missing datum that would decide.
+# (parities, Albert type, description, predicate), in catalog order within
+# each parity.  A predicate is called with the profile's descriptor and m
+# only for a profile of its entry's type, and returns True (the profile
+# matches), False (it does not), or the name of the missing datum that
+# would decide.
 _CATALOG = (
-    ((ODD,), "Type III and m=1", partial(_type_m, "III", 1)),
+    ((ODD,), "III", "Type III and m=1", partial(_m_is, 1)),
     (
         (ODD,),
+        "III",
         "Type III, m=2, disc(B,-)=1 in F*/(F*)^2",
-        partial(_type_m_disc, "III", 2),
+        partial(_m_is_disc, 2),
     ),
-    ((EVEN,), "Type II and m=1", partial(_type_m, "II", 1)),
+    ((EVEN,), "II", "Type II and m=1", partial(_m_is, 1)),
     (
         (EVEN,),
+        "II",
         "Type II, m=2, disc(B,-)=1 in F*/(F*)^2",
-        partial(_type_m_disc, "II", 2),
+        partial(_m_is_disc, 2),
     ),
     (
         (ODD, EVEN),
+        "IV",
         "Type IV and sum of n_sigma*n_sigma_bar = 0, unless m=q=1",
         _iv_zero_products,
     ),
     (
         (ODD, EVEN),
+        "IV",
         "Type IV, m=2, q=1, and n_sigma=n_sigma_bar=1 for all i",
         partial(_iv_all_ones, 2, 1),
     ),
     (
         (ODD, EVEN),
+        "IV",
         "Type IV, m=1, q=2, and n_sigma=n_sigma_bar=1 for all i",
         partial(_iv_all_ones, 1, 2),
     ),
-    ((EVEN,), "Type I and m=2", partial(_type_m, "I", 2)),
+    ((EVEN,), "I", "Type I and m=2", partial(_m_is, 2)),
     (
         (EVEN,),
+        "I",
         "Type I, m=4, and (V,<,>) has discriminant 1 in F*/(F*)^2",
-        partial(_type_m_disc, "I", 4),
+        partial(_m_is_disc, 4),
     ),
 )
 
 
-def _checks(parity: str) -> tuple:
-    """The parity's (case, predicate) pairs; the predicate stays out of the
-    record, so cases compare, hash and print by their data alone."""
-    entries = [(d, pred) for ps, d, pred in _CATALOG if parity in ps]
-    return tuple(
-        (ExceptionalCase(parity, i, d), pred) for i, (d, pred) in enumerate(entries, 1)
-    )
+def _checks(parity: str) -> tuple[tuple, dict]:
+    """The parity's cases, in catalog order, and its (case, predicate) pairs
+    keyed by Albert type; each case keeps its index in the whole parity.  The
+    predicate stays out of the record, so cases compare, hash and print by
+    their data alone."""
+    cases: list[ExceptionalCase] = []
+    by_type: dict[str, list] = {albert_type: [] for albert_type in ALBERT_TYPES}
+    for parities, albert_type, description, predicate in _CATALOG:
+        if parity in parities:
+            case = ExceptionalCase(parity, len(cases) + 1, description)
+            cases.append(case)
+            by_type[albert_type].append((case, predicate))
+    return tuple(cases), {t: tuple(pairs) for t, pairs in by_type.items()}
 
 
-_CHECKS = {ODD: _checks(ODD), EVEN: _checks(EVEN)}
-ODD_CASES = tuple(case for case, _ in _CHECKS[ODD])
-EVEN_CASES = tuple(case for case, _ in _CHECKS[EVEN])
+ODD_CASES, _ODD_CHECKS = _checks(ODD)
+EVEN_CASES, _EVEN_CHECKS = _checks(EVEN)
+_CHECKS = {ODD: _ODD_CHECKS, EVEN: _EVEN_CHECKS}
 
 
 class ExceptionalMatch(NamedTuple):
@@ -137,9 +155,14 @@ class ExceptionalMatch(NamedTuple):
 
 
 def _match(profile: HodgeProfile) -> Optional[ExceptionalMatch]:
+    endo = profile.endo
+    checks = _CHECKS[profile.parity][endo.albert_type]
+    if not checks:
+        return None
+    m = profile.m
     pending: Optional[ExceptionalMatch] = None
-    for case, match in _CHECKS[profile.parity]:
-        verdict = match(profile)
+    for case, match in checks:
+        verdict = match(endo, m)
         if verdict is True:
             return ExceptionalMatch(case)
         if isinstance(verdict, str) and pending is None:

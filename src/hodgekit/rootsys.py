@@ -54,7 +54,7 @@ from .numth import _require_int, _require_ints
 # and sets the cost of a single-system query: `weights dim`, `autodual` or
 # `length` on D112 takes about 0.5 s on a 2-vCPU Xeon VM (51 MB peak), and
 # building B128 about 0.4 s.  `weights verify-table2 --max-rank 112`, every
-# system up to the cap, takes 48-57 s and 54 MB, inside the 60 s budget of
+# system up to the cap, takes 45-46 s and 55 MB, inside the 60 s budget of
 # the other caps.  The refusal above it is pinned by the CLI golden, so the
 # cap stays.
 MAX_RANK = 112
@@ -242,6 +242,12 @@ class RootSystem:
         return tuple(map(sum, map(self._coroots.__getitem__, self.positive_roots)))
 
     @cached_property
+    def _weyl_denominator(self) -> int:
+        """prod <rho, beta^vee> over the positive roots: the Weyl formula's
+        denominator, the same for every weight of the system."""
+        return math.prod(self._coroot_heights)
+
+    @cached_property
     def _two_rho_vee(self) -> tuple[int, ...]:
         """2 rho^vee, the sum of the positive coroots."""
         return tuple(map(sum, self._coroot_columns))
@@ -356,7 +362,7 @@ def rep_dimension(rs: RootSystem, weight: Weight) -> int:
     # <lambda + rho, beta^vee> = <lambda, beta^vee> + height of beta^vee
     heights = rs._coroot_heights
     num = math.prod(map(add, heights, rs._pairings(weight)))
-    den = math.prod(heights)
+    den = rs._weyl_denominator
     if num % den:
         raise AssertionError("Weyl dimension did not come out integral")
     return num // den

@@ -18,6 +18,9 @@ all positive coroot pairings for the autoduality sign, and dominantizes at
 the first negative coordinate by dense reflections.  The abelian ledger
 likewise: the package reads the n = 2p verdict of ``classify``, the
 oracle decides the hypothesis family from the subfield inventory itself.
+The realizability catalog likewise: the package runs only the entries of
+the profile's Albert type, the oracle scans every entry of the parity,
+each testing the type itself.
 """
 
 from __future__ import annotations
@@ -458,3 +461,72 @@ def abelian_case(ap) -> tuple:
             "type IV with [L:Q]=4p but the Galois hypothesis is not affirmed"
         )
     return 2, "type IV with a balanced imaginary quadratic field in W(A)"
+
+
+def _catalog_m(p) -> int:
+    return 2 * p.n // p.endo.deg_L
+
+
+def _catalog_disc(p):
+    return "disc_one" if p.endo.disc_one is None else p.endo.disc_one
+
+
+def _catalog_traces(p, test):
+    return "cm_traces" if p.endo.cm_traces is None else test(p.endo.cm_traces)
+
+
+# The exceptional-case catalog, entry by entry in its order: (parities,
+# predicate).  A predicate answers True, False or the name of the missing
+# datum, and tests the Albert type itself.
+CATALOG_SCAN = (
+    ("odd", lambda p: p.endo.albert_type == "III" and _catalog_m(p) == 1),
+    (
+        "odd",
+        lambda p: p.endo.albert_type == "III" and _catalog_m(p) == 2
+        and _catalog_disc(p),
+    ),
+    ("even", lambda p: p.endo.albert_type == "II" and _catalog_m(p) == 1),
+    (
+        "even",
+        lambda p: p.endo.albert_type == "II" and _catalog_m(p) == 2
+        and _catalog_disc(p),
+    ),
+    (
+        "odd even",
+        lambda p: p.endo.albert_type == "IV"
+        and not (_catalog_m(p) == 1 and p.endo.q == 1)
+        and _catalog_traces(p, lambda ts: sum(a * b for a, b in ts) == 0),
+    ),
+    (
+        "odd even",
+        lambda p: p.endo.albert_type == "IV" and _catalog_m(p) == 2 and p.endo.q == 1
+        and _catalog_traces(p, lambda ts: all(a == b == 1 for a, b in ts)),
+    ),
+    (
+        "odd even",
+        lambda p: p.endo.albert_type == "IV" and _catalog_m(p) == 1 and p.endo.q == 2
+        and _catalog_traces(p, lambda ts: all(a == b == 1 for a, b in ts)),
+    ),
+    ("even", lambda p: p.endo.albert_type == "I" and _catalog_m(p) == 2),
+    (
+        "even",
+        lambda p: p.endo.albert_type == "I" and _catalog_m(p) == 4
+        and _catalog_disc(p),
+    ),
+)
+
+
+def catalog_scan(p):
+    """(parity, index, missing) of the catalog hit of a valid profile, by a
+    scan of every entry of its parity: the first definite hit wins (missing
+    None), else the first conditional one; None when no entry matches."""
+    parity = "odd" if p.weight % 2 else "even"
+    entries = [pred for ps, pred in CATALOG_SCAN if parity in ps.split()]
+    pending = None
+    for index, pred in enumerate(entries, 1):
+        verdict = pred(p)
+        if verdict is True:
+            return parity, index, None
+        if isinstance(verdict, str) and pending is None:
+            pending = parity, index, verdict
+    return pending

@@ -142,6 +142,48 @@ def test_disc_one_must_be_a_bool():
         profile_from_json({"weight": 1, "n": 4, "endo": endo})
 
 
+_IV = {"type": "IV", "deg_L": 2, "deg_F": 1, "q": 1}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        # the endo is read before the weight and n
+        (
+            {"weight": 1.0, "n": "2", "endo": dict(_IV, cm_traces=[[True, 1]])},
+            "cm_traces must be an integer, got True",
+        ),
+        ({"endo": dict(_IV, type=1, deg_L=1.5)}, "type must be a string, got 1"),
+        (
+            {"endo": dict(_IV, deg_L="x", cm_traces=[[1, 2, 3]])},
+            "cm_traces must be a list of [int, int] pairs",
+        ),
+        (
+            {"endo": dict(_IV, deg_L=1.5, disc_one="yes", cm_traces=[[True, 1]])},
+            "deg_L must be an integer, got 1.5",
+        ),
+        (
+            {"endo": dict(_IV, disc_one="yes", cm_traces=[[True, 1]])},
+            "disc_one must be a boolean",
+        ),
+        # unknown fields, all of them and sorted, before a missing one
+        ({"z": 0, "a": 0}, "unknown profile fields: ['a', 'z']"),
+        ({"endo": {"type": "IV", "x": 0}}, "unknown endo fields: ['x']"),
+    ],
+)
+def test_the_first_fault_in_reading_order_is_refused(data, message):
+    data = {"weight": 1, "n": 2, **data}
+    with pytest.raises(ValueError) as info:
+        profile_from_json(data)
+    assert str(info.value) == message
+
+
+def test_a_trace_entry_is_refused_before_a_pair_of_the_wrong_length():
+    with pytest.raises(ValueError) as info:
+        EndomorphismDescriptor("IV", 2, cm_traces=[(1.5, 1), (1, 2, 3)])
+    assert str(info.value) == "cm_traces must be an integer, got 1.5"
+
+
 def test_group_expr_equality_and_labels():
     a = GroupExpr("Sp", param=3)
     b = GroupExpr("Sp", param=3, rep="standard")
@@ -161,3 +203,16 @@ def test_group_expr_validation():
         GroupExpr("Sp")  # missing param
     # torus rep normalizes to none
     assert GroupExpr("U_L", param=2, rep="standard").rep == "none"
+
+
+def test_trace_violations_come_in_check_order():
+    # m = 2 and q = 1, so each pair must sum to 2; the negative entry is
+    # reported once, before every pair sum
+    p = prof("IV", 6, 3, 1, w=1, n=6, traces=[(-1, 2), (2, 1), (-3, -1)])
+    assert [v.code for v in validate_profile(p)] == [
+        "traces_nonnegative",
+        "traces_pair_sum",
+        "traces_pair_sum",
+        "traces_pair_sum",
+    ]
+    assert validate_profile(p)[1].message == "pair 0 sums to 1, expected mq=2"

@@ -1,12 +1,18 @@
 import pytest
 
-from hodgekit.core import EndomorphismDescriptor, HodgeProfile, InvalidProfileError
+from hodgekit.core import (
+    EndomorphismDescriptor,
+    HodgeProfile,
+    InvalidProfileError,
+    validate_profile,
+)
 from hodgekit.realizability import (
     EVEN_CASES,
     ODD_CASES,
     is_exceptional,
     realizable,
 )
+from oracles import catalog_scan
 
 
 def prof(t, deg_L, deg_F, q, w, n, traces=None, disc=None):
@@ -114,3 +120,62 @@ def test_definite_match_wins_over_conditional():
     p = prof("IV", 4, 2, 1, w=2, n=4, traces=[(1, 1), (1, 1)])
     match = is_exceptional(p)
     assert match is not None and not match.conditional and match.case.index == 4
+
+
+def _shape_valid_profiles(max_n: int):
+    """Every shape-valid profile with n <= max_n at weights 1 and 2, with
+    disc_one None/False/True and, per Type IV shape, no traces and several
+    trace lists."""
+    for n in range(1, max_n + 1):
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        for w in (1, 2):
+            shapes = [("I", d, d, 1, None) for d in divisors]
+            for t in ("II", "III"):
+                shapes += [(t, 4 * d, d, 2, None) for d in divisors]
+            for g in divisors:
+                for q in range(1, n + 1):
+                    deg_L = 2 * g * q * q
+                    if (2 * n) % deg_L:
+                        continue
+                    s = (2 * n // deg_L) * q
+                    lists = [
+                        None,
+                        [(s, 0)] * g,
+                        [(s // 2, s - s // 2)] * g,
+                        [(s, 0) if i % 2 else (0, s) for i in range(g)],
+                        [(1, s - 1)] * g,
+                        [(s, 0)] + [(1, s - 1)] * (g - 1),
+                    ]
+                    shapes += [("IV", deg_L, g, q, traces) for traces in lists]
+            for t, deg_L, g, q, traces in shapes:
+                for disc in (None, False, True):
+                    p = prof(t, deg_L, g, q, w=w, n=n, traces=traces, disc=disc)
+                    if not validate_profile(p):
+                        yield p
+
+
+def test_keyed_catalog_answers_as_the_whole_catalog_scan():
+    hits = set()
+    count = 0
+    for p in _shape_valid_profiles(32):
+        count += 1
+        expected = catalog_scan(p)
+        match = is_exceptional(p)
+        verdict = realizable(p)
+        if expected is None:
+            assert match is None and verdict == (True, None, ()), p
+            continue
+        parity, index, missing = expected
+        cases = ODD_CASES if parity == "odd" else EVEN_CASES
+        assert match == (cases[index - 1], missing is not None, missing), p
+        assert verdict == (None if missing else False, match, ()), p
+        hits.add((parity, index, missing is None))
+    # every entry is hit outright; without traces, case 3 is always the first
+    # Type IV entry that could match, so cases 4 and 5 are never pending
+    assert count > 5000
+    assert {(parity, i) for parity, i, definite in hits if definite} == {
+        ("odd", i) for i in range(1, 6)
+    } | {("even", i) for i in range(1, 8)}
+    assert {(parity, i) for parity, i, definite in hits if not definite} == {
+        ("odd", 2), ("odd", 3), ("even", 2), ("even", 3), ("even", 7),
+    }
