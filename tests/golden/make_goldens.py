@@ -343,6 +343,7 @@ LONG = "1" * 4301
 IV6 = _pj("IV", 2, 1, 1, n=6, cm_traces=[[3, 3]])
 ABELIAN = {"dim": 6, "endo": {"type": "II", "deg_L": 4, "deg_F": 1, "q": 2}}
 BALANCED = [{"deg_E": 2, "balanced": True}]
+BALANCED_AND_NOT = [*BALANCED, {"deg_E": 2, "balanced": False}]
 # [L:Q] = 12 = 4p at p = 3: the n = 2p result needs L/Q Galois
 IV12_ENDO = {
     "type": "IV", "deg_L": 12, "deg_F": 6, "q": 1,
@@ -442,6 +443,23 @@ CLI_CASES = [
     (["classify", "--subfields", "@s.json"], IV6, {"s.json": [{"deg_E": 2}]}, 2),
     (["classify", "--subfields", "@s.json"], IV6, {"s.json": [{"deg_E": 4, "balanced": True}]}, 2),
     (["classify", "--subfields", "missing.json"], IV6, {}, 2),
+    # subfields whose flag contradicts the traces at n = 2p: a second,
+    # unbalanced quadratic field beside a balanced one on the traces (3, 3),
+    # here and through abelian status, and a balanced full field on traces
+    # that are not all balanced
+    (["classify", "--subfields", "@s.json"], IV6, {"s.json": BALANCED_AND_NOT}, 0),
+    (
+        ["abelian", "status"],
+        json.dumps({"dim": 6, "endo": json.loads(IV6)["endo"], "subfields": BALANCED_AND_NOT}),
+        {},
+        2,
+    ),
+    (
+        ["classify", "--subfields", "@s.json"],
+        _pj("IV", 6, 3, 1, n=6, cm_traces=[[0, 2], [0, 2], [1, 1]]),
+        {"s.json": [{"deg_E": 6, "balanced": True}]},
+        0,
+    ),
     (["classify"], _pj("I", 1, 1, 1, n=MR_EXACT_BOUND), {}, 2),
     # a number one digit past Python's default limit on reading an int
     (["classify"], _pj("I", 1, 1, 1).replace('"n": 4', f'"n": {LONG}'), {}, 2),
