@@ -1,11 +1,12 @@
 """Map a realizable profile to its set of possible Hodge groups.
 
 The dispatch tries the sharp results for special half-dimensions first
-(n = 1, n prime, n = 4, n = 2p with p an odd prime) and falls back to
-the general statements organized by Albert type and the multiplicity m.
-Type IV with q != 1 is cut off in the dispatch itself, ahead of n = 4:
-no result here covers it, so it gets the Lefschetz upper bound at every
-n, and every branch past the cut-off that sees type IV sees a CM field.
+(n = 1, n prime, n = 2p with p an odd prime, the type IV torus, n = 4)
+and falls back to the general statements organized by Albert type and
+the multiplicity m.  Type IV with q != 1 is cut off in the dispatch
+itself, ahead of n = 2p: no result here covers it, so it gets the
+Lefschetz upper bound at every n, and every branch past the cut-off that
+sees type IV sees a CM field.
 Anything the theorems do not cover is reported as out_of_scope with the
 Lefschetz group as an upper bound.  Missing optional data (trace lists,
 discriminant flags, subfield inventories, the Galois flag) degrades the
@@ -17,16 +18,18 @@ n = p it is the Lefschetz group (Ribet; Tankeev).  At n = 4 a balanced
 imaginary quadratic subfield E cuts it to SU_{L/E} (Moonen and Zarhin),
 and at n = 2p the same cut holds when L/Q is moreover Galois (the source
 paper).  Elsewhere the cut is only a containment, reported as an upper
-bound.
+bound.  The torus case has one dispatch entry, after the n = 2p rule.
 
 ``classify`` validates the profile once (inside ``realizable``), computes
 the Lefschetz group once, and hands it to every branch.  The branches
 build their outcomes from a few shared pieces: ``_single`` (one proven
 candidate), ``_upper`` (a possible upper bound), ``_subfield_bounds``
-(the bounds from the balanced subfields, which a verdict finds in one
-pass) and ``_with_wedge`` (the Lefschetz group plus the special-unitary
-wedge alternative, when it exists).  The wedge and SL(2)-product
-alternatives are read off ``numth``'s table.
+(the bounds from the balanced subfields) and ``_with_wedge`` (the
+Lefschetz group plus the special-unitary wedge alternative, when it
+exists).  A verdict that reads the subfield inventory reads it in one
+pass, ``_balanced_any``, which cross-checks every subfield against the
+trace data; the n = 2p and torus rules take its first degree-2 entry.
+The wedge and SL(2)-product alternatives are read off ``numth``'s table.
 """
 
 from __future__ import annotations
@@ -266,15 +269,6 @@ def su_constraint(profile: HodgeProfile, sub: SubfieldDescriptor) -> bool:
     return sub.balanced
 
 
-def _balanced_quadratic(
-    profile: HodgeProfile, subfields: Sequence[SubfieldDescriptor]
-) -> Optional[SubfieldDescriptor]:
-    for sub in subfields:
-        if sub.deg_E == 2 and su_constraint(profile, sub):
-            return sub
-    return None
-
-
 def _balanced_any(
     profile: HodgeProfile, subfields: Optional[Sequence[SubfieldDescriptor]]
 ) -> list[SubfieldDescriptor]:
@@ -367,7 +361,7 @@ def _with_wedge(
 # ---------------------------------------------------------------------------
 
 
-def _classify_n4(profile: HodgeProfile, lef: GroupExpr, subfields):
+def _classify_n4(profile: HodgeProfile, lef: GroupExpr):
     endo = profile.endo
     t = endo.albert_type
     if t == "I" and endo.deg_L == 1:
@@ -381,21 +375,19 @@ def _classify_n4(profile: HodgeProfile, lef: GroupExpr, subfields):
         )
     if t != "IV" or endo.deg_L == 4:
         return _single(lef, RULE_N4)
-    if endo.deg_L == 2:
-        su = GroupExpr(FAM_SU_B, param=4)
-        if endo.cm_traces is None:
-            return ClassificationOutcome(
-                CONDITIONAL,
-                (
-                    Candidate(lef, condition="extreme multiplicities {1,3}"),
-                    Candidate(su, condition="extreme multiplicities {2,2}"),
-                ),
-                RULE_N4,
-                ("trace data absent; both alternatives listed",),
-            )
-        return _single(su if endo.cm_traces[0] == (2, 2) else lef, RULE_N4)
-    # deg_L = 8: the torus, cut down by a balanced quadratic subfield
-    return _classify_iv_torus(profile, lef, subfields)
+    # deg_L = 2; deg_L = 8 is the torus, which has its own dispatch entry
+    su = GroupExpr(FAM_SU_B, param=4)
+    if endo.cm_traces is None:
+        return ClassificationOutcome(
+            CONDITIONAL,
+            (
+                Candidate(lef, condition="extreme multiplicities {1,3}"),
+                Candidate(su, condition="extreme multiplicities {2,2}"),
+            ),
+            RULE_N4,
+            ("trace data absent; both alternatives listed",),
+        )
+    return _single(su if endo.cm_traces[0] == (2, 2) else lef, RULE_N4)
 
 
 def _classify_2p(profile: HodgeProfile, lef: GroupExpr, subfields):
@@ -438,7 +430,7 @@ def _classify_2p(profile: HodgeProfile, lef: GroupExpr, subfields):
             RULE_2P,
             ("subfield inventory not supplied",),
         )
-    quad = _balanced_quadratic(profile, subfields)
+    quad = next((s for s in _balanced_any(profile, subfields) if s.deg_E == 2), None)
     if quad is None:
         return ClassificationOutcome(
             OUT_OF_SCOPE,
@@ -529,8 +521,9 @@ def _classify_iv_torus(
     (Moonen and Zarhin), the one n at which this branch proves it.  At
     n = 1 and n = p (Ribet, Tankeev) ``classify`` answers the Lefschetz
     group before it dispatches, and n = 2p, where equality also needs L/Q
-    Galois, has its own rule in ``_classify_2p``.  Every other n reaches
-    this branch from ``_classify_type_iv`` and gets bounds only.
+    Galois, has its own rule in ``_classify_2p``.  ``classify`` reaches
+    this branch at every other n from one dispatch entry, ahead of the
+    n = 4 rule; away from n = 4 it gives bounds only.
     """
     equality_known = profile.n == 4
     rule = RULE_N4 if equality_known else RULE_IV_TORUS
@@ -554,7 +547,8 @@ def _classify_iv_torus(
             rule,
             ("subfield inventory not supplied",),
         )
-    if _balanced_quadratic(profile, subfields) is not None:
+    balanced = _balanced_any(profile, subfields)
+    if any(s.deg_E == 2 for s in balanced):
         torus = _guard(
             profile, su_le, "balanced quadratic subfield on the torus case"
         )
@@ -566,7 +560,7 @@ def _classify_iv_torus(
             RULE_UPPER,
             ("containment known, equality not proved at this n",),
         )
-    bounds = _subfield_bounds(profile, _balanced_any(profile, subfields))
+    bounds = _subfield_bounds(profile, balanced)
     if equality_known and not bounds:
         return _single(lef, rule)
     return ClassificationOutcome(
@@ -584,14 +578,12 @@ def _classify_type_iv(profile: HodgeProfile, lef: GroupExpr, subfields):
     if endo.deg_L == 2:
         su = GroupExpr(FAM_SU_B, param=m)
         if traces is None:
+            cands = (Candidate(lef, condition="coprime extreme multiplicities"),)
+            if m % 2 == 0:  # an odd m has no balanced pair (m/2, m/2)
+                cond = "balanced extreme multiplicities (upper bound)"
+                cands += (_upper(su, cond),)
             return ClassificationOutcome(
-                CONDITIONAL,
-                (
-                    Candidate(lef, condition="coprime extreme multiplicities"),
-                    _upper(su, "balanced extreme multiplicities (upper bound)"),
-                ),
-                RULE_IV_QUAD,
-                ("trace data absent",),
+                CONDITIONAL, cands, RULE_IV_QUAD, ("trace data absent",)
             )
         a, b = traces[0]
         if math.gcd(a, b) == 1:
@@ -608,8 +600,6 @@ def _classify_type_iv(profile: HodgeProfile, lef: GroupExpr, subfields):
             lef,
             note="multiplicities neither coprime nor balanced: no determination",
         )
-    if m == 1:
-        return _classify_iv_torus(profile, lef, subfields)
     su = GroupExpr(FAM_SU_B, param=m, base_degree=endo.deg_F)
     balanced_full = (
         traces is not None
@@ -678,10 +668,12 @@ def classify(
         out = _single(lef, RULE_PRIME)
     elif profile.endo.albert_type == "IV" and profile.endo.q != 1:
         out = _fallback(profile, lef, note="no determination for q=2 at this n")
-    elif n == 4:
-        out = _classify_n4(profile, lef, subfields)
     elif n % 2 == 0 and _is_prime(n // 2) and (n // 2) % 2 == 1:
         out = _classify_2p(profile, lef, subfields)
+    elif profile.endo.albert_type == "IV" and profile.m == 1:
+        out = _classify_iv_torus(profile, lef, subfields)
+    elif n == 4:
+        out = _classify_n4(profile, lef)
     elif profile.endo.albert_type == "I":
         out = _classify_type_i(profile, lef)
     elif profile.endo.albert_type in ("II", "III"):

@@ -4,7 +4,8 @@ A decision ledger, not a prover: every verdict names the hypothesis that
 produced it.  Types I-III always meet one.  For type IV the ledger reads
 the n = 2p verdict of ``classify``, the one place that decides it from
 the caller's inventory of CM fields acting with balanced extreme
-multiplicities (the set W(A), data the profile cannot derive).
+multiplicities (the set W(A), data the profile cannot derive), and that
+cross-checks every field of the inventory against the trace data.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .classifier import NotRealizableError, SubfieldDescriptor, classify
-from .classifier import su_constraint
 from .core import FAM_SU_LE, EndomorphismDescriptor, HodgeProfile, InvalidProfileError
 from .numth import _require_int, is_prime
 
@@ -28,7 +28,10 @@ class _AbelianFields(NamedTuple):
 
 class AbelianProfile(_AbelianFields):
     """A simple complex abelian variety of dimension 2p, via its profile.
-    Construction refuses the data that ``classify`` refuses."""
+    Construction refuses the data that ``classify`` refuses, and nothing
+    else: at dimension 2p type IV has q = 1 (2[F:Q]q^2 divides 4p), so
+    the n = 2p rule checks every subfield, and types I-III carry no
+    traces to check one against."""
 
     __slots__ = ()
 
@@ -39,15 +42,12 @@ class AbelianProfile(_AbelianFields):
             raise InvalidProfileError(
                 f"dimension must be 2p with p an odd prime, got {self.dim}"
             )
-        profile = self.hodge_profile()
         try:
-            classify(profile, self.subfields)
+            classify(self.hodge_profile(), self.subfields)
         except NotRealizableError as exc:
             raise InvalidProfileError(
                 f"endomorphism data not realizable at weight 1: {exc}"
             ) from None
-        for sub in self.subfields:
-            su_constraint(profile, sub)
         return self
 
     @property

@@ -443,11 +443,11 @@ CLI_CASES = [
     (["classify", "--subfields", "@s.json"], IV6, {"s.json": [{"deg_E": 2}]}, 2),
     (["classify", "--subfields", "@s.json"], IV6, {"s.json": [{"deg_E": 4, "balanced": True}]}, 2),
     (["classify", "--subfields", "missing.json"], IV6, {}, 2),
-    # subfields whose flag contradicts the traces at n = 2p: a second,
-    # unbalanced quadratic field beside a balanced one on the traces (3, 3),
-    # here and through abelian status, and a balanced full field on traces
-    # that are not all balanced
-    (["classify", "--subfields", "@s.json"], IV6, {"s.json": BALANCED_AND_NOT}, 0),
+    # subfields whose flag contradicts the traces at n = 2p, refused alike
+    # by classify and abelian status: a second, unbalanced quadratic field
+    # beside a balanced one on the traces (3, 3), and a balanced full field
+    # on traces that are not all balanced
+    (["classify", "--subfields", "@s.json"], IV6, {"s.json": BALANCED_AND_NOT}, 2),
     (
         ["abelian", "status"],
         json.dumps({"dim": 6, "endo": json.loads(IV6)["endo"], "subfields": BALANCED_AND_NOT}),
@@ -458,7 +458,7 @@ CLI_CASES = [
         ["classify", "--subfields", "@s.json"],
         _pj("IV", 6, 3, 1, n=6, cm_traces=[[0, 2], [0, 2], [1, 1]]),
         {"s.json": [{"deg_E": 6, "balanced": True}]},
-        0,
+        2,
     ),
     (["classify"], _pj("I", 1, 1, 1, n=MR_EXACT_BOUND), {}, 2),
     # a number one digit past Python's default limit on reading an int
@@ -496,7 +496,7 @@ CLI_CASES = [
     (["classify"], _pj("IV", 6, 3, 1, n=6), {}, 0),
     (["classify"], _pj("IV", 12, 6, 1, n=6), {}, 0),
     (["classify", "--subfields", "@s.json"], _pj("IV", 12, 6, 1, n=6), {"s.json": BALANCED}, 0),
-    # the upper bound SU(B,-) is offered although no pair (a, 9 - a) balances
+    # no pair (a, 9 - a) balances, so the SU(B,-) upper bound is not offered
     (["classify"], _pj("IV", 2, 1, 1, n=9), {}, 0),
     (["classify"], _pj("III", 4, 1, 2), {}, 0),
     (["weights", "dim", "A", "3", "0,1,0"], "", {}, 0),

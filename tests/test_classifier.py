@@ -692,3 +692,32 @@ def test_a_conditional_verdict_covers_each_completion_of_its_data():
     assert not missed, missed[:5]
     # the sweep reaches the branches it is meant to check
     assert verdicts > 1000 and completions > 40000
+
+
+def test_a_trace_absent_verdict_offers_only_what_some_trace_list_yields():
+    """At [L:Q] = 2 every candidate of a CONDITIONAL verdict without trace
+    data is a candidate of some realizable completion (a, n - a), whatever
+    that completion's status: a group no trace list yields is dead."""
+    verdicts = 0
+    dead = []
+    for w, n in itertools.product((1, 2), range(1, 65)):
+        conditional = classify(prof("IV", 2, 1, 1, w=w, n=n))
+        if conditional.status != CONDITIONAL or conditional.applied_rule not in (
+            "n=4",
+            "typeIV:imaginary-quadratic",
+        ):
+            continue
+        verdicts += 1
+        yielded = set()
+        for a in range(n + 1):
+            out = _outcome(prof("IV", 2, 1, 1, w=w, n=n, traces=((a, n - a),)), None)
+            if out is not None:
+                yielded |= {c.group for c in out.candidates}
+        dead += [
+            (w, n, c.group.label())
+            for c in conditional.candidates
+            if c.group not in yielded
+        ]
+    assert not dead, dead[:5]
+    # both weights of the 35 composite n <= 64 other than 2p
+    assert verdicts == 70

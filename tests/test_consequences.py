@@ -3,7 +3,12 @@ import random
 
 import pytest
 
-from hodgekit.classifier import InconsistentSubfieldError, SubfieldDescriptor
+from hodgekit.classifier import (
+    InconsistentSubfieldError,
+    NotRealizableError,
+    SubfieldDescriptor,
+    classify,
+)
 from hodgekit.consequences import (
     OPEN,
     PROVEN,
@@ -11,7 +16,7 @@ from hodgekit.consequences import (
     hodge_status,
     murty_equal,
 )
-from hodgekit.core import EndomorphismDescriptor, InvalidProfileError
+from hodgekit.core import EndomorphismDescriptor, HodgeProfile, InvalidProfileError
 
 from oracles import abelian_case
 
@@ -234,3 +239,45 @@ def test_the_ledger_matches_the_oracle_on_every_n_2p_inventory():
         ("type IV with [L:Q]=4p but the Galois hypothesis is not affirmed", False),
         ("type IV without a balanced imaginary quadratic field", False),
     }
+
+
+def test_the_ledger_refuses_exactly_what_classify_refuses():
+    """At dim 2p type IV has q = 1, so every ledger input is classified by
+    the n = 2p rule, which cross-checks every subfield: the ledger needs no
+    check of its own.  A refused realizability is renamed, nothing else."""
+    cases, refusals = 0, set()
+    for dim in (6, 10, 14):
+        for g in _divisors(dim):
+            pairs = [(a, dim // g - a) for a in range(dim // g + 1)]
+            multisets = itertools.combinations_with_replacement(pairs, g)
+            lists = itertools.islice(multisets, 6)
+            pool = [
+                SubfieldDescriptor(e, b)
+                for e in _divisors(2 * g)
+                if e % 2 == 0
+                for b in (True, False)
+            ]
+            inventories = [()] + [
+                subs for k in (1, 2) for subs in itertools.product(pool, repeat=k)
+            ]
+            for traces in (None, *lists):
+                endo = EndomorphismDescriptor("IV", 2 * g, g, 1, cm_traces=traces)
+                for subs in inventories:
+                    cases += 1
+                    try:
+                        classify(HodgeProfile(1, dim, endo), subs)
+                        expected = None
+                    except NotRealizableError as exc:
+                        message = f"endomorphism data not realizable at weight 1: {exc}"
+                        expected = InvalidProfileError, message
+                    except ValueError as exc:
+                        expected = type(exc), str(exc)
+                    try:
+                        AbelianProfile(dim, endo, subs)
+                        got = None
+                    except ValueError as exc:
+                        got = type(exc), str(exc)
+                    assert got == expected, (dim, endo, subs)
+                    refusals.add(expected and expected[0])
+    assert cases == 2562
+    assert refusals == {None, InvalidProfileError, InconsistentSubfieldError}
