@@ -641,6 +641,21 @@ CLI_CASES = [
     (["cm", "--group", "dihedral:128", "primitive", "--theta", DIHEDRAL128_REFLECTED], "", {}, 3),
     (["cm", "--group", "dihedral:120", "rank", "--theta", DIHEDRAL120_ROTATED], "", {}, 0),
     (["cm", "--group", "dihedral:120", "primitive", "--theta", DIHEDRAL120_ROTATED], "", {}, 3),
+    # the type IV [L:Q] = 2 trace rule: coprime and balanced traces at n = 4;
+    # at n = 8 (m/2 = 4 is not prime) no traces, balanced, neither coprime
+    # nor balanced, and coprime; and the balanced full-CM rule at n = 12,
+    # [L:Q] = 4 (m/2 = 3)
+    (["classify"], _pj("IV", 2, 1, 1, cm_traces=[[1, 3]]), {}, 0),
+    (["classify"], _pj("IV", 2, 1, 1, cm_traces=[[2, 2]]), {}, 0),
+    (["classify"], _pj("IV", 2, 1, 1, n=8), {}, 0),
+    (["classify"], _pj("IV", 2, 1, 1, n=8, cm_traces=[[4, 4]]), {}, 0),
+    (["classify"], _pj("IV", 2, 1, 1, n=8, cm_traces=[[2, 6]]), {}, 0),
+    (["classify"], _pj("IV", 2, 1, 1, n=8, cm_traces=[[1, 7]]), {}, 0),
+    (["classify"], _pj("IV", 4, 2, 1, n=12, cm_traces=[[3, 3], [3, 3]]), {}, 0),
+    # realizability unconfirmed, with the missing datum named: type III,
+    # m = 2 without disc_one, and type IV, [L:Q] = 2 without traces
+    (["realizable"], _pj("III", 4, 1, 2), {}, 3),
+    (["realizable"], _pj("IV", 2, 1, 1), {}, 3),
 ]
 
 # The two outputs that are text, not JSON.
