@@ -8,9 +8,12 @@ itself, ahead of n = 2p: no result here covers it, so it gets the
 Lefschetz upper bound at every n, and every branch past the cut-off that
 sees type IV sees a CM field.
 Anything the theorems do not cover is reported as out_of_scope with the
-Lefschetz group as an upper bound.  Missing optional data (trace lists,
-discriminant flags, subfield inventories, the Galois flag) degrades the
-status to conditional instead of guessing.
+Lefschetz group as an upper bound.  Missing optional data degrades the
+status to conditional instead of guessing: ``_classify_type_iv`` builds
+the trace-absent verdict at [L:Q] = 2, n = 4 included; ``_no_inventory``
+the inventory-absent ones of the n = 2p and torus rules, bar the n = 2p
+rank-floor variant; ``_classify_2p`` the Galois-flag gap; and
+``classify`` the verdict on a profile not confirmed realizable.
 
 The Hodge group in the torus case (type IV, m = 1, where the Lefschetz
 group is the norm-one torus U_L) is settled at three half-dimensions.  At
@@ -361,7 +364,10 @@ def _with_wedge(
 # ---------------------------------------------------------------------------
 
 
-def _classify_n4(profile: HodgeProfile, lef: GroupExpr):
+def _classify_n4(profile: HodgeProfile, lef: GroupExpr, subfields):
+    """Type I with L = Q adds a second candidate at each parity.  Type IV at
+    [L:Q] = 2 is the m = 4 case of ``_classify_type_iv``, trace-absent verdict
+    included, under the n = 4 rule id.  The rest is the Lefschetz group."""
     endo = profile.endo
     t = endo.albert_type
     if t == "I" and endo.deg_L == 1:
@@ -373,21 +379,27 @@ def _classify_n4(profile: HodgeProfile, lef: GroupExpr):
         return ClassificationOutcome(
             DETERMINED, (Candidate(lef), Candidate(extra)), RULE_N4, notes
         )
-    if t != "IV" or endo.deg_L == 4:
-        return _single(lef, RULE_N4)
-    # deg_L = 2; deg_L = 8 is the torus, which has its own dispatch entry
-    su = GroupExpr(FAM_SU_B, param=4)
-    if endo.cm_traces is None:
-        return ClassificationOutcome(
-            CONDITIONAL,
-            (
-                Candidate(lef, condition="extreme multiplicities {1,3}"),
-                Candidate(su, condition="extreme multiplicities {2,2}"),
-            ),
-            RULE_N4,
-            ("trace data absent; both alternatives listed",),
-        )
-    return _single(su if endo.cm_traces[0] == (2, 2) else lef, RULE_N4)
+    if t == "IV" and endo.deg_L == 2:  # deg_L = 8 is the torus: its own entry
+        out = _classify_type_iv(profile, lef, subfields)
+        return ClassificationOutcome(out.status, out.candidates, RULE_N4, out.notes)
+    return _single(lef, RULE_N4)
+
+
+_NO_QUADRATIC = "no balanced imaginary quadratic subfield known"
+_NO_INVENTORY = "subfield inventory not supplied"
+
+
+def _no_inventory(
+    lef, alt, rule, occurs=(OCCURS_POSSIBLE, OCCURS_PROVEN), galois=False
+) -> ClassificationOutcome:
+    """The n = 2p and torus verdict without an inventory: ``lef`` without a
+    balanced imaginary quadratic subfield, ``alt`` with one (and, when
+    ``galois``, with L/Q Galois)."""
+    cond = "balanced imaginary quadratic subfield exists"
+    if galois:
+        cond += " and L/Q is Galois"
+    cands = (Candidate(lef, _NO_QUADRATIC, occurs[0]), Candidate(alt, cond, occurs[1]))
+    return ClassificationOutcome(CONDITIONAL, cands, rule, (_NO_INVENTORY,))
 
 
 def _classify_2p(profile: HodgeProfile, lef: GroupExpr, subfields):
@@ -400,36 +412,19 @@ def _classify_2p(profile: HodgeProfile, lef: GroupExpr, subfields):
         )
         return _single(lef, RULE_2P, notes=(note,))
     # Type IV; realizability forces q=1, so L is a CM field.
-    four_p = 4 * p
     su = GroupExpr(FAM_SU_B, param=profile.m, base_degree=endo.deg_F)
     torus = GroupExpr(FAM_SU_LE, param=2 * p)
     if subfields is None:
-        cands = [_upper(lef, "no balanced imaginary quadratic subfield known")]
-        if endo.deg_L != four_p:
-            if group_rank(su) < rank_threshold(profile.n):
-                return ClassificationOutcome(
-                    CONDITIONAL,
-                    tuple(cands),
-                    RULE_2P,
-                    (
-                        "the balanced alternative is impossible here: its "
-                        "rank would violate the commutative rank bound",
-                    ),
-                )
-            cond = "balanced imaginary quadratic subfield exists"
-            cands.append(Candidate(su, condition=cond))
-        else:
-            cond = (
-                "balanced imaginary quadratic subfield exists and "
-                "L/Q is Galois"
-            )
-            cands.append(Candidate(torus, condition=cond))
-        return ClassificationOutcome(
-            CONDITIONAL,
-            tuple(cands),
-            RULE_2P,
-            ("subfield inventory not supplied",),
+        if endo.deg_L == 4 * p:
+            return _no_inventory(lef, torus, RULE_2P, galois=True)
+        if group_rank(su) >= rank_threshold(profile.n):
+            return _no_inventory(lef, su, RULE_2P)
+        note = (
+            "the balanced alternative is impossible here: its rank would "
+            "violate the commutative rank bound"
         )
+        cands = (_upper(lef, _NO_QUADRATIC),)
+        return ClassificationOutcome(CONDITIONAL, cands, RULE_2P, (note,))
     quad = next((s for s in _balanced_any(profile, subfields) if s.deg_E == 2), None)
     if quad is None:
         return ClassificationOutcome(
@@ -441,7 +436,7 @@ def _classify_2p(profile: HodgeProfile, lef: GroupExpr, subfields):
                 "gives no determination",
             ),
         )
-    if endo.deg_L != four_p:
+    if endo.deg_L != 4 * p:
         claim = "balanced quadratic subfield at n=2p"
         return _single(_guard(profile, su, claim), RULE_2P)
     # deg_L = 4p: the answer is the relative-norm-one torus, given Galois.
@@ -523,35 +518,19 @@ def _classify_iv_torus(
     group before it dispatches, and n = 2p, where equality also needs L/Q
     Galois, has its own rule in ``_classify_2p``.  ``classify`` reaches
     this branch at every other n from one dispatch entry, ahead of the
-    n = 4 rule; away from n = 4 it gives bounds only.
+    n = 4 rule; away from n = 4 it gives bounds only.  Without an
+    inventory, ``_no_inventory`` builds the verdict, as for n = 2p.
     """
     equality_known = profile.n == 4
     rule = RULE_N4 if equality_known else RULE_IV_TORUS
     su_le = GroupExpr(FAM_SU_LE, param=profile.endo.deg_F)
     if subfields is None:
         occurs = OCCURS_PROVEN if equality_known else OCCURS_POSSIBLE
-        return ClassificationOutcome(
-            CONDITIONAL,
-            (
-                Candidate(
-                    lef,
-                    condition="no balanced imaginary quadratic subfield known",
-                    occurs=occurs,
-                ),
-                Candidate(
-                    su_le,
-                    condition="balanced imaginary quadratic subfield exists",
-                    occurs=occurs,
-                ),
-            ),
-            rule,
-            ("subfield inventory not supplied",),
-        )
+        return _no_inventory(lef, su_le, rule, (occurs, occurs))
     balanced = _balanced_any(profile, subfields)
     if any(s.deg_E == 2 for s in balanced):
-        torus = _guard(
-            profile, su_le, "balanced quadratic subfield on the torus case"
-        )
+        claim = "balanced quadratic subfield on the torus case"
+        torus = _guard(profile, su_le, claim)
         if equality_known:
             return _single(torus, rule)
         return ClassificationOutcome(
@@ -572,16 +551,29 @@ def _classify_iv_torus(
 
 
 def _classify_type_iv(profile: HodgeProfile, lef: GroupExpr, subfields):
+    """Type IV with q = 1 and m > 1, by the traces and the inventory.
+
+    Balanced traces with m/2 prime give SU(B,-) at every [L:Q]; at [L:Q] = 2
+    coprime ones give the Lefschetz group (Moonen and Zarhin).  This branch
+    also builds the trace-absent verdict at [L:Q] = 2, n = 4 included:
+    SU(B,-) is proven when m/2 is prime and an upper bound otherwise."""
     endo = profile.endo
     m = profile.m
     traces = endo.cm_traces
+    su = GroupExpr(FAM_SU_B, param=m, base_degree=endo.deg_F)
+    balanced_traces = traces is not None and all(a == b for a, b in traces)
+    if balanced_traces and m % 2 == 0 and _is_prime(m // 2):
+        claim = "balanced full-CM action with prime half-multiplicity"
+        return _single(_guard(profile, su, claim), RULE_IV_FULL_CM)
     if endo.deg_L == 2:
-        su = GroupExpr(FAM_SU_B, param=m)
         if traces is None:
             cands = (Candidate(lef, condition="coprime extreme multiplicities"),)
             if m % 2 == 0:  # an odd m has no balanced pair (m/2, m/2)
-                cond = "balanced extreme multiplicities (upper bound)"
-                cands += (_upper(su, cond),)
+                cond = "balanced extreme multiplicities"
+                if _is_prime(m // 2):
+                    cands += (Candidate(su, condition=cond),)
+                else:
+                    cands += (_upper(su, cond + " (upper bound)"),)
             return ClassificationOutcome(
                 CONDITIONAL, cands, RULE_IV_QUAD, ("trace data absent",)
             )
@@ -600,16 +592,6 @@ def _classify_type_iv(profile: HodgeProfile, lef: GroupExpr, subfields):
             lef,
             note="multiplicities neither coprime nor balanced: no determination",
         )
-    su = GroupExpr(FAM_SU_B, param=m, base_degree=endo.deg_F)
-    balanced_full = (
-        traces is not None
-        and all(a == b for a, b in traces)
-        and m % 2 == 0
-        and _is_prime(m // 2)
-    )
-    if balanced_full:
-        claim = "balanced full-CM action with prime half-multiplicity"
-        return _single(_guard(profile, su, claim), RULE_IV_FULL_CM)
     balanced = _balanced_any(profile, subfields)
     if m == 2 and balanced:
         claim = "balanced subfield with multiplicity 2"
@@ -623,7 +605,7 @@ def _classify_type_iv(profile: HodgeProfile, lef: GroupExpr, subfields):
         return _single(_guard(profile, su, claim), RULE_IV_INDEX2)
     note = None
     if subfields is None and m % 2 == 0:
-        note = "subfield inventory not supplied; only the upper bound is reported"
+        note = f"{_NO_INVENTORY}; only the upper bound is reported"
     return _fallback(profile, lef, note=note, balanced=balanced)
 
 
@@ -673,7 +655,7 @@ def classify(
     elif profile.endo.albert_type == "IV" and profile.m == 1:
         out = _classify_iv_torus(profile, lef, subfields)
     elif n == 4:
-        out = _classify_n4(profile, lef)
+        out = _classify_n4(profile, lef, subfields)
     elif profile.endo.albert_type == "I":
         out = _classify_type_i(profile, lef)
     elif profile.endo.albert_type in ("II", "III"):
