@@ -228,8 +228,6 @@ def exclude_sl2_product(factors: Sequence[tuple[str, int]]) -> bool:
     rest: list[str] = []
     for f in factors[1:]:
         rest.extend(_simple_components(f))
-    if not rest:
-        raise ValueError("G must be nontrivial")
     return "A1" not in rest
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import sys
 import time
 
@@ -721,3 +722,18 @@ def test_a_trace_absent_verdict_offers_only_what_some_trace_list_yields():
     assert not dead, dead[:5]
     # both weights of the 35 composite n <= 64 other than 2p
     assert verdicts == 70
+
+
+@pytest.mark.parametrize(
+    "factor, message",
+    [
+        (("SL", 1), "SL(1) is not semisimple"),
+        (("SU", 1), "SU(1) is not semisimple"),
+        (("Sp", 3), "Sp(3) is not a symplectic group"),
+        (("Sp", 0), "Sp(0) is not a symplectic group"),
+        (("G", 2), "unknown factor family 'G'"),
+    ],
+)
+def test_exclude_sl2_product_refuses_a_factor_by_name(factor, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        exclude_sl2_product([("SL", 2), factor])

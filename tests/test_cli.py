@@ -886,3 +886,25 @@ def test_fuzz_subfield_and_abelian_input(tmp_path, profile, subfields, abelian):
 @given(argv=ARGVS, pretty=st.booleans())
 def test_fuzz_argv(argv, pretty):
     _run_checked(argv + ["--pretty"] * pretty)
+
+
+def _raising(exc):
+    def command(args):
+        raise exc
+
+    return command
+
+
+def test_a_broken_invariant_exits_4_with_its_message(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_cmd_validate", _raising(AssertionError("pairs out of order")))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(PROFILE_N3)))
+    assert run(["validate"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal invariant violation: pairs out of order\n"
+
+
+def test_a_closed_pipe_exits_0_quietly(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_cmd_numth", _raising(BrokenPipeError()))
+    assert run(["numth", "verify", "--k-max", "3"]) == 0
+    assert capsys.readouterr() == ("", "")

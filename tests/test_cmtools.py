@@ -664,3 +664,16 @@ def test_dihedral_model_shape():
     raw, reduced = kubota_rank(model, types[0])
     assert reduced <= raw
 
+
+@pytest.mark.parametrize(
+    "generators, conj, size, message",
+    [
+        ((), (0, 2, 1), 3, "embedding set must have even size >= 2"),
+        ((), (), 0, "embedding set must have even size >= 2"),
+        (((0,),), (0,), 1, "embedding set must have even size >= 2"),
+        (((1, 2, 3, 0),), (1, 2, 3, 0), 4, "conjugation must have order 2"),
+    ],
+)
+def test_galois_model_refusals(generators, conj, size, message):
+    with pytest.raises(InvalidModelError, match=f"^{message}$"):
+        GaloisModel(generators=generators, conj=conj, size=size)

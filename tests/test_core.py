@@ -1,4 +1,6 @@
+import inspect
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +9,7 @@ from hodgekit.core import (
     EndomorphismDescriptor,
     GroupExpr,
     HodgeProfile,
+    InvalidProfileError,
     profile_from_json,
     profile_to_json,
     validate_profile,
@@ -216,3 +219,43 @@ def test_trace_violations_come_in_check_order():
         "traces_pair_sum",
     ]
     assert validate_profile(p)[1].message == "pair 0 sums to 1, expected mq=2"
+
+
+# One profile per violation code, each violating that invariant alone.
+ONE_VIOLATION = [
+    ("integer_fields", prof("I", 1, 1, 1, w=1.0, n=2)),
+    ("weight_positive", prof("I", 1, 1, 1, w=0, n=2)),
+    ("n_positive", prof("I", 1, 1, 1, w=1, n=0)),
+    ("albert_type", prof("V", 1, 1, 1, w=1, n=2)),
+    ("degrees_positive", prof("I", 0, 1, 1, w=1, n=2)),
+    ("type_i_q", prof("I", 1, 1, 2, w=1, n=2)),
+    ("type_i_degrees", prof("I", 2, 1, 1, w=1, n=2)),
+    ("type_ii_iii_q", prof("II", 4, 1, 1, w=1, n=2)),
+    ("type_ii_iii_degrees", prof("III", 8, 1, 2, w=1, n=4)),
+    ("type_iv_degrees", prof("IV", 4, 1, 1, w=1, n=2)),
+    ("deg_l_divides_2n", prof("II", 4, 1, 2, w=1, n=1)),
+    ("deg_f_divides_n", prof("I", 2, 2, 1, w=1, n=1)),
+    ("traces_type_iv_only", prof("I", 1, 1, 1, w=1, n=2, traces=[(1, 1)])),
+    ("traces_length", prof("IV", 2, 1, 1, w=1, n=2, traces=[(1, 1), (1, 1)])),
+    ("traces_pair_sum", prof("IV", 2, 1, 1, w=1, n=2, traces=[(1, 2)])),
+    ("traces_nonnegative", prof("IV", 2, 1, 1, w=1, n=2, traces=[(-1, 3)])),
+]
+
+
+def test_every_violation_code_has_a_case():
+    source = inspect.getsource(validate_profile)
+    codes = [code for code, _ in ONE_VIOLATION]
+    assert sorted(codes) == sorted(set(re.findall(r'Violation\("(\w+)"', source)))
+    assert len(codes) == 16
+
+
+@pytest.mark.parametrize("code, profile", ONE_VIOLATION, ids=[c for c, _ in ONE_VIOLATION])
+def test_each_violation_code_is_reported_alone(code, profile):
+    assert [v.code for v in validate_profile(profile)] == [code]
+
+
+def test_m_refuses_a_degree_that_does_not_divide_2n():
+    with pytest.raises(InvalidProfileError, match=r"^\[L:Q\]=4 does not divide 2n=6$"):
+        prof("I", 4, 4, 1, w=2, n=3).m
+    with pytest.raises(InvalidProfileError, match=r"^\[L:Q\]=0 does not divide 2n=4$"):
+        prof("I", 0, 1, 1, w=1, n=2).m

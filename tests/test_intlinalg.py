@@ -2,6 +2,8 @@ import math
 import random
 from itertools import combinations
 
+import pytest
+
 from hodgekit.intlinalg import integer_rank, smith_normal_form
 
 from oracles import fraction_rank
@@ -76,3 +78,14 @@ def test_snf_matches_minor_gcds():
         for k, d in enumerate(factors, start=1):
             product *= d
             assert product == abs(_minor_gcd(mat, k)), (mat, factors)
+
+
+def test_a_ragged_matrix_is_refused():
+    for call in (integer_rank, smith_normal_form):
+        with pytest.raises(ValueError, match="^ragged matrix$"):
+            call([[1, 2], [3]])
+
+
+def test_the_empty_matrix_has_no_invariant_factors():
+    assert smith_normal_form([]) == []
+    assert smith_normal_form([[]]) == []

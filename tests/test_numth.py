@@ -1,4 +1,5 @@
 import bisect
+import re
 import math
 from functools import lru_cache
 
@@ -359,3 +360,18 @@ def test_no_read_goes_past_the_callers_bound(fresh_sieve, monkeypatch):
         assert _central_binomial(h) == math.comb(2 * h, h), h
         assert 0 < sieve.reach <= h, h
     assert numth._ODD_FLAGS is sieve  # no read rebuilt the longer sieve
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (factorial_two_adic, "n must be nonnegative"),
+        (central_binomial_two_adic, "z must be nonnegative"),
+        (central_binomial_mod4, "z must be positive"),
+        (prime_count_gap, "k must be >= 1"),
+        (no_prime_double_is_central_binomial, "k_max must be at least 3"),
+    ],
+)
+def test_a_negative_argument_is_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(-1)
