@@ -383,12 +383,6 @@ def _self_dual_sign(rs: RootSystem, weight: Weight, dual: tuple[int, ...]) -> st
     return ORTHOGONAL if total % 2 == 0 else SYMPLECTIC
 
 
-def dual_weight(rs: RootSystem, weight: Weight) -> Weight:
-    """The highest weight -w0(lambda) of the dual representation."""
-    _check_length(rs, weight)
-    return Weight(_negated_dominant(rs, weight)[0])
-
-
 def autoduality(rs: RootSystem, weight: Weight) -> str:
     """orthogonal / symplectic / non_self_dual for the minuscule weight.
 

@@ -284,6 +284,13 @@ def opposition(kind: str, rank: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
+def dual_weight(rs, weight):
+    """The highest weight -w0(lambda) of the dual representation, by the
+    package's dominantization of -lambda; ``opposition`` checks it."""
+    rootsys._check_length(rs, weight)
+    return rootsys.Weight(rootsys._negated_dominant(rs, weight)[0])
+
+
 def oracle_weight_length(rs, weight) -> Fraction:
     """min over i of c_i + c_iota(i) from the rational coordinates."""
     coords = weight_root_coordinates(rs, weight)

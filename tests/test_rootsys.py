@@ -16,7 +16,6 @@ from hodgekit.rootsys import (
     Weight,
     admissible_factors,
     autoduality,
-    dual_weight,
     fundamental_weight,
     is_minuscule,
     minuscule_table_expected,
@@ -32,6 +31,7 @@ from oracles import (
     dense_dominant_representative,
     dense_pairing_sum,
     dense_positive_roots,
+    dual_weight,
     minuscule_scan,
     norm_coroots,
     opposition,
@@ -447,3 +447,23 @@ def test_bad_kind_and_rank():
         RootSystem("D", 2)
     with pytest.raises(ValueError):
         RootSystem("E", 8)
+
+
+def test_fundamental_weight_refuses_an_index_out_of_range():
+    rs = RootSystem("A", 3)
+    for index in (0, 4, -1):
+        with pytest.raises(ValueError, match=f"^index {index} out of range for A3$"):
+            fundamental_weight(rs, index)
+
+
+def test_minuscule_needs_a_nonzero_dominant_weight():
+    rs = RootSystem("A", 3)
+    assert is_minuscule(rs, Weight((1, 0, 0)))
+    assert not is_minuscule(rs, Weight((-1, 1, 0)))
+    assert not is_minuscule(rs, Weight((0, 0, 0)))
+
+
+def test_admissible_factors_refuse_a_dimension_below_one():
+    for dim in (0, -4):
+        with pytest.raises(ValueError, match="^dim must be positive$"):
+            admissible_factors(dim, ORTHOGONAL)
