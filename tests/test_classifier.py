@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import re
@@ -579,6 +580,74 @@ def test_rank_threshold():
     for n in range(1, 300):
         r = rank_threshold(n)
         assert 2 ** r >= 2 * n > 2 ** (r - 1)
+
+
+def _sweep_trace_lists(g, m):
+    """None, then the classify_sweep benchmark's trace lists of g pairs
+    summing to m; at g = 1, every pair."""
+    if g == 1:
+        return [None] + [((a, m - a),) for a in range(m + 1)]
+    lists = [((m, 0),) * g, ((m // 2, m - m // 2),) * g]
+    lists.append(tuple((m, 0) if i % 2 == 0 else (0, m) for i in range(g)))
+    if m >= 2:
+        lists.append(((1, m - 1),) * g)
+    return [None] + list(dict.fromkeys(lists))
+
+
+def _commutative_inputs():
+    """Types I and IV with q = 1, n <= 64, both weights, each profile with
+    no inventory, an empty one, and one balanced subfield of each even
+    degree dividing [L:Q]."""
+    for w, n in itertools.product((1, 2), range(1, 65)):
+        for g in (g for g in range(1, n + 1) if n % g == 0):
+            profiles = [prof("I", g, g, 1, w=w, n=n)]
+            profiles += [
+                prof("IV", 2 * g, g, 1, w=w, n=n, traces=traces)
+                for traces in _sweep_trace_lists(g, n // g)
+            ]
+            for profile in profiles:
+                deg_L = profile.endo.deg_L
+                yield profile, None
+                yield profile, []
+                for deg_E in range(2, deg_L + 1, 2):
+                    if deg_L % deg_E == 0:
+                        yield profile, [SubfieldDescriptor(deg_E, True)]
+
+
+def test_every_commutative_candidate_meets_the_rank_floor():
+    """For commutative L every candidate's rank lies between ceil(log2 2n)
+    and the Lefschetz group's, and a DETERMINED verdict offers only proven
+    groups.  The floor is proven here for the rules whose group always
+    meets it; ``_guard`` checks it at run time only where data can break
+    it (``_subfield_bounds`` and ``_classify_2p``'s balanced quadratic
+    subfield)."""
+    reached = collections.Counter()
+    broken = []
+    for profile, subfields in _commutative_inputs():
+        out = _outcome(profile, subfields)
+        if out is None:
+            continue
+        reached[out.applied_rule] += 1
+        families = {c.group.family for c in out.candidates}
+        if subfields and "SU_{L/E}" in families and out.applied_rule != "n=2p":
+            reached["torus cut by a balanced quadratic subfield"] += 1
+        floor = rank_threshold(profile.n)
+        ceiling = group_rank(lefschetz_group(profile))
+        for cand in out.candidates:
+            proven = out.status != DETERMINED or cand.occurs == "proven"
+            if not (floor <= group_rank(cand.group) <= ceiling and proven):
+                broken.append((profile, subfields, out.status, cand))
+    assert not broken, broken[:5]
+    # every rule of types I and IV is reached, the four that need no
+    # guard among them
+    assert set(reached) == {
+        "n=1", "n=prime", "n=4", "n=2p", "upper-bound-only",
+        "torus cut by a balanced quadratic subfield",
+        "typeI:odd-multiplicity", "typeI:multiplicity-2", "typeI:rational-twice-odd",
+        "typeIV:imaginary-quadratic", "typeIV:full-CM-balanced", "typeIV:torus",
+        "typeIV:index-2-balanced-coprime", "typeIV:multiplicity-2-balanced",
+    }
+    assert sum(reached.values()) > 15000
 
 
 def test_classify_large_prime_is_fast():
