@@ -33,6 +33,9 @@ exists).  A verdict that reads the subfield inventory reads it in one
 pass, ``_balanced_any``, which cross-checks every subfield against the
 trace data; the n = 2p and torus rules take its first degree-2 entry.
 The wedge and SL(2)-product alternatives are read off ``numth``'s table.
+``_guard`` refuses data that puts a group below the commutative rank floor
+at the two places data can: ``_subfield_bounds`` (a balanced degree-4
+subfield on the torus at n = 4) and ``_classify_2p`` (n = 6, [L:Q] = 6).
 """
 
 from __future__ import annotations
@@ -166,12 +169,13 @@ def rank_threshold(n: int) -> int:
 
 
 def _guard(profile: HodgeProfile, expr: GroupExpr, claim: str) -> GroupExpr:
-    """Refuse to emit a group below the rank floor for commutative L.
-
-    Such an emission would mean the input data asserts a structure whose
-    Hodge group is provably too small to exist; the data, not the
-    engine, is inconsistent.  Every caller holds type IV with q = 1:
-    ``classify`` cuts off q != 1 before it dispatches on n.
+    """Refuse a group below the rank floor for commutative L: the data
+    asserts a structure whose Hodge group is too small to exist.  Both
+    callers hold type IV with q = 1.  ``_subfield_bounds``' bound from a
+    balanced degree-e subfield has rank n - e/2, below the floor only at
+    e = n in {2, 4, 6}; of these only the torus at n = 4 reads bounds (rank
+    2 < 3).  ``_classify_2p``'s SU(B,-) has rank [F:Q](m - 1), below the
+    floor only at n = 6, [L:Q] = 6.  Every other rule's group meets it.
     """
     if group_rank(expr) < rank_threshold(profile.n):
         raise InconsistentSubfieldError(
@@ -527,18 +531,16 @@ def _classify_iv_torus(
         return _no_inventory(lef, su_le, rule, (occurs, occurs))
     balanced = _balanced_any(profile, subfields)
     if any(s.deg_E == 2 for s in balanced):
-        claim = "balanced quadratic subfield on the torus case"
-        torus = _guard(profile, su_le, claim)
         if equality_known:
-            return _single(torus, rule)
+            return _single(su_le, rule)
         return ClassificationOutcome(
             OUT_OF_SCOPE,
-            (_upper(lef), _upper(torus, "upper bound (norm-one containment)")),
+            (_upper(lef), _upper(su_le, "upper bound (norm-one containment)")),
             RULE_UPPER,
             ("containment known, equality not proved at this n",),
         )
     bounds = _subfield_bounds(profile, balanced)
-    if equality_known and not bounds:
+    if equality_known:
         return _single(lef, rule)
     return ClassificationOutcome(
         OUT_OF_SCOPE,
@@ -561,8 +563,7 @@ def _classify_type_iv(profile: HodgeProfile, lef: GroupExpr, subfields):
     su = GroupExpr(FAM_SU_B, param=m, base_degree=endo.deg_F)
     balanced_traces = traces is not None and all(a == b for a, b in traces)
     if balanced_traces and m % 2 == 0 and _is_prime(m // 2):
-        claim = "balanced full-CM action with prime half-multiplicity"
-        return _single(_guard(profile, su, claim), RULE_IV_FULL_CM)
+        return _single(su, RULE_IV_FULL_CM)
     if endo.deg_L == 2:
         if traces is None:
             cands = (Candidate(lef, condition="coprime extreme multiplicities"),)
@@ -592,15 +593,13 @@ def _classify_type_iv(profile: HodgeProfile, lef: GroupExpr, subfields):
         )
     balanced = _balanced_any(profile, subfields)
     if m == 2 and balanced:
-        claim = "balanced subfield with multiplicity 2"
-        return _single(_guard(profile, su, claim), RULE_IV_M2)
+        return _single(su, RULE_IV_M2)
     if (
         traces is not None
         and all(math.gcd(a, b) == 1 for a, b in traces)
         and any(s.deg_E * 2 == endo.deg_L for s in balanced)
     ):
-        claim = "balanced index-2 subfield with coprime multiplicities"
-        return _single(_guard(profile, su, claim), RULE_IV_INDEX2)
+        return _single(su, RULE_IV_INDEX2)
     note = None
     if subfields is None and m % 2 == 0:
         note = f"{_NO_INVENTORY}; only the upper bound is reported"
