@@ -72,11 +72,10 @@ def _cartan_and_norms(kind: str, l: int) -> tuple[list[list[int]], list[int]]:
     if kind == "A":
         for i in range(l - 1):
             edge(i, i + 1)
-    elif kind == "B":
+    elif kind == "B":  # RootSystem refuses B1 (_MIN_RANK); C1 exists
         for i in range(l - 2):
             edge(i, i + 1)
-        if l >= 2:
-            edge(l - 2, l - 1, -2, -1)  # last simple root is short
+        edge(l - 2, l - 1, -2, -1)  # last simple root is short
         norms[l - 1] = 1
     elif kind == "C":
         for i in range(l - 2):
