@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 bad input, 3 negative verdict (not realizable,
 a verification failed, classification refused), 4 invariant violation
-(and, for the realizable subcommand, an invalid profile).
+(and, for the realizable subcommand, an invalid profile).  An unconfirmed
+verdict (``"realizable": null``) exits 0, as ``classify`` does on it.
 
 Each subcommand ``_cmd_*`` takes the parsed arguments and returns
 ``(payload, exit_code)``; it neither prints nor maps errors, save that
@@ -101,7 +102,7 @@ def _cmd_realizable(args):
     from .realizability import realizable
 
     verdict = realizable(profile_from_json(_read_json(args.profile)))
-    code = EXIT_OK if verdict.realizable is True else EXIT_NEGATIVE
+    code = EXIT_NEGATIVE if verdict.realizable is False else EXIT_OK
     return verdict.to_json(), EXIT_INVARIANT if verdict.violations else code
 
 

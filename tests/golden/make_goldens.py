@@ -653,9 +653,10 @@ CLI_CASES = [
     (["classify"], _pj("IV", 2, 1, 1, n=8, cm_traces=[[1, 7]]), {}, 0),
     (["classify"], _pj("IV", 4, 2, 1, n=12, cm_traces=[[3, 3], [3, 3]]), {}, 0),
     # realizability unconfirmed, with the missing datum named: type III,
-    # m = 2 without disc_one, and type IV, [L:Q] = 2 without traces
-    (["realizable"], _pj("III", 4, 1, 2), {}, 3),
-    (["realizable"], _pj("IV", 2, 1, 1), {}, 3),
+    # m = 2 without disc_one, and type IV, [L:Q] = 2 without traces; like
+    # classify, the realizable subcommand exits 3 only on a False verdict
+    (["realizable"], _pj("III", 4, 1, 2), {}, 0),
+    (["realizable"], _pj("IV", 2, 1, 1), {}, 0),
 ]
 
 # The two outputs that are text, not JSON.

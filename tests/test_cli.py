@@ -80,6 +80,16 @@ def test_realizable_exit_codes():
     }
     proc = run_cli(["realizable"], stdin=json.dumps(invalid))
     assert proc.returncode == 4
+    # unconfirmed (no trace data): exit 0, as classify answers it
+    unconfirmed = {
+        "weight": 1,
+        "n": 4,
+        "endo": {"type": "IV", "deg_L": 2, "deg_F": 1, "q": 1},
+    }
+    proc = run_cli(["realizable"], stdin=json.dumps(unconfirmed))
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["realizable"] is None
+    assert run_cli(["classify"], stdin=json.dumps(unconfirmed)).returncode == 0
 
 
 def test_lefschetz_output():
