@@ -10,17 +10,15 @@ wrong content.  Run from the repository root:
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
 import pathlib
 import random
 import sys
-import tempfile
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[2] / "src"))
+TESTS = pathlib.Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
 
-from hodgekit import cli
+from golden.cli_replay import replay
 from hodgekit.classifier import SubfieldDescriptor, classify, table3
 from hodgekit.core import (
     EndomorphismDescriptor,
@@ -673,26 +671,10 @@ CLI_USAGE = [
 ]
 
 
-def replay_cli(argv, stdin, files):
-    """Exit code, stdout and stderr of cli.run on the argv, in process."""
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, content in files.items():
-            (pathlib.Path(tmp) / name).write_text(json.dumps(content))
-        args = [str(pathlib.Path(tmp) / a[1:]) if a[:1] == "@" else a for a in argv]
-        saved, sys.stdin = sys.stdin, io.StringIO(stdin)
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.run(args)
-        finally:
-            sys.stdin = saved
-    return code, out.getvalue(), err.getvalue()
-
-
 def make_cli():
     cases = []
     for argv, stdin, files, expected in CLI_CASES:
-        code, stdout, stderr = replay_cli(argv, stdin, files)
+        code, stdout, stderr = replay(argv, stdin, files)
         assert code == expected, (argv, code)
         if code == 2:
             assert stdout == "", argv

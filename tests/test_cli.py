@@ -3,7 +3,6 @@ import contextlib
 import copy
 import io
 import json
-import pathlib
 import subprocess
 import sys
 
@@ -16,9 +15,8 @@ from hodgekit.cmtools import MAX_DEGREE, SCAN_MAX_G
 from hodgekit.numth import MR_EXACT_BOUND, VERIFY_MAX_K
 from hodgekit.rootsys import MAX_RANK
 
-GOLDEN_CLI = json.loads(
-    (pathlib.Path(__file__).parent / "golden" / "cli.json").read_text()
-)["cases"]
+from golden import cli_replay
+
 PROFILE_N3 = {"weight": 1, "n": 3, "endo": {"type": "I", "deg_L": 1, "deg_F": 1, "q": 1}}
 
 
@@ -303,17 +301,13 @@ def test_determinism():
     assert a.stdout == b.stdout
 
 
-@pytest.mark.parametrize("case", GOLDEN_CLI)
-def test_cli_golden_replays_in_process(case, tmp_path, monkeypatch, capsys):
-    for name, content in case["files"].items():
-        (tmp_path / name).write_text(json.dumps(content))
-    argv = [str(tmp_path / a[1:]) if a[:1] == "@" else a for a in case["argv"]]
-    monkeypatch.setattr(sys, "stdin", io.StringIO(case["stdin"]))
-    assert run(argv) == case["exit"], case["argv"]
-    captured = capsys.readouterr()
-    assert captured.out == case["stdout"], case["argv"]
+@pytest.mark.parametrize("case", cli_replay.cases())
+def test_cli_golden_replays_in_process(case):
+    code, out, err = cli_replay.replay_case(case)
+    assert code == case["exit"], case["argv"]
+    assert out == case["stdout"], case["argv"]
     # every case but the argparse usage errors pins its stderr
-    assert captured.err == case.get("stderr", captured.err), case["argv"]
+    assert err == case.get("stderr", err), case["argv"]
 
 
 def run_bad_input(args, capsys):

@@ -17,8 +17,6 @@ import pathlib
 import subprocess
 import sys
 
-GOLDEN_CLI = pathlib.Path(__file__).parent / "golden" / "cli.json"
-
 # Who reads each function that no subcommand reaches.
 UNREACHED = {
     # the public API: hodgekit.__all__ and the package's own hooks
@@ -70,9 +68,7 @@ def defined_functions(package: pathlib.Path) -> dict[tuple[str, int], str]:
 
 def unreached_by_replay() -> list[str]:
     """Replay every cli.json case in process under a profile hook."""
-    import contextlib
-    import io
-    import tempfile
+    from golden import cli_replay
 
     called = set()
 
@@ -84,21 +80,8 @@ def unreached_by_replay() -> list[str]:
     try:
         from hodgekit import cli
 
-        for case in json.loads(GOLDEN_CLI.read_text())["cases"]:
-            with tempfile.TemporaryDirectory() as tmp:
-                for name, content in case["files"].items():
-                    (pathlib.Path(tmp) / name).write_text(json.dumps(content))
-                argv = [
-                    str(pathlib.Path(tmp) / a[1:]) if a[:1] == "@" else a
-                    for a in case["argv"]
-                ]
-                saved, sys.stdin = sys.stdin, io.StringIO(case["stdin"])
-                sink = io.StringIO()
-                try:
-                    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-                        code = cli.run(argv)
-                finally:
-                    sys.stdin = saved
+        for case in cli_replay.cases():
+            code, _, _ = cli_replay.replay_case(case)
             assert code == case["exit"], case["argv"]
     finally:
         sys.setprofile(None)
