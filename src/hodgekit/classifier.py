@@ -539,7 +539,7 @@ def _classify_iv_torus(
             RULE_UPPER,
             ("containment known, equality not proved at this n",),
         )
-    bounds = _subfield_bounds(profile, balanced)
+    bounds = _subfield_bounds(profile, balanced)  # n = 4: refuses degree 4
     if equality_known:
         return _single(lef, rule)
     return ClassificationOutcome(
