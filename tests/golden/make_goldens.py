@@ -655,6 +655,36 @@ CLI_CASES = [
     # classify, the realizable subcommand exits 3 only on a False verdict
     (["realizable"], _pj("III", 4, 1, 2), {}, 0),
     (["realizable"], _pj("IV", 2, 1, 1), {}, 0),
+    # answers pinned as they stand, so that mending them shows each change
+    # here.  A balanced quadratic subfield beside the unbalanced [L:Q] = 2
+    # traces (n - 1, 1): accepted at n = 4 and 8, refused at n = 6.  A
+    # balanced subfield of degree n, whose own bound has rank n/2, below the
+    # ceil(log2 2n) floor: answered at n = 2, 4 and 6.  A q = 3 profile
+    # whose note names q = 2.  A subfield bound larger than the Lefschetz
+    # group (SU(B,-) of dimension 63 beside R_{F/Q}U(B,-) of dimension 32).
+    (["classify", "--subfields", "@s.json"], _pj("IV", 2, 1, 1, cm_traces=[[3, 1]]), {"s.json": BALANCED}, 0),
+    (["classify", "--subfields", "@s.json"], _pj("IV", 2, 1, 1, n=6, cm_traces=[[5, 1]]), {"s.json": BALANCED}, 2),
+    (["classify", "--subfields", "@s.json"], _pj("IV", 2, 1, 1, n=8, cm_traces=[[7, 1]]), {"s.json": BALANCED}, 0),
+    (["classify", "--subfields", "@s.json"], _pj("IV", 4, 2, 1, n=2), {"s.json": BALANCED}, 0),
+    (
+        ["classify", "--subfields", "@s.json"],
+        _pj("IV", 4, 2, 1),
+        {"s.json": [{"deg_E": 4, "balanced": True}]},
+        0,
+    ),
+    (
+        ["classify", "--subfields", "@s.json"],
+        _pj("IV", 6, 3, 1, n=6),
+        {"s.json": [{"deg_E": 6, "balanced": True}]},
+        0,
+    ),
+    (["classify"], _pj("IV", 18, 1, 3, n=9), {}, 0),
+    (
+        ["classify", "--subfields", "@s.json"],
+        _pj("IV", 4, 2, 1, n=8, cm_traces=[[4, 0], [1, 3]]),
+        {"s.json": BALANCED},
+        0,
+    ),
 ]
 
 # The two outputs that are text, not JSON.
