@@ -389,49 +389,23 @@ def test_type_iv_q2_out_of_scope():
     assert labels(out) == ["U(B,-)"]
 
 
-# the five subfield inventories of the classify_sweep benchmark
-INVENTORIES = (
-    None,
-    [],
-    [SubfieldDescriptor(2, True)],
-    [SubfieldDescriptor(2, True, True)],
-    [SubfieldDescriptor(2, False)],
-)
-
-
-def test_n4_type_iv_q2_gets_the_upper_bound():
+def test_n4_type_iv_q2_gets_the_upper_bound(verdicts):
     # the cut-off comes before n = 4, as before every n; no trace list of
     # this shape is realizable (catalog cases 3 and 5), so none is lost
-    for w in (1, 2):
-        for subs in INVENTORIES:
-            out = classify(prof("IV", 8, 1, 2, w=w, n=4), subs)
+    answered = 0
+    for profile, subfields, out in verdicts:
+        if profile.n != 4 or profile.endo[:4] != ("IV", 8, 1, 2):
+            continue
+        if profile.endo.cm_traces is not None:
+            assert isinstance(out, NotRealizableError), (profile, subfields)
+        elif isinstance(out, ValueError):
+            assert any(s.balanced and s.deg_E == 8 for s in subfields), subfields
+            assert str(out) == "balanced action needs deg_E | n; 8 does not divide n=4"
+        else:
             assert out.status == OUT_OF_SCOPE and labels(out) == ["U(B,-)"]
             assert out.notes[-1] == "no determination for q=2 at this n"
-        for pair in ((2, 0), (1, 1), (0, 2)):
-            with pytest.raises(NotRealizableError):
-                classify(prof("IV", 8, 1, 2, w=w, n=4, traces=(pair,)))
-
-
-def test_no_type_iv_candidate_has_rank_zero():
-    # every type IV shape with n <= 32, without trace data
-    answered = 0
-    for n in range(1, 33):
-        for dF in (d for d in range(1, n + 1) if n % d == 0):
-            q = 1
-            while 2 * dF * q * q <= 2 * n:
-                if (2 * n) % (2 * dF * q * q) == 0:
-                    for w in (1, 2):
-                        for subs in INVENTORIES:
-                            p = prof("IV", 2 * dF * q * q, dF, q, w=w, n=n)
-                            try:
-                                out = classify(p, subs)
-                            except (NotRealizableError, InconsistentSubfieldError):
-                                continue
-                            answered += 1
-                            for cand in out.candidates:
-                                assert group_rank(cand.group) > 0, (p, subs, cand)
-                q += 1
-    assert answered > 500
+            answered += 1
+    assert answered == 34
 
 
 def test_balanced_subfield_bounds_a_profile_outside_the_classified_cases():
@@ -582,72 +556,55 @@ def test_rank_threshold():
         assert 2 ** r >= 2 * n > 2 ** (r - 1)
 
 
-def _sweep_trace_lists(g, m):
-    """None, then the classify_sweep benchmark's trace lists of g pairs
-    summing to m; at g = 1, every pair."""
-    if g == 1:
-        return [None] + [((a, m - a),) for a in range(m + 1)]
-    lists = [((m, 0),) * g, ((m // 2, m - m // 2),) * g]
-    lists.append(tuple((m, 0) if i % 2 == 0 else (0, m) for i in range(g)))
-    if m >= 2:
-        lists.append(((1, m - 1),) * g)
-    return [None] + list(dict.fromkeys(lists))
-
-
-def _commutative_inputs():
-    """Types I and IV with q = 1, n <= 64, both weights, each profile with
-    no inventory, an empty one, and one balanced subfield of each even
-    degree dividing [L:Q]."""
-    for w, n in itertools.product((1, 2), range(1, 65)):
-        for g in (g for g in range(1, n + 1) if n % g == 0):
-            profiles = [prof("I", g, g, 1, w=w, n=n)]
-            profiles += [
-                prof("IV", 2 * g, g, 1, w=w, n=n, traces=traces)
-                for traces in _sweep_trace_lists(g, n // g)
-            ]
-            for profile in profiles:
-                deg_L = profile.endo.deg_L
-                yield profile, None
-                yield profile, []
-                for deg_E in range(2, deg_L + 1, 2):
-                    if deg_L % deg_E == 0:
-                        yield profile, [SubfieldDescriptor(deg_E, True)]
-
-
-def test_every_commutative_candidate_meets_the_rank_floor():
-    """For commutative L every candidate's rank lies between ceil(log2 2n)
-    and the Lefschetz group's, and a DETERMINED verdict offers only proven
-    groups.  The floor is proven here for the rules whose group always
-    meets it; ``_guard`` checks it at run time only where data can break
-    it (``_subfield_bounds`` and ``_classify_2p``'s balanced quadratic
-    subfield)."""
-    reached = collections.Counter()
+def test_every_candidate_lies_between_the_rank_floor_and_the_lefschetz_group(verdicts):
+    """Every candidate's rank lies between a floor and the Lefschetz
+    group's, and a DETERMINED verdict offers only proven groups.  For
+    commutative L (type I, and type IV with q = 1) the floor is
+    ceil(log2 2n).  It is proven here for the rules whose group always
+    meets it; ``_guard`` checks it at run time only where data can break it
+    (``_subfield_bounds`` and ``_classify_2p``'s balanced quadratic
+    subfield).  For the other types the floor is 1: type II at n = 2,
+    [L:Q] = 4 answers Sp(L,-), of rank 1.  A candidate's dimension is at
+    most the Lefschetz group's too, bar type IV with q = 1, whose
+    subfield bounds R_{J/Q}SU(C,-) can exceed it."""
+    answered, reached = collections.Counter(), collections.Counter()
     broken = []
-    for profile, subfields in _commutative_inputs():
-        out = _outcome(profile, subfields)
-        if out is None:
-            continue
-        reached[out.applied_rule] += 1
-        families = {c.group.family for c in out.candidates}
-        if subfields and "SU_{L/E}" in families and out.applied_rule != "n=2p":
-            reached["torus cut by a balanced quadratic subfield"] += 1
-        floor = rank_threshold(profile.n)
-        ceiling = group_rank(lefschetz_group(profile))
-        for cand in out.candidates:
-            proven = out.status != DETERMINED or cand.occurs == "proven"
-            if not (floor <= group_rank(cand.group) <= ceiling and proven):
-                broken.append((profile, subfields, out.status, cand))
+    for profile, group in itertools.groupby(verdicts, key=lambda v: v.profile):
+        endo = profile.endo
+        unitary = endo.albert_type == "IV" and endo.q == 1
+        commutative = unitary or endo.albert_type == "I"
+        floor = rank_threshold(profile.n) if commutative else 1
+        lef = lefschetz_group(profile)
+        lef_rank, lef_dim = group_rank(lef), group_dim(lef)
+        for _, subfields, out in group:
+            if isinstance(out, ValueError):
+                continue
+            answered[commutative] += 1
+            reached[commutative, out.applied_rule] += 1
+            families = {c.group.family for c in out.candidates}
+            if subfields and "SU_{L/E}" in families and out.applied_rule != "n=2p":
+                reached[commutative, "torus cut by a balanced quadratic subfield"] += 1
+            for cand in out.candidates:
+                rank, dim = group_rank(cand.group), group_dim(cand.group)
+                proven = out.status != DETERMINED or cand.occurs == "proven"
+                small = unitary or dim <= lef_dim
+                if not (floor <= rank <= lef_rank and small and proven):
+                    broken.append((profile, subfields, out.status, cand))
     assert not broken, broken[:5]
-    # every rule of types I and IV is reached, the four that need no
-    # guard among them
-    assert set(reached) == {
+    # every rule is reached, the four of types I and IV that need no guard
+    # among them
+    assert {rule for commutative, rule in reached if commutative} == {
         "n=1", "n=prime", "n=4", "n=2p", "upper-bound-only",
         "torus cut by a balanced quadratic subfield",
         "typeI:odd-multiplicity", "typeI:multiplicity-2", "typeI:rational-twice-odd",
         "typeIV:imaginary-quadratic", "typeIV:full-CM-balanced", "typeIV:torus",
         "typeIV:index-2-balanced-coprime", "typeIV:multiplicity-2-balanced",
     }
-    assert sum(reached.values()) > 15000
+    assert {rule for commutative, rule in reached if not commutative} == {
+        "n=prime", "n=4", "n=2p", "upper-bound-only",
+        "typeII/III:m-odd", "typeII/III:m=2", "typeII/III:rational-four-times-odd",
+    }
+    assert answered == {True: 72_544, False: 41_762}
 
 
 def test_classify_large_prime_is_fast():
@@ -693,104 +650,81 @@ def test_classify_validates_the_profile_once(monkeypatch):
 # --- a conditional verdict covers every completion of its missing data ---
 
 
-def _outcome(profile, subfields):
-    """classify's verdict, or None when it refuses the data."""
-    try:
-        return classify(profile, subfields)
-    except ValueError:
-        return None
+def _datum(profile):
+    """What a completion fills in the profile: type IV's trace list, or
+    disc_one of types I-III."""
+    endo = profile.endo
+    return endo.cm_traces if endo.albert_type == "IV" else endo.disc_one
 
 
-def _inventories(deg_L):
-    """Every inventory of at most one CM subfield, with both values of
-    each flag."""
-    yield []
-    for deg_E in range(2, deg_L + 1, 2):
-        if deg_L % deg_E == 0:
-            for balanced, galois in itertools.product((True, False), repeat=2):
-                yield [SubfieldDescriptor(deg_E, balanced, galois)]
-
-
-def _gaps():
-    """(profile, subfields, traces, inventories) for each way of leaving
-    data out, where traces and inventories are the values that complete
-    it.  Type IV with q = 1 leaves out the trace list, the subfield
-    inventory or both (trace lists as multisets of pairs, at most 12 per
-    shape); types I-III leave out disc_one."""
-    for w, n in itertools.product((1, 2), range(1, 41)):
-        for g in (g for g in range(1, n + 1) if n % g == 0):
-            m = n // g
-            pairs = [(a, m - a) for a in range(m + 1)]
-            lists = list(itertools.islice(itertools.combinations_with_replacement(pairs, g), 12))
-            inventories = list(_inventories(2 * g))
-
-            def iv(traces):
-                return prof("IV", 2 * g, g, 1, w=w, n=n, traces=traces)
-
-            yield iv(None), None, [iv(t) for t in lists], inventories
-            for traces in lists:
-                yield iv(traces), None, [iv(traces)], inventories
-            for subfields in inventories:
-                yield iv(None), subfields, [iv(t) for t in lists], [subfields]
-            for t, factor, q in (("I", 1, 1), ("II", 4, 2), ("III", 4, 2)):
-                if (2 * n) % (factor * g) == 0:
-                    args = (t, factor * g, g, q)
-                    discs = [prof(*args, w=w, n=n, disc=d) for d in (True, False)]
-                    yield prof(*args, w=w, n=n), None, discs, [None]
-
-
-def test_a_conditional_verdict_covers_each_completion_of_its_data():
+def test_a_conditional_verdict_covers_each_completion_of_its_data(verdicts):
     """Every group of a DETERMINED completion is among the candidates of
-    the CONDITIONAL verdict on the data with gaps."""
-    verdicts = completions = 0
+    the CONDITIONAL verdict on the data with gaps.  A completion fills each
+    gap (the profile's ``_datum``, and type IV's inventory) with every
+    value the universe has for it, and keeps the rest."""
+    answers = collections.defaultdict(dict)  # profile -> {inventory: outcome}
+    for profile, subfields, out in verdicts:
+        answers[profile][subfields] = out
+    filled = collections.defaultdict(list)  # shape -> answers of its filled profiles
+    for profile, by_inventory in answers.items():
+        if _datum(profile) is not None:
+            filled[profile.weight, profile.n, profile.endo[:4]].append(by_inventory)
+    conditionals = completions = 0
     missed = []
-    for profile, subfields, profiles, inventories in _gaps():
-        conditional = _outcome(profile, subfields)
-        if conditional is None or conditional.status != CONDITIONAL:
-            continue
-        offered = {c.group for c in conditional.candidates}
-        completed = list(itertools.product(profiles, inventories))
-        verdicts, completions = verdicts + 1, completions + len(completed)
-        for filled, filled_subfields in completed:
-            out = _outcome(filled, filled_subfields)
-            if out is not None and out.status == DETERMINED:
-                missed += [
-                    (filled, filled_subfields, c.group.label())
-                    for c in out.candidates
-                    if c.group not in offered
-                ]
+    for profile, by_inventory in answers.items():
+        shape = profile.weight, profile.n, profile.endo[:4]
+        for subfields, conditional in by_inventory.items():
+            inventory_gap = subfields is None and profile.endo.albert_type == "IV"
+            if _datum(profile) is not None and not inventory_gap:
+                continue
+            if isinstance(conditional, ValueError) or conditional.status != CONDITIONAL:
+                continue
+            offered = {c.group for c in conditional.candidates}
+            conditionals += 1
+            for full in filled[shape] if _datum(profile) is None else [by_inventory]:
+                for subs, out in full.items():
+                    if subs is None if inventory_gap else subs != subfields:
+                        continue  # not a completion of this inventory
+                    completions += 1
+                    if not isinstance(out, ValueError) and out.status == DETERMINED:
+                        missed += [
+                            (profile, subfields, c.group.label())
+                            for c in out.candidates
+                            if c.group not in offered
+                        ]
     assert not missed, missed[:5]
-    # the sweep reaches the branches it is meant to check
-    assert verdicts > 1000 and completions > 40000
+    assert (conditionals, completions) == (4_650, 133_764)
 
 
-def test_a_trace_absent_verdict_offers_only_what_some_trace_list_yields():
+def test_a_trace_absent_verdict_offers_only_what_some_trace_list_yields(verdicts):
     """At [L:Q] = 2 every candidate of a CONDITIONAL verdict without trace
-    data is a candidate of some realizable completion (a, n - a), whatever
-    that completion's status: a group no trace list yields is dead."""
-    verdicts = 0
-    dead = []
-    for w, n in itertools.product((1, 2), range(1, 65)):
-        conditional = classify(prof("IV", 2, 1, 1, w=w, n=n))
-        if conditional.status != CONDITIONAL or conditional.applied_rule not in (
+    data or inventory is a candidate of some realizable completion
+    (a, n - a), whatever that completion's status: a group no trace list
+    yields is dead."""
+    yielded = collections.defaultdict(set)
+    conditionals = []
+    for profile, subfields, out in verdicts:
+        if profile.endo[:4] != ("IV", 2, 1, 1) or subfields is not None:
+            continue
+        if isinstance(out, ValueError):  # a trace list that is not realizable
+            continue
+        key = profile.weight, profile.n
+        if profile.endo.cm_traces is not None:
+            yielded[key] |= {c.group for c in out.candidates}
+        elif out.status == CONDITIONAL and out.applied_rule in (
             "n=4",
             "typeIV:imaginary-quadratic",
         ):
-            continue
-        verdicts += 1
-        yielded = set()
-        for a in range(n + 1):
-            out = _outcome(prof("IV", 2, 1, 1, w=w, n=n, traces=((a, n - a),)), None)
-            if out is not None:
-                yielded |= {c.group for c in out.candidates}
-        dead += [
-            (w, n, c.group.label())
-            for c in conditional.candidates
-            if c.group not in yielded
-        ]
+            conditionals.append((key, out))
+    dead = [
+        (key, c.group.label())
+        for key, out in conditionals
+        for c in out.candidates
+        if c.group not in yielded[key]
+    ]
     assert not dead, dead[:5]
     # both weights of the 35 composite n <= 64 other than 2p
-    assert verdicts == 70
+    assert len(conditionals) == 70
 
 
 @pytest.mark.parametrize(

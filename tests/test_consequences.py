@@ -1,13 +1,9 @@
-import itertools
-import random
-
 import pytest
 
 from hodgekit.classifier import (
     InconsistentSubfieldError,
     NotRealizableError,
     SubfieldDescriptor,
-    classify,
 )
 from hodgekit.consequences import (
     OPEN,
@@ -16,7 +12,8 @@ from hodgekit.consequences import (
     hodge_status,
     murty_equal,
 )
-from hodgekit.core import EndomorphismDescriptor, HodgeProfile, InvalidProfileError
+from hodgekit.core import EndomorphismDescriptor, InvalidProfileError
+from hodgekit.numth import is_prime
 
 from oracles import abelian_case
 
@@ -154,45 +151,6 @@ def test_murty_true_for_every_type_i_ii_iii():
 # --- the ledger against the oracle's own reading of the inventory ---------
 
 
-def _divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def _trace_lists(deg_F, total, rng, cap=8):
-    """No traces, then every list of deg_F pairs summing to total, or a
-    seeded sample of cap of them with the balanced and alternating lists."""
-    lists = list(itertools.product(range(total + 1), repeat=deg_F))
-    if len(lists) > cap:
-        lists = rng.sample(lists, cap) + [(total // 2,) * deg_F, (0, 1) * (deg_F // 2)]
-    return [None] + [tuple((a, total - a) for a in firsts) for firsts in lists]
-
-
-def _endos(p, rng):
-    """Every weight-1 shape at n = 2p (disc_one varied on types II/III),
-    with trace lists on type IV, plus a q = 2 type IV shape that is refused."""
-    n = 2 * p
-    for d in _divisors(n):
-        yield EndomorphismDescriptor("I", d, d, 1)
-    for t, f, disc in itertools.product(("II", "III"), (1, p), (None, False, True)):
-        yield EndomorphismDescriptor(t, 4 * f, f, 2, disc_one=disc)
-    for f in _divisors(n):
-        for traces in _trace_lists(f, n // f, rng):
-            yield EndomorphismDescriptor("IV", 2 * f, f, 1, cm_traces=traces)
-    yield EndomorphismDescriptor("IV", 8, 1, 2)
-
-
-def _inventories(endo):
-    """Every ordered inventory of 0-2 entries from a pool of degree-2
-    fields (each balance and Galois flag) and fields of degree 4 and [L:Q]."""
-    pool = [SubfieldDescriptor(2, b, g) for b in (True, False) for g in (None, True, False)]
-    pool += [
-        SubfieldDescriptor(e, b) for e in sorted({4, endo.deg_L} - {2}) for b in (True, False)
-    ]
-    yield ()
-    for k in (1, 2):
-        yield from itertools.product(pool, repeat=k)
-
-
 def _route(answer, dim, endo, subfields):
     """One route's answer, or the refusal it ends in (type and message)."""
     try:
@@ -205,29 +163,37 @@ def _ledger(profile):
     return murty_equal(profile), hodge_status(profile)
 
 
-def test_the_ledger_matches_the_oracle_on_every_n_2p_inventory():
-    rng = random.Random(17)
+def _ledger_inputs(verdicts):
+    """The universe verdicts an abelian variety of dimension 2p has:
+    weight 1, n = 2p and an inventory."""
+    inputs = [
+        v for v in verdicts
+        if v.profile.weight == 1 and v.subfields is not None
+        and v.profile.n % 4 == 2 and is_prime(v.profile.n // 2)
+    ]
+    assert len(inputs) == 11_778
+    return inputs
+
+
+def test_the_ledger_matches_the_oracle_on_every_n_2p_inventory(verdicts):
     reached = set()
-    for p in (3, 5):
-        for endo in _endos(p, rng):
-            for subs in _inventories(endo):
-                expected = _route(abelian_case, 2 * p, endo, subs)
-                got = _route(_ledger, 2 * p, endo, subs)
-                if expected[0] == "refused" or got[0] == "refused":
-                    assert got == expected, (endo, subs)
-                    reached.add(expected[1])
-                    continue
-                case, desc = expected
-                (equal, why), status = got
-                assert equal is (None if case is None else True), (endo, subs)
-                assert why.startswith(desc + ": "), (endo, subs, why)
-                if endo.albert_type == "IV":
-                    assert status.divisor_weil_generated is equal
-                    assert status.rationale.startswith(desc + "; ")
-                    assert status.ghc_reduction is (
-                        case == 2 and endo.deg_L != 4 * p
-                    )
-                reached.add((desc, status.ghc_reduction))
+    for profile, subs, _ in _ledger_inputs(verdicts):
+        dim, endo = profile.n, profile.endo
+        expected = _route(abelian_case, dim, endo, subs)
+        got = _route(_ledger, dim, endo, subs)
+        if expected[0] == "refused" or got[0] == "refused":
+            assert got == expected, (endo, subs)
+            reached.add(expected[1])
+            continue
+        case, desc = expected
+        (equal, why), status = got
+        assert equal is (None if case is None else True), (endo, subs)
+        assert why.startswith(desc + ": "), (endo, subs, why)
+        if endo.albert_type == "IV":
+            assert status.divisor_weil_generated is equal
+            assert status.rationale.startswith(desc + "; ")
+            assert status.ghc_reduction is (case == 2 and endo.deg_L != 2 * dim)
+        reached.add((desc, status.ghc_reduction))
     assert reached >= {
         "InvalidProfileError",
         "InconsistentSubfieldError",
@@ -241,43 +207,24 @@ def test_the_ledger_matches_the_oracle_on_every_n_2p_inventory():
     }
 
 
-def test_the_ledger_refuses_exactly_what_classify_refuses():
+def test_the_ledger_refuses_exactly_what_classify_refuses(verdicts):
     """At dim 2p type IV has q = 1, so every ledger input is classified by
     the n = 2p rule, which cross-checks every subfield: the ledger needs no
     check of its own.  A refused realizability is renamed, nothing else."""
-    cases, refusals = 0, set()
-    for dim in (6, 10, 14):
-        for g in _divisors(dim):
-            pairs = [(a, dim // g - a) for a in range(dim // g + 1)]
-            multisets = itertools.combinations_with_replacement(pairs, g)
-            lists = itertools.islice(multisets, 6)
-            pool = [
-                SubfieldDescriptor(e, b)
-                for e in _divisors(2 * g)
-                if e % 2 == 0
-                for b in (True, False)
-            ]
-            inventories = [()] + [
-                subs for k in (1, 2) for subs in itertools.product(pool, repeat=k)
-            ]
-            for traces in (None, *lists):
-                endo = EndomorphismDescriptor("IV", 2 * g, g, 1, cm_traces=traces)
-                for subs in inventories:
-                    cases += 1
-                    try:
-                        classify(HodgeProfile(1, dim, endo), subs)
-                        expected = None
-                    except NotRealizableError as exc:
-                        message = f"endomorphism data not realizable at weight 1: {exc}"
-                        expected = InvalidProfileError, message
-                    except ValueError as exc:
-                        expected = type(exc), str(exc)
-                    try:
-                        AbelianProfile(dim, endo, subs)
-                        got = None
-                    except ValueError as exc:
-                        got = type(exc), str(exc)
-                    assert got == expected, (dim, endo, subs)
-                    refusals.add(expected and expected[0])
-    assert cases == 2562
+    refusals = set()
+    for profile, subs, out in _ledger_inputs(verdicts):
+        if isinstance(out, NotRealizableError):
+            message = f"endomorphism data not realizable at weight 1: {out}"
+            expected = InvalidProfileError, message
+        elif isinstance(out, ValueError):
+            expected = type(out), str(out)
+        else:
+            expected = None
+        try:
+            AbelianProfile(profile.n, profile.endo, subs)
+            got = None
+        except ValueError as exc:
+            got = type(exc), str(exc)
+        assert got == expected, (profile, subs)
+        refusals.add(expected and expected[0])
     assert refusals == {None, InvalidProfileError, InconsistentSubfieldError}
