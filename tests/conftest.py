@@ -16,15 +16,16 @@ def universe_pass():
         calls.append((profile, subfields))
         return classify(profile, subfields)
 
-    # everything the pass allocates lives for the session, so a collection
-    # during it frees nothing; scanning its growing heap took a third of
-    # the pass
+    # everything the pass allocates lives for the session, so no collection
+    # can free it: scanning it took a third of the pass, and a second
+    # after, in the collections of later tests
     gc.disable()
     try:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(universe, "classify", recorded)
             verdicts = universe.classify_all()
     finally:
+        gc.freeze()
         gc.enable()
     return verdicts, calls
 
