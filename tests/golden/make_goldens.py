@@ -27,8 +27,10 @@ from hodgekit.core import (
 )
 from hodgekit.consequences import AbelianProfile, hodge_status, murty_equal
 from hodgekit.lefschetz import lefschetz_group
-from hodgekit.numth import MR_EXACT_BOUND
+from hodgekit.cmtools import MAX_DEGREE
+from hodgekit.numth import MR_EXACT_BOUND, VERIFY_MAX_K
 from hodgekit.realizability import realizable
+from hodgekit.rootsys import MAX_RANK
 
 HERE = pathlib.Path(__file__).resolve().parent
 
@@ -494,15 +496,28 @@ CLI_CASES = [
     (["classify"], _pj("IV", 6, 3, 1, n=6), {}, 0),
     (["classify"], _pj("IV", 12, 6, 1, n=6), {}, 0),
     (["classify", "--subfields", "@s.json"], _pj("IV", 12, 6, 1, n=6), {"s.json": BALANCED}, 0),
+    # n = 4, [L:Q] = 8 with a balanced quadratic subfield: SU_{L/E}, the
+    # profile read from a file
+    (
+        ["classify", "--profile", "@p.json", "--subfields", "@s.json"],
+        "",
+        {
+            "p.json": json.loads(_pj("IV", 8, 4, 1, cm_traces=[[1, 0], [0, 1], [1, 0], [0, 1]])),
+            "s.json": BALANCED,
+        },
+        0,
+    ),
     # no pair (a, 9 - a) balances, so the SU(B,-) upper bound is not offered
     (["classify"], _pj("IV", 2, 1, 1, n=9), {}, 0),
     (["classify"], _pj("III", 4, 1, 2), {}, 0),
     (["weights", "dim", "A", "3", "0,1,0"], "", {}, 0),
+    (["weights", "dim", "E", "7", "0,0,0,0,0,0,1"], "", {}, 0),
     (["weights", "dim", "E", "7", "0,0,0,0,0,0,1", "--pretty"], "", {}, 0),
     (["weights", "autodual", "C", "3", "1,0,0"], "", {}, 0),
     (["weights", "length", "D", "4", "0,0,0,1"], "", {}, 0),
     (["weights", "length", "A", "5", "1,0,2,0,1"], "", {}, 0),
     (["weights", "length", "A", "5", "0,0,0,0,0"], "", {}, 0),
+    (["weights", "length", "C", "4", "1,0,0,0"], "", {}, 0),
     (["weights", "length", "C", "4", "2,1,0,1"], "", {}, 0),
     (["weights", "length", "D", "6", "1,0,0,1,2,0"], "", {}, 0),
     (["weights", "length", "E", "6", "1,0,1,0,0,2"], "", {}, 0),
@@ -685,6 +700,17 @@ CLI_CASES = [
         {"s.json": BALANCED},
         0,
     ),
+    # every size cap, one step past it (SCAN_MAX_G is pinned above by
+    # cyclic:64), refused before any work that grows with the size
+    (["weights", "dim", "A", "1000000000", "1"], "", {}, 2),
+    (["weights", "autodual", "D", str(MAX_RANK + 1), "1"], "", {}, 2),
+    (["weights", "length", "B", str(MAX_RANK + 1), "1"], "", {}, 2),
+    (["weights", "verify-table2", "--max-rank", str(MAX_RANK + 1)], "", {}, 2),
+    (["numth", "verify", "--k-max", str(VERIFY_MAX_K + 1)], "", {}, 2),
+    (["cm", "--group", f"cyclic:{2 * MAX_DEGREE}", "rank", "--theta", "0"], "", {}, 2),
+    (["cm", "--group", f"dihedral:{MAX_DEGREE}", "primitive", "--theta", "0"], "", {}, 2),
+    (["cm", "--group", f"abelian:{MAX_DEGREE},2", "scan"], "", {}, 2),
+    (["cm", "--group", f"perms:{MAX_DEGREE + 2}:(0 1)", "--iota", "(0 1)", "scan"], "", {}, 2),
 ]
 
 # The two outputs that are text, not JSON.
