@@ -31,9 +31,9 @@ class AbelianProfile(_AbelianFields):
     Construction refuses the data that ``classify`` refuses, and nothing
     else: at dimension 2p type IV has q = 1 (2[F:Q]q^2 divides 4p), so
     the n = 2p rule checks every subfield, and types I-III carry no
-    traces to check one against."""
-
-    __slots__ = ()
+    traces to check one against.  No __slots__: the verdict of that
+    ``classify`` call is kept in the instance dict, and the ledger reads
+    it."""
 
     def __new__(cls, dim, endo, subfields=()):
         _require_int(dim, "dim")
@@ -43,7 +43,7 @@ class AbelianProfile(_AbelianFields):
                 f"dimension must be 2p with p an odd prime, got {self.dim}"
             )
         try:
-            classify(self.hodge_profile(), self.subfields)
+            self._verdict = classify(self.hodge_profile(), self.subfields)
         except NotRealizableError as exc:
             raise InvalidProfileError(
                 f"endomorphism data not realizable at weight 1: {exc}"
@@ -66,7 +66,7 @@ def _hypothesis(ap: AbelianProfile) -> tuple[bool, str]:
     realizability lowers it to conditional over the same candidates."""
     if ap.endo.albert_type != "IV":
         return True, f"type {ap.endo.albert_type} endomorphism algebra"
-    candidates = classify(ap.hodge_profile(), ap.subfields).candidates
+    candidates = ap._verdict.candidates
     first = candidates[0]
     if len(candidates) == 1 and not first.condition:
         return True, "type IV with a balanced imaginary quadratic field in W(A)"

@@ -114,8 +114,9 @@ def test_record_semantics(cls, fields, name, other):
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
     assert repr(record).startswith(f"{cls.__name__}({cls._fields[0]}=")
-    # only the two records with a cached_property carry an instance dict
-    assert hasattr(record, "__dict__") == (cls in (GaloisModel, Weight))
+    # only the records that keep a computed value carry an instance dict:
+    # two cached_property records, and AbelianProfile's classify verdict
+    assert hasattr(record, "__dict__") == (cls in (AbelianProfile, GaloisModel, Weight))
     # the NamedTuple caveat: a record equals the plain tuple of its fields
     assert record == tuple(getattr(record, field) for field in cls._fields)
 
