@@ -1,258 +1,130 @@
-import ast
-import contextlib
+"""The CLI's tests.  Each runs the CLI through ``golden/cli_replay.py``,
+by one of its two routes:
+
+- ``replay`` runs ``cli.run`` in process: the ``cli.json`` replay, the
+  refusals, the fuzz and the monkeypatched exits;
+- ``replay_fresh`` runs a ``cli.json`` case as ``python -m hodgekit.cli``
+  in a new interpreter under ``-X dev -W error``.  That covers what only a
+  new process shows: the modules a subcommand loads, the same answer in
+  another interpreter, no warning, and caps that refuse in bounded time.
+"""
+
 import copy
-import io
 import json
-import subprocess
+import pathlib
 import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hodgekit import cli, cmtools
-from hodgekit.cli import run
-from hodgekit.cmtools import MAX_DEGREE, SCAN_MAX_G
+from hodgekit import cli, cmtools, consequences
+from hodgekit.cmtools import MAX_DEGREE
 from hodgekit.numth import MR_EXACT_BOUND, VERIFY_MAX_K
 from hodgekit.rootsys import MAX_RANK
 
 from golden import cli_replay
 
 PROFILE_N3 = {"weight": 1, "n": 3, "endo": {"type": "I", "deg_L": 1, "deg_F": 1, "q": 1}}
+N3 = json.dumps(PROFILE_N3)
+ABELIAN_II = {"dim": 6, "endo": {"type": "II", "deg_L": 4, "deg_F": 1, "q": 2}}
+N3_ENDO = PROFILE_N3["endo"]
+IV6_ENDO = {"type": "IV", "deg_L": 2, "deg_F": 1, "q": 1, "cm_traces": [[3, 3]]}
+IV6_PROFILE = {"weight": 1, "n": 6, "endo": IV6_ENDO}
+BALANCED = [{"deg_E": 2, "balanced": True}]
+ABELIAN_IV6 = {"dim": 6, "endo": IV6_ENDO, "subfields": BALANCED}
+IOTA6 = ["--iota", "(0 3)(1 4)(2 5)"]
 
 
-def run_cli(args, stdin=None, timeout=None):
-    proc = subprocess.run(
-        [sys.executable, "-m", "hodgekit.cli", *args],
-        input=stdin,
-        capture_output=True,
-        text=True,
-        timeout=timeout,
+@pytest.mark.parametrize("case", cli_replay.cases())
+def test_cli_golden_replays_in_process(case):
+    code, out, err = cli_replay.replay_case(case)
+    assert code == case["exit"], case["argv"]
+    assert out == case["stdout"], case["argv"]
+    # every case but the argparse usage errors pins its stderr
+    assert err == case.get("stderr", err), case["argv"]
+
+
+# --- A new interpreter: the pinned answer, a bounded footprint, no warning ---
+
+CASES = cli_replay.cases()
+# every module of the package but cli, which runs as __main__
+ENGINES = {path.stem for path in pathlib.Path(cli.__file__).parent.glob("*.py")}
+ENGINES -= {"__init__", "cli"}
+
+
+def fresh(argv, stdin="", loads=(), shuns=()):
+    """A row: the cli.json case with this argv and stdin, the modules its
+    process must load and those it must not."""
+    (case,) = [c for c in CASES if c["argv"] == argv and c["stdin"] == stdin]
+    return pytest.param(case, set(loads), set(shuns), id=" ".join(argv))
+
+
+IMPORT_ONLY = {"argv": None, "stdin": "", "files": {}, "exit": 0, "stdout": "", "stderr": ""}
+FRESH = [
+    pytest.param(IMPORT_ONLY, {"hodgekit"}, {"cli", *ENGINES}, id="import hodgekit"),
+    # one pinned argv per subcommand
+    fresh(["validate"], N3),
+    fresh(["realizable"], N3),
+    fresh(["lefschetz"], N3),
+    fresh(["classify"], N3, {"classifier"}, {"rootsys", "cmtools", "intlinalg"}),
+    fresh(["classify", "--table3"]),
+    fresh(["weights", "dim", "A", "3", "0,1,0"], "", {"rootsys"}, {"classifier", "core", "cmtools"}),
+    fresh(["weights", "autodual", "C", "3", "1,0,0"]),
+    fresh(["weights", "length", "C", "4", "1,0,0,0"]),
+    fresh(["weights", "verify-table2", "--max-rank", "4"]),
+    fresh(
+        ["cm", "--group", "cyclic:6", "rank", "--theta", "0,1,2", "--invariants"],
+        "",
+        {"cmtools"},
+        {"classifier", "core", "rootsys"},
+    ),
+    fresh(["cm", "--group", "cyclic:6", "primitive", "--theta", "0,2,4"]),
+    fresh(["cm", "--group", "cyclic:6", "scan"]),
+    fresh(["numth", "verify", "--k-max", "6"], "", {"numth"}, ENGINES - {"numth"}),
+    fresh(["abelian", "status"], json.dumps(ABELIAN_II)),
+    # every size cap one step past it: SCAN_MAX_G, MAX_RANK four ways,
+    # VERIFY_MAX_K and MAX_DEGREE four ways, each refused by name before any
+    # work that grows with the size
+    fresh(["cm", "--group", "cyclic:64", "scan"]),
+    fresh(["weights", "dim", "A", "1000000000", "1"]),
+    fresh(["weights", "autodual", "D", str(MAX_RANK + 1), "1"]),
+    fresh(["weights", "length", "B", str(MAX_RANK + 1), "1"]),
+    fresh(["weights", "verify-table2", "--max-rank", str(MAX_RANK + 1)]),
+    fresh(["numth", "verify", "--k-max", str(VERIFY_MAX_K + 1)]),
+    fresh(["cm", "--group", f"cyclic:{2 * MAX_DEGREE}", "rank", "--theta", "0"]),
+    fresh(["cm", "--group", f"dihedral:{MAX_DEGREE}", "primitive", "--theta", "0"]),
+    fresh(["cm", "--group", f"abelian:{MAX_DEGREE},2", "scan"]),
+    fresh(["cm", "--group", f"perms:{MAX_DEGREE + 2}:(0 1)", "--iota", "(0 1)", "scan"]),
+]
+
+
+@pytest.mark.parametrize("case, loads, shuns", FRESH)
+def test_a_new_interpreter_answers_as_pinned(case, loads, shuns):
+    """A one-shot process gives the pinned answer, within replay_fresh's
+    30 s and under warnings as errors, and loads only its subcommand's
+    engine: neither dataclasses nor fractions (weight lengths are ints).
+    Replaying classify --table3 so also checks that its output does not
+    vary between processes."""
+    code, out, err, (modules, dataclasses, fractions) = cli_replay.replay_fresh(
+        case["argv"], case["stdin"], case["files"]
     )
-    return proc
+    assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
+    assert loads <= modules
+    assert not modules & shuns
+    assert not dataclasses
+    assert not fractions
 
 
-def test_validate_ok(tmp_path):
-    path = tmp_path / "p.json"
-    path.write_text(json.dumps(PROFILE_N3))
-    proc = run_cli(["validate", "--profile", str(path)])
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["valid"] is True
+# --- In process: refusals name what they refuse -----------------------------
 
 
-def test_validate_negative_verdict():
-    bad = {"weight": 1, "n": 3, "endo": {"type": "I", "deg_L": 4, "deg_F": 4, "q": 1}}
-    proc = run_cli(["validate"], stdin=json.dumps(bad))
-    assert proc.returncode == 3
-    out = json.loads(proc.stdout)
-    assert out["valid"] is False and out["violations"]
-
-
-def test_malformed_json_has_position():
-    proc = run_cli(["validate"], stdin="{oops")
-    assert proc.returncode == 2
-    assert "line 1" in proc.stderr and "column" in proc.stderr
-
-
-def test_unknown_field_is_bad_input():
-    data = dict(PROFILE_N3)
-    data["bogus"] = 1
-    proc = run_cli(["validate"], stdin=json.dumps(data))
-    assert proc.returncode == 2
-
-
-def test_realizable_exit_codes():
-    proc = run_cli(["realizable"], stdin=json.dumps(PROFILE_N3))
-    assert proc.returncode == 0
-    exceptional = {
-        "weight": 2,
-        "n": 2,
-        "endo": {"type": "I", "deg_L": 2, "deg_F": 2, "q": 1},
-    }
-    proc = run_cli(["realizable"], stdin=json.dumps(exceptional))
-    assert proc.returncode == 3
-    assert json.loads(proc.stdout)["case"]["index"] == 6
-    invalid = {
-        "weight": 1,
-        "n": 3,
-        "endo": {"type": "I", "deg_L": 4, "deg_F": 4, "q": 1},
-    }
-    proc = run_cli(["realizable"], stdin=json.dumps(invalid))
-    assert proc.returncode == 4
-    # unconfirmed (no trace data): exit 0, as classify answers it
-    unconfirmed = {
-        "weight": 1,
-        "n": 4,
-        "endo": {"type": "IV", "deg_L": 2, "deg_F": 1, "q": 1},
-    }
-    proc = run_cli(["realizable"], stdin=json.dumps(unconfirmed))
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["realizable"] is None
-    assert run_cli(["classify"], stdin=json.dumps(unconfirmed)).returncode == 0
-
-
-def test_lefschetz_output():
-    proc = run_cli(["lefschetz"], stdin=json.dumps(PROFILE_N3))
-    assert proc.returncode == 0
-    data = json.loads(proc.stdout)
-    assert data["group"]["label"] == "Sp(6)"
-    assert data["dim"] == 21 and data["rank"] == 3
-
-
-def test_classify_round_trip_is_byte_identical():
-    proc = run_cli(["classify"], stdin=json.dumps(PROFILE_N3))
-    assert proc.returncode == 0
-    text = proc.stdout.strip()
-    reparsed = json.dumps(json.loads(text), separators=(",", ":"))
-    assert reparsed == text
-
-
-def test_classify_not_realizable_exit():
-    exceptional = {
-        "weight": 1,
-        "n": 2,
-        "endo": {"type": "III", "deg_L": 4, "deg_F": 1, "q": 2},
-    }
-    proc = run_cli(["classify"], stdin=json.dumps(exceptional))
-    assert proc.returncode == 3
-
-
-def test_classify_with_subfields(tmp_path):
-    profile = {
-        "weight": 1,
-        "n": 4,
-        "endo": {
-            "type": "IV",
-            "deg_L": 8,
-            "deg_F": 4,
-            "q": 1,
-            "cm_traces": [[1, 0], [0, 1], [1, 0], [0, 1]],
-        },
-    }
-    subs = tmp_path / "subs.json"
-    subs.write_text(json.dumps([{"deg_E": 2, "balanced": True}]))
-    ppath = tmp_path / "p.json"
-    ppath.write_text(json.dumps(profile))
-    proc = run_cli(
-        ["classify", "--profile", str(ppath), "--subfields", str(subs)]
-    )
-    assert proc.returncode == 0
-    data = json.loads(proc.stdout)
-    assert data["candidates"][0]["group"]["label"] == "SU_{L/E}"
-
-
-def test_table3_flag():
-    proc = run_cli(["classify", "--table3"])
-    assert proc.returncode == 0
-    rows = json.loads(proc.stdout)["rows"]
-    assert len(rows) == 13
-
-
-def test_weights_commands():
-    proc = run_cli(["weights", "dim", "A", "3", "0,1,0"])
-    assert json.loads(proc.stdout)["dim"] == 6
-    proc = run_cli(["weights", "autodual", "C", "3", "1,0,0"])
-    assert json.loads(proc.stdout)["autoduality"] == "symplectic"
-    proc = run_cli(["weights", "length", "C", "4", "1,0,0,0"])
-    assert json.loads(proc.stdout)["length"] == {"num": 1, "den": 1}
-    proc = run_cli(["weights", "verify-table2", "--max-rank", "4"])
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["ok"] is True
-    proc = run_cli(["weights", "verify-table2", "--max-rank", "4", "--pretty"])
-    assert "PASS A1" in proc.stdout
-
-
-def test_weights_bad_input():
-    proc = run_cli(["weights", "dim", "Z", "3", "0,1,0"])
-    assert proc.returncode == 2
-    proc = run_cli(["weights", "dim", "A", "3", "0,1"])
-    assert proc.returncode == 2
-
-
-def test_cm_commands():
-    proc = run_cli(["cm", "--group", "cyclic:6", "rank", "--theta", "0,1,2"])
-    data = json.loads(proc.stdout)
-    assert (data["raw"], data["reduced"]) == (4, 3)
-    proc = run_cli(["cm", "--group", "cyclic:6", "primitive", "--theta", "0,2,4"])
-    assert proc.returncode == 3
-    assert json.loads(proc.stdout)["primitive"] is False
-    proc = run_cli(["cm", "--group", "cyclic:6", "scan"])
-    data = json.loads(proc.stdout)
-    assert data["total"] == 8 and data["primitive"] == 6
-
-
-def test_cm_explicit_perms():
-    proc = run_cli(
-        [
-            "cm",
-            "--group",
-            "perms:6:(0 1 2 3 4 5)",
-            "--iota",
-            "(0 3)(1 4)(2 5)",
-            "rank",
-            "--theta",
-            "0,2,4",
-        ]
-    )
-    data = json.loads(proc.stdout)
-    assert (data["raw"], data["reduced"]) == (2, 1)
-
-
-def test_cm_scan_over_the_cap_is_bad_input():
-    proc = run_cli(["cm", "--group", "cyclic:64", "scan"], timeout=30)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "SCAN_MAX_G" in proc.stderr
-
-
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["weights", "dim", "A", "1000000000", "1"],
-        ["weights", "autodual", "D", str(MAX_RANK + 1), "1"],
-        ["weights", "length", "B", str(MAX_RANK + 1), "1"],
-        ["weights", "verify-table2", "--max-rank", str(MAX_RANK + 1)],
-    ],
-)
-def test_weights_over_the_rank_cap_is_bad_input(args):
-    proc = run_cli(args, timeout=30)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "MAX_RANK" in proc.stderr
-
-
-@pytest.mark.parametrize(
-    "args, cap",
-    [
-        (["numth", "verify", "--k-max", str(VERIFY_MAX_K + 1)], "VERIFY_MAX_K"),
-        (["cm", "--group", f"cyclic:{2 * MAX_DEGREE}", "rank", "--theta", "0"], "MAX_DEGREE"),
-        (["cm", "--group", f"dihedral:{MAX_DEGREE}", "primitive", "--theta", "0"], "MAX_DEGREE"),
-        (["cm", "--group", f"abelian:{MAX_DEGREE},2", "scan"], "MAX_DEGREE"),
-        (
-            ["cm", "--group", f"perms:{MAX_DEGREE + 2}:(0 1)", "--iota", "(0 1)", "scan"],
-            "MAX_DEGREE",
-        ),
-    ],
-)
-def test_numth_and_cm_over_their_caps_are_bad_input(args, cap):
-    proc = run_cli(args, timeout=30)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert cap in proc.stderr
-
-
-def test_cm_orbit_over_the_cap_is_bad_input(monkeypatch, capsys):
-    monkeypatch.setattr(cmtools, "MAX_ORBIT", 31, raising=True)
-    # Z2 wr S5 on two copies of 5 points: a type has 2^5 = 32 translates
-    group = "perms:10:(0 1 2 3 4)(5 6 7 8 9);(0 1)(5 6);(0 5)"
-    args = ["cm", "--group", group, "--iota", "(0 5)(1 6)(2 7)(3 8)(4 9)", "scan"]
-    assert "MAX_ORBIT = 31" in run_bad_input(args, capsys)
-
-
-def test_cm_iota_override():
-    # explicit iota equals the default for the cyclic model
-    a = run_cli(["cm", "--group", "cyclic:6", "--iota", "(0 3)(1 4)(2 5)", "scan"])
-    b = run_cli(["cm", "--group", "cyclic:6", "scan"])
-    assert a.stdout == b.stdout
+def refused(argv, stdin="", files=None):
+    """The stderr of a run that must exit 2 with nothing on stdout."""
+    code, out, err = cli_replay.replay(argv, stdin, files)
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("error: ")
+    return err
 
 
 def test_cycles():
@@ -268,56 +140,12 @@ def test_cycles():
         cli._cycles("(0 1)", MAX_DEGREE + 2, "--iota")
 
 
-def test_numth_verify():
-    proc = run_cli(["numth", "verify", "--k-max", "6"])
-    assert proc.returncode == 0
-    data = json.loads(proc.stdout)
-    assert data["ok"] is True
-    assert data["composite_witnesses"]["3"] == [5, 7]
-
-
-def test_abelian_status():
-    payload = {
-        "dim": 6,
-        "endo": {"type": "II", "deg_L": 4, "deg_F": 1, "q": 2},
-        "subfields": [],
-    }
-    proc = run_cli(["abelian", "status"], stdin=json.dumps(payload))
-    assert proc.returncode == 0
-    data = json.loads(proc.stdout)
-    assert data["murty_equal"] is True
-    assert data["status"]["hc_all_powers"] == "proven"
-
-
-def test_run_function_directly(capsys):
-    code = run(["weights", "dim", "E", "7", "0,0,0,0,0,0,1"])
-    assert code == 0
-    assert json.loads(capsys.readouterr().out)["dim"] == 56
-
-
-def test_determinism():
-    a = run_cli(["classify", "--table3"])
-    b = run_cli(["classify", "--table3"])
-    assert a.stdout == b.stdout
-
-
-@pytest.mark.parametrize("case", cli_replay.cases())
-def test_cli_golden_replays_in_process(case):
-    code, out, err = cli_replay.replay_case(case)
-    assert code == case["exit"], case["argv"]
-    assert out == case["stdout"], case["argv"]
-    # every case but the argparse usage errors pins its stderr
-    assert err == case.get("stderr", err), case["argv"]
-
-
-def run_bad_input(args, capsys):
-    """Run in process; the command must exit 2 with nothing on stdout."""
-    code = run(args)
-    captured = capsys.readouterr()
-    assert code == 2, captured.err
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    return captured.err
+def test_cm_orbit_over_the_cap_is_bad_input(monkeypatch):
+    monkeypatch.setattr(cmtools, "MAX_ORBIT", 31, raising=True)
+    # Z2 wr S5 on two copies of 5 points: a type has 2^5 = 32 translates
+    group = "perms:10:(0 1 2 3 4)(5 6 7 8 9);(0 1)(5 6);(0 5)"
+    args = ["cm", "--group", group, "--iota", "(0 5)(1 6)(2 7)(3 8)(4 9)", "scan"]
+    assert "MAX_ORBIT = 31" in refused(args)
 
 
 @pytest.mark.parametrize(
@@ -332,37 +160,25 @@ def run_bad_input(args, capsys):
         ({"deg_E": 2, "balanced": True, "galois_L": None}, "galois_L must be a boolean, got None"),
     ],
 )
-def test_classify_rejects_badly_typed_subfields(tmp_path, capsys, entry, complaint):
-    profile = {
-        "weight": 1,
-        "n": 6,
-        "endo": {"type": "IV", "deg_L": 2, "deg_F": 1, "q": 1, "cm_traces": [[3, 3]]},
-    }
-    ppath = tmp_path / "p.json"
-    ppath.write_text(json.dumps(profile))
-    spath = tmp_path / "subs.json"
-    spath.write_text(json.dumps([entry]))
-    args = ["classify", "--profile", str(ppath), "--subfields", str(spath)]
-    assert complaint in run_bad_input(args, capsys)
+def test_classify_rejects_badly_typed_subfields(entry, complaint):
+    args = ["classify", "--profile", "@p.json", "--subfields", "@s.json"]
+    assert complaint in refused(args, files={"p.json": IV6_PROFILE, "s.json": [entry]})
 
 
 @pytest.mark.parametrize("dim", ["6", 6.0, True])
-def test_abelian_rejects_a_non_integer_dim(tmp_path, capsys, dim):
-    path = tmp_path / "a.json"
-    path.write_text(
-        json.dumps({"dim": dim, "endo": {"type": "I", "deg_L": 1, "deg_F": 1, "q": 1}})
-    )
-    err = run_bad_input(["abelian", "status", "--profile", str(path)], capsys)
+def test_abelian_rejects_a_non_integer_dim(dim):
+    files = {"a.json": {"dim": dim, "endo": N3_ENDO}}
+    err = refused(["abelian", "status", "--profile", "@a.json"], files=files)
     assert "dim must be an integer" in err
 
 
-def test_numth_kmax_below_three_is_bad_input(capsys):
-    assert "--k-max" in run_bad_input(["numth", "verify", "--k-max", "2"], capsys)
+def test_numth_kmax_below_three_is_bad_input():
+    assert "--k-max" in refused(["numth", "verify", "--k-max", "2"])
 
 
 @pytest.mark.parametrize("max_rank", ["0", "-1", "-5"])
-def test_verify_table2_max_rank_below_one_is_bad_input(capsys, max_rank):
-    err = run_bad_input(["weights", "verify-table2", "--max-rank", max_rank], capsys)
+def test_verify_table2_max_rank_below_one_is_bad_input(max_rank):
+    err = refused(["weights", "verify-table2", "--max-rank", max_rank])
     assert err == f"error: --max-rank must be at least 1, got {max_rank}\n"
 
 
@@ -375,123 +191,17 @@ def test_verify_table2_max_rank_below_one_is_bad_input(capsys, max_rank):
         ("primitive", "0,x", "error: bad embeddings '0,x' in --theta\n"),
     ],
 )
-def test_cm_theta_refuses_a_repeat_or_a_bad_entry(capsys, cmd, theta, err):
+def test_cm_theta_refuses_a_repeat_or_a_bad_entry(cmd, theta, err):
     group = ["--group", "perms:4:(0 1 2 3)", "--iota", "(0 2)(1 3)"]
-    assert run_bad_input(["cm", *group, cmd, "--theta", theta], capsys) == err
+    assert refused(["cm", *group, cmd, "--theta", theta]) == err
 
 
-# --- Import footprint: a one-shot process loads only its subcommand's engine ---
-
-# Runs the CLI as ``python -m hodgekit.cli`` does (or, with no arguments,
-# only ``import hodgekit``), then reports on stderr its exit code, the
-# ``hodgekit`` modules loaded, whether ``dataclasses`` (or ``inspect``, which
-# it imports) is, and whether ``fractions`` is.
-FOOTPRINT = """
-import sys
-code = 0
-if len(sys.argv) > 1:
-    import runpy
-    try:
-        runpy.run_module("hodgekit.cli", run_name="__main__", alter_sys=True)
-    except SystemExit as exc:
-        code = exc.code
-else:
-    import hodgekit
-loaded = (
-    code,
-    sorted(m for m in sys.modules if m.split(".")[0] == "hodgekit"),
-    "dataclasses" in sys.modules or "inspect" in sys.modules,
-    "fractions" in sys.modules,
-)
-sys.stderr.write("\\n" + repr(loaded))
-"""
-
-
-def footprint(args, stdin=None):
-    proc = subprocess.run(
-        [sys.executable, "-c", FOOTPRINT, *args],
-        input=stdin,
-        capture_output=True,
-        text=True,
-    )
-    code, modules, dataclasses, fractions = ast.literal_eval(proc.stderr.splitlines()[-1])
-    assert code == 0, proc.stderr
-    return {m.removeprefix("hodgekit.") for m in modules}, dataclasses, fractions
-
-
-def test_import_hodgekit_loads_no_submodule():
-    assert footprint([]) == ({"hodgekit"}, False, False)
-
-
-def test_numth_verify_loads_numth_alone():
-    modules, dataclasses, _ = footprint(["numth", "verify", "--k-max", "6"])
-    assert "numth" in modules
-    assert modules <= {"hodgekit", "cli", "numth"}
-    assert not dataclasses
-
-
-def test_weights_loads_no_classifier_or_cm_engine():
-    modules, _, _ = footprint(["weights", "dim", "A", "3", "0,1,0"])
-    assert "rootsys" in modules
-    assert not modules & {"classifier", "core", "cmtools"}
-
-
-def test_cm_rank_loads_no_classifier_or_root_systems():
-    modules, _, _ = footprint(["cm", "--group", "cyclic:6", "rank", "--theta", "0,1,2"])
-    assert "cmtools" in modules
-    assert not modules & {"classifier", "core", "rootsys"}
-
-
-def test_classify_loads_no_verification_engine():
-    modules, _, fractions = footprint(["classify"], stdin=json.dumps(PROFILE_N3))
-    assert "classifier" in modules
-    assert not modules & {"rootsys", "cmtools", "intlinalg"}
-    assert not fractions
-
-
-ABELIAN_6 = {"dim": 6, "endo": PROFILE_N3["endo"]}
-
-
-SUBCOMMANDS = [
-    (["validate"], PROFILE_N3),
-    (["realizable"], PROFILE_N3),
-    (["lefschetz"], PROFILE_N3),
-    (["classify"], PROFILE_N3),
-    (["classify", "--table3"], None),
-    (["weights", "dim", "A", "3", "0,1,0"], None),
-    (["weights", "autodual", "A", "3", "0,1,0"], None),
-    (["weights", "length", "A", "3", "0,1,0"], None),
-    (["weights", "verify-table2", "--max-rank", "3"], None),
-    (["cm", "--group", "cyclic:6", "rank", "--theta", "0,1,2"], None),
-    (["cm", "--group", "cyclic:6", "primitive", "--theta", "0,1,2"], None),
-    (["cm", "--group", "cyclic:6", "scan"], None),
-    (["numth", "verify", "--k-max", "6"], None),
-    (["abelian", "status"], ABELIAN_6),
-]
-
-
-@pytest.mark.parametrize(
-    "args, stdin", SUBCOMMANDS, ids=[" ".join(args) for args, _ in SUBCOMMANDS]
-)
-def test_no_subcommand_loads_dataclasses_or_fractions(args, stdin):
-    # weight lengths are ints, so not even `weights length` needs fractions
-    _, dataclasses, fractions = footprint(args, stdin and json.dumps(stdin))
-    assert not dataclasses
-    assert not fractions
-
-
-def test_n_beyond_the_primality_bound_is_bad_input(tmp_path, capsys):
+def test_n_beyond_the_primality_bound_is_bad_input():
     cap = 3_317_044_064_679_887_385_961_981
-    endo = {"type": "I", "deg_L": 1, "deg_F": 1, "q": 1}
-    path = tmp_path / "p.json"
-    path.write_text(json.dumps({"weight": 1, "n": cap, "endo": endo}))
-    assert str(cap) in run_bad_input(["classify", "--profile", str(path)], capsys)
-    path.write_text(json.dumps({"dim": 2 * cap, "endo": endo}))
-    err = run_bad_input(["abelian", "status", "--profile", str(path)], capsys)
-    assert str(cap) in err
-
-
-ABELIAN_II = {"dim": 6, "endo": {"type": "II", "deg_L": 4, "deg_F": 1, "q": 2}}
+    files = {"p.json": {"weight": 1, "n": cap, "endo": N3_ENDO}}
+    assert str(cap) in refused(["classify", "--profile", "@p.json"], files=files)
+    files = {"a.json": {"dim": 2 * cap, "endo": N3_ENDO}}
+    assert str(cap) in refused(["abelian", "status", "--profile", "@a.json"], files=files)
 
 
 @pytest.mark.parametrize(
@@ -504,32 +214,36 @@ ABELIAN_II = {"dim": 6, "endo": {"type": "II", "deg_L": 4, "deg_F": 1, "q": 2}}
         ({"dim": 6}, "endo must be a JSON object"),
     ],
 )
-def test_abelian_rejects_a_bad_subfield_list_or_a_missing_field(
-    data, complaint, capsys, monkeypatch
-):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(data)))
-    assert complaint in run_bad_input(["abelian", "status"], capsys)
+def test_abelian_rejects_a_bad_subfield_list_or_a_missing_field(data, complaint):
+    assert complaint in refused(["abelian", "status"], json.dumps(data))
 
 
-def test_abelian_status_rejects_a_balanced_flag_the_traces_contradict(
-    capsys, monkeypatch
-):
+def test_abelian_status_rejects_a_balanced_flag_the_traces_contradict():
     data = {
         "dim": 6,
         "endo": {"type": "IV", "deg_L": 2, "deg_F": 1, "q": 1, "cm_traces": [[4, 2]]},
-        "subfields": [{"deg_E": 2, "balanced": True}],
+        "subfields": BALANCED,
     }
-    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(data)))
-    err = run_bad_input(["abelian", "status"], capsys)
+    err = refused(["abelian", "status"], json.dumps(data))
     assert "balanced flag contradicts the trace data" in err
 
 
-# --- Every kind of outside input has one refusal, naming where it came from ---
+@pytest.mark.parametrize("data", [ABELIAN_II, ABELIAN_IV6], ids=["II", "IV"])
+def test_abelian_status_classifies_once(data, monkeypatch):
+    calls = []
+    classify = consequences.classify
 
-N3_ENDO = PROFILE_N3["endo"]
-IV6_ENDO = {"type": "IV", "deg_L": 2, "deg_F": 1, "q": 1, "cm_traces": [[3, 3]]}
-IV6_PROFILE = {"weight": 1, "n": 6, "endo": IV6_ENDO}
-IOTA6 = ["--iota", "(0 3)(1 4)(2 5)"]
+    def counted(*args):
+        calls.append(args)
+        return classify(*args)
+
+    monkeypatch.setattr(consequences, "classify", counted)
+    code, _, _ = cli_replay.replay(["abelian", "status"], json.dumps(data))
+    assert code == 0
+    assert len(calls) == 1
+
+
+# --- Every kind of outside input has one refusal, naming where it came from ---
 
 # int()'s literal forms that an argv number must not take
 INT_LITERALS = ["1_0", "+6", "\u0666", " 6"]
@@ -622,16 +336,12 @@ REFUSALS = [
 
 
 @pytest.mark.parametrize("argv, stdin, named", REFUSALS)
-def test_outside_input_is_refused_by_name(argv, stdin, named, tmp_path, capsys, monkeypatch):
+def test_outside_input_is_refused_by_name(argv, stdin, named):
     """Each refusal exits 2 with nothing on stdout and names the field or
     the flag (with its text) that it refuses."""
-    path = tmp_path / "input.json"
-    for arg in argv:
-        if arg.startswith("@"):
-            path.write_text(arg[1:])
-    argv = [str(path) if arg.startswith("@") else arg for arg in argv]
-    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(stdin)))
-    assert named in run_bad_input(argv, capsys)
+    files = {"input.json": arg[1:] for arg in argv if arg.startswith("@")}
+    argv = ["@input.json" if arg.startswith("@") else arg for arg in argv]
+    assert named in refused(argv, json.dumps(stdin), files)
 
 
 # a numeral one digit past the interpreter's limit on reading an int
@@ -661,19 +371,14 @@ LONG = "1" * (LIMIT + 1)
         "theta", "rank",
     ],
 )
-def test_a_number_past_the_int_limit_is_refused_by_name(
-    argv, named, tmp_path, capsys, monkeypatch
-):
+def test_a_number_past_the_int_limit_is_refused_by_name(argv, named):
     """JSON and argv name the input or the slot that holds the number, not
     the interpreter's setting that limits it, and echo none of its digits."""
-    stdin = json.dumps(PROFILE_N3).replace('"n": 3', f'"n": {LONG}')
+    stdin, files = N3.replace('"n": 3', f'"n": {LONG}'), {}
     if "--subfields" in argv:  # a sound profile, the long number in a subfield
-        path = tmp_path / "profile.json"
-        path.write_text(json.dumps(PROFILE_N3))
-        argv = [*argv, "--profile", str(path)]
-        stdin = f'[{{"deg_E": {LONG}, "balanced": true}}]'
-    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
-    err = run_bad_input(argv, capsys)
+        argv = [*argv, "--profile", "@profile.json"]
+        stdin, files = f'[{{"deg_E": {LONG}, "balanced": true}}]', {"profile.json": PROFILE_N3}
+    err = refused(argv, stdin, files)
     assert named in err
     assert f"a number of more than {LIMIT} digits" in err
     assert "set_int_max_str_digits" not in err
@@ -846,24 +551,18 @@ ARGVS = st.one_of(
 )
 
 
-def _run_checked(argv, stdin=""):
-    out, saved = io.StringIO(), sys.stdin
-    sys.stdin = io.StringIO(stdin)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = run(argv)
-    finally:
-        sys.stdin = saved
+def _run_checked(argv, stdin="", files=None):
+    code, out, _ = cli_replay.replay(argv, stdin, files)
     assert code in (0, 2, 3, 4), (argv, stdin, code)
     if code == 2:
-        assert out.getvalue() == "", (argv, stdin)
+        assert out == "", (argv, stdin)
 
 
 FUZZ = settings(
     max_examples=150,
     deadline=3000,
     derandomize=True,
-    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    suppress_health_check=[HealthCheck.too_slow],
 )
 
 
@@ -879,10 +578,8 @@ def test_fuzz_profile_commands(command, pretty, profile):
 
 @FUZZ
 @given(profile=_inputs(PROFILES), subfields=_inputs(SUBFIELD_LISTS), abelian=_inputs(ABELIANS))
-def test_fuzz_subfield_and_abelian_input(tmp_path, profile, subfields, abelian):
-    path = tmp_path / "subfields.json"
-    path.write_text(subfields)
-    _run_checked(["classify", "--subfields", str(path)], profile)
+def test_fuzz_subfield_and_abelian_input(profile, subfields, abelian):
+    _run_checked(["classify", "--subfields", "@s.json"], profile, {"s.json": subfields})
     _run_checked(["abelian", "status"], abelian)
 
 
@@ -899,16 +596,15 @@ def _raising(exc):
     return command
 
 
-def test_a_broken_invariant_exits_4_with_its_message(monkeypatch, capsys):
+def test_a_broken_invariant_exits_4_with_its_message(monkeypatch):
     monkeypatch.setattr(cli, "_cmd_validate", _raising(AssertionError("pairs out of order")))
-    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(PROFILE_N3)))
-    assert run(["validate"]) == 4
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "internal invariant violation: pairs out of order\n"
+    assert cli_replay.replay(["validate"], N3) == (
+        4,
+        "",
+        "internal invariant violation: pairs out of order\n",
+    )
 
 
-def test_a_closed_pipe_exits_0_quietly(monkeypatch, capsys):
+def test_a_closed_pipe_exits_0_quietly(monkeypatch):
     monkeypatch.setattr(cli, "_cmd_numth", _raising(BrokenPipeError()))
-    assert run(["numth", "verify", "--k-max", "3"]) == 0
-    assert capsys.readouterr() == ("", "")
+    assert cli_replay.replay(["numth", "verify", "--k-max", "3"]) == (0, "", "")
