@@ -20,27 +20,16 @@ sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
 
 from golden.cli_replay import replay
 from hodgekit.classifier import SubfieldDescriptor, classify, table3
-from hodgekit.core import (
-    EndomorphismDescriptor,
-    HodgeProfile,
-    profile_to_json,
-)
+from hodgekit.cmtools import MAX_DEGREE
+from hodgekit.core import EndomorphismDescriptor, profile_to_json
 from hodgekit.consequences import AbelianProfile, hodge_status, murty_equal
 from hodgekit.lefschetz import lefschetz_group
-from hodgekit.cmtools import MAX_DEGREE
 from hodgekit.numth import MR_EXACT_BOUND, VERIFY_MAX_K
 from hodgekit.realizability import realizable
 from hodgekit.rootsys import MAX_RANK
+from universe import prof
 
 HERE = pathlib.Path(__file__).resolve().parent
-
-
-def prof(t, dL, dF, q, w, n, traces=None, disc=None):
-    return HodgeProfile(
-        weight=w,
-        n=n,
-        endo=EndomorphismDescriptor(t, dL, dF, q, traces, disc),
-    )
 
 
 def write(name, payload):

@@ -26,13 +26,7 @@ from hodgekit.lefschetz import group_dim, group_rank, lefschetz_group
 from hodgekit.numth import _central_binomial, _rows_of_dimension, central_binomial_solve
 from hodgekit.rootsys import ORTHOGONAL, admissible_factors, fundamental_weight
 
-
-def prof(t, deg_L, deg_F, q, w, n, traces=None, disc=None):
-    return HodgeProfile(
-        weight=w,
-        n=n,
-        endo=EndomorphismDescriptor(t, deg_L, deg_F, q, traces, disc),
-    )
+from universe import prof
 
 
 def labels(outcome):

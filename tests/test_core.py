@@ -8,27 +8,13 @@ from hypothesis import given, strategies as st
 from hodgekit.core import (
     EndomorphismDescriptor,
     GroupExpr,
-    HodgeProfile,
     InvalidProfileError,
     profile_from_json,
     profile_to_json,
     validate_profile,
 )
 
-
-def prof(t, deg_L, deg_F, q, w, n, traces=None, disc=None):
-    return HodgeProfile(
-        weight=w,
-        n=n,
-        endo=EndomorphismDescriptor(
-            albert_type=t,
-            deg_L=deg_L,
-            deg_F=deg_F,
-            q=q,
-            cm_traces=traces,
-            disc_one=disc,
-        ),
-    )
+from universe import prof
 
 
 def test_rational_profile_valid():

@@ -1,17 +1,10 @@
 import pytest
 
-from hodgekit.core import EndomorphismDescriptor, GroupExpr, HodgeProfile
+from hodgekit.core import GroupExpr
 from hodgekit.lefschetz import group_dim, group_rank, lefschetz_group
 
 from oracles import symplectic_algebra_dim, orthogonal_algebra_dim, unitary_algebra_dim
-
-
-def prof(t, deg_L, deg_F, q, w, n, traces=None):
-    return HodgeProfile(
-        weight=w,
-        n=n,
-        endo=EndomorphismDescriptor(t, deg_L, deg_F, q, cm_traces=traces),
-    )
+from universe import prof
 
 
 # --- the eight (type, parity) cells -----------------------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from hodgekit.core import EndomorphismDescriptor, HodgeProfile, InvalidProfileError
+from hodgekit.core import InvalidProfileError
 from hodgekit.realizability import (
     EVEN_CASES,
     ODD_CASES,
@@ -9,14 +9,7 @@ from hodgekit.realizability import (
 )
 import universe
 from oracles import catalog_scan
-
-
-def prof(t, deg_L, deg_F, q, w, n, traces=None, disc=None):
-    return HodgeProfile(
-        weight=w,
-        n=n,
-        endo=EndomorphismDescriptor(t, deg_L, deg_F, q, traces, disc),
-    )
+from universe import prof
 
 
 def test_catalog_sizes():

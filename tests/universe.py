@@ -76,6 +76,11 @@ def inventories(deg_L: int) -> list:
     return out + list(dict.fromkeys(pair[::step] for pair in pairs for step in (1, -1)))
 
 
+def prof(t, deg_L, deg_F, q, w, n, traces=None, disc=None):
+    """One profile, written out by its numbers."""
+    return HodgeProfile(w, n, EndomorphismDescriptor(t, deg_L, deg_F, q, traces, disc))
+
+
 def profiles():
     for n, w in itertools.product(range(1, 65), WEIGHTS):
         for t, deg_L, deg_F, q in shapes(n):
