@@ -41,14 +41,12 @@ from oracles import (
     weight_root_coordinates,
 )
 
-CLASSICAL_RANGE = [("A", range(1, 11)), ("B", range(2, 11)), ("C", range(2, 11)), ("D", range(3, 11))]
-
-
-def all_systems(max_rank=10):
-    for kind, ranks in CLASSICAL_RANGE:
-        for l in ranks:
-            if l <= max_rank:
-                yield RootSystem(kind, l)
+def all_systems(max_rank=10, c_from=2):
+    """Every classical system of rank <= max_rank, kind by kind, then E6
+    and E7.  C starts at rank c_from: C1 is A1 by another name."""
+    for kind, lowest in (("A", 1), ("B", 2), ("C", c_from), ("D", 3)):
+        for l in range(lowest, max_rank + 1):
+            yield RootSystem(kind, l)
     yield RootSystem("E", 6)
     yield RootSystem("E", 7)
 
@@ -72,10 +70,8 @@ def test_weyl_kernels_match_the_dense_oracles():
     # weight, and dominantizations (weight and shift) of every negated
     # fundamental weight and of seeded random weights
     rng = random.Random(20151118)
-    lows = (("A", 1), ("B", 2), ("C", 1), ("D", 3))
-    specs = [(kind, l) for kind, lo in lows for l in range(lo, 25)]
-    for kind, l in specs + [("E", 6), ("E", 7)]:
-        rs = RootSystem(kind, l)
+    for rs in all_systems(24, c_from=1):
+        l = rs.rank
         lengths = dense_positive_roots(rs)
         coroots = norm_coroots(rs, lengths)
         assert rs.positive_roots == tuple(sorted(lengths, key=lambda r: (sum(r), r)))
@@ -243,9 +239,7 @@ def test_root_coordinates_are_exact():
 def test_weight_length_matches_the_rational_solve():
     # every system of rank <= 8: fundamental, seeded random dominant and zero
     rng = random.Random(20151111)
-    lows = (("A", 1), ("B", 2), ("C", 1), ("D", 3))
-    systems = [RootSystem(kind, l) for kind, lo in lows for l in range(lo, 9)]
-    for rs in systems + [RootSystem("E", 6), RootSystem("E", 7)]:
+    for rs in all_systems(8, c_from=1):
         l = rs.rank
         weights = [fundamental_weight(rs, i) for i in range(1, l + 1)]
         weights += [
@@ -277,10 +271,8 @@ def test_verify_minuscule_table_matches_the_public_queries():
     # reads the minuscule test off the coroot columns and dominantizes -w
     # once for both the dual and the length; the public queries, one call
     # each, must give the same weights and the same rows
-    lows = (("A", 1), ("B", 2), ("C", 1), ("D", 3))
-    specs = [(kind, l) for kind, lo in lows for l in range(lo, 25)]
-    for kind, l in specs + [("E", 6), ("E", 7)]:
-        rs = RootSystem(kind, l)
+    for rs in all_systems(24, c_from=1):
+        l = rs.rank
         fundamentals = [fundamental_weight(rs, i) for i in range(1, l + 1)]
         minuscule = [w for w in fundamentals if is_minuscule(rs, w)]
         assert minuscule_weights(rs) == minuscule, rs.name
@@ -292,7 +284,7 @@ def test_verify_minuscule_table_matches_the_public_queries():
         for w in minuscule:
             index = w.coords.index(1) + 1
             dim, dual = rep_dimension(rs, w), autoduality(rs, w)
-            length_one = kind == "E" or weight_length(rs, w) == 1
+            length_one = rs.kind == "E" or weight_length(rs, w) == 1
             ok = expected.get(index) == (dim, dual) and length_one
             rows.append(
                 {
@@ -333,12 +325,10 @@ def test_admissible_factors_every_hit_is_minuscule():
 
 def test_closed_form_table_matches_the_weyl_scan():
     # every classical system up to rank 16 plus E6 and E7
-    lows = (("A", 1), ("B", 2), ("C", 1), ("D", 3))
-    systems = [(kind, l) for kind, lo in lows for l in range(lo, 17)]
-    for kind, l in systems + [("E", 6), ("E", 7)]:
-        rows = minuscule_table_expected(root_system(kind, l))
+    for rs in all_systems(16, c_from=1):
+        rows = minuscule_table_expected(root_system(rs.kind, rs.rank))
         got = tuple(sorted((r["index"], r["dim"], r["duality"]) for r in rows))
-        assert got == tuple(sorted(minuscule_scan(kind, l))), (kind, l)
+        assert got == tuple(sorted(minuscule_scan(rs.kind, rs.rank))), rs.name
 
 
 def test_admissible_factors_match_the_scan_oracle():
