@@ -503,6 +503,8 @@ CLI_CASES = [
     (["weights", "dim", "E", "7", "0,0,0,0,0,0,1"], "", {}, 0),
     (["weights", "dim", "E", "7", "0,0,0,0,0,0,1", "--pretty"], "", {}, 0),
     (["weights", "autodual", "C", "3", "1,0,0"], "", {}, 0),
+    (["weights", "autodual", "A", "3", "0,1,0"], "", {}, 0),
+    (["weights", "length", "A", "3", "0,1,0"], "", {}, 0),
     (["weights", "length", "D", "4", "0,0,0,1"], "", {}, 0),
     (["weights", "length", "A", "5", "1,0,2,0,1"], "", {}, 0),
     (["weights", "length", "A", "5", "0,0,0,0,0"], "", {}, 0),
@@ -516,6 +518,7 @@ CLI_CASES = [
     (["weights", "dim", "A", "3", "0,1"], "", {}, 2),
     (["weights", "autodual", "A", "3", "0,x,0"], "", {}, 2),
     (["weights", "length", "B", "1000", "1"], "", {}, 2),
+    (["weights", "verify-table2", "--max-rank", "3"], "", {}, 0),
     (["weights", "verify-table2", "--max-rank", "4"], "", {}, 0),
     (["weights", "verify-table2", "--max-rank", "4", "--pretty"], "", {}, 0),
     (["weights", "verify-table2", "--max-rank", "10"], "", {}, 0),
@@ -533,7 +536,9 @@ CLI_CASES = [
     (["weights", "verify-table2", "--max-rank", "1000"], "", {}, 2),
     (["weights", "verify-table2", "--max-rank", "0"], "", {}, 2),
     (["weights", "verify-table2", "--max-rank", "-1"], "", {}, 2),
+    (["cm", "--group", "cyclic:6", "rank", "--theta", "0,1,2"], "", {}, 0),
     (["cm", "--group", "cyclic:6", "rank", "--theta", "0,1,2", "--invariants"], "", {}, 0),
+    (["cm", "--group", "cyclic:6", "primitive", "--theta", "0,1,2"], "", {}, 0),
     (["cm", "--group", "cyclic:6", "primitive", "--theta", "0,2,4"], "", {}, 3),
     (["cm", "--group", "cyclic:8", "primitive", "--theta", "0,1,2,7", "--pretty"], "", {}, 0),
     (["cm", "--group", "cyclic:6", "scan"], "", {}, 0),
@@ -595,6 +600,7 @@ CLI_CASES = [
     (["numth", "verify", "--k-max", "4", "--pretty"], "", {}, 0),
     (["numth", "verify", "--k-max", "2"], "", {}, 2),
     (["abelian", "status"], json.dumps(ABELIAN), {}, 0),
+    (["abelian", "status"], json.dumps({"dim": 6, "endo": json.loads(N3)["endo"]}), {}, 0),
     (
         ["abelian", "status", "--pretty"],
         json.dumps({"dim": 6, "endo": json.loads(IV6)["endo"], "subfields": BALANCED}),

@@ -2,7 +2,8 @@
 by one of its two routes:
 
 - ``replay`` runs ``cli.run`` in process: the ``cli.json`` replay, the
-  refusals, the fuzz and the monkeypatched exits;
+  answers of each subcommand, the refusals, the fuzz and the monkeypatched
+  exits;
 - ``replay_fresh`` runs a ``cli.json`` case as ``python -m hodgekit.cli``
   in a new interpreter under ``-X dev -W error``.  That covers what only a
   new process shows: the modules a subcommand loads, the same answer in
@@ -10,8 +11,8 @@ by one of its two routes:
 """
 
 import copy
+import functools
 import json
-import pathlib
 import sys
 
 import pytest
@@ -26,16 +27,196 @@ from golden import cli_replay
 
 PROFILE_N3 = {"weight": 1, "n": 3, "endo": {"type": "I", "deg_L": 1, "deg_F": 1, "q": 1}}
 N3 = json.dumps(PROFILE_N3)
-ABELIAN_II = {"dim": 6, "endo": {"type": "II", "deg_L": 4, "deg_F": 1, "q": 2}}
-N3_ENDO = PROFILE_N3["endo"]
-IV6_ENDO = {"type": "IV", "deg_L": 2, "deg_F": 1, "q": 1, "cm_traces": [[3, 3]]}
-IV6_PROFILE = {"weight": 1, "n": 6, "endo": IV6_ENDO}
-BALANCED = [{"deg_E": 2, "balanced": True}]
-ABELIAN_IV6 = {"dim": 6, "endo": IV6_ENDO, "subfields": BALANCED}
-IOTA6 = ["--iota", "(0 3)(1 4)(2 5)"]
+CASES = cli_replay.cases()
+replay = cli_replay.replay
 
 
-@pytest.mark.parametrize("case", cli_replay.cases())
+def test_validate_ok():
+    code, out, _ = replay(["validate", "--profile", "@p.json"], files={"p.json": PROFILE_N3})
+    assert code == 0
+    assert json.loads(out)["valid"] is True
+
+
+def test_validate_negative_verdict():
+    bad = {"weight": 1, "n": 3, "endo": {"type": "I", "deg_L": 4, "deg_F": 4, "q": 1}}
+    code, out, _ = replay(["validate"], json.dumps(bad))
+    assert code == 3
+    out = json.loads(out)
+    assert out["valid"] is False and out["violations"]
+
+
+def test_malformed_json_has_position():
+    code, _, err = replay(["validate"], "{oops")
+    assert code == 2
+    assert "line 1" in err and "column" in err
+
+
+def test_unknown_field_is_bad_input():
+    assert replay(["validate"], json.dumps({**PROFILE_N3, "bogus": 1}))[0] == 2
+
+
+def test_realizable_exit_codes():
+    assert replay(["realizable"], N3)[0] == 0
+    exceptional = {
+        "weight": 2,
+        "n": 2,
+        "endo": {"type": "I", "deg_L": 2, "deg_F": 2, "q": 1},
+    }
+    code, out, _ = replay(["realizable"], json.dumps(exceptional))
+    assert code == 3
+    assert json.loads(out)["case"]["index"] == 6
+    invalid = {
+        "weight": 1,
+        "n": 3,
+        "endo": {"type": "I", "deg_L": 4, "deg_F": 4, "q": 1},
+    }
+    assert replay(["realizable"], json.dumps(invalid))[0] == 4
+    # unconfirmed (no trace data): exit 0, as classify answers it
+    unconfirmed = json.dumps(
+        {"weight": 1, "n": 4, "endo": {"type": "IV", "deg_L": 2, "deg_F": 1, "q": 1}}
+    )
+    code, out, _ = replay(["realizable"], unconfirmed)
+    assert code == 0
+    assert json.loads(out)["realizable"] is None
+    assert replay(["classify"], unconfirmed)[0] == 0
+
+
+def test_lefschetz_output():
+    code, out, _ = replay(["lefschetz"], N3)
+    assert code == 0
+    data = json.loads(out)
+    assert data["group"]["label"] == "Sp(6)"
+    assert data["dim"] == 21 and data["rank"] == 3
+
+
+def test_classify_round_trip_is_byte_identical():
+    code, out, _ = replay(["classify"], N3)
+    assert code == 0
+    text = out.strip()
+    reparsed = json.dumps(json.loads(text), separators=(",", ":"))
+    assert reparsed == text
+
+
+def test_classify_not_realizable_exit():
+    exceptional = {
+        "weight": 1,
+        "n": 2,
+        "endo": {"type": "III", "deg_L": 4, "deg_F": 1, "q": 2},
+    }
+    assert replay(["classify"], json.dumps(exceptional))[0] == 3
+
+
+def test_classify_with_subfields():
+    profile = {
+        "weight": 1,
+        "n": 4,
+        "endo": {
+            "type": "IV",
+            "deg_L": 8,
+            "deg_F": 4,
+            "q": 1,
+            "cm_traces": [[1, 0], [0, 1], [1, 0], [0, 1]],
+        },
+    }
+    code, out, _ = replay(
+        ["classify", "--profile", "@p.json", "--subfields", "@s.json"],
+        files={"p.json": profile, "s.json": [{"deg_E": 2, "balanced": True}]},
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["candidates"][0]["group"]["label"] == "SU_{L/E}"
+
+
+def test_table3_flag():
+    code, out, _ = replay(["classify", "--table3"])
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 13
+
+
+def test_weights_commands():
+    _, out, _ = replay(["weights", "dim", "A", "3", "0,1,0"])
+    assert json.loads(out)["dim"] == 6
+    _, out, _ = replay(["weights", "autodual", "C", "3", "1,0,0"])
+    assert json.loads(out)["autoduality"] == "symplectic"
+    _, out, _ = replay(["weights", "length", "C", "4", "1,0,0,0"])
+    assert json.loads(out)["length"] == {"num": 1, "den": 1}
+    code, out, _ = replay(["weights", "verify-table2", "--max-rank", "4"])
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+    _, out, _ = replay(["weights", "verify-table2", "--max-rank", "4", "--pretty"])
+    assert "PASS A1" in out
+
+
+def test_weights_bad_input():
+    assert replay(["weights", "dim", "Z", "3", "0,1,0"])[0] == 2
+    assert replay(["weights", "dim", "A", "3", "0,1"])[0] == 2
+
+
+def test_cm_commands():
+    _, out, _ = replay(["cm", "--group", "cyclic:6", "rank", "--theta", "0,1,2"])
+    data = json.loads(out)
+    assert (data["raw"], data["reduced"]) == (4, 3)
+    code, out, _ = replay(["cm", "--group", "cyclic:6", "primitive", "--theta", "0,2,4"])
+    assert code == 3
+    assert json.loads(out)["primitive"] is False
+    _, out, _ = replay(["cm", "--group", "cyclic:6", "scan"])
+    data = json.loads(out)
+    assert data["total"] == 8 and data["primitive"] == 6
+
+
+def test_cm_explicit_perms():
+    _, out, _ = replay(
+        [
+            "cm",
+            "--group",
+            "perms:6:(0 1 2 3 4 5)",
+            "--iota",
+            "(0 3)(1 4)(2 5)",
+            "rank",
+            "--theta",
+            "0,2,4",
+        ]
+    )
+    data = json.loads(out)
+    assert (data["raw"], data["reduced"]) == (2, 1)
+
+
+def test_cm_iota_override():
+    # explicit iota equals the default for the cyclic model
+    a = replay(["cm", "--group", "cyclic:6", "--iota", "(0 3)(1 4)(2 5)", "scan"])
+    b = replay(["cm", "--group", "cyclic:6", "scan"])
+    assert a[1] == b[1]
+
+
+def test_numth_verify():
+    code, out, _ = replay(["numth", "verify", "--k-max", "6"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["ok"] is True
+    assert data["composite_witnesses"]["3"] == [5, 7]
+
+
+def test_abelian_status():
+    payload = {
+        "dim": 6,
+        "endo": {"type": "II", "deg_L": 4, "deg_F": 1, "q": 2},
+        "subfields": [],
+    }
+    code, out, _ = replay(["abelian", "status"], json.dumps(payload))
+    assert code == 0
+    data = json.loads(out)
+    assert data["murty_equal"] is True
+    assert data["status"]["hc_all_powers"] == "proven"
+
+
+def test_run_function_directly():
+    code, out, _ = replay(["weights", "dim", "E", "7", "0,0,0,0,0,0,1"])
+    assert code == 0
+    assert json.loads(out)["dim"] == 56
+
+
+@pytest.mark.parametrize("case", CASES)
 def test_cli_golden_replays_in_process(case):
     code, out, err = cli_replay.replay_case(case)
     assert code == case["exit"], case["argv"]
@@ -46,81 +227,144 @@ def test_cli_golden_replays_in_process(case):
 
 # --- A new interpreter: the pinned answer, a bounded footprint, no warning ---
 
-CASES = cli_replay.cases()
-# every module of the package but cli, which runs as __main__
-ENGINES = {path.stem for path in pathlib.Path(cli.__file__).parent.glob("*.py")}
-ENGINES -= {"__init__", "cli"}
-
-
-def fresh(argv, stdin="", loads=(), shuns=()):
-    """A row: the cli.json case with this argv and stdin, the modules its
-    process must load and those it must not."""
-    (case,) = [c for c in CASES if c["argv"] == argv and c["stdin"] == stdin]
-    return pytest.param(case, set(loads), set(shuns), id=" ".join(argv))
-
-
 IMPORT_ONLY = {"argv": None, "stdin": "", "files": {}, "exit": 0, "stdout": "", "stderr": ""}
-FRESH = [
-    pytest.param(IMPORT_ONLY, {"hodgekit"}, {"cli", *ENGINES}, id="import hodgekit"),
-    # one pinned argv per subcommand
-    fresh(["validate"], N3),
-    fresh(["realizable"], N3),
-    fresh(["lefschetz"], N3),
-    fresh(["classify"], N3, {"classifier"}, {"rootsys", "cmtools", "intlinalg"}),
-    fresh(["classify", "--table3"]),
-    fresh(["weights", "dim", "A", "3", "0,1,0"], "", {"rootsys"}, {"classifier", "core", "cmtools"}),
-    fresh(["weights", "autodual", "C", "3", "1,0,0"]),
-    fresh(["weights", "length", "C", "4", "1,0,0,0"]),
-    fresh(["weights", "verify-table2", "--max-rank", "4"]),
-    fresh(
-        ["cm", "--group", "cyclic:6", "rank", "--theta", "0,1,2", "--invariants"],
-        "",
-        {"cmtools"},
-        {"classifier", "core", "rootsys"},
-    ),
-    fresh(["cm", "--group", "cyclic:6", "primitive", "--theta", "0,2,4"]),
-    fresh(["cm", "--group", "cyclic:6", "scan"]),
-    fresh(["numth", "verify", "--k-max", "6"], "", {"numth"}, ENGINES - {"numth"}),
-    fresh(["abelian", "status"], json.dumps(ABELIAN_II)),
-    # every size cap one step past it: SCAN_MAX_G, MAX_RANK four ways,
-    # VERIFY_MAX_K and MAX_DEGREE four ways, each refused by name before any
-    # work that grows with the size
-    fresh(["cm", "--group", "cyclic:64", "scan"]),
-    fresh(["weights", "dim", "A", "1000000000", "1"]),
-    fresh(["weights", "autodual", "D", str(MAX_RANK + 1), "1"]),
-    fresh(["weights", "length", "B", str(MAX_RANK + 1), "1"]),
-    fresh(["weights", "verify-table2", "--max-rank", str(MAX_RANK + 1)]),
-    fresh(["numth", "verify", "--k-max", str(VERIFY_MAX_K + 1)]),
-    fresh(["cm", "--group", f"cyclic:{2 * MAX_DEGREE}", "rank", "--theta", "0"]),
-    fresh(["cm", "--group", f"dihedral:{MAX_DEGREE}", "primitive", "--theta", "0"]),
-    fresh(["cm", "--group", f"abelian:{MAX_DEGREE},2", "scan"]),
-    fresh(["cm", "--group", f"perms:{MAX_DEGREE + 2}:(0 1)", "--iota", "(0 1)", "scan"]),
+
+
+def fresh(*argv, stdin=""):
+    """Replay the cli.json case of this argv and stdin in a new interpreter,
+    once per session, and check it against its pin: exit code, stdout and
+    stderr, within replay_fresh's 30 s and under warnings as errors, and
+    neither dataclasses nor fractions loaded (weight lengths are ints).
+    Returns its stderr and the hodgekit modules it loaded.  With no argv
+    the child only imports hodgekit."""
+    return _fresh(argv, stdin)
+
+
+@functools.cache  # keyed on (argv, stdin), so several tests share a process
+def _fresh(argv, stdin):
+    if not argv:
+        case = IMPORT_ONLY
+    else:
+        (case,) = [c for c in CASES if c["argv"] == list(argv) and c["stdin"] == stdin]
+    code, out, err, (modules, dataclasses, fractions) = cli_replay.replay_fresh(
+        case["argv"], stdin, case["files"]
+    )
+    assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
+    assert not dataclasses
+    assert not fractions
+    return err, modules
+
+
+def test_cm_scan_over_the_cap_is_bad_input():
+    assert "SCAN_MAX_G" in fresh("cm", "--group", "cyclic:64", "scan")[0]
+
+
+# each cap one step past it: a process refuses it before doing work that
+# grows with the size, so a lost cap fails on the timeout and does not hang
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["weights", "dim", "A", "1000000000", "1"],
+        ["weights", "autodual", "D", str(MAX_RANK + 1), "1"],
+        ["weights", "length", "B", str(MAX_RANK + 1), "1"],
+        ["weights", "verify-table2", "--max-rank", str(MAX_RANK + 1)],
+    ],
+)
+def test_weights_over_the_rank_cap_is_bad_input(args):
+    assert "MAX_RANK" in fresh(*args)[0]
+
+
+@pytest.mark.parametrize(
+    "args, cap",
+    [
+        (["numth", "verify", "--k-max", str(VERIFY_MAX_K + 1)], "VERIFY_MAX_K"),
+        (["cm", "--group", f"cyclic:{2 * MAX_DEGREE}", "rank", "--theta", "0"], "MAX_DEGREE"),
+        (["cm", "--group", f"dihedral:{MAX_DEGREE}", "primitive", "--theta", "0"], "MAX_DEGREE"),
+        (["cm", "--group", f"abelian:{MAX_DEGREE},2", "scan"], "MAX_DEGREE"),
+        (
+            ["cm", "--group", f"perms:{MAX_DEGREE + 2}:(0 1)", "--iota", "(0 1)", "scan"],
+            "MAX_DEGREE",
+        ),
+    ],
+)
+def test_numth_and_cm_over_their_caps_are_bad_input(args, cap):
+    assert cap in fresh(*args)[0]
+
+
+def test_determinism():
+    # the output of another interpreter equals the pinned text, which
+    # make_goldens.py recorded in its own process
+    fresh("classify", "--table3")
+
+
+def test_import_hodgekit_loads_no_submodule():
+    assert fresh() == ("", {"hodgekit"})
+
+
+def test_numth_verify_loads_numth_alone():
+    _, modules = fresh("numth", "verify", "--k-max", "6")
+    assert "numth" in modules
+    assert modules <= {"hodgekit", "cli", "numth"}
+
+
+def test_weights_loads_no_classifier_or_cm_engine():
+    _, modules = fresh("weights", "dim", "A", "3", "0,1,0")
+    assert "rootsys" in modules
+    assert not modules & {"classifier", "core", "cmtools"}
+
+
+def test_cm_rank_loads_no_classifier_or_root_systems():
+    _, modules = fresh("cm", "--group", "cyclic:6", "rank", "--theta", "0,1,2")
+    assert "cmtools" in modules
+    assert not modules & {"classifier", "core", "rootsys"}
+
+
+def test_classify_loads_no_verification_engine():
+    _, modules = fresh("classify", stdin=N3)
+    assert "classifier" in modules
+    assert not modules & {"rootsys", "cmtools", "intlinalg"}
+
+
+SUBCOMMANDS = [
+    (["validate"], N3),
+    (["realizable"], N3),
+    (["lefschetz"], N3),
+    (["classify"], N3),
+    (["classify", "--table3"], ""),
+    (["weights", "dim", "A", "3", "0,1,0"], ""),
+    (["weights", "autodual", "A", "3", "0,1,0"], ""),
+    (["weights", "length", "A", "3", "0,1,0"], ""),
+    (["weights", "verify-table2", "--max-rank", "3"], ""),
+    (["cm", "--group", "cyclic:6", "rank", "--theta", "0,1,2"], ""),
+    (["cm", "--group", "cyclic:6", "primitive", "--theta", "0,1,2"], ""),
+    (["cm", "--group", "cyclic:6", "scan"], ""),
+    (["numth", "verify", "--k-max", "6"], ""),
+    (["abelian", "status"], json.dumps({"dim": 6, "endo": PROFILE_N3["endo"]})),
 ]
 
 
-@pytest.mark.parametrize("case, loads, shuns", FRESH)
-def test_a_new_interpreter_answers_as_pinned(case, loads, shuns):
-    """A one-shot process gives the pinned answer, within replay_fresh's
-    30 s and under warnings as errors, and loads only its subcommand's
-    engine: neither dataclasses nor fractions (weight lengths are ints).
-    Replaying classify --table3 so also checks that its output does not
-    vary between processes."""
-    code, out, err, (modules, dataclasses, fractions) = cli_replay.replay_fresh(
-        case["argv"], case["stdin"], case["files"]
-    )
-    assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
-    assert loads <= modules
-    assert not modules & shuns
-    assert not dataclasses
-    assert not fractions
+@pytest.mark.parametrize(
+    "args, stdin", SUBCOMMANDS, ids=[" ".join(args) for args, _ in SUBCOMMANDS]
+)
+def test_no_subcommand_loads_dataclasses_or_fractions(args, stdin):
+    fresh(*args, stdin=stdin)
 
 
 # --- In process: refusals name what they refuse -----------------------------
 
 
+N3_ENDO = PROFILE_N3["endo"]
+ABELIAN_II = {"dim": 6, "endo": {"type": "II", "deg_L": 4, "deg_F": 1, "q": 2}}
+IV6_ENDO = {"type": "IV", "deg_L": 2, "deg_F": 1, "q": 1, "cm_traces": [[3, 3]]}
+IV6_PROFILE = {"weight": 1, "n": 6, "endo": IV6_ENDO}
+BALANCED = [{"deg_E": 2, "balanced": True}]
+ABELIAN_IV6 = {"dim": 6, "endo": IV6_ENDO, "subfields": BALANCED}
+IOTA6 = ["--iota", "(0 3)(1 4)(2 5)"]
+
+
 def refused(argv, stdin="", files=None):
     """The stderr of a run that must exit 2 with nothing on stdout."""
-    code, out, err = cli_replay.replay(argv, stdin, files)
+    code, out, err = replay(argv, stdin, files)
     assert code == 2, err
     assert out == ""
     assert err.startswith("error: ")
@@ -238,7 +482,7 @@ def test_abelian_status_classifies_once(data, monkeypatch):
         return classify(*args)
 
     monkeypatch.setattr(consequences, "classify", counted)
-    code, _, _ = cli_replay.replay(["abelian", "status"], json.dumps(data))
+    code, _, _ = replay(["abelian", "status"], json.dumps(data))
     assert code == 0
     assert len(calls) == 1
 
@@ -551,8 +795,8 @@ ARGVS = st.one_of(
 )
 
 
-def _run_checked(argv, stdin="", files=None):
-    code, out, _ = cli_replay.replay(argv, stdin, files)
+def _exits_as_documented(argv, stdin="", files=None):
+    code, out, _ = replay(argv, stdin, files)
     assert code in (0, 2, 3, 4), (argv, stdin, code)
     if code == 2:
         assert out == "", (argv, stdin)
@@ -573,20 +817,20 @@ FUZZ = settings(
     profile=_inputs(PROFILES),
 )
 def test_fuzz_profile_commands(command, pretty, profile):
-    _run_checked([command] + ["--pretty"] * pretty, profile)
+    _exits_as_documented([command] + ["--pretty"] * pretty, profile)
 
 
 @FUZZ
 @given(profile=_inputs(PROFILES), subfields=_inputs(SUBFIELD_LISTS), abelian=_inputs(ABELIANS))
 def test_fuzz_subfield_and_abelian_input(profile, subfields, abelian):
-    _run_checked(["classify", "--subfields", "@s.json"], profile, {"s.json": subfields})
-    _run_checked(["abelian", "status"], abelian)
+    _exits_as_documented(["classify", "--subfields", "@s.json"], profile, {"s.json": subfields})
+    _exits_as_documented(["abelian", "status"], abelian)
 
 
 @FUZZ
 @given(argv=ARGVS, pretty=st.booleans())
 def test_fuzz_argv(argv, pretty):
-    _run_checked(argv + ["--pretty"] * pretty)
+    _exits_as_documented(argv + ["--pretty"] * pretty)
 
 
 def _raising(exc):
@@ -598,7 +842,7 @@ def _raising(exc):
 
 def test_a_broken_invariant_exits_4_with_its_message(monkeypatch):
     monkeypatch.setattr(cli, "_cmd_validate", _raising(AssertionError("pairs out of order")))
-    assert cli_replay.replay(["validate"], N3) == (
+    assert replay(["validate"], N3) == (
         4,
         "",
         "internal invariant violation: pairs out of order\n",
@@ -607,4 +851,4 @@ def test_a_broken_invariant_exits_4_with_its_message(monkeypatch):
 
 def test_a_closed_pipe_exits_0_quietly(monkeypatch):
     monkeypatch.setattr(cli, "_cmd_numth", _raising(BrokenPipeError()))
-    assert cli_replay.replay(["numth", "verify", "--k-max", "3"]) == (0, "", "")
+    assert replay(["numth", "verify", "--k-max", "3"]) == (0, "", "")
