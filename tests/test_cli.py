@@ -252,7 +252,7 @@ def _fresh(argv, stdin):
     assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
     assert not dataclasses
     assert not fractions
-    return err, modules
+    return err, frozenset(modules)
 
 
 def test_cm_scan_over_the_cap_is_bad_input():
