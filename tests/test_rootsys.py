@@ -41,6 +41,7 @@ from oracles import (
     weight_root_coordinates,
 )
 
+
 def all_systems(max_rank=10, c_from=2):
     """Every classical system of rank <= max_rank, kind by kind, then E6
     and E7.  C starts at rank c_from: C1 is A1 by another name."""
