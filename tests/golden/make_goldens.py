@@ -19,6 +19,7 @@ TESTS = pathlib.Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
 
 from golden.cli_replay import replay
+from hodgekit import classifier
 from hodgekit.classifier import SubfieldDescriptor, classify, table3
 from hodgekit.cmtools import MAX_DEGREE
 from hodgekit.core import EndomorphismDescriptor, profile_to_json
@@ -665,6 +666,32 @@ CLI_CASES = [
     # classify, the realizable subcommand exits 3 only on a False verdict
     (["realizable"], _pj("III", 4, 1, 2), {}, 0),
     (["realizable"], _pj("IV", 2, 1, 1), {}, 0),
+    # one classify case for each rule id that no case above applies: n = 1;
+    # type I with l = 2; types II and III with m = 35 at both weights (the
+    # two orthogonal Lefschetz groups offer SU(2^3), as 70 = C(8, 4)) and
+    # with m = 2; type IV, n = 8, with a balanced quadratic subfield of
+    # index 2 beside coprime traces, and with m = 2
+    (["classify"], _pj("I", 1, 1, 1, n=1), {}, 0),
+    (["classify"], _pj("I", 4, 4, 1, n=8), {}, 0),
+    (["classify"], _pj("II", 4, 1, 2, w=1, n=70), {}, 0),
+    (["classify"], _pj("II", 4, 1, 2, w=2, n=70), {}, 0),
+    (["classify"], _pj("III", 4, 1, 2, w=1, n=70), {}, 0),
+    (["classify"], _pj("III", 4, 1, 2, w=2, n=70), {}, 0),
+    (["classify"], _pj("II", 8, 2, 2, n=8), {}, 0),
+    (
+        ["classify", "--subfields", "@s.json"],
+        _pj("IV", 4, 2, 1, n=8, cm_traces=[[1, 3], [3, 1]]),
+        {"s.json": BALANCED},
+        0,
+    ),
+    (
+        ["classify", "--subfields", "@s.json"],
+        _pj("IV", 8, 4, 1, n=8, cm_traces=[[2, 0], [1, 1], [0, 2], [1, 1]]),
+        {"s.json": BALANCED},
+        0,
+    ),
+    # the type III ledger family, which no abelian status case above reaches
+    (["abelian", "status"], json.dumps({**ABELIAN, "endo": {**ABELIAN["endo"], "type": "III"}}), {}, 0),
     # answers pinned as they stand, so that mending them shows each change
     # here.  A balanced quadratic subfield beside the unbalanced [L:Q] = 2
     # traces (n - 1, 1): accepted at n = 4 and 8, refused at n = 6.  A
@@ -740,6 +767,13 @@ def make_cli():
         cases.append(case)
     assert sum(case["argv"] in CLI_TEXT for case in cases) == len(CLI_TEXT)
     assert sum("stderr" not in case for case in cases) == len(CLI_USAGE)
+    rules = {
+        json.loads(case["stdout"])["applied_rule"]
+        for case in cases
+        if case["argv"][0] == "classify" and "--table3" not in case["argv"]
+        and case["exit"] == 0
+    }
+    assert rules == {v for k, v in vars(classifier).items() if k.startswith("RULE_")}
     write("cli.json", {"cases": cases})
 
 
