@@ -1,11 +1,16 @@
 """Hodge-conjecture bookkeeping for simple abelian varieties of dimension 2p.
 
-A decision ledger, not a prover: every verdict names the hypothesis that
-produced it.  Types I-III always meet one.  For type IV the ledger reads
-the n = 2p verdict of ``classify``, the one place that decides it from
-the caller's inventory of CM fields acting with balanced extreme
-multiplicities (the set W(A), data the profile cannot derive), and that
-cross-checks every field of the inventory against the trace data.
+A decision ledger, not a prover: one decision, ``_family``, the one reader
+of the Albert type, names the hypothesis family a variety meets, and one
+table, ``_LEDGER``, gives each family its answers and their reasons.  For
+type IV the decision reads the n = 2p verdict of ``classify``, the one
+place that decides it from the caller's inventory W(A) of CM fields acting
+with balanced extreme multiplicities (data the profile cannot derive), and
+that cross-checks every field of it against the trace data.  Murty's
+equality (Math. Ann. 268 (1984)) is one column: the Hodge group is the
+divisor-and-Weil group exactly when those classes generate the Hodge ring
+of every power, so it is also ``divisor_weil_generated``.  Murty's
+criterion at other dimensions would be one more row.
 """
 
 from __future__ import annotations
@@ -58,45 +63,73 @@ class AbelianProfile(_AbelianFields):
         return HodgeProfile(weight=1, n=self.dim, endo=self.endo)
 
 
-def _hypothesis(ap: AbelianProfile) -> tuple[bool, str]:
-    """Whether a proved hypothesis family applies, and which.  Type IV
-    qualifies when the n = 2p rule gives one unconditional group; else
-    it leads with the torus ([L:Q]=4p, Galois flag not true) or the
-    Lefschetz bound.  The status is not read: an unconfirmed
-    realizability lowers it to conditional over the same candidates."""
+_IV_BALANCED = "type IV with a balanced imaginary quadratic field in W(A)"
+_IV_TORUS = "type IV with [L:Q]=4p but the Galois hypothesis is not affirmed"
+_IV_NONE = "type IV without a balanced imaginary quadratic field"
+
+
+def _family(ap: AbelianProfile) -> str:
+    """Type IV is balanced when the n = 2p rule gives one unconditional
+    group, else the verdict leads with the torus or the Lefschetz bound;
+    the status, lowered by an unconfirmed realizability, is not read."""
     if ap.endo.albert_type != "IV":
-        return True, f"type {ap.endo.albert_type} endomorphism algebra"
-    candidates = ap._verdict.candidates
-    first = candidates[0]
-    if len(candidates) == 1 and not first.condition:
-        return True, "type IV with a balanced imaginary quadratic field in W(A)"
-    if first.group.family == FAM_SU_LE:
-        return False, (
-            "type IV with [L:Q]=4p but the Galois hypothesis is not affirmed"
+        return ap.endo.albert_type
+    first, *rest = ap._verdict.candidates
+    if not rest and not first.condition:
+        return _IV_BALANCED
+    return _IV_TORUS if first.group.family == FAM_SU_LE else _IV_NONE
+
+
+class _Row(NamedTuple):
+    desc: str
+    equal: Optional[bool]  # Murty's equality, and so divisor_weil_generated
+    why_equal: str
+    hc_all_powers: str
+    ghc_reduction: Optional[bool]  # None: [L:Q] != 4p, its reason fills "{}"
+    rationale: str
+
+
+_FILLS = (
+    "the full centralizer bound collapses and the Hodge group fills the "
+    "Lefschetz group, which already equals the divisor-Weil group for "
+    "these types"
+)
+_UNKNOWN = "outside the proved hypotheses, status unknown"
+_NO_VERDICT = "; no verdict available"
+
+_LEDGER = {
+    **{
+        t: _Row(
+            f"type {t} endomorphism algebra", True, _FILLS, PROVEN, True,
+            f"type {t}: Weil classes of the balanced subfields are divisor "
+            "classes, so the Hodge ring of every power is generated by "
+            "divisors and both conjectures hold",
         )
-    return False, "type IV without a balanced imaginary quadratic field"
+        for t in ("I", "II")
+    },
+    "III": _Row(
+        "type III endomorphism algebra", True, _FILLS, OPEN, True,
+        "type III: divisor and Weil classes generate, exceptional Weil "
+        "classes remain possible, and the general conjecture reduces to "
+        "the ordinary one for all powers",
+    ),
+    _IV_BALANCED: _Row(
+        _IV_BALANCED, True,
+        "the Hodge group is exactly the Lefschetz group cut by the "
+        "special-unitary constraint of the balanced field, which is the "
+        "divisor-Weil group",
+        OPEN, None, _IV_BALANCED + "; {}",
+    ),
+    _IV_TORUS: _Row(_IV_TORUS, None, _UNKNOWN, OPEN, False, _IV_TORUS + _NO_VERDICT),
+    _IV_NONE: _Row(_IV_NONE, None, _UNKNOWN, OPEN, False, _IV_NONE + _NO_VERDICT),
+}
 
 
 def murty_equal(ap: AbelianProfile) -> tuple[Optional[bool], str]:
-    """Whether the Hodge group equals the divisor-and-Weil-classes group.
-
-    True under either hypothesis family; outside them the question is
-    left unknown rather than answered.
-    """
-    holds, desc = _hypothesis(ap)
-    if not holds:
-        return None, f"{desc}: outside the proved hypotheses, status unknown"
-    if ap.endo.albert_type != "IV":
-        return True, (
-            f"{desc}: the full centralizer bound collapses and the Hodge "
-            "group fills the Lefschetz group, which already equals the "
-            "divisor-Weil group for these types"
-        )
-    return True, (
-        f"{desc}: the Hodge group is exactly the Lefschetz group cut "
-        "by the special-unitary constraint of the balanced field, "
-        "which is the divisor-Weil group"
-    )
+    """Whether the Hodge group equals the divisor-and-Weil-classes group:
+    True under a proved hypothesis family, else None (unknown), and why."""
+    row = _LEDGER[_family(ap)]
+    return row.equal, f"{row.desc}: {row.why_equal}"
 
 
 class HodgeStatus(NamedTuple):
@@ -112,46 +145,13 @@ class HodgeStatus(NamedTuple):
 def hodge_status(ap: AbelianProfile) -> HodgeStatus:
     """Divisor/Weil generation, Hodge-conjecture status, and whether the
     general conjecture reduces to the ordinary one for all powers."""
-    t = ap.endo.albert_type
-    if t in ("I", "II"):
-        return HodgeStatus(
-            divisor_weil_generated=True,
-            hc_all_powers=PROVEN,
-            ghc_reduction=True,
-            rationale=(
-                f"type {t}: Weil classes of the balanced subfields are "
-                "divisor classes, so the Hodge ring of every power is "
-                "generated by divisors and both conjectures hold"
-            ),
-        )
-    if t == "III":
-        return HodgeStatus(
-            divisor_weil_generated=True,
-            hc_all_powers=OPEN,
-            ghc_reduction=True,
-            rationale=(
-                "type III: divisor and Weil classes generate, exceptional "
-                "Weil classes remain possible, and the general conjecture "
-                "reduces to the ordinary one for all powers"
-            ),
-        )
-    holds, desc = _hypothesis(ap)
-    if holds:
+    row = _LEDGER[_family(ap)]
+    reduction, rationale = row.ghc_reduction, row.rationale
+    if reduction is None:
         reduction = ap.endo.deg_L != 4 * ap.p
-        why = (
-            "the reduction hypothesis excludes [L:Q]=4p"
-            if not reduction
-            else "[L:Q] differs from 4p, so the reduction applies"
+        rationale = rationale.format(
+            "[L:Q] differs from 4p, so the reduction applies"
+            if reduction
+            else "the reduction hypothesis excludes [L:Q]=4p"
         )
-        return HodgeStatus(
-            divisor_weil_generated=True,
-            hc_all_powers=OPEN,
-            ghc_reduction=reduction,
-            rationale=f"{desc}; {why}",
-        )
-    return HodgeStatus(
-        divisor_weil_generated=None,
-        hc_all_powers=OPEN,
-        ghc_reduction=False,
-        rationale=f"{desc}; no verdict available",
-    )
+    return HodgeStatus(row.equal, row.hc_all_powers, reduction, rationale)

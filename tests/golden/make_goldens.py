@@ -22,8 +22,14 @@ from golden.cli_replay import replay
 from hodgekit import classifier
 from hodgekit.classifier import SubfieldDescriptor, classify, table3
 from hodgekit.cmtools import MAX_DEGREE
-from hodgekit.core import EndomorphismDescriptor, profile_to_json
-from hodgekit.consequences import AbelianProfile, hodge_status, murty_equal
+from hodgekit.core import EndomorphismDescriptor, _endo_from_json, profile_to_json
+from hodgekit.consequences import (
+    _LEDGER,
+    AbelianProfile,
+    _family,
+    hodge_status,
+    murty_equal,
+)
 from hodgekit.lefschetz import lefschetz_group
 from hodgekit.numth import MR_EXACT_BOUND, VERIFY_MAX_K
 from hodgekit.realizability import realizable
@@ -774,6 +780,14 @@ def make_cli():
         and case["exit"] == 0
     }
     assert rules == {v for k, v in vars(classifier).items() if k.startswith("RULE_")}
+    families = set()
+    for case in cases:
+        if case["argv"][:2] == ["abelian", "status"] and case["exit"] == 0:
+            data = json.loads(case["stdin"])
+            subs = [SubfieldDescriptor.from_json(s) for s in data.get("subfields", [])]
+            ap = AbelianProfile(data["dim"], _endo_from_json(data["endo"]), subs)
+            families.add(_family(ap))
+    assert families == set(_LEDGER)
     write("cli.json", {"cases": cases})
 
 
