@@ -374,40 +374,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add_profile(p):
+    for name, help_text, func in (
+        ("validate", "structural validation of a profile", _cmd_validate),
+        ("realizable", "realizability verdict", _cmd_realizable),
+        ("lefschetz", "the Lefschetz group of a profile", _cmd_lefschetz),
+        ("classify", "possible Hodge groups of a profile", _cmd_classify),
+    ):
+        p = sub.add_parser(name, parents=[common], help=help_text)
         p.add_argument(
             "--profile",
             default=None,
             help="JSON profile file ('-' or omitted reads stdin)",
         )
-
-    p = sub.add_parser(
-        "validate", parents=[common], help="structural validation of a profile"
-    )
-    add_profile(p)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("realizable", parents=[common], help="realizability verdict")
-    add_profile(p)
-    p.set_defaults(func=_cmd_realizable)
-
-    p = sub.add_parser(
-        "lefschetz", parents=[common], help="the Lefschetz group of a profile"
-    )
-    add_profile(p)
-    p.set_defaults(func=_cmd_lefschetz)
-
-    p = sub.add_parser(
-        "classify", parents=[common], help="possible Hodge groups of a profile"
-    )
-    add_profile(p)
+        p.set_defaults(func=func)
+    # the loop leaves p at classify
     p.add_argument("--subfields", default=None, help="JSON subfield list file")
     p.add_argument(
         "--table3",
         action="store_true",
         help="emit the full n=4 grid instead of classifying one profile",
     )
-    p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("weights", help="root-system and minuscule-weight tools")
     wsub = p.add_subparsers(dest="weights_cmd", required=True)
