@@ -46,6 +46,7 @@ from typing import NamedTuple, Optional, Sequence
 from .core import (
     FAM_SL2_SO4,
     FAM_SO7,
+    FAM_SP,
     FAM_SP_B,
     FAM_SU_B,
     FAM_SU_LE,
@@ -338,7 +339,10 @@ def _with_wedge(
 ) -> ClassificationOutcome:
     """The Lefschetz group plus the restricted special-unitary wedge group
     when the table keeps SL(2^k) in dimension 2l = C(2^k, 2^(k-1)); without
-    it the alternative is dropped and a note says so."""
+    it the alternative is dropped and a note says so.  That middle wedge is
+    orthogonal, so a symplectic Lefschetz group has no alternative."""
+    if lef.family in (FAM_SP, FAM_SP_B):
+        return _single(lef, rule, notes)
     cands = [Candidate(lef)]
     notes = tuple(notes)
     wedges = [size for fam, size in _orthogonal_factors(double_dim) if fam == "SL"]
@@ -470,16 +474,13 @@ def _classify_2p(profile: HodgeProfile, lef: GroupExpr, subfields):
 def _classify_type_i(profile: HodgeProfile, lef: GroupExpr):
     endo = profile.endo
     l = profile.n // endo.deg_L
-    odd = profile.parity == ODD
     if l % 2 == 1:
-        if odd:
-            return _single(lef, RULE_I_ODD_L)
         return _with_wedge(profile, lef, RULE_I_ODD_L, 2 * l)
     if l == 2:
         return _single(lef, RULE_I_L2)
     if endo.deg_L == 1 and l % 4 == 2:
         n = profile.n
-        if odd:
+        if profile.parity == ODD:
             notes = []
             for family, size in _orthogonal_factors(n):  # SO(n), then SL(2^k)
                 if exclude_sl2_product([("SL", 2), (family, size)]):
@@ -503,8 +504,6 @@ def _classify_quaternion(profile: HodgeProfile, lef: GroupExpr):
         rule = RULE_QUAT_4ODD
     else:
         return _fallback(profile, lef)
-    if lef.family == FAM_SP_B:
-        return _single(lef, rule)
     return _with_wedge(profile, lef, rule, 2 * m)
 
 
