@@ -675,25 +675,24 @@ def classify(
 _IV8_TRACES = ((1, 0), (0, 1), (1, 0), (0, 1))
 
 # One spec per row: Albert type, deg_L, deg_F, q, the weights with an
-# entry, further endo data, the subfield inventory, the candidate shown
-# (None: the outcome must have exactly one), and whether the row is the
-# Lefschetz group.
+# entry, further endo data, the subfield inventory, and the candidate shown
+# (None: the outcome must have exactly one).
 _TABLE3_ROWS = (
-    ("I", 1, 1, 1, (1, 2), {}, None, 0, True),
-    ("I", 1, 1, 1, (1, 2), {}, None, 1, False),
-    ("I", 2, 2, 1, (1, 2), {}, None, None, True),
-    ("I", 4, 4, 1, (1,), {}, None, None, True),
-    ("II", 4, 1, 2, (1, 2), {"disc_one": False}, None, None, True),
-    ("II", 8, 2, 2, (1,), {}, None, None, True),
-    ("III", 4, 1, 2, (1, 2), {"disc_one": False}, None, None, True),
-    ("III", 8, 2, 2, (2,), {}, None, None, True),
-    ("IV", 2, 1, 1, (1, 2), {"cm_traces": ((1, 3),)}, None, None, True),
-    ("IV", 2, 1, 1, (1, 2), {"cm_traces": ((2, 2),)}, None, None, False),
-    ("IV", 4, 2, 1, (1, 2), {"cm_traces": ((2, 0), (1, 1))}, None, None, True),
-    ("IV", 8, 4, 1, (1, 2), {"cm_traces": _IV8_TRACES}, (), None, True),
+    ("I", 1, 1, 1, (1, 2), {}, None, 0),
+    ("I", 1, 1, 1, (1, 2), {}, None, 1),
+    ("I", 2, 2, 1, (1, 2), {}, None, None),
+    ("I", 4, 4, 1, (1,), {}, None, None),
+    ("II", 4, 1, 2, (1, 2), {"disc_one": False}, None, None),
+    ("II", 8, 2, 2, (1,), {}, None, None),
+    ("III", 4, 1, 2, (1, 2), {"disc_one": False}, None, None),
+    ("III", 8, 2, 2, (2,), {}, None, None),
+    ("IV", 2, 1, 1, (1, 2), {"cm_traces": ((1, 3),)}, None, None),
+    ("IV", 2, 1, 1, (1, 2), {"cm_traces": ((2, 2),)}, None, None),
+    ("IV", 4, 2, 1, (1, 2), {"cm_traces": ((2, 0), (1, 1))}, None, None),
+    ("IV", 8, 4, 1, (1, 2), {"cm_traces": _IV8_TRACES}, (), None),
     (
         "IV", 8, 4, 1, (1, 2), {"cm_traces": _IV8_TRACES},
-        (SubfieldDescriptor(deg_E=2, balanced=True),), None, False,
+        (SubfieldDescriptor(deg_E=2, balanced=True),), None,
     ),
 )
 
@@ -704,15 +703,18 @@ def table3() -> list[dict]:
     Rows follow the Albert type and the algebra degree; the two
     non-Lefschetz type-I entries (the odd-weight product group and the
     even-weight spin group) share one row, as do the parity-independent
-    type IV alternatives.
+    type IV alternatives.  A row equals the Lefschetz group when the group
+    shown is the Lefschetz group at each of its weights.
     """
     rows = []
-    for t, dL, dF, q, weights, extra, subs, pick, lef in _TABLE3_ROWS:
+    for t, dL, dF, q, weights, extra, subs, pick in _TABLE3_ROWS:
         endo = EndomorphismDescriptor(t, dL, dF, q, **extra)
-        groups = {}
+        groups, lef = {}, True
         for w in weights:
-            out = classify(HodgeProfile(weight=w, n=4, endo=endo), subs)
-            groups[w] = out.candidates[pick or 0].group.to_json()
+            profile = HodgeProfile(weight=w, n=4, endo=endo)
+            group = classify(profile, subs).candidates[pick or 0].group
+            groups[w] = group.to_json()
+            lef = lef and group == _lefschetz_group(profile)
         rows.append(
             {
                 "albert_type": t,

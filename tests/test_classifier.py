@@ -526,7 +526,7 @@ def test_table3_has_13_rows():
 def test_table3_rows_without_a_pick_have_one_candidate():
     from hodgekit.classifier import _TABLE3_ROWS
 
-    for t, dL, dF, q, weights, extra, subs, pick, _ in _TABLE3_ROWS:
+    for t, dL, dF, q, weights, extra, subs, pick in _TABLE3_ROWS:
         endo = EndomorphismDescriptor(t, dL, dF, q, **extra)
         for w in weights:
             out = classify(HodgeProfile(weight=w, n=4, endo=endo), subs)
