@@ -85,7 +85,7 @@ class _Row(NamedTuple):
     equal: Optional[bool]  # Murty's equality, and so divisor_weil_generated
     why_equal: str
     hc_all_powers: str
-    ghc_reduction: Optional[bool]  # None: [L:Q] != 4p, its reason fills "{}"
+    ghc_reduction: Optional[bool]  # None: [L:Q] != 4p; the reason fills "{}"
     rationale: str
 
 
