@@ -5,9 +5,10 @@ central binomial residues by carry counting (``int.bit_count``), prime
 counts by sieve.  One odd-only byte sieve (``_odd_flags``), kept by the
 module and grown on demand, serves every prime read: the prime-count
 gaps count one contiguous range of its flags in C, the composite check
-reads the primes of one dyadic interval at a time in one comprehension,
-each with the single Legendre term its valuation needs, so no list of
-all primes is built, and ``_central_binomial`` reads the flags up to 2h.
+lists the primes of one dyadic interval at a time in C, after one
+evaluation of the Legendre term that every prime of the interval shares,
+so no list of all primes is built, and ``_central_binomial`` reads the
+flags up to 2h.
 Each reader bounds its own range, since the sieve may reach past it.  It
 also owns the closed-form minuscule table and its one inversion,
 ``_rows_of_dimension``, which ``rootsys``, ``central_binomial_solve`` and
@@ -40,11 +41,11 @@ from functools import lru_cache
 from typing import Optional
 
 # Time and memory double per step in k: `numth verify --k-max 24` takes
-# about 0.55 s and 83 MB on a 2-vCPU Xeon VM, and k = 27 about 4.1-4.5 s
-# and 505 MB.  The one sieve of 2^k_max holds 2^(k_max-1) bytes (64 MB at
-# k = 27); the rest is the witness lists the answer prints (7.6 million
-# primes at k = 27, as Python ints) and their JSON text, so it is the
-# output, not the sieve, that sets the cap.
+# about 0.46-0.51 s and 83 MB on a 2-vCPU Xeon VM, and k = 27 about
+# 3.5-4.1 s and 505 MB.  The one sieve of 2^k_max holds 2^(k_max-1) bytes
+# (64 MB at k = 27); the rest is the witness lists the answer prints (7.6
+# million primes at k = 27, as Python ints) and their JSON text, so it is
+# the output, not the sieve, that sets the cap.
 VERIFY_MAX_K = 27
 
 
@@ -93,23 +94,17 @@ def factorial_two_adic(n: int) -> int:
     return total
 
 
-def central_binomial_two_adic(z: int) -> int:
-    """v_2(C(2z, z)); equals the number of ones in binary z (Kummer)."""
-    if _require_int(z, "z") < 0:
-        raise ValueError("z must be nonnegative")
-    # Carries when adding z + z in base 2 happen at every set bit.
-    return z.bit_count()
-
-
 def central_binomial_mod4(z: int) -> int:
     """C(2z, z) mod 4 via the carry count; the value is always 0 or 2.
 
-    The residue is 2 exactly when v_2(C(2z,z)) = 1, i.e. when z is a
-    power of two; otherwise the valuation is at least 2.
+    By Kummer, v_2(C(2z, z)) is the number of carries adding z + z in
+    base 2, one at every set bit of z, so ``z.bit_count()``.  The residue
+    is 2 exactly when that is 1, i.e. when z is a power of two; otherwise
+    the valuation is at least 2.
     """
     if _require_int(z, "z") < 1:
         raise ValueError("z must be positive")
-    return 2 if central_binomial_two_adic(z) == 1 else 0
+    return 2 if z.bit_count() == 1 else 0
 
 
 @lru_cache(maxsize=None)
@@ -354,9 +349,12 @@ def no_prime_double_is_central_binomial(
 
     With lo = 2^(k-1) and hi = 2^k, the Legendre sum for v_p(C(hi, lo))
     has one term, hi // p - 2 (lo // p): a prime p > lo has
-    p^2 >= (lo + 1)^2 > 2 lo = hi, so every later term is 0.  The loop
-    checks that inequality once per interval and reads the term alone;
-    it is 1 for each p of the interval (lo < p < hi < 2p).
+    p^2 >= (lo + 1)^2 > 2 lo = hi, so every later term is 0.  Neither
+    hi // p nor lo // p increases with p, so their values at the ends
+    p = lo + 1 and p = hi - 1 bound them for every p between: where the
+    ends agree, one evaluation gives the term of every prime of the
+    interval, and it is 1 (lo < p < hi < 2p).  The loop checks both facts
+    once per interval and lists the interval's primes as they are.
     """
     if _require_int(k_max, "k_max") < 3:
         raise ValueError("k_max must be at least 3")
@@ -367,13 +365,12 @@ def no_prime_double_is_central_binomial(
     for k in range(3, k_max + 1):
         # the odd p of (2^(k-1), 2^k) are the 2i + 1 with lo/2 <= i < hi/2
         lo, hi = 1 << (k - 1), 1 << k
-        if (lo + 1) ** 2 <= hi:  # pragma: no cover
-            raise AssertionError("the Legendre sum needs more than one term")
-        dividing = [
-            p
-            for p in itertools.compress(range(lo + 1, hi, 2), flags[lo >> 1 : hi >> 1])
-            if hi // p - 2 * (lo // p)
-        ]
+        ends = {(hi // p, lo // p) for p in (lo + 1, hi - 1)}
+        if (lo + 1) ** 2 <= hi or ends != {(1, 0)}:  # pragma: no cover
+            raise AssertionError("the Legendre term is not 1 on the whole interval")
+        dividing = list(
+            itertools.compress(range(lo + 1, hi, 2), flags[lo >> 1 : hi >> 1])
+        )
         witnesses[k] = dividing
         if len(dividing) < 2:
             ok = False

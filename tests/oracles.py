@@ -20,7 +20,10 @@ likewise: the package reads the n = 2p verdict of ``classify``, the
 oracle decides the hypothesis family from the subfield inventory itself.
 The realizability catalog likewise: the package runs only the entries of
 the profile's Albert type, the oracle scans every entry of the parity,
-each testing the type itself.
+each testing the type itself.  The 2-adic valuation of C(2z, z)
+likewise: the package reads the carry count inline for its mod-4 residue,
+the oracle keeps it as a function that the tests check against the
+floor sum of ``numth.factorial_two_adic``.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from operator import neg
 from hodgekit import rootsys
 from hodgekit.classifier import su_constraint
 from hodgekit.cmtools import GaloisModel, compose, identity_perm
+from hodgekit.numth import _require_int
 
 
 def fraction_rank(rows) -> int:
@@ -447,6 +451,14 @@ def central_binomial_mod4_direct(z: int) -> int:
     if z < 1:
         raise ValueError("z must be positive")
     return math.comb(2 * z, z) % 4
+
+
+def central_binomial_two_adic(z: int) -> int:
+    """v_2(C(2z, z)); equals the number of ones in binary z (Kummer)."""
+    if _require_int(z, "z") < 0:
+        raise ValueError("z must be nonnegative")
+    # Carries when adding z + z in base 2 happen at every set bit.
+    return z.bit_count()
 
 
 def abelian_case(ap) -> tuple:

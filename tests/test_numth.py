@@ -11,7 +11,6 @@ from hodgekit.numth import (
     _central_binomial,
     central_binomial_mod4,
     central_binomial_solve,
-    central_binomial_two_adic,
     factorial_two_adic,
     is_prime,
     MR_EXACT_BOUND,
@@ -21,7 +20,11 @@ from hodgekit.numth import (
     VERIFY_MAX_K,
 )
 
-from oracles import central_binomial_mod4_direct, primes_up_to
+from oracles import (
+    central_binomial_mod4_direct,
+    central_binomial_two_adic,
+    primes_up_to,
+)
 
 
 class _Int(int):
@@ -139,15 +142,20 @@ def test_no_prime_double_scan():
 
 
 def test_witnesses_are_every_prime_of_each_dyadic_interval():
-    # Miller-Rabin is a route independent of the sieve: a walk that
-    # skipped or overran an interval edge would change some list; the
-    # full Legendre sum checks the one-term read of each valuation
-    ok, witnesses = no_prime_double_is_central_binomial(18)
+    # Miller-Rabin (k <= 18) and the oracle's sieve (k = 19, 20) are routes
+    # independent of the package's sieve: a walk that skipped or overran an
+    # interval edge would change some list.  The full Legendre sum checks,
+    # prime by prime, the valuation the scan decides once per interval.
+    ok, witnesses = no_prime_double_is_central_binomial(K_SHARED)
     assert ok
-    assert sorted(witnesses) == list(range(3, 19))
+    assert sorted(witnesses) == list(range(3, K_SHARED + 1))
     for k, primes in witnesses.items():
         lo, hi = 1 << (k - 1), 1 << k
-        assert primes == [p for p in range(lo + 1, hi) if is_prime(p)], k
+        if k <= 18:
+            expected = [p for p in range(lo + 1, hi) if is_prime(p)]
+        else:
+            expected = oracle_interval(lo, hi)
+        assert primes == expected, k
         assert all(prime_valuation_central_binomial(p, lo) == 1 for p in primes), k
 
 
@@ -206,7 +214,7 @@ def test_dyadic_checks_refuse_k_over_the_cap():
         (is_prime, (True,)),
         (factorial_two_adic, (4.0,)),
         (factorial_two_adic, (False,)),
-        (central_binomial_two_adic, (3.0,)),
+        (central_binomial_mod4, (_Int(4),)),
         (central_binomial_mod4, (4.0,)),
         (central_binomial_mod4, (True,)),
         (prime_count_gap, (3.0,)),
@@ -366,7 +374,6 @@ def test_no_read_goes_past_the_callers_bound(fresh_sieve, monkeypatch):
     "call, message",
     [
         (factorial_two_adic, "n must be nonnegative"),
-        (central_binomial_two_adic, "z must be nonnegative"),
         (central_binomial_mod4, "z must be positive"),
         (prime_count_gap, "k must be >= 1"),
         (no_prime_double_is_central_binomial, "k_max must be at least 3"),
