@@ -15,12 +15,17 @@ also owns the closed-form minuscule table and its one inversion,
 the classifier all read.
 
 ``is_prime`` is the one primality test of the package: trial division
-by the 13 primes 2, 3, ..., 41, then Miller-Rabin to those 13 bases.  A
-witness proves n composite at any size.  No composite below
-3,317,044,064,679,887,385,961,981 is a strong pseudoprime to all of them
-(Sorenson & Webster, "Strong pseudoprimes to twelve prime bases",
-Math. Comp. 86 (2017)), so an n that passes is prime below that bound;
-at or above it, such an n raises ValueError instead of guessing.
+by the 13 primes 2, 3, ..., 41, then Miller-Rabin to as many of them as
+n needs.  ``_PSI`` holds psi_1, ..., psi_13 (OEIS A014233; Sorenson &
+Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86
+(2017)): no composite below psi_k is a strong pseudoprime to the first k
+bases, so below psi_k those k bases decide n.
+At or above psi_13 = MR_EXACT_BOUND = 3,317,044,064,679,887,385,961,981,
+base 2 and then an extra strong Lucas test make the Baillie-PSW test
+(Baillie & Wagstaff, Math. Comp. 35 (1980)).  A failure of either proves
+n composite.  No composite is known to pass both, but none is proven
+absent, so an n that passes is refused with ValueError instead of guessed
+prime: a refusal means that n is a probable prime above the bound.
 
 The package's one integer rule lives here too: a number is an integer
 exactly when its type is ``int``, so a ``bool``, a float and an ``int``
@@ -269,13 +274,34 @@ def _odd_flags(n: int) -> bytearray:
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-MR_EXACT_BOUND = 3_317_044_064_679_887_385_961_981
+# psi_k (OEIS A014233): the least odd composite that is a strong pseudoprime
+# to each of the first k prime bases, so those k bases decide every n < psi_k
+_PSI = (
+    2_047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+    3_317_044_064_679_887_385_961_981,
+)
+MR_EXACT_BOUND = _PSI[-1]
 
 
 def is_prime(n: int) -> bool:
-    """Primality by trial division and Miller-Rabin to the 13 bases.  A
-    factor or a witness decides any n; an n that passes every base is
-    prime below MR_EXACT_BOUND and refused at or above it."""
+    """Primality by trial division by the 13 bases, then Miller-Rabin.
+    Below MR_EXACT_BOUND only the first k bases run, for the k with
+    psi_(k-1) <= n < psi_k in ``_PSI`` (OEIS A014233; Sorenson & Webster
+    2017), and a pass proves n prime.  At or above it, base 2 and then
+    ``_lucas_probable_prime`` make the Baillie-PSW test: a failure of either
+    proves n composite, and a pass, a probable prime that nothing here
+    proves, is refused with ValueError."""
     if _require_int(n, "n") < 2:
         return False
     for p in _MR_BASES:
@@ -283,10 +309,12 @@ def is_prime(n: int) -> bool:
             return n == p
     if n < 43 * 43:  # no prime factor <= 41, so no factor at all
         return True
+    exact = n < MR_EXACT_BOUND
+    bases = _MR_BASES[: bisect.bisect_right(_PSI, n) + 1] if exact else (2,)
     d, r = n - 1, 0
     while d % 2 == 0:
         d, r = d // 2, r + 1
-    for a in _MR_BASES:
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -296,11 +324,59 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    if n >= MR_EXACT_BOUND:
-        raise ValueError(
-            f"primality is decided exactly only below {MR_EXACT_BOUND}, got {n}"
-        )
-    return True
+    if exact:
+        return True
+    if not _lucas_probable_prime(n):
+        return False
+    raise ValueError(
+        f"primality is decided exactly only below {MR_EXACT_BOUND}, got {n}"
+    )
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a | n) for odd n > 0, by quadratic reciprocity."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _lucas_probable_prime(n: int) -> bool:
+    """The extra strong Lucas test of odd n >= 3 (Grantham, Math. Comp. 70
+    (2001)); its composites that pass are OEIS A217719.  Q = 1 and P is the
+    least P >= 3 with ((P^2 - 4) | n) = -1.  With n + 1 = d 2^s, d odd, n
+    passes when U_d = 0 and V_d = +-2, or V_(d 2^t) = 0 for some t < s - 1,
+    all mod n.  The ladder carries (V_k, V_(k+1)) alone and reads U_d from
+    (P^2 - 4) U_d = 2 V_(d+1) - P V_d.  False proves n composite."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # a square has no such P
+    P = 3
+    while (symbol := _jacobi(P * P - 4, n)) == 1:
+        P += 1
+    if symbol == 0:  # P^2 - 4 shares a factor with n: prime only as n = P + 2
+        return n == P + 2
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    v, w = 2, P  # V_0, V_1
+    for bit in bin((n + 1) >> s)[2:]:
+        if bit == "1":
+            v, w = (v * w - P) % n, (w * w - 2) % n
+        else:
+            v, w = (v * v - 2) % n, (v * w - P) % n
+    if v in (2, n - 2) and (2 * w - P * v) % n == 0:
+        return True
+    for _ in range(s - 1):
+        if v == 0:
+            return True
+        v = (v * v - 2) % n
+    return False
 
 
 def _check_verify_cap(k: int) -> None:

@@ -456,7 +456,9 @@ CLI_CASES = [
         {"s.json": [{"deg_E": 6, "balanced": True}]},
         2,
     ),
-    (["classify"], _pj("I", 1, 1, 1, n=MR_EXACT_BOUND), {}, 2),
+    # n = MR_EXACT_BOUND passes all 13 Miller-Rabin bases; the Lucas test
+    # proves it composite
+    (["classify"], _pj("I", 1, 1, 1, n=MR_EXACT_BOUND), {}, 0),
     # a number one digit past Python's default limit on reading an int
     (["classify"], _pj("I", 1, 1, 1).replace('"n": 4', f'"n": {LONG}'), {}, 2),
     (["numth", "verify", "--k-max", LONG], "", {}, 2),
@@ -639,13 +641,16 @@ CLI_CASES = [
     # floor), so abelian status must not answer it
     (["abelian", "status"], json.dumps(ABELIAN_IV_LOW_RANK), {}, 2),
     (["abelian"], "", {}, 2),
-    # above MR_EXACT_BOUND a factor or a Miller-Rabin base still decides n
-    # (type I, L = Q): an even n, n = 2p with p below the bound, and an odd
-    # n that 3 divides; n = MR_EXACT_BOUND itself passes every base and is
-    # refused above
+    # above MR_EXACT_BOUND a factor, base 2 or the Lucas test still decides
+    # n (type I, L = Q): an even n, n = 2p with p below the bound, and an
+    # odd n that 3 divides; n = MR_EXACT_BOUND itself fails the Lucas test
+    # (above).  The probable prime 2^89 - 1 passes both and is refused, as n
+    # by classify and as p of dim 2p by abelian status
     (["classify"], _pj("I", 1, 1, 1, n=3_317_044_064_679_887_385_961_984), {}, 0),
     (["classify"], _pj("I", 1, 1, 1, n=2 * 1_658_522_032_339_943_692_981_061), {}, 0),
     (["classify"], _pj("I", 1, 1, 1, n=3_317_044_064_679_887_385_961_983), {}, 0),
+    (["classify"], _pj("I", 1, 1, 1, n=(1 << 89) - 1), {}, 2),
+    (["abelian", "status"], json.dumps({**ABELIAN, "dim": 2 * ((1 << 89) - 1)}), {}, 2),
     # dihedral models past the scan cap: a seeded type, and induced types
     # whose stabilizer is a reflection and a rotation subgroup
     (["cm", "--group", "dihedral:10", "rank", "--theta", DIHEDRAL10], "", {}, 0),

@@ -23,7 +23,9 @@ the profile's Albert type, the oracle scans every entry of the parity,
 each testing the type itself.  The 2-adic valuation of C(2z, z)
 likewise: the package reads the carry count inline for its mod-4 residue,
 the oracle keeps it as a function that the tests check against the
-floor sum of ``numth.factorial_two_adic``.
+floor sum of ``numth.factorial_two_adic``.  Primality likewise: below
+the bound the package stops Miller-Rabin at the bases its n needs, read
+from the psi table; the oracle runs all 13 bases on every n.
 """
 
 from __future__ import annotations
@@ -443,6 +445,25 @@ def primes_up_to(n: int) -> list[int]:
     if n < 2:
         return []
     return list(itertools.compress(range(n + 1), _sieve(n)))
+
+
+MR_BASES_13 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def strong_probable_prime(n: int, a: int) -> bool:
+    """With n - 1 = d 2^r, d odd: a^d = 1 or a^(d 2^i) = -1 mod n for some
+    i < r, each power taken afresh.  False proves odd n > a composite."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    return x == 1 or any(pow(x, 2**i, n) == n - 1 for i in range(r))
+
+
+def miller_rabin_13(n: int) -> bool:
+    """Odd n > 41 passes all 13 bases 2, ..., 41; below
+    ``numth.MR_EXACT_BOUND`` that decides n."""
+    return all(strong_probable_prime(n, a) for a in MR_BASES_13)
 
 
 def central_binomial_mod4_direct(z: int) -> int:

@@ -441,10 +441,12 @@ def test_cm_theta_refuses_a_repeat_or_a_bad_entry(cmd, theta, err):
 
 
 def test_n_beyond_the_primality_bound_is_bad_input():
+    # a probable prime above the bound, which the error names
     cap = 3_317_044_064_679_887_385_961_981
-    files = {"p.json": {"weight": 1, "n": cap, "endo": N3_ENDO}}
+    n = (1 << 89) - 1
+    files = {"p.json": {"weight": 1, "n": n, "endo": N3_ENDO}}
     assert str(cap) in refused(["classify", "--profile", "@p.json"], files=files)
-    files = {"a.json": {"dim": 2 * cap, "endo": N3_ENDO}}
+    files = {"a.json": {"dim": 2 * n, "endo": N3_ENDO}}
     assert str(cap) in refused(["abelian", "status", "--profile", "@a.json"], files=files)
 
 

@@ -1,6 +1,8 @@
 import bisect
+import itertools
 import re
 import math
+import random
 from functools import lru_cache
 
 import pytest
@@ -9,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from hodgekit import numth
 from hodgekit.numth import (
     _central_binomial,
+    _lucas_probable_prime,
+    _PSI,
     central_binomial_mod4,
     central_binomial_solve,
     factorial_two_adic,
@@ -23,7 +27,10 @@ from hodgekit.numth import (
 from oracles import (
     central_binomial_mod4_direct,
     central_binomial_two_adic,
+    miller_rabin_13,
+    MR_BASES_13,
     primes_up_to,
+    strong_probable_prime,
 )
 
 
@@ -179,11 +186,13 @@ def test_is_prime_on_pseudoprimes_and_mersenne_primes():
 
 
 def test_is_prime_refuses_at_the_exact_bound():
-    # the bound is itself composite and a strong pseudoprime to 2..41
-    assert MR_EXACT_BOUND == 1287836182261 * 2575672364521
+    # a prime above the bound passes base 2 and the Lucas test, and so is
+    # refused as a probable prime
     with pytest.raises(ValueError, match=str(MR_EXACT_BOUND)):
-        is_prime(MR_EXACT_BOUND)
-    # a factor decides at any size: only an n that passes every base is refused
+        is_prime((1 << 89) - 1)
+    with pytest.raises(ValueError, match=str(MR_EXACT_BOUND)):
+        is_prime((1 << 521) - 1)
+    # a factor decides at any size: only an n that passes both is refused
     assert is_prime(1 << 100) is False
 
 
@@ -194,9 +203,69 @@ def test_is_prime_decides_above_the_bound_when_a_factor_or_base_witnesses():
     composite = ((1 << 61) - 1) * 1_000_000_007
     assert composite > MR_EXACT_BOUND and math.gcd(composite, math.prod(range(2, 42))) == 1
     assert is_prime(composite) is False
-    # a prime passes every base, so above the bound it is refused
-    with pytest.raises(ValueError, match=str(MR_EXACT_BOUND)):
-        is_prime((1 << 89) - 1)
+    # the bound is itself composite and a strong pseudoprime to 2..41, so
+    # the Lucas test is its witness
+    assert MR_EXACT_BOUND == 1287836182261 * 2575672364521
+    assert miller_rabin_13(MR_EXACT_BOUND)
+    assert is_prime(MR_EXACT_BOUND) is False
+
+
+def test_psi_table_is_a014233():
+    # psi_k passes the first k bases and fails the next one, unless it is
+    # psi_(k+1) too; so a mistyped entry fails here, and each entry but the
+    # last has a base that proves it composite
+    assert list(_PSI) == sorted(_PSI) and _PSI[-1] == MR_EXACT_BOUND
+    for psi in _PSI:
+        passed = itertools.takewhile(lambda a: strong_probable_prime(psi, a), MR_BASES_13)
+        assert len(list(passed)) == bisect.bisect_right(_PSI, psi), psi
+
+
+def test_is_prime_is_false_at_every_psi_k():
+    # psi_k passes the first k bases: a table read one entry off would
+    # stop there and call it prime
+    assert [is_prime(psi) for psi in _PSI[:12]] == [False] * 12
+
+
+def test_is_prime_matches_thirteen_bases_below_the_bound():
+    # psi_k +- 2 below the bound, and a seeded sample of n with no factor up
+    # to 41 at every bit length from 11 to 81 (MR_EXACT_BOUND has 82 bits)
+    primorial = math.prod(MR_BASES_13)
+    rng = random.Random(35)
+    sample = [psi + delta for psi in _PSI for delta in (-2, 2)][:-1]
+    for bits in range(11, 82):
+        drawn = 0
+        while drawn < 60:
+            n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+            if math.gcd(n, primorial) == 1:
+                sample.append(n)
+                drawn += 1
+    assert max(sample) < MR_EXACT_BOUND
+    primes = {n for n in sample if miller_rabin_13(n)}
+    assert len(primes) > 300
+    assert all(is_prime(n) == (n in primes) for n in sample)
+
+
+# OEIS A217719, the extra strong Lucas pseudoprimes, up to 2 * 10^5
+A217719 = (
+    989, 3239, 5777, 10877, 27971, 29681, 30739, 31631, 39059, 72389, 73919,
+    75077, 100127, 113573, 125249, 137549, 137801, 153931, 155819, 161027,
+    162133, 189419,
+)
+
+
+def test_lucas_test_passes_every_prime_and_exactly_the_a217719_composites():
+    # every odd n from 3: a square has no P and fails
+    primes = set(primes_up_to(200_000)) - {2}
+    passed = {n for n in range(3, 200_000, 2) if _lucas_probable_prime(n)}
+    assert primes <= passed
+    assert sorted(passed - primes) == list(A217719)
+
+
+def test_lucas_test_rejects_base_2_strong_pseudoprimes():
+    # the five least strong pseudoprimes to base 2: base 2 passes each, and
+    # the Lucas test that follows it fails each
+    for n in (2047, 3277, 4033, 4681, 8321):
+        assert strong_probable_prime(n, 2) and not _lucas_probable_prime(n), n
 
 
 def test_dyadic_checks_refuse_k_over_the_cap():
