@@ -34,6 +34,7 @@ from hodgekit.lefschetz import lefschetz_group
 from hodgekit.numth import MR_EXACT_BOUND, VERIFY_MAX_K
 from hodgekit.realizability import realizable
 from hodgekit.rootsys import MAX_RANK
+import universe
 from universe import prof
 
 HERE = pathlib.Path(__file__).resolve().parent
@@ -456,6 +457,12 @@ CLI_CASES = [
         {"s.json": [{"deg_E": 6, "balanced": True}]},
         2,
     ),
+    # subfield degrees refused by the checks on each subfield: an odd degree,
+    # degree 0 (which must not reach deg_L % deg_E), and a balanced
+    # quadratic field at odd n
+    (["classify", "--subfields", "@s.json"], _pj("IV", 6, 3, 1, n=6), {"s.json": [{"deg_E": 3, "balanced": True}]}, 2),
+    (["classify", "--subfields", "@s.json"], _pj("IV", 6, 3, 1, n=6), {"s.json": [{"deg_E": 0, "balanced": True}]}, 2),
+    (["classify", "--subfields", "@s.json"], _pj("IV", 18, 9, 1, n=9), {"s.json": BALANCED}, 2),
     # n = MR_EXACT_BOUND passes all 13 Miller-Rabin bases; the Lucas test
     # proves it composite
     (["classify"], _pj("I", 1, 1, 1, n=MR_EXACT_BOUND), {}, 0),
@@ -796,6 +803,25 @@ def make_cli():
     write("cli.json", {"cases": cases})
 
 
+# --- The universe: every verdict, hashed by class -----------------------
+
+# what a verdict can be: a status, or one of classify's two refusals
+UNIVERSE_VERDICTS = {
+    classifier.DETERMINED,
+    classifier.CONDITIONAL,
+    classifier.OUT_OF_SCOPE,
+    "NotRealizableError",
+    "InconsistentSubfieldError",
+}
+
+
+def make_universe():
+    payload = universe.digest(universe.classify_all())
+    assert {c["verdict"] for c in payload["classes"]} == UNIVERSE_VERDICTS
+    assert sum(c["count"] for c in payload["classes"]) == 197_384
+    write("universe_digest.json", payload)
+
+
 if __name__ == "__main__":
     make_table1()
     make_table3()
@@ -803,3 +829,4 @@ if __name__ == "__main__":
     make_2p_grid()
     make_consequences()
     make_cli()
+    make_universe()

@@ -498,6 +498,13 @@ def test_exclude_sl2_product_cases():
     assert exclude_sl2_product([("SL", 2), ("SL", 8)]) is True
     assert exclude_sl2_product([("SU", 2), ("SO", 10)]) is True
     assert exclude_sl2_product([("SL", 2), ("SO", 3)]) is False  # so(3) = sl(2)
+    # sp(2) = so(3) = su(2) = sl(2) heads, and so(4) = sl(2) x sl(2)
+    assert exclude_sl2_product([("Sp", 2), ("SO", 4)]) is False
+    assert exclude_sl2_product([("SO", 3), ("Sp", 2)]) is False
+    assert exclude_sl2_product([("SU", 2), ("SO", 5), ("SO", 4)]) is False
+    assert exclude_sl2_product([("Sp", 2), ("SO", 5)]) is True
+    assert exclude_sl2_product([("SO", 3), ("SO", 6)]) is True
+    assert exclude_sl2_product([("SU", 2), ("Sp", 6), ("SO", 5)]) is True
 
 
 def test_exclude_sl2_product_pattern_errors():
@@ -729,8 +736,14 @@ def test_a_trace_absent_verdict_offers_only_what_some_trace_list_yields(verdicts
         (("Sp", 3), "Sp(3) is not a symplectic group"),
         (("Sp", 0), "Sp(0) is not a symplectic group"),
         (("G", 2), "unknown factor family 'G'"),
+        (("SO", 2), "SO(2) is not semisimple"),
+        (("Sp", 1), "Sp(1) is not a symplectic group"),
+        ([("SO", 4), ("SO", 6)], "pattern must start with an SL(2)-type factor"),
+        ([("SL", 2), ("SO", 3), ("G", 2)], "unknown factor family 'G'"),
     ],
 )
 def test_exclude_sl2_product_refuses_a_factor_by_name(factor, message):
+    # a factor alone follows an SL(2) head; a list is the whole pattern
+    factors = factor if isinstance(factor, list) else [("SL", 2), factor]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        exclude_sl2_product([("SL", 2), factor])
+        exclude_sl2_product(factors)

@@ -1,8 +1,10 @@
 import collections
+import json
+import pathlib
 
 import universe
 
-KINDS = ("none", "empty", "one field", "two fields")
+DIGEST = pathlib.Path(__file__).parent / "golden" / "universe_digest.json"
 # inputs per Albert type and inventory kind, at each weight
 SIZE = {
     "I": (840, 840, 3_228, 6_528),
@@ -15,13 +17,13 @@ SIZE = {
 def test_the_universe_size_is_pinned(verdicts):
     counts = collections.Counter()
     for profile, subfields, _ in verdicts:
-        kind = KINDS[0 if subfields is None else len(subfields) + 1]
+        kind = universe.KINDS[0 if subfields is None else len(subfields) + 1]
         counts[profile.endo.albert_type, profile.weight, kind] += 1
     assert counts == {
         (t, w, kind): count
         for t, row in SIZE.items()
         for w in universe.WEIGHTS
-        for kind, count in zip(KINDS, row)
+        for kind, count in zip(universe.KINDS, row)
     }
 
 
@@ -29,3 +31,10 @@ def test_the_pass_classifies_each_input_once(universe_pass):
     verdicts, calls = universe_pass
     assert calls == list(universe.inputs())
     assert len(set(calls)) == len(calls) == len(verdicts)
+
+
+def test_every_verdict_matches_the_digest(verdicts):
+    classes = universe.digest(verdicts)["classes"]
+    pinned = json.loads(DIGEST.read_text())["classes"]
+    # golden/universe_diff.py lists the inputs of each changed class
+    assert classes == pinned, [c for c in classes if c not in pinned]

@@ -6,12 +6,15 @@ n <= 64 at weights 1 and 2 (every Albert type, degree split and q, with
 entries read it, and the type IV ``trace_lists``), each with every
 subfield inventory of its [L:Q] (``inventories``).  ``classify_all``
 classifies each input once; the session fixture in ``conftest.py`` holds
-that pass.
+that pass.  ``digest`` pins every verdict of the pass in
+``golden/universe_digest.json`` by class (``verdict_class``).
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import math
 from typing import NamedTuple, Optional, Union
 
@@ -19,6 +22,8 @@ from hodgekit.classifier import ClassificationOutcome, SubfieldDescriptor, class
 from hodgekit.core import EndomorphismDescriptor, HodgeProfile
 
 WEIGHTS = (1, 2)
+# the inventory kinds: None, (), one field, two fields
+KINDS = ("none", "empty", "one field", "two fields")
 # every multiset of trace pairs is listed where a shape has at most this
 # many, C(7, 2): so is every list at n <= 11
 FULL_MULTISETS = 21
@@ -103,9 +108,8 @@ def inputs():
         yield from ((profile, subfields) for subfields in by_degree[deg_L])
 
 
-def classify_all() -> list[Verdict]:
+def each_verdict():
     """Each input's verdict, from one ``classify`` call per input."""
-    verdicts = []
     for profile, subfields in inputs():
         try:
             outcome = classify(profile, subfields)
@@ -113,5 +117,50 @@ def classify_all() -> list[Verdict]:
             # the sweeps read the type and message; a traceback would keep
             # every refused call's frames alive
             outcome = exc.with_traceback(None)
-        verdicts.append(Verdict(profile, subfields, outcome))
-    return verdicts
+        yield Verdict(profile, subfields, outcome)
+
+
+def classify_all() -> list[Verdict]:
+    return list(each_verdict())
+
+
+def verdict_class(verdict: Verdict) -> tuple[str, int, str, str]:
+    """(Albert type, weight, inventory kind, status); a refusal's status is
+    its exception type."""
+    profile, subfields, outcome = verdict
+    kind = KINDS[0 if subfields is None else len(subfields) + 1]
+    status = type(outcome).__name__ if isinstance(outcome, ValueError) else outcome.status
+    return profile.endo.albert_type, profile.weight, kind, status
+
+
+def verdict_text(outcome) -> str:
+    """A verdict's compact JSON, or a refusal's ``Type: message``."""
+    if isinstance(outcome, ValueError):
+        return f"{type(outcome).__name__}: {outcome}"
+    return json.dumps(outcome.to_json(), separators=(",", ":"))
+
+
+def digest(verdicts) -> dict:
+    """Per class, the count of verdicts and one sha256 over their texts, one
+    line each in universe order; the classes sorted."""
+    hashes, counts = {}, {}
+    for verdict in verdicts:
+        key = verdict_class(verdict)
+        if key not in hashes:
+            hashes[key], counts[key] = hashlib.sha256(), 0
+        hashes[key].update(verdict_text(verdict.outcome).encode() + b"\n")
+        counts[key] += 1
+    order = sorted(hashes, key=lambda k: (k[0], k[1], KINDS.index(k[2]), k[3]))
+    return {
+        "classes": [
+            {
+                "type": t,
+                "weight": w,
+                "inventory": kind,
+                "verdict": status,
+                "count": counts[t, w, kind, status],
+                "sha256": hashes[t, w, kind, status].hexdigest(),
+            }
+            for t, w, kind, status in order
+        ]
+    }
