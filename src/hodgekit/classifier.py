@@ -63,7 +63,7 @@ from .core import (
 )
 from .lefschetz import _lefschetz_group, group_rank
 from .numth import ORTHOGONAL, _kept_in_twice_odd_dim, _rows_of_dimension
-from .numth import is_prime as _is_prime
+from .numth import central_binomial_solve, is_prime as _is_prime
 from .realizability import realizable
 
 DETERMINED = "determined"
@@ -192,27 +192,22 @@ def _guard(profile: HodgeProfile, expr: GroupExpr, claim: str) -> GroupExpr:
 # ---------------------------------------------------------------------------
 
 
-def _simple_components(factor: tuple[str, int]) -> list[str]:
-    """Simple Lie-algebra components of one classical factor, flagging A1."""
+def _a1_components(factor: tuple[str, int]) -> int:
+    """The number of simple components of type A1 of one classical factor:
+    one for sl(2) = su(2) = sp(2) = so(3), two for so(4) = sl(2) x sl(2)."""
     fam, size = factor
     if fam in ("SL", "SU"):
         if size < 2:
             raise ValueError(f"{fam}({size}) is not semisimple")
-        return ["A1"] if size == 2 else [f"A{size - 1}"]
+        return int(size == 2)
     if fam == "Sp":
         if size < 2 or size % 2:
             raise ValueError(f"Sp({size}) is not a symplectic group")
-        return ["A1"] if size == 2 else [f"C{size // 2}"]
+        return int(size == 2)
     if fam == "SO":
         if size < 3:
             raise ValueError(f"SO({size}) is not semisimple")
-        if size == 3:
-            return ["A1"]
-        if size == 4:
-            return ["A1", "A1"]
-        if size == 6:
-            return ["A3"]
-        return [f"B{size // 2}" if size % 2 else f"D{size // 2}"]
+        return {3: 1, 4: 2}.get(size, 0)
     raise ValueError(f"unknown factor family {fam!r}")
 
 
@@ -227,13 +222,10 @@ def exclude_sl2_product(factors: Sequence[tuple[str, int]]) -> bool:
     factors = [(f, _require_int(s, "factor size")) for f, s in factors]
     if len(factors) < 2:
         raise ValueError("pattern needs SL(2) times a nontrivial group")
-    head = _simple_components(factors[0])
-    if head != ["A1"]:
+    if _a1_components(factors[0]) != 1:
         raise ValueError("pattern must start with an SL(2)-type factor")
-    rest: list[str] = []
-    for f in factors[1:]:
-        rest.extend(_simple_components(f))
-    return "A1" not in rest
+    # a sum, not any(): every factor of G is checked
+    return sum(_a1_components(f) for f in factors[1:]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -345,14 +337,13 @@ def _with_wedge(
         return _single(lef, rule, notes)
     cands = [Candidate(lef)]
     notes = tuple(notes)
-    wedges = [size for fam, size in _orthogonal_factors(double_dim) if fam == "SL"]
-    if not wedges:
+    k = central_binomial_solve(double_dim, _WEDGE_K_MAX)
+    if k is None:
         notes += (
             f"wedge alternative dropped: {double_dim} = C(2^k, 2^(k-1)) "
             f"has no solution with 3 <= k <= {_WEDGE_K_MAX}",
         )
     else:
-        k = wedges[0].bit_length() - 1
         group = GroupExpr(
             FAM_SU_POW2,
             param=k,

@@ -32,7 +32,6 @@ UNREACHED = {
     # perfbench readers, which ROADMAP item 1 moves to tests/oracles.py
     "cmtools.GaloisModel.elements": "perfbench: test_perfbench's group check",
     "cmtools.GaloisModel.order": "perfbench: the cm_scan group_order count",
-    "numth.central_binomial_solve": "perfbench: the classify_sweep wedge stage",
     # perfbench readers that an open ROADMAP item gives a caller in src/
     "cmtools.block_systems": "perfbench: cm_scan; item 10 stage 2",
     "cmtools._minimal_systems": "block_systems alone calls it",
