@@ -27,7 +27,7 @@ from .core import (
     ODD,
     EndomorphismDescriptor,
     HodgeProfile,
-    InvalidProfileError,
+    require_valid,
     validate_profile,
 )
 
@@ -175,10 +175,10 @@ def is_exceptional(profile: HodgeProfile) -> Optional[ExceptionalMatch]:
 
     A definite hit wins over a conditional one regardless of order; the
     first conditional hit is reported only when no later entry matches
-    outright.  Returns None when no entry matches or could match.
+    outright.  Returns None when no entry matches or could match.  An
+    invalid profile is refused with its violations.
     """
-    if validate_profile(profile):
-        raise InvalidProfileError("is_exceptional requires a valid profile")
+    require_valid(profile)
     return _match(profile)
 
 

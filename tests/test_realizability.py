@@ -1,6 +1,9 @@
+import re
+
 import pytest
 
 from hodgekit.core import InvalidProfileError
+from hodgekit.lefschetz import lefschetz_group
 from hodgekit.realizability import (
     EVEN_CASES,
     ODD_CASES,
@@ -99,8 +102,12 @@ def test_realizable_reports_violations():
 
 
 def test_is_exceptional_requires_valid_profile():
-    with pytest.raises(InvalidProfileError):
-        is_exceptional(prof("I", 3, 3, 1, w=1, n=4))
+    # refused with the violations, in the text lefschetz_group gives
+    p = prof("I", 3, 3, 1, w=1, n=4)
+    with pytest.raises(InvalidProfileError) as lef:
+        lefschetz_group(p)
+    with pytest.raises(InvalidProfileError, match=f"^{re.escape(str(lef.value))}$"):
+        is_exceptional(p)
 
 
 def test_definite_match_wins_over_conditional():
