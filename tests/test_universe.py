@@ -17,7 +17,7 @@ SIZE = {
 def test_the_universe_size_is_pinned(verdicts):
     counts = collections.Counter()
     for profile, subfields, _ in verdicts:
-        kind = universe.KINDS[0 if subfields is None else len(subfields) + 1]
+        kind = universe.inventory_kind(subfields)
         counts[profile.endo.albert_type, profile.weight, kind] += 1
     assert counts == {
         (t, w, kind): count

@@ -22,7 +22,7 @@ from hodgekit.classifier import ClassificationOutcome, SubfieldDescriptor, class
 from hodgekit.core import EndomorphismDescriptor, HodgeProfile
 
 WEIGHTS = (1, 2)
-# the inventory kinds: None, (), one field, two fields
+# the inventory kinds (``inventory_kind``): None, (), one field, two fields
 KINDS = ("none", "empty", "one field", "two fields")
 # every multiset of trace pairs is listed where a shape has at most this
 # many, C(7, 2): so is every list at n <= 11
@@ -124,13 +124,16 @@ def classify_all() -> list[Verdict]:
     return list(each_verdict())
 
 
+def inventory_kind(subfields) -> str:
+    return KINDS[0 if subfields is None else len(subfields) + 1]
+
+
 def verdict_class(verdict: Verdict) -> tuple[str, int, str, str]:
     """(Albert type, weight, inventory kind, status); a refusal's status is
     its exception type."""
     profile, subfields, outcome = verdict
-    kind = KINDS[0 if subfields is None else len(subfields) + 1]
     status = type(outcome).__name__ if isinstance(outcome, ValueError) else outcome.status
-    return profile.endo.albert_type, profile.weight, kind, status
+    return profile.endo.albert_type, profile.weight, inventory_kind(subfields), status
 
 
 def verdict_text(outcome) -> str:
