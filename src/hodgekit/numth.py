@@ -4,11 +4,12 @@ Everything here is exact: 2-adic valuations by the floor-sum formula,
 central binomial residues by carry counting (``int.bit_count``), prime
 counts by sieve.  One odd-only byte sieve (``_odd_flags``), kept by the
 module and grown on demand, serves every prime read: the prime-count
-gaps count one contiguous range of its flags in C, the composite check
-lists the primes of one dyadic interval at a time in C, after one
-evaluation of the Legendre term that every prime of the interval shares,
-so no list of all primes is built, and ``_central_binomial`` reads the
-flags up to 2h.
+gaps count one contiguous range of its flags in C, and
+``_primes_between`` lists the primes of one window in C over the 6k +- 1
+wheel.  The composite check lists one dyadic interval at a time, after
+one evaluation of the Legendre term that every prime of the interval
+shares, so no list of all primes is built, and ``_central_binomial``
+lists the primes up to 2h.
 Each reader bounds its own range, since the sieve may reach past it.  It
 also owns the closed-form minuscule table and its one inversion,
 ``_rows_of_dimension``, which ``rootsys``, ``central_binomial_solve`` and
@@ -46,8 +47,8 @@ from functools import lru_cache
 from typing import Optional
 
 # Time and memory double per step in k: `numth verify --k-max 24` takes
-# about 0.46-0.51 s and 83 MB on a 2-vCPU Xeon VM, and k = 27 about
-# 3.5-4.1 s and 505 MB.  The one sieve of 2^k_max holds 2^(k_max-1) bytes
+# about 0.40-0.48 s and 82 MB on a 2-vCPU Xeon VM, and k = 27 about
+# 2.5-3.0 s and 505 MB.  The one sieve of 2^k_max holds 2^(k_max-1) bytes
 # (64 MB at k = 27); the rest is the witness lists the answer prints (7.6
 # million primes at k = 27, as Python ints) and their JSON text, so it is
 # the output, not the sieve, that sets the cap.
@@ -118,11 +119,9 @@ def _central_binomial(h: int) -> int:
     Python 3.11's ``math.comb(2^20, 2^19)`` divides big integers and takes
     about 12 s on a 2-vCPU Xeon VM; this takes about 0.3 s.  Cached: the
     inversion reads one value per bit length of its queries."""
-    # 2, then the odd primes 2i + 1 < 2h, i < h
-    primes = itertools.compress(range(1, 2 * h, 2), _odd_flags(2 * h)[:h])
     powers = [
         p ** v
-        for p in itertools.chain((2,), primes)
+        for p in _primes_between(0, 2 * h + 1)
         if (v := prime_valuation_central_binomial(p, h))
     ]
     while len(powers) > 1:
@@ -256,8 +255,9 @@ def _odd_flags(n: int) -> bytearray:
     numbers), for every odd 2i + 1 <= n at least.
 
     The process keeps the largest sieve built and returns it whole, so it
-    may reach past n: each caller bounds its own reads.  A request past its
-    end sieves again from scratch, to n.
+    may reach past n: each reader, ``prime_count_gap`` and
+    ``_primes_between``, bounds its own reads.  A request past its end
+    sieves again from scratch, to n.
     """
     global _ODD_FLAGS
     size = (n + 1) // 2
@@ -271,6 +271,24 @@ def _odd_flags(n: int) -> bytearray:
                 flags[start::p] = bytes(len(range(start, size, p)))
         _ODD_FLAGS = flags
     return _ODD_FLAGS
+
+
+def _primes_between(lo: int, hi: int) -> list[int]:
+    """The primes p with lo < p < hi, ascending, for 0 <= lo.
+
+    Every prime above 3 is 6j - 1 or 6j + 1, so each class is one stride-3
+    slice of the odd flags, listed in C; one sort merges the two ascending
+    runs.  The sieve reaches hi - 1, and no read goes past it.
+    """
+    flags = _odd_flags(hi - 1)
+    primes = [p for p in (2, 3) if lo < p < hi]
+    for residue in (1, 5):  # 6j + 1 and 6j - 1; the sieve flags 1 composite
+        start = lo + 1 + (residue - lo - 1) % 6
+        primes += itertools.compress(
+            range(start, hi, 6), flags[start >> 1 : hi >> 1 : 3]
+        )
+    primes.sort()
+    return primes
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -435,19 +453,15 @@ def no_prime_double_is_central_binomial(
     if _require_int(k_max, "k_max") < 3:
         raise ValueError("k_max must be at least 3")
     _check_verify_cap(k_max)
-    flags = _odd_flags(1 << k_max)
+    _odd_flags(1 << k_max)  # sieve once, to the largest interval
     witnesses: dict[int, list[int]] = {}
     ok = True
     for k in range(3, k_max + 1):
-        # the odd p of (2^(k-1), 2^k) are the 2i + 1 with lo/2 <= i < hi/2
         lo, hi = 1 << (k - 1), 1 << k
         ends = {(hi // p, lo // p) for p in (lo + 1, hi - 1)}
         if (lo + 1) ** 2 <= hi or ends != {(1, 0)}:  # pragma: no cover
             raise AssertionError("the Legendre term is not 1 on the whole interval")
-        dividing = list(
-            itertools.compress(range(lo + 1, hi, 2), flags[lo >> 1 : hi >> 1])
-        )
-        witnesses[k] = dividing
+        witnesses[k] = dividing = _primes_between(lo, hi)
         if len(dividing) < 2:
             ok = False
     return ok, witnesses

@@ -6,12 +6,13 @@ import random
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hodgekit import numth
 from hodgekit.numth import (
     _central_binomial,
     _lucas_probable_prime,
+    _primes_between,
     _PSI,
     central_binomial_mod4,
     central_binomial_solve,
@@ -164,6 +165,28 @@ def test_witnesses_are_every_prime_of_each_dyadic_interval():
             expected = oracle_interval(lo, hi)
         assert primes == expected, k
         assert all(prime_valuation_central_binomial(p, lo) == 1 for p in primes), k
+
+
+def test_primes_between_on_every_small_window():
+    # every window 0 <= lo, hi < 64: empty ones (lo >= hi, or no prime
+    # inside), lo < 4 where 2 and 3 belong, and ends in every class mod 6
+    primes = primes_up_to(64)
+    for lo, hi in itertools.product(range(64), repeat=2):
+        assert _primes_between(lo, hi) == [p for p in primes if lo < p < hi], (lo, hi)
+
+
+@given(
+    st.integers(min_value=0, max_value=1 << 16),
+    st.integers(min_value=0, max_value=1 << 16),
+)
+@example(0, 1 << 16)
+@example((1 << 16) - 16, 1 << 16)
+@settings(max_examples=300, deadline=None)
+def test_primes_between_matches_the_oracle(lo, hi):
+    # lo >= hi is an empty window
+    primes = oracle_primes(1 << 16)
+    expected = primes[bisect.bisect_right(primes, lo) : bisect.bisect_left(primes, hi)]
+    assert _primes_between(lo, hi) == expected
 
 
 def test_is_prime_matches_the_sieve():
@@ -356,6 +379,18 @@ def check_witnesses():
         assert primes == oracle_interval(1 << (k - 1), 1 << k), k
 
 
+def check_window(lo, hi):
+    assert _primes_between(lo, hi) == oracle_interval(lo, hi - 1), (lo, hi)
+
+
+def check_windows(k):
+    # all of [0, 2^k), then windows below 2^k that end in each class mod 6
+    top = 1 << k
+    check_window(0, top)
+    for r in range(6):
+        check_window(max(0, top - 64 - r), top - r)
+
+
 def check_binomials():
     _central_binomial.cache_clear()
     for h in range(1, 401):
@@ -368,16 +403,20 @@ def test_shared_sieve_answers_in_every_growth_order(order, fresh_sieve):
         check_binomials()
         for k in range(1, K_SHARED + 1):
             check_gap(k)
+            check_windows(k)
         check_witnesses()
     elif order == "large_first":
         check_witnesses()
         for k in range(K_SHARED, 0, -1):
             check_gap(k)
+            check_windows(k)
         check_binomials()
     else:
         for k in range(1, K_SHARED + 1):
             reset()
             check_gap(k)
+            reset()
+            check_windows(k)
         reset()
         check_witnesses()
         for h in range(1, 401):
@@ -436,6 +475,10 @@ def test_no_read_goes_past_the_callers_bound(fresh_sieve, monkeypatch):
         sieve.reach = 0
         assert _central_binomial(h) == math.comb(2 * h, h), h
         assert 0 < sieve.reach <= h, h
+    for lo, hi in ((0, 1), (0, 8), (100, 2049), (2000, 1 << top)):
+        sieve.reach = 0
+        check_window(lo, hi)
+        assert sieve.reach <= hi >> 1, (lo, hi)
     assert numth._ODD_FLAGS is sieve  # no read rebuilt the longer sieve
 
 
