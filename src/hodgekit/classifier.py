@@ -32,7 +32,8 @@ Lefschetz group plus the special-unitary wedge alternative, when it
 exists).  A verdict that reads the subfield inventory reads it in one
 pass, ``_balanced_any``, which cross-checks every subfield against the
 trace data; the n = 2p and torus rules take its first degree-2 entry.
-The wedge and SL(2)-product alternatives are read off ``numth``'s table.
+The wedge and SL(2)-product alternatives are read off ``numth``'s table
+through ``central_binomial_solve`` alone, under its one cap ``_WEDGE_K_MAX``.
 ``_guard`` refuses data that puts a group below the commutative rank floor
 at the two places data can: ``_subfield_bounds`` (a balanced degree-4
 subfield on the torus at n = 4) and ``_classify_2p`` (n = 6, [L:Q] = 6).
@@ -62,8 +63,7 @@ from .core import (
     _require_object,
 )
 from .lefschetz import _lefschetz_group, group_rank
-from .numth import ORTHOGONAL, _kept_in_twice_odd_dim, _rows_of_dimension
-from .numth import central_binomial_solve, is_prime as _is_prime
+from .numth import _WEDGE_K_MAX, central_binomial_solve, is_prime as _is_prime
 from .realizability import realizable
 
 DETERMINED = "determined"
@@ -277,30 +277,6 @@ def _balanced_any(
 # Outcome builders
 # ---------------------------------------------------------------------------
 
-# The wedge alternative SU(2^k) acts on the middle wedge of A_{2^k-1}.
-# classify reaches only k <= 13, because a JSON number has at most 4,300
-# digits (Python's default limit on reading an int) and C(2^14, 2^13) has
-# about 4,930; the cap stays 20 because the note that drops the
-# alternative names it.
-_WEDGE_K_MAX = 20
-
-
-def _orthogonal_factors(dim: int) -> list[tuple[str, int]]:
-    """(family, size) of each orthogonal factor of dimension dim the table
-    keeps: SO(dim) of D_{dim/2} (dim/2 odd; never cut by rank), then SL(2^k)
-    on the middle wedge of A_{2^k-1}, 3 <= k <= _WEDGE_K_MAX.
-
-    At dim = 0 (mod 4) this drops the orthogonal middle wedges of A_l that
-    are not SU(2^k), the first being A11 on the sixth wedge at 924: whether
-    they must be excluded or offered is open until the paper's text says."""
-    return [
-        ("SO", dim) if kind == "D" else ("SL", l + 1)
-        for kind, l, index in _rows_of_dimension(dim, ORTHOGONAL, dim)
-        if _kept_in_twice_odd_dim(kind, l, index, ORTHOGONAL)
-        and (kind == "D" or l.bit_length() <= _WEDGE_K_MAX)
-    ]
-
-
 def _single(group: GroupExpr, rule: str, notes=()) -> ClassificationOutcome:
     return ClassificationOutcome(
         DETERMINED, (Candidate(group),), rule, tuple(notes)
@@ -337,7 +313,7 @@ def _with_wedge(
         return _single(lef, rule, notes)
     cands = [Candidate(lef)]
     notes = tuple(notes)
-    k = central_binomial_solve(double_dim, _WEDGE_K_MAX)
+    k = central_binomial_solve(double_dim)
     if k is None:
         notes += (
             f"wedge alternative dropped: {double_dim} = C(2^k, 2^(k-1)) "
@@ -470,16 +446,17 @@ def _classify_type_i(profile: HodgeProfile, lef: GroupExpr):
     if l == 2:
         return _single(lef, RULE_I_L2)
     if endo.deg_L == 1 and l % 4 == 2:
-        n = profile.n
-        if profile.parity == ODD:
-            notes = []
-            for family, size in _orthogonal_factors(n):  # SO(n), then SL(2^k)
-                if exclude_sl2_product([("SL", 2), (family, size)]):
-                    k = size.bit_length() - 1
-                    label = f"SO({n})" if family == "SO" else f"SL(2^{k})"
-                    notes.append(f"product alternative SL(2) x {label} excluded")
-            return _single(lef, RULE_I_TWICE_ODD, notes=notes)
-        notes = [f"product alternative SU(2) x SO({n}) excluded"]
+        # the orthogonal factors of dimension n the table keeps: SO(n) of
+        # D_{n/2}, then SL(2^k) on a middle wedge, read at odd weight only
+        n, head = profile.n, "SL" if profile.parity == ODD else "SU"
+        factors = {f"SO({n})": ("SO", n)}
+        if head == "SL" and (k := central_binomial_solve(n)):
+            factors[f"SL(2^{k})"] = ("SL", 1 << k)
+        notes = [
+            f"product alternative {head}(2) x {label} excluded"
+            for label, factor in factors.items()
+            if exclude_sl2_product([(head, 2), factor])
+        ]
         return _with_wedge(profile, lef, RULE_I_TWICE_ODD, 2 * n, notes)
     return _fallback(profile, lef)
 

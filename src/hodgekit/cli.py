@@ -319,8 +319,10 @@ def _cmd_numth(args):
         numth.factorial_two_adic(1 << (k - 1)) == (1 << (k - 1)) - 1
         for k in range(3, k_max + 1)
     )
+    # C(2z, z) = 2 (mod 4) exactly when Legendre's floor sum gives v_2 = 1
     binom_mod4 = all(
-        (numth.central_binomial_mod4(z) == 2) == (z & (z - 1) == 0)
+        (numth.central_binomial_mod4(z) == 2)
+        == (numth.prime_valuation_central_binomial(2, z) == 1)
         for z in range(1, 4097)
     )
     composite_ok, witnesses = numth.no_prime_double_is_central_binomial(k_max)

@@ -12,8 +12,8 @@ shares, so no list of all primes is built, and ``_central_binomial``
 lists the primes up to 2h.
 Each reader bounds its own range, since the sieve may reach past it.  It
 also owns the closed-form minuscule table and its one inversion,
-``_rows_of_dimension``, which ``rootsys``, ``central_binomial_solve`` and
-the classifier all read.
+``_rows_of_dimension``, which ``rootsys`` reads, and the classifier
+through ``central_binomial_solve`` alone, under the one cap ``_WEDGE_K_MAX``.
 
 ``is_prime`` is the one primality test of the package: trial division
 by the 13 primes 2, 3, ..., 41, then Miller-Rabin to as many of them as
@@ -129,16 +129,26 @@ def _central_binomial(h: int) -> int:
     return powers[0] if powers else 1
 
 
-def central_binomial_solve(target: int, k_max: int = 20) -> Optional[int]:
-    """Least k with 3 <= k <= k_max and C(2^k, 2^(k-1)) == target: the
-    orthogonal middle wedges of A_{2^k-1} that ``_rows_of_dimension`` finds
-    at target and ``_kept_in_twice_odd_dim`` keeps."""
+# The cap on k of the wedge alternative SU(2^k), which acts on the middle
+# wedge of A_{2^k-1}.  classify reaches only k <= 13, because a JSON number
+# has at most 4,300 digits (Python's default limit on reading an int) and
+# C(2^14, 2^13) has about 4,930; the cap stays 20 because the classifier's
+# note that drops the alternative names it.
+_WEDGE_K_MAX = 20
+
+
+def central_binomial_solve(target: int) -> Optional[int]:
+    """The k with 3 <= k <= _WEDGE_K_MAX and C(2^k, 2^(k-1)) == target, or
+    None: the orthogonal middle wedge of A_{2^k-1} that ``_rows_of_dimension``
+    finds at target and ``_kept_in_twice_odd_dim`` keeps.
+
+    At target = 0 (mod 4) this drops the orthogonal middle wedges of A_l that
+    are not SU(2^k), the first being A11 on the sixth wedge at 924: whether
+    they must be excluded or offered is open until the paper's text says."""
     _require_int(target, "target")
-    if _require_int(k_max, "k_max") < 3:
-        raise ValueError("k_max must be at least 3")
     for kind, l, index in _rows_of_dimension(target, ORTHOGONAL, target):
         if kind == "A" and _kept_in_twice_odd_dim(kind, l, index, ORTHOGONAL):
-            return l.bit_length() if l.bit_length() <= k_max else None
+            return l.bit_length() if l.bit_length() <= _WEDGE_K_MAX else None
     return None
 
 

@@ -28,10 +28,10 @@ every length is an integer.
 
 The minuscule table itself is given in closed form in ``numth``, after
 the plates of Bourbaki, *Lie Groups and Lie Algebras*, ch. VI-VIII, and
-so is its one inversion, ``_rows_of_dimension``, which the classifier
-reads too.  ``admissible_factors`` filters that inversion, so it scans no
-ranks and builds a system only for a hit; ``verify_minuscule_table``
-checks the table against the Weyl-formula scan.
+so is its one inversion, ``_rows_of_dimension``, read by the classifier
+through ``central_binomial_solve``.  ``admissible_factors`` filters it,
+so it scans no ranks and builds a system only for a hit;
+``verify_minuscule_table`` checks the table against the Weyl-formula scan.
 
 Conventions: cartan[i][j] = <alpha_i, alpha_j^vee>, simple roots indexed
 from 0 internally, fundamental weights 1-based in the public API to
@@ -102,8 +102,9 @@ class _WeightFields(NamedTuple):
 
 class Weight(_WeightFields):
     """A weight in fundamental-weight coordinates.  Every coordinate must
-    be an int (a bool is refused too); nothing is coerced.  No __slots__:
-    ``support`` is cached in the instance dict."""
+    be an int (a bool is refused too); nothing is coerced."""
+
+    __slots__ = ()
 
     def __new__(cls, coords):
         coords = _require_ints(tuple(coords), "weight coordinate")
@@ -113,7 +114,7 @@ class Weight(_WeightFields):
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    @cached_property
+    @property
     def support(self) -> tuple[tuple[int, int], ...]:
         """(index, coordinate) of each nonzero coordinate, 0-based."""
         return tuple((j, c) for j, c in enumerate(self.coords) if c)

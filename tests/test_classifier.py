@@ -8,7 +8,6 @@ import time
 import pytest
 
 from hodgekit.classifier import (
-    _orthogonal_factors,
     CONDITIONAL,
     DETERMINED,
     OUT_OF_SCOPE,
@@ -23,7 +22,8 @@ from hodgekit.classifier import (
 )
 from hodgekit.core import EndomorphismDescriptor, GroupExpr, HodgeProfile
 from hodgekit.lefschetz import group_dim, group_rank, lefschetz_group
-from hodgekit.numth import _central_binomial, _rows_of_dimension, central_binomial_solve
+from hodgekit.numth import _central_binomial, _kept_in_twice_odd_dim, _rows_of_dimension
+from hodgekit.numth import central_binomial_solve
 from hodgekit.rootsys import ORTHOGONAL, admissible_factors, fundamental_weight
 
 from universe import prof
@@ -173,8 +173,13 @@ def test_type_i_odd_multiplicity_without_wedge():
 
 
 def _derived_k(d):
-    """k of the wedge alternative the classifier reads at d, or None."""
-    ks = [size.bit_length() - 1 for fam, size in _orthogonal_factors(d) if fam == "SL"]
+    """k of the wedge alternative at d, from the table's rows directly: an
+    orthogonal A_l with l + 1 = 2^k and 3 <= k <= 20, or None."""
+    ks = [
+        l.bit_length()
+        for kind, l, _ in _rows_of_dimension(d, ORTHOGONAL, d)
+        if kind == "A" and (l + 1) & l == 0 and 3 <= l.bit_length() <= 20
+    ]
     assert len(ks) <= 1, d
     return ks[0] if ks else None
 
@@ -191,7 +196,7 @@ def test_wedge_solutions_are_the_admissible_middle_wedges():
                 assert w == fundamental_weight(rs, (rs.rank + 1) // 2), (d, rs.name)
                 wedges.append((rs.rank + 1).bit_length() - 1)
         assert len(wedges) <= 1, d
-        assert central_binomial_solve(d, 5) == (wedges[0] if wedges else None), d
+        assert central_binomial_solve(d) == (wedges[0] if wedges else None), d
     # The same from the inversion itself, at every d in both classes mod 4:
     # every orthogonal A-row is a middle wedge C(2j, j) = d, the classifier
     # keeps exactly those with j = 2^(k-1), k >= 3, and central_binomial_solve
@@ -210,7 +215,7 @@ def test_wedge_solutions_are_the_admissible_middle_wedges():
     }
     assert [d for d in a_rows if _derived_k(d)] == [70, 12_870]
     # 924 = C(12, 6) is A11 on the sixth wedge, not SU(2^k): dropped
-    assert _orthogonal_factors(924) == []
+    assert central_binomial_solve(924) is None
     for k in range(1, 21):
         d = _central_binomial(1 << (k - 1))
         assert d % 4 == 2 and (d + 2) % 4 == 0
@@ -242,16 +247,22 @@ TWICE_ODD = list(range(6, 4001, 4)) + [math.comb(2 ** k, 2 ** (k - 1)) for k in 
 
 
 def test_twice_odd_rows_are_struck_products():
-    # The facts the classifier once checked at run time: every factor the
-    # twice-odd branch reads (the standard SO(n), then SL(2^k) when n is a
-    # central binomial) makes SL(2) x G a struck product.
+    # The facts the twice-odd branch rests on: the orthogonal rows the table
+    # keeps at n are the standard SO(n) of D_{n/2}, then SL(2^k) on the middle
+    # wedge of A_{2^k-1} when central_binomial_solve finds k, so the branch
+    # need not read the rows; and each factor makes a struck product under
+    # either head, SL(2) at odd weight and SU(2) at even weight.
     for n in TWICE_ODD:
-        factors = _orthogonal_factors(n)
-        assert factors[0] == ("SO", n), n
+        rows = [
+            (kind, l)
+            for kind, l, index in _rows_of_dimension(n, ORTHOGONAL, n)
+            if _kept_in_twice_odd_dim(kind, l, index, ORTHOGONAL)
+        ]
         k = central_binomial_solve(n)
-        assert factors[1:] == ([("SL", 1 << k)] if k else []), n
-        for factor in factors:
-            assert exclude_sl2_product([("SL", 2), factor]), (n, factor)
+        assert rows == [("D", n // 2)] + ([("A", (1 << k) - 1)] if k else []), n
+        for head in ("SL", "SU"):
+            for factor in [("SO", n)] + ([("SL", 1 << k)] if k else []):
+                assert exclude_sl2_product([(head, 2), factor]), (n, head, factor)
 
 
 def test_twice_odd_notes_follow_the_rows():
@@ -263,8 +274,15 @@ def test_twice_odd_notes_follow_the_rows():
         if k:
             expected.append(f"product alternative SL(2) x SL(2^{k}) excluded")
         assert list(odd.notes) == expected, n
-        even = classify(prof("I", 1, 1, 1, w=2, n=n))
-        assert even.notes[0] == f"product alternative SU(2) x SO({n}) excluded"
+        profile = prof("I", 1, 1, 1, w=2, n=n)
+        even = classify(profile)
+        assert even.applied_rule == "typeI:rational-twice-odd", n
+        assert list(even.notes) == [
+            f"product alternative SU(2) x SO({n}) excluded",
+            f"wedge alternative dropped: {2 * n} = C(2^k, 2^(k-1)) has no "
+            "solution with 3 <= k <= 20",
+        ], n
+        assert [c.group for c in even.candidates] == [lefschetz_group(profile)], n
 
 
 def test_type_i_multiplicity_two():

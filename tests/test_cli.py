@@ -18,7 +18,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hodgekit import cli, cmtools, consequences
+from hodgekit import cli, cmtools, consequences, numth
 from hodgekit.cmtools import MAX_DEGREE
 from hodgekit.numth import MR_EXACT_BOUND, VERIFY_MAX_K
 from hodgekit.rootsys import MAX_RANK
@@ -195,6 +195,22 @@ def test_numth_verify():
     data = json.loads(out)
     assert data["ok"] is True
     assert data["composite_witnesses"]["3"] == [5, 7]
+
+
+def test_numth_verify_reads_the_central_binomial(monkeypatch):
+    # the mod-4 field checks the carry count against Legendre's floor sum,
+    # so a wrong 2-adic valuation of C(8, 4) turns it false
+    real = numth.prime_valuation_central_binomial
+    monkeypatch.setattr(
+        numth,
+        "prime_valuation_central_binomial",
+        lambda p, h: 2 if (p, h) == (2, 4) else real(p, h),
+    )
+    code, out, _ = replay(["numth", "verify", "--k-max", "6"])
+    assert code == 3
+    data = json.loads(out)
+    assert data["central_binomial_mod4"] is False and data["ok"] is False
+    assert data["factorial_two_adic"] is True
 
 
 def test_abelian_status():
