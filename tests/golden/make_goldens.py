@@ -11,6 +11,7 @@ wrong content.  Run from the repository root:
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 import random
 import sys
@@ -337,6 +338,9 @@ def _pj(t, dL, dF, q, w=1, n=4, **extra):
 
 N3 = _pj("I", 1, 1, 1, n=3)
 LONG = "1" * 4301
+# C(2^13, 2^12), the largest dimension of the wedge alternative that a JSON
+# number admits (numth._WEDGE_K_MAX)
+WEDGE13 = math.comb(1 << 13, 1 << 12)
 IV6 = _pj("IV", 2, 1, 1, n=6, cm_traces=[[3, 3]])
 ABELIAN = {"dim": 6, "endo": {"type": "II", "deg_L": 4, "deg_F": 1, "q": 2}}
 BALANCED = [{"deg_E": 2, "balanced": True}]
@@ -751,6 +755,15 @@ CLI_CASES = [
     (["cm", "--group", f"dihedral:{MAX_DEGREE}", "primitive", "--theta", "0"], "", {}, 2),
     (["cm", "--group", f"abelian:{MAX_DEGREE},2", "scan"], "", {}, 2),
     (["cm", "--group", f"perms:{MAX_DEGREE + 2}:(0 1)", "--iota", "(0 1)", "scan"], "", {}, 2),
+    # the two group refusals no case above reaches: an intransitive action,
+    # and an --iota cycle entry past the degree
+    (["cm", "--group", "perms:8:(0 1)(4 5)", "--iota", "(0 4)(1 5)(2 6)(3 7)", "scan"], "", {}, 2),
+    (["cm", "--group", "cyclic:6", "--iota", "(0 7)", "scan"], "", {}, 2),
+    # the wedge alternative at k = 13 on each arm of the multiplicity rule:
+    # type I, L = Q, l = C/2 odd, and type III, F = Q, m = C/2 odd, for
+    # C = C(2^13, 2^12)
+    (["classify"], _pj("I", 1, 1, 1, w=2, n=WEDGE13 // 2), {}, 0),
+    (["classify"], _pj("III", 4, 1, 2, w=1, n=WEDGE13), {}, 0),
 ]
 
 # The two outputs that are text, not JSON.
