@@ -2,11 +2,11 @@
 
 The dispatch tries the sharp results for special half-dimensions first
 (n = 1, n prime, n = 2p with p an odd prime, the type IV torus, n = 4)
-and falls back to the general statements organized by Albert type and
-the multiplicity m.  Type IV with q != 1 is cut off in the dispatch
-itself, ahead of n = 2p: no result here covers it, so it gets the
-Lefschetz upper bound at every n, and every branch past the cut-off that
-sees type IV sees a CM field.
+and falls back to the general statements: types I-III share one rule on
+the multiplicity of V over the algebra, ``_classify_multiplicity``.  Type
+IV with q != 1 is cut off in the dispatch itself, ahead of n = 2p: no
+result here covers it, so it gets the Lefschetz upper bound at every n,
+and every branch past the cut-off that sees type IV sees a CM field.
 Anything the theorems do not cover is reported as out_of_scope with the
 Lefschetz group as an upper bound.  Missing optional data degrades the
 status to conditional instead of guessing: ``_classify_type_iv`` builds
@@ -306,7 +306,7 @@ def _with_wedge(
     profile: HodgeProfile, lef: GroupExpr, rule: str, double_dim: int, notes=()
 ) -> ClassificationOutcome:
     """The Lefschetz group plus the restricted special-unitary wedge group
-    when the table keeps SL(2^k) in dimension 2l = C(2^k, 2^(k-1)); without
+    when the table keeps SL(2^k) in dimension 2r = C(2^k, 2^(k-1)); without
     it the alternative is dropped and a note says so.  That middle wedge is
     orthogonal, so a symplectic Lefschetz group has no alternative."""
     if lef.family in (FAM_SP, FAM_SP_B):
@@ -438,41 +438,42 @@ def _classify_2p(profile: HodgeProfile, lef: GroupExpr, subfields):
 # ---------------------------------------------------------------------------
 
 
-def _classify_type_i(profile: HodgeProfile, lef: GroupExpr):
+# per Albert type, the rule ids at r = 2, at an odd r and at r = 2 (mod 4)
+_QUAT_RULES = (RULE_QUAT_M2, RULE_QUAT_M_ODD, RULE_QUAT_4ODD)
+_MULTIPLICITY_RULES = {
+    "I": (RULE_I_L2, RULE_I_ODD_L, RULE_I_TWICE_ODD),
+    "II": _QUAT_RULES,
+    "III": _QUAT_RULES,
+}
+
+
+def _classify_multiplicity(profile: HodgeProfile, lef: GroupExpr):
+    """Types I-III by the multiplicity r of V over the algebra, r = n/[L:Q]
+    for type I and r = m for types II and III: the Lefschetz group at r = 2,
+    and the wedge alternative at an odd r and at r = 2 (mod 4) over F = Q."""
     endo = profile.endo
-    l = profile.n // endo.deg_L
-    if l % 2 == 1:
-        return _with_wedge(profile, lef, RULE_I_ODD_L, 2 * l)
-    if l == 2:
-        return _single(lef, RULE_I_L2)
-    if endo.deg_L == 1 and l % 4 == 2:
-        # the orthogonal factors of dimension n the table keeps: SO(n) of
+    rule_two, rule_odd, rule_twice_odd = _MULTIPLICITY_RULES[endo.albert_type]
+    r = profile.n // endo.deg_L if endo.albert_type == "I" else profile.m
+    if r == 2:
+        return _single(lef, rule_two)
+    if r % 2 == 1:
+        return _with_wedge(profile, lef, rule_odd, 2 * r)
+    if endo.deg_F != 1 or r % 4 != 2:
+        return _fallback(profile, lef)
+    notes = []
+    if endo.albert_type == "I":
+        # the orthogonal factors of dimension n = r the table keeps: SO(n) of
         # D_{n/2}, then SL(2^k) on a middle wedge, read at odd weight only
-        n, head = profile.n, "SL" if profile.parity == ODD else "SU"
-        factors = {f"SO({n})": ("SO", n)}
-        if head == "SL" and (k := central_binomial_solve(n)):
+        head = "SL" if profile.parity == ODD else "SU"
+        factors = {f"SO({r})": ("SO", r)}
+        if head == "SL" and (k := central_binomial_solve(r)):
             factors[f"SL(2^{k})"] = ("SL", 1 << k)
         notes = [
             f"product alternative {head}(2) x {label} excluded"
             for label, factor in factors.items()
             if exclude_sl2_product([(head, 2), factor])
         ]
-        return _with_wedge(profile, lef, RULE_I_TWICE_ODD, 2 * n, notes)
-    return _fallback(profile, lef)
-
-
-def _classify_quaternion(profile: HodgeProfile, lef: GroupExpr):
-    endo = profile.endo
-    m = profile.m
-    if m == 2:
-        return _single(lef, RULE_QUAT_M2)
-    if m % 2 == 1:
-        rule = RULE_QUAT_M_ODD
-    elif endo.deg_F == 1 and m % 4 == 2:
-        rule = RULE_QUAT_4ODD
-    else:
-        return _fallback(profile, lef)
-    return _with_wedge(profile, lef, rule, 2 * m)
+    return _with_wedge(profile, lef, rule_twice_odd, 2 * r, notes)
 
 
 def _classify_iv_torus(
@@ -529,6 +530,7 @@ def _classify_type_iv(profile: HodgeProfile, lef: GroupExpr, subfields):
     traces = endo.cm_traces
     su = GroupExpr(FAM_SU_B, param=m, base_degree=endo.deg_F)
     balanced_traces = traces is not None and all(a == b for a, b in traces)
+    coprime_traces = traces is not None and all(math.gcd(a, b) == 1 for a, b in traces)
     if balanced_traces and m % 2 == 0 and _is_prime(m // 2):
         return _single(su, RULE_IV_FULL_CM)
     if endo.deg_L == 2:
@@ -543,10 +545,9 @@ def _classify_type_iv(profile: HodgeProfile, lef: GroupExpr, subfields):
             return ClassificationOutcome(
                 CONDITIONAL, cands, RULE_IV_QUAD, ("trace data absent",)
             )
-        a, b = traces[0]
-        if math.gcd(a, b) == 1:
+        if coprime_traces:
             return _single(lef, RULE_IV_QUAD)
-        if a == b:
+        if balanced_traces:
             return ClassificationOutcome(
                 OUT_OF_SCOPE,
                 (_upper(lef), _upper(su, "upper bound (balanced multiplicities)")),
@@ -561,11 +562,7 @@ def _classify_type_iv(profile: HodgeProfile, lef: GroupExpr, subfields):
     balanced = _balanced_any(profile, subfields)
     if m == 2 and balanced:
         return _single(su, RULE_IV_M2)
-    if (
-        traces is not None
-        and all(math.gcd(a, b) == 1 for a, b in traces)
-        and any(s.deg_E * 2 == endo.deg_L for s in balanced)
-    ):
+    if coprime_traces and any(s.deg_E * 2 == endo.deg_L for s in balanced):
         return _single(su, RULE_IV_INDEX2)
     note = None
     if subfields is None and m % 2 == 0:
@@ -620,10 +617,8 @@ def classify(
         out = _classify_iv_torus(profile, lef, subfields)
     elif n == 4:
         out = _classify_n4(profile, lef, subfields)
-    elif profile.endo.albert_type == "I":
-        out = _classify_type_i(profile, lef)
-    elif profile.endo.albert_type in ("II", "III"):
-        out = _classify_quaternion(profile, lef)
+    elif profile.endo.albert_type in _MULTIPLICITY_RULES:
+        out = _classify_multiplicity(profile, lef)
     else:
         out = _classify_type_iv(profile, lef, subfields)
     if verdict.realizable is None and out.status == DETERMINED:
