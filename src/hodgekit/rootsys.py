@@ -3,14 +3,18 @@
 A root system is built in exact integer arithmetic from its Cartan
 matrix.  Its positive roots are generated on first read, by an
 upward-only reflection closure, each root carrying the squared length of
-the simple root it descends from and its coroot,
-s_i(beta)^vee = s_i(beta^vee).  A Dynkin node has at most three
-neighbours, so every Weyl-group kernel is sparse: <beta, alpha_i^vee> is
-read off the root's weight coordinates, and s_i changes a weight only at
-i and its neighbours.  The closure also carries the indices of a root's
-negative pairings, the only reflections it takes, and updates them at i
-and its neighbours, so no step scans all l pairings.  On top of that
-come representation dimensions by the Weyl formula, self-duality by
+the simple root it descends from, its coroot,
+s_i(beta)^vee = s_i(beta^vee), and the heights of both, each updated by
+one addition per step.  A Dynkin node has at most three neighbours, so
+every Weyl-group kernel is sparse: <beta, alpha_i^vee> is read off the
+root's weight coordinates, and s_i changes a weight only at i and its
+neighbours.  The closure also carries the indices of a root's negative
+pairings, the only reflections it takes, and updates them at i and its
+neighbours, so no step scans all l pairings.  It records a (height,
+root, coroot height) row per root, and one sort of the rows gives the
+order of the roots and the coroot heights in that order.  On top of that
+come representation dimensions by the Weyl formula, a product over the
+positive coroots whose pairing with lambda is nonzero, self-duality by
 dominantizing -lambda, and the orthogonal/symplectic sign of a
 self-dual representation by the parity of <lambda, 2 rho^vee>, with
 2 rho^vee summed once per system; pairings read only the weight's
@@ -42,7 +46,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
-from itertools import repeat
+from itertools import compress, repeat
 from operator import add, mul
 from typing import NamedTuple
 
@@ -52,21 +56,26 @@ from .numth import _require_int, _require_ints
 
 # Largest rank a RootSystem is built for.  Root generation grows like l^3
 # and sets the cost of a single-system query: `weights dim`, `autodual` or
-# `length` on D112 takes about 0.5 s on a 2-vCPU Xeon VM (51 MB peak), and
-# building B128 about 0.4 s.  `weights verify-table2 --max-rank 112`, every
-# system up to the cap, takes 45-46 s and 55 MB, inside the 60 s budget of
-# the other caps.  The refusal above it is pinned by the CLI golden, so the
-# cap stays.
+# `length` on D112 takes about 0.2 s through the CLI on a 2-vCPU Xeon VM
+# (39 MB peak).  `weights verify-table2 --max-rank 112`, every system up to
+# the cap, takes 25-27 s and 48 MB there, inside the 60 s budget of the
+# other caps; the root closure and the A_l dominantizations set that time.
+# The refusal above the cap is pinned by the CLI golden, so the cap stays.
 MAX_RANK = 112
 
 
-def _cartan_and_norms(kind: str, l: int) -> tuple[list[list[int]], list[int]]:
-    """Cartan matrix and squared root lengths, Bourbaki numbering."""
+def _cartan_and_norms(kind: str, l: int):
+    """Cartan matrix, squared root lengths and Dynkin links, Bourbaki
+    numbering.  The links of node i are its neighbours j, each with
+    <alpha_i, alpha_j^vee>, by increasing j."""
     mat = [[2 * (i == j) for j in range(l)] for i in range(l)]
+    links = [[] for _ in range(l)]
 
     def edge(i: int, j: int, mij: int = -1, mji: int = -1) -> None:
         mat[i][j] = mij
         mat[j][i] = mji
+        links[i].append((j, mij))
+        links[j].append((i, mji))
 
     norms = [2] * l
     if kind == "A":
@@ -93,7 +102,7 @@ def _cartan_and_norms(kind: str, l: int) -> tuple[list[list[int]], list[int]]:
         for a, b in zip(spine, spine[1:]):
             edge(a, b)
         edge(1, 3)
-    return mat, norms
+    return mat, norms, tuple(tuple(sorted(nodes)) for nodes in links)
 
 
 class _WeightFields(NamedTuple):
@@ -137,13 +146,9 @@ class RootSystem:
         _check_rank_cap(rank)
         self.kind = kind
         self.rank = rank
-        self.cartan, self.norms = _cartan_and_norms(kind, rank)
         # A Dynkin node has at most three neighbours; s_i moves only the
         # i-th weight coordinate and those of its neighbours.
-        self._links = tuple(
-            tuple((j, a) for j, a in enumerate(row) if a and j != i)
-            for i, row in enumerate(self.cartan)
-        )
+        self.cartan, self.norms, self._links = _cartan_and_norms(kind, rank)
 
     @property
     def name(self) -> str:
@@ -157,43 +162,56 @@ class RootSystem:
     @cached_property
     def positive_roots(self) -> tuple[tuple[int, ...], ...]:
         """The positive roots in simple-root coordinates, by height."""
-        return tuple(sorted(self._coroots, key=lambda r: (sum(r), r)))
+        return self._closure[1]
 
     @cached_property
     def _coroots(self) -> dict[tuple[int, ...], tuple[int, ...]]:
         """Each positive root beta with its coroot beta^vee, both in simple
-        (co)root coordinates, so that <w, beta^vee> = sum_j w_j v_j.
+        (co)root coordinates, so that <w, beta^vee> = sum_j w_j v_j."""
+        return self._closure[0]
 
-        A root is carried with its squared length, its weight
-        coordinates <beta, alpha_i^vee>, which s_i changes only at i and
-        its neighbours, and the indices where they are negative.  The
-        closure reflects only upward: s_i(beta) =
+    @cached_property
+    def _closure(self) -> tuple[dict, tuple, tuple]:
+        """The dict ``_coroots``, the positive roots by height (then by
+        coordinates), and the heights of their coroots in that order.
+
+        A root is carried with its squared length, its coroot, the heights
+        of both, its weight coordinates <beta, alpha_i^vee>, which s_i
+        changes only at i and its neighbours, and the indices where they
+        are negative.  The closure reflects only upward: s_i(beta) =
         beta - <beta, alpha_i^vee> alpha_i is taken when the pairing is
         negative, and is then a higher positive root.  That reaches every
         positive root: a positive root beta that is not simple has some i
         with <beta, alpha_i^vee> > 0, and then gamma = s_i(beta) is a
         lower positive root with <gamma, alpha_i^vee> < 0 and
         s_i(gamma) = beta, so by induction on the height every positive
-        root comes from a simple one by upward steps.
+        root comes from a simple one by upward steps.  Each root gets a
+        row (height, beta, height of beta^vee), and one sort of the rows,
+        in their natural order, puts the roots and the coroot heights in
+        order; no key is computed and no height summed.
 
         Reflections preserve length, so a root has the length of the
         simple root it descends from, and s_i(beta)^vee = s_i(beta^vee)
         = beta^vee - <alpha_i, beta^vee> alpha_i^vee, where
         <alpha_i, beta^vee> = <beta, alpha_i^vee> |alpha_i|^2 / |beta|^2
-        must be an integer.  Every read of the roots passes through here,
-        so the count check below runs on every system whose roots are used.
+        must be an integer.  The step adds -<beta, alpha_i^vee> to the
+        height of beta and -<alpha_i, beta^vee> to that of beta^vee.
+        Every read of the roots passes through here, so the count check
+        below runs on every system whose roots are used.
         """
-        l, links = self.rank, self._links
+        l, links, norms = self.rank, self._links, self.norms
         coroots = {}
+        rows = []
         frontier = []
         for i in range(l):
             alpha = tuple(int(i == j) for j in range(l))
             coroots[alpha] = alpha
+            rows.append((1, alpha, 1))
             # alpha_i pairs negatively with its neighbours alone
             negative = [j for j, _ in links[i]]
-            frontier.append((alpha, alpha, self.norms[i], self.cartan[i], negative))
+            frontier.append((alpha, alpha, 1, 1, norms[i], self.cartan[i], negative))
         while frontier:
-            beta, vee, size, pairings, negative = frontier.pop()
+            beta, vee, height, vee_height, size, pairings, negative = frontier.pop()
             for i in negative:
                 p = pairings[i]
                 img = list(beta)
@@ -201,25 +219,40 @@ class RootSystem:
                 img = tuple(img)
                 if img in coroots:
                     continue
-                q, r = divmod(p * self.norms[i], size)
+                q, r = divmod(p * norms[i], size)
                 if r:  # pragma: no cover
                     raise AssertionError("coroot pairing must be integral")
-                img_vee = list(vee)
-                img_vee[i] -= q
-                coroots[img] = img_vee = tuple(img_vee)
+                # while every step has q = p, a root is its own coroot
+                # and shares its tuple
+                if vee is beta and q == p:
+                    img_vee = img
+                else:
+                    img_vee = list(vee)
+                    img_vee[i] -= q
+                    img_vee = tuple(img_vee)
+                coroots[img] = img_vee
+                up, vee_up = height - p, vee_height - q
+                rows.append((up, img, vee_up))
                 # s_i turns the pairing at i into -p > 0 and lowers it by
                 # p * a > 0 at each neighbour j (a < 0), so only i leaves
                 # the negative indices and only a neighbour joins them
-                mu = self.reflect_weight(pairings, i)
-                below = [j for j in negative if j != i]
-                below += [j for j, _ in links[i] if mu[j] < 0 <= pairings[j]]
-                frontier.append((img, img_vee, size, mu, below))
+                mu = list(pairings)
+                mu[i] = -p
+                below = negative.copy()
+                below.remove(i)
+                for j, a in links[i]:
+                    mu[j] = m = mu[j] - p * a
+                    if m < 0 <= pairings[j]:
+                        below.append(j)
+                frontier.append((img, img_vee, up, vee_up, size, mu, below))
         expected = _COUNT[self.kind](l)
         if len(coroots) != expected:
             raise AssertionError(
                 f"{self.name}: got {len(coroots)} positive roots, expected {expected}"
             )
-        return coroots
+        rows.sort()
+        _, roots, heights = zip(*rows)
+        return coroots, roots, heights
 
     # -- pairings ------------------------------------------------------
 
@@ -239,13 +272,7 @@ class RootSystem:
     @cached_property
     def _coroot_heights(self) -> tuple[int, ...]:
         """<rho, beta^vee>, the height of beta^vee, for the positive roots."""
-        return tuple(map(sum, map(self._coroots.__getitem__, self.positive_roots)))
-
-    @cached_property
-    def _weyl_denominator(self) -> int:
-        """prod <rho, beta^vee> over the positive roots: the Weyl formula's
-        denominator, the same for every weight of the system."""
-        return math.prod(self._coroot_heights)
+        return self._closure[2]
 
     @cached_property
     def _two_rho_vee(self) -> tuple[int, ...]:
@@ -253,15 +280,6 @@ class RootSystem:
         return tuple(map(sum, self._coroot_columns))
 
     # -- Weyl group action on weights -----------------------------------
-
-    def reflect_weight(self, mu: tuple[int, ...], i: int) -> tuple[int, ...]:
-        """s_i(mu) in fundamental-weight coordinates."""
-        c = mu[i]
-        out = list(mu)
-        out[i] = -c
-        for j, a in self._links[i]:
-            out[j] -= c * a
-        return tuple(out)
 
     def dominant_representative(
         self, mu: tuple[int, ...]
@@ -278,6 +296,7 @@ class RootSystem:
         shift = [0] * self.rank
         todo = [i for i, c in enumerate(current) if c < 0]
         budget = len(self.positive_roots)
+        links = self._links
         while todo:
             i = todo.pop()
             c = current[i]
@@ -288,7 +307,7 @@ class RootSystem:
             budget -= 1
             shift[i] -= c
             current[i] = -c
-            for j, a in self._links[i]:
+            for j, a in links[i]:
                 current[j] -= c * a
                 if current[j] < 0:
                     todo.append(j)
@@ -360,9 +379,11 @@ def rep_dimension(rs: RootSystem, weight: Weight) -> int:
     if not is_dominant(weight):
         raise ValueError(f"rep_dimension needs a dominant weight, got {weight.coords}")
     # <lambda + rho, beta^vee> = <lambda, beta^vee> + height of beta^vee
-    heights = rs._coroot_heights
-    num = math.prod(map(add, heights, rs._pairings(weight)))
-    den = rs._weyl_denominator
+    # a zero pairing gives the factor h / h = 1, so only the nonzero ones
+    # enter either product
+    heights, pairs = rs._coroot_heights, tuple(rs._pairings(weight))
+    num = math.prod(compress(map(add, heights, pairs), pairs))
+    den = math.prod(compress(heights, pairs))
     if num % den:
         raise AssertionError("Weyl dimension did not come out integral")
     return num // den

@@ -12,10 +12,13 @@ the oracle scans the fundamental weights with the Weyl formula.  Weight
 lengths likewise: the package sums the steps of a dominantization, the
 oracle solves the Cartan system over Fraction.  The Weyl-group kernels
 likewise: the package reflects sparsely, upward only, carrying coroots
-through the closure; the oracle reflects by full Cartan columns in both
-directions, derives each coroot from its root by the norm formula, sums
-all positive coroot pairings for the autoduality sign, and dominantizes at
-the first negative coordinate by dense reflections.  The abelian ledger
+and both heights through the closure, orders the roots by one sort of its
+rows, and multiplies the Weyl formula over the nonzero pairings alone;
+the oracle reflects by full Cartan columns in both directions, derives
+each coroot from its root by the norm formula, takes the Weyl formula as
+a Fraction product over every positive coroot, sums all positive coroot
+pairings for the autoduality sign, and dominantizes at the first
+negative coordinate by dense reflections.  The abelian ledger
 likewise: the package reads the n = 2p verdict of ``classify``, the
 oracle decides the hypothesis family from the subfield inventory itself.
 The realizability catalog likewise: the package runs only the entries of
@@ -402,6 +405,18 @@ def dense_pairing_sum(coroots, weight) -> int:
     return sum(
         sum(w * v for w, v in zip(weight.coords, vec)) for vec in coroots.values()
     )
+
+
+def dense_weyl_dimension(coroots, weight) -> int:
+    """The Weyl formula as a Fraction product over every positive coroot:
+    <lambda + rho, beta^vee> / <rho, beta^vee>, where <rho, beta^vee> is
+    the sum of the coroot's coordinates; the product must be an integer."""
+    dim = Fraction(1)
+    for vec in coroots.values():
+        height = sum(vec)
+        dim *= Fraction(sum(w * v for w, v in zip(weight.coords, vec)) + height, height)
+    assert dim.denominator == 1, weight
+    return dim.numerator
 
 
 def dense_autoduality(rs, coroots, weight) -> str:

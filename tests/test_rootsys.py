@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -31,6 +32,7 @@ from oracles import (
     dense_dominant_representative,
     dense_pairing_sum,
     dense_positive_roots,
+    dense_weyl_dimension,
     dual_weight,
     minuscule_scan,
     norm_coroots,
@@ -178,6 +180,36 @@ def test_adjoint_dimension_spot_check():
     # highest root of A_2: (1,1); dim of the adjoint is 8
     rs = RootSystem("A", 2)
     assert rep_dimension(rs, Weight((1, 1))) == 8
+
+
+def test_rep_dimension_matches_the_weyl_product_over_every_root():
+    # the package multiplies only the factors of the nonzero pairings; the
+    # oracle takes the Fraction product over every positive root.  Every
+    # dominant weight with coordinates in {0, 1, 2} up to rank 4, then
+    # seeded random dominant weights, zeros among their coordinates, up to
+    # rank 10 and on E6 and E7
+    rng = random.Random(20151120)
+    for rs in all_systems(10, c_from=1):
+        coroots = norm_coroots(rs, dense_positive_roots(rs))
+        l = rs.rank
+        if l <= 4:
+            grid = itertools.product(range(3), repeat=l)
+        else:
+            grid = (tuple(rng.choice((0, 0, 1, 2, 5)) for _ in range(l)) for _ in range(25))
+        for coords in grid:
+            w = Weight(coords)
+            assert rep_dimension(rs, w) == dense_weyl_dimension(coroots, w), (rs.name, coords)
+
+
+def test_rep_dimension_refuses_a_ratio_that_is_not_integral():
+    # A2's coroot heights are (1, 1, 2); with the last read as 4, omega_1
+    # (pairings 1, 0, 1) gives 2 * 5 / (1 * 4), which the guard refuses
+    # rather than round down
+    rs = RootSystem("A", 2)
+    assert rs._coroot_heights == (1, 1, 2)
+    rs._coroot_heights = (1, 1, 4)
+    with pytest.raises(AssertionError, match="^Weyl dimension did not come out integral$"):
+        rep_dimension(rs, fundamental_weight(rs, 1))
 
 
 def test_autoduality_signs():
