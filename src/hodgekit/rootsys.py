@@ -58,7 +58,7 @@ from .numth import _require_int, _require_ints
 # and sets the cost of a single-system query: `weights dim`, `autodual` or
 # `length` on D112 takes about 0.2 s through the CLI on a 2-vCPU Xeon VM
 # (39 MB peak).  `weights verify-table2 --max-rank 112`, every system up to
-# the cap, takes 25-27 s and 48 MB there, inside the 60 s budget of the
+# the cap, takes 24-25 s and 48 MB there, inside the 60 s budget of the
 # other caps; the root closure and the A_l dominantizations set that time.
 # The refusal above the cap is pinned by the CLI golden, so the cap stays.
 MAX_RANK = 112
